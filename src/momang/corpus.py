@@ -11,16 +11,27 @@ import itertools
 import math
 import random
 
-from .errors import BadParameters
+from .errors import BadParameters, GuardExceeded
 from .hrep import HRep, enumerate_vertices, make_hrep
 from .moves import vertex_cut
 from .polytope import CombPolytope, validate_polytope
+
+# Cap on the predicted validation work, vertex count times n^2, of the
+# generated simplices and cubes; checked before any vertex is listed.
+_VALIDATION_CAP = 10 ** 7
+
+
+def _check_size(kind: str, n: int, work: int):
+    if work > _VALIDATION_CAP:
+        raise GuardExceeded(f"{kind}({n}): vertex count times {n}^2 exceeds "
+                            f"the validation cap {_VALIDATION_CAP}")
 
 
 def simplex(n: int) -> CombPolytope:
     """The n-simplex: n+1 facets, one vertex per n-subset."""
     if n < 1:
         raise BadParameters(f"simplex dimension must be >= 1, got {n}")
+    _check_size("simplex", n, (n + 1) * n * n)
     verts = list(itertools.combinations(range(n + 1), n))
     return validate_polytope(n, verts)
 
@@ -29,6 +40,8 @@ def cube(n: int) -> CombPolytope:
     """The n-cube: facet i is {x_i = 0}, facet n+i is {x_i = 1}."""
     if n < 1:
         raise BadParameters(f"cube dimension must be >= 1, got {n}")
+    # 2^n alone exceeds the cap past its bit length, so the shift stops there
+    _check_size("cube", n, n * n << min(n, _VALIDATION_CAP.bit_length()))
     verts = []
     for corner in itertools.product((0, 1), repeat=n):
         verts.append(tuple(sorted(i if bit == 0 else n + i

@@ -613,6 +613,12 @@ def polytope_from_json(data) -> CombPolytope:
     for key in ("dim", "facets", "vertices"):
         if key not in data:
             raise ParseError(f"missing key {key!r}")
+    for key in ("dim", "facets"):
+        if not isinstance(data[key], int) or isinstance(data[key], bool):
+            raise ParseError(f"{key!r} must be an integer, got {data[key]!r}")
+    labels = data.get("facet_labels")
+    if labels is not None and not isinstance(labels, list):
+        raise ParseError(f"'facet_labels' must be a list, got {labels!r}")
     verts = data["vertices"]
     if not isinstance(verts, list) or not all(isinstance(v, list) for v in verts):
         raise ParseError("'vertices' must be a list of lists")
@@ -623,7 +629,7 @@ def polytope_from_json(data) -> CombPolytope:
             raise ParseError(f"vertex {v} is not strictly increasing")
         if any(f < 0 or f >= data["facets"] for f in v):
             raise ParseError(f"facet index out of range in {v}")
-    p = validate_polytope(data["dim"], verts, data.get("facet_labels"))
+    p = validate_polytope(data["dim"], verts, labels)
     if p.facet_count != data["facets"]:
         raise ParseError(
             f"header says {data['facets']} facets, incidence uses {p.facet_count}")

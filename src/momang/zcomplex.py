@@ -10,6 +10,11 @@ of the face's facet set, so a codimension-k face carries exactly 2^(m-k)
 cells; the top-dimensional cells (chambers) are indexed by all of (Z2)^m,
 and the neighbour of chamber ``g`` across facet ``i`` is ``g ^ (1 << i)``.
 
+Closed forms replace search: the copies of a face glue along the cosets
+of its facet span, and so do the cells over one cover-connected set of
+faces (fixed sets, stage boundaries); the chamber graph is the m-cube,
+hence connected; chamber parity orients, as a facet crossing flips one bit.
+
 The doubling filtration truncates the group to its first j generators:
 stage j is the union of the 2^j chambers with group element < 2^j, whose
 boundary consists of one piece per (facet i >= j, group element in the
@@ -43,15 +48,28 @@ class _UnionFind:
         if ra != rb:
             self.parent[max(ra, rb)] = min(ra, rb)
 
-    def roots(self):
-        return {self.find(x) for x in range(len(self.parent))}
-
 
 def _face_mask(face) -> int:
     mask = 0
     for i in face.facets:
         mask |= 1 << i
     return mask
+
+
+def _face_components(lattice: FaceLattice, masks, keep) -> tuple[dict, dict]:
+    """Cover-connected components of the faces selected by ``keep`` (closed
+    under subfaces): each kept face's root, and per root the union of its
+    faces' facet masks, the span along which its cells glue."""
+    uf = _UnionFind(len(masks))
+    for parent, child in lattice.covers:
+        if keep(parent):
+            uf.union(parent, child)
+    roots, spans = {}, {}
+    for f, mask in enumerate(masks):
+        if keep(f):
+            r = roots[f] = uf.find(f)
+            spans[r] = spans.get(r, 0) | mask
+    return roots, spans
 
 
 class ChamberComplex:
@@ -82,41 +100,24 @@ class ChamberComplex:
 
 
 def build_chamber_complex(p: CombPolytope, guard: int = 20) -> ChamberComplex:
-    """Enumerate all cells and verify the gluing by per-face union-find.
+    """Enumerate all cells, face by face.
 
-    For every face the 2^m raw copies are merged along the face's facet
-    generators; the classes must come out as one cell per canonical
-    representative, 2^(m-k) of them in codimension k.
+    The 2^m copies of a face glue along the cosets of the subgroup spanned
+    by its facets, so its cells are the submasks of the complement of its
+    facet mask, listed in increasing order: 2^(m-k) in codimension k.
     """
     m = p.facet_count
     if m > guard:
         raise GuardExceeded(f"facet count {m} exceeds guard {guard}")
     lattice = face_lattice(p)
-    size = 1 << m
-    cells = []
-    cell_ids = {}
+    masks = [_face_mask(f) for f in lattice.faces]
+    cells = tuple((face_index, g) for face_index, mask in enumerate(masks)
+                  for g in _stage_cell_reps(m, mask))
+    cell_ids = {cell: k for k, cell in enumerate(cells)}
     cells_by_dim = [0] * (p.dim + 1)
-    for face_index, face in enumerate(lattice.faces):
-        mask = _face_mask(face)
-        uf = _UnionFind(size)
-        for g in range(size):
-            low = g & mask
-            if low:
-                uf.union(g, g & ~(low & -low))
-        reps = sorted(uf.roots())
-        expected = 1 << (m - len(face.facets))
-        if len(reps) != expected:
-            raise AssertionError(
-                f"face {sorted(face.facets)} produced {len(reps)} cells, "
-                f"expected {expected}")
-        for g in reps:
-            if g & mask:
-                raise AssertionError("union-find root is not canonical")
-            cell_ids[(face_index, g)] = len(cells)
-            cells.append((face_index, g))
-        cells_by_dim[face.dim] += len(reps)
-    return ChamberComplex(p, lattice, tuple(cells), cell_ids,
-                          tuple(cells_by_dim))
+    for face, mask in zip(lattice.faces, masks):
+        cells_by_dim[face.dim] += _coset_count(m, mask)
+    return ChamberComplex(p, lattice, cells, cell_ids, tuple(cells_by_dim))
 
 
 def euler_characteristic_from_lattice(p: CombPolytope,
@@ -130,21 +131,14 @@ def euler_characteristic_from_lattice(p: CombPolytope,
 
 
 def euler_characteristic(z: ChamberComplex) -> int:
-    """Alternating sum of cell counts, cross-checked against the lattice form."""
-    chi = sum((-1) ** d * c for d, c in enumerate(z.cells_by_dim))
-    closed = euler_characteristic_from_lattice(z.base, z.lattice)
-    if chi != closed:
-        raise AssertionError(f"cell count {chi} disagrees with lattice sum {closed}")
-    return chi
+    """Alternating sum of cell counts."""
+    return sum((-1) ** d * c for d, c in enumerate(z.cells_by_dim))
 
 
 def connected_components(z: ChamberComplex) -> int:
-    """Components of the chamber adjacency graph under the facet gluings."""
-    uf = _UnionFind(1 << z.m)
-    for g in z.chambers():
-        for i in range(z.m):
-            uf.union(g, g ^ (1 << i))
-    return len(uf.roots())
+    """Always one: chamber ``g`` meets ``g ^ (1 << i)`` across facet ``i``,
+    so the chamber graph is the m-cube, which is connected."""
+    return 1
 
 
 @dataclass(frozen=True)
@@ -161,43 +155,33 @@ class FixedPointSet:
 
 
 def fixed_point_components(z: ChamberComplex, i: int) -> FixedPointSet:
-    """Cells over faces contained in facet ``i``, grouped by gluing."""
+    """Cells over faces contained in facet ``i``, grouped by gluing.
+
+    Cells over one cover-connected component of those faces glue along the
+    cosets of its facet span.  Components come in order of their first cell
+    id, with their cells in id order.
+    """
     if not 0 <= i < z.m:
         raise NoSuchFacet(f"facet {i} of {z.m}")
-    sub = [cid for cid, (fidx, _) in enumerate(z.cells)
-           if i in z.lattice.faces[fidx].facets]
-    local = {cid: k for k, cid in enumerate(sub)}
-    uf = _UnionFind(len(sub))
-    for parent_idx, child_idx in z.lattice.covers:
-        if i not in z.lattice.faces[parent_idx].facets:
-            continue
-        child_mask = z.face_masks[child_idx]
-        for g in range(1 << z.m):
-            if g & z.face_masks[parent_idx]:
-                continue
-            a = z.cell_ids[(parent_idx, g)]
-            b = z.cell_ids[(child_idx, g & ~child_mask)]
-            uf.union(local[a], local[b])
-    groups: dict[int, list] = {}
-    for cid in sub:
-        groups.setdefault(uf.find(local[cid]), []).append(z.cells[cid])
-    components = tuple(tuple(grp) for _, grp in sorted(groups.items()))
+    roots, spans = _face_components(z.lattice, z.face_masks,
+                                    lambda f: z.face_masks[f] >> i & 1)
+    groups: dict[tuple[int, int], list] = {}
+    for cell in z.cells:
+        root = roots.get(cell[0])
+        if root is not None:
+            groups.setdefault((root, cell[1] & ~spans[root]), []).append(cell)
+    components = tuple(tuple(grp) for grp in groups.values())
     return FixedPointSet(facet=i, components=components)
 
 
 def orientability(z: ChamberComplex):
-    """Orient chambers by group-element parity and verify consistency.
+    """Orient chambers by group-element parity.
 
-    Adjacent chambers differ by one generator, hence get opposite signs;
-    the check walks every (chamber, facet) adjacency.  Returns the verdict
+    Adjacent chambers differ by one generator, hence get opposite signs, so
+    the parity orientation is always consistent.  Returns the verdict
     together with the sign of each chamber.
     """
-    signs = [1 - 2 * (g.bit_count() & 1) for g in z.chambers()]
-    for g in z.chambers():
-        for i in range(z.m):
-            if signs[g] == signs[g ^ (1 << i)]:
-                return False, signs
-    return True, signs
+    return True, [1 - 2 * (g.bit_count() & 1) for g in z.chambers()]
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +224,11 @@ class FiltrationStage:
     cell_count: int
     boundary_components: int
     edge_types: EdgeTypeSummary = field(repr=False)
+
+
+def _coset_count(j: int, mask: int) -> int:
+    """Cosets of the span of ``mask`` in the stage-j group of order 2^j."""
+    return 1 << (j - (mask & ((1 << j) - 1)).bit_count())
 
 
 def _stage_cell_reps(j: int, mask: int):
@@ -289,83 +278,29 @@ def _build_edge_types(p: CombPolytope, lattice: FaceLattice, j: int) -> EdgeType
 
 
 def doubling_filtration(p: CombPolytope, guard: int = 20) -> list[FiltrationStage]:
-    """All stages 0..m of the doubling filtration, with verified boundaries.
+    """All stages 0..m of the doubling filtration.
 
-    For each stage the boundary identity is checked cell by cell: every
-    codimension-one stage cell over a facet >= j touches exactly one stage
-    chamber (it is one boundary piece), every one over a facet < j touches
-    exactly two (it is interior).  The doubling law is checked by counting:
-    stage j+1 has twice the cells of stage j minus the cells of the gluing
-    locus, which is exactly the preimage of facet j.
+    Stage j keeps the first j generators: a face's stage cells are the
+    cosets of its facet span in that group, and the boundary (faces meeting
+    a facet >= j) has one component per coset of each face component's span.
     """
     m = p.facet_count
     if m > guard:
         raise GuardExceeded(f"facet count {m} exceeds guard {guard}")
     lattice = face_lattice(p)
+    masks = [_face_mask(f) for f in lattice.faces]
     stages = []
-
-    def stage_cell_count(j: int) -> int:
-        return sum(len(_stage_cell_reps(j, _face_mask(f)))
-                   for f in lattice.faces)
-
     for j in range(m + 1):
         subgroup = tuple(range(1 << j))
-        pieces = tuple((i, g) for i in range(j, m) for g in subgroup)
-
-        # boundary identity: count stage chambers incident to each facet cell
-        for i in range(m):
-            touched: dict[int, int] = {}
-            for g in subgroup:
-                rep = g & ~(1 << i)
-                touched[rep] = touched.get(rep, 0) + 1
-            for rep, cnt in touched.items():
-                expected = 1 if i >= j else 2
-                if cnt != expected:
-                    raise AssertionError(
-                        f"stage {j}: cell over facet {i} rep {rep} touches "
-                        f"{cnt} chambers, expected {expected}")
-        boundary_cells = sum(len(_stage_cell_reps(j, 1 << i))
-                             for i in range(j, m))
-        if boundary_cells != len(pieces):
-            raise AssertionError("boundary pieces do not match boundary cells")
-
-        edge_types = _build_edge_types(p, lattice, j)
-        boundary_components = _boundary_components(p, lattice, j)
+        _, spans = _face_components(lattice, masks, lambda f: masks[f] >> j)
         stages.append(FiltrationStage(
-            base=p, j=j, subgroup=subgroup, facets=pieces,
-            chamber_count=1 << j, cell_count=stage_cell_count(j),
-            boundary_components=boundary_components, edge_types=edge_types))
-
-    for j in range(m):
-        locus = sum(len(_stage_cell_reps(j, _face_mask(f)))
-                    for f in lattice.faces if j in f.facets)
-        if stages[j + 1].cell_count != 2 * stages[j].cell_count - locus:
-            raise AssertionError(
-                f"stage {j + 1} is not the double of stage {j} along facet {j}")
+            base=p, j=j, subgroup=subgroup,
+            facets=tuple((i, g) for i in range(j, m) for g in subgroup),
+            chamber_count=1 << j,
+            cell_count=sum(_coset_count(j, mask) for mask in masks),
+            boundary_components=sum(_coset_count(j, s) for s in spans.values()),
+            edge_types=_build_edge_types(p, lattice, j)))
     return stages
-
-
-def _boundary_components(p: CombPolytope, lattice: FaceLattice, j: int) -> int:
-    """Components of the stage boundary subcomplex under the gluing."""
-    boundary = []
-    ids = {}
-    masks = [_face_mask(f) for f in lattice.faces]
-    for fidx, face in enumerate(lattice.faces):
-        if not face.facets or max(face.facets) < j:
-            continue
-        for r in _stage_cell_reps(j, masks[fidx]):
-            ids[(fidx, r)] = len(boundary)
-            boundary.append((fidx, r))
-    if not boundary:
-        return 0
-    uf = _UnionFind(len(boundary))
-    for parent_idx, child_idx in lattice.covers:
-        parent = lattice.faces[parent_idx]
-        if not parent.facets or max(parent.facets) < j:
-            continue
-        for r in _stage_cell_reps(j, masks[parent_idx]):
-            uf.union(ids[(parent_idx, r)], ids[(child_idx, r & ~masks[child_idx])])
-    return len(uf.roots())
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
+import momang
 from momang import polytope_from_json, polytope_to_json, prism, simplex
 from momang.cli import main
 from momang.corpus import cube_hrep, simplex_hrep
@@ -72,6 +76,26 @@ def test_validate_and_errors(tmp_path, capsys):
     assert code == 2 and "NotSimple" in err
     code, _, err = run(capsys, "validate", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize("doc", [
+    '{"dim": 3, "facets": "x", "vertices": [[0, 1, 2]]}',
+    '{"dim": "abc", "facets": 4, "vertices": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}',
+    '{"dim": 3, "facets": 4, "vertices": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]], '
+    '"facet_labels": 5}',
+    '{"dim": true, "facets": 2, "vertices": [[0], [1]]}',
+], ids=["facets-string", "dim-string", "labels-scalar", "dim-bool"])
+def test_validate_malformed_json_is_input_error(tmp_path, capsys, doc):
+    path = tmp_path / "malformed.json"
+    path.write_text(doc)
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2 and "ParseError" in err
+
+
+def test_generate_cube_over_guard(capsys):
+    # the guard fires before a single vertex of the 2^25 is listed
+    code, _, err = run(capsys, "generate", "cube", "25")
+    assert code == 3 and "GuardExceeded" in err
 
 
 def test_cut_collapse_pipeline(tmp_path, capsys):
@@ -176,7 +200,12 @@ def test_text_format(tmp_path, capsys):
 
 
 def test_console_entry_point(tmp_path):
+    # the child imports momang from wherever this process found it, so the
+    # test also runs from a checkout without an install
+    root = os.path.dirname(os.path.dirname(momang.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "momang.cli", "generate",
-                           "simplex", "3"], capture_output=True, text=True)
+                           "simplex", "3"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["payload"]["facets"] == 4

@@ -1,9 +1,13 @@
+import functools
 import itertools
 from collections import Counter
 
 import pytest
 
 from momang import (
+    EdgeRecord,
+    EdgeTypeSummary,
+    FiltrationStage,
     build_chamber_complex,
     classify_edge_types,
     complex_summary,
@@ -17,6 +21,7 @@ from momang import (
     orientability,
     prism,
     simplex,
+    vertex_cut,
 )
 from momang.errors import GuardExceeded, NoSuchFacet
 from conftest import cut_cube
@@ -154,7 +159,8 @@ def test_fixed_sets_counts():
 
 
 def test_fixed_sets_formula():
-    # conjectured count 2^(m - 1 - a_i) with a_i the facet adjacency degree
+    # a_i is the facet adjacency degree: a connected facet's cells glue along
+    # the cosets of the span of itself and its a_i neighbours, 2^(m-1-a_i)
     for name, p in zcomplex_corpus():
         z = build_chamber_complex(p)
         for i in range(p.facet_count):
@@ -328,3 +334,211 @@ def test_complex_summary_cube():
     assert s["fixed_sets"] == [{"facet": i, "components": 2} for i in range(6)]
     assert [st["facets"] for st in s["filtration"]] == \
         [(6 - j) * (1 << j) for j in range(7)]
+
+
+# ---------------------------------------------------------------------------
+# oracles: the cell-level union-finds that the library replaced by closed
+# forms, kept as brute-force references at small sizes (m <= 10)
+
+
+class UnionFind:
+    def __init__(self, size):
+        self.parent = list(range(size))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+    def roots(self):
+        return {self.find(x) for x in range(len(self.parent))}
+
+
+def mask_of(face):
+    return sum(1 << i for i in face.facets)
+
+
+def oracle_face_cells(j, mask):
+    """The 2^j copies of a face merged along its facet generators; one
+    canonical (minimal) representative per class, in increasing order."""
+    uf = UnionFind(1 << j)
+    for g in range(1 << j):
+        low = g & mask
+        if low:
+            uf.union(g, g & ~(low & -low))
+    reps = sorted(uf.roots())
+    assert all(not g & mask for g in reps)
+    return reps
+
+
+def oracle_cells(lattice, j):
+    return [(fidx, g) for fidx, f in enumerate(lattice.faces)
+            for g in oracle_face_cells(j, mask_of(f))]
+
+
+def oracle_fixed_components(lattice, m, cells, i):
+    """Cells over faces in facet i, glued along every cover for all 2^m
+    group elements; components ordered by their first cell id."""
+    faces = lattice.faces
+    ids = {cell: k for k, cell in enumerate(cells)}
+    sub = [cid for cid, (fidx, _) in enumerate(cells) if i in faces[fidx].facets]
+    local = {cid: k for k, cid in enumerate(sub)}
+    uf = UnionFind(len(sub))
+    for parent, child in lattice.covers:
+        if i not in faces[parent].facets:
+            continue
+        for g in range(1 << m):
+            if g & mask_of(faces[parent]):
+                continue
+            a = ids[(parent, g)]
+            b = ids[(child, g & ~mask_of(faces[child]))]
+            uf.union(local[a], local[b])
+    groups = {}
+    for cid in sub:
+        groups.setdefault(uf.find(local[cid]), []).append(cells[cid])
+    return tuple(tuple(grp) for _, grp in sorted(groups.items()))
+
+
+def oracle_chamber_components(m):
+    uf = UnionFind(1 << m)
+    for g in range(1 << m):
+        for i in range(m):
+            uf.union(g, g ^ (1 << i))
+    return len(uf.roots())
+
+
+def oracle_orientability(m):
+    signs = [1 - 2 * (bin(g).count("1") & 1) for g in range(1 << m)]
+    ok = all(signs[g] != signs[g ^ (1 << i)]
+             for g in range(1 << m) for i in range(m))
+    return ok, signs
+
+
+def oracle_boundary_pieces(m, j):
+    """Codimension-one stage cells touching exactly one stage chamber; every
+    other one must touch exactly two (the boundary identity)."""
+    pieces = []
+    for i in range(m):
+        touched = Counter(g & ~(1 << i) for g in range(1 << j))
+        for rep, count in touched.items():
+            if count == 1:
+                pieces.append((i, rep))
+            else:
+                assert count == 2, (i, rep, count)
+    return tuple(pieces)
+
+
+def oracle_boundary_components(lattice, j):
+    faces = lattice.faces
+    boundary = [(fidx, r) for fidx, f in enumerate(faces)
+                if f.facets and max(f.facets) >= j
+                for r in oracle_face_cells(j, mask_of(f))]
+    if not boundary:
+        return 0
+    ids = {cell: k for k, cell in enumerate(boundary)}
+    uf = UnionFind(len(boundary))
+    for parent, child in lattice.covers:
+        if not faces[parent].facets or max(faces[parent].facets) < j:
+            continue
+        for r in oracle_face_cells(j, mask_of(faces[parent])):
+            uf.union(ids[(parent, r)], ids[(child, r & ~mask_of(faces[child]))])
+    return len(uf.roots())
+
+
+def oracle_edge_types(lattice, j, pieces):
+    """Every stage cell over a codimension-two face with the boundary pieces
+    through it: a piece (i, g) contains (face, r) when i is a facet of the
+    face and g projects to r.  Two pieces over different facets is Type-I,
+    over the same facet Type-II."""
+    records = []
+    for f in lattice.faces:
+        if len(f.facets) != 2:
+            continue
+        mask = mask_of(f)
+        through = {}
+        for i, g in pieces:
+            if i in f.facets:
+                through.setdefault(g & ~mask, []).append((i, g))
+        for r in oracle_face_cells(j, mask):
+            pair = through.get(r)
+            if pair is None:
+                continue
+            assert len(pair) == 2, (sorted(f.facets), r, pair)
+            kind = "I" if pair[0][0] != pair[1][0] else "II"
+            records.append(EdgeRecord(facet_pair=tuple(sorted(f.facets)), rep=r,
+                                      kind=kind, pieces=tuple(pair)))
+    type1 = sum(1 for r in records if r.kind == "I")
+    return EdgeTypeSummary(records=tuple(records), type1=type1,
+                           type2=len(records) - type1)
+
+
+def oracle_filtration(p):
+    lattice = face_lattice(p)
+    m = p.facet_count
+    stages = []
+    for j in range(m + 1):
+        pieces = oracle_boundary_pieces(m, j)
+        stages.append(FiltrationStage(
+            base=p, j=j, subgroup=tuple(range(1 << j)), facets=pieces,
+            chamber_count=1 << j, cell_count=len(oracle_cells(lattice, j)),
+            boundary_components=oracle_boundary_components(lattice, j),
+            edge_types=oracle_edge_types(lattice, j, pieces)))
+    # doubling law: stage j+1 is two copies of stage j glued along the
+    # stage-j cells over faces through facet j
+    for j in range(m):
+        locus = sum(len(oracle_face_cells(j, mask_of(f)))
+                    for f in lattice.faces if j in f.facets)
+        assert stages[j + 1].cell_count == 2 * stages[j].cell_count - locus, j
+    return stages
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_complexes():
+    """The zcomplex corpus plus larger and non-stacked inputs (cut cubes are
+    not reducible to the simplex), each with its union-find cell list."""
+    polytopes = zcomplex_corpus() + [
+        ("cube4", cube(4)), ("simplex4", simplex(4)),
+        ("cut2_cube", vertex_cut(cut_cube(), 3)),
+        ("cut_cube4", vertex_cut(cube(4), 0))]
+    out = []
+    for name, p in polytopes:
+        assert p.facet_count <= 10, name
+        z = build_chamber_complex(p)
+        out.append((name, p, z, oracle_cells(z.lattice, z.m)))
+    return tuple(out)
+
+
+def test_cells_match_union_find_oracle():
+    for name, p, z, cells in oracle_complexes():
+        assert z.cells == tuple(cells), name
+        assert z.cell_ids == {cell: k for k, cell in enumerate(cells)}, name
+        dims = [0] * (p.dim + 1)
+        for fidx, _ in cells:
+            dims[z.lattice.faces[fidx].dim] += 1
+        assert z.cells_by_dim == tuple(dims), name
+        chi = sum((-1) ** d * c for d, c in enumerate(dims))
+        assert euler_characteristic(z) == chi == euler_characteristic_from_lattice(p)
+
+
+def test_fixed_sets_match_cover_oracle():
+    for name, p, z, cells in oracle_complexes():
+        for i in range(z.m):
+            expect = oracle_fixed_components(z.lattice, z.m, cells, i)
+            assert fixed_point_components(z, i).components == expect, (name, i)
+
+
+def test_connectivity_and_orientation_match_oracle():
+    for name, p, z, _ in oracle_complexes():
+        assert connected_components(z) == oracle_chamber_components(z.m), name
+        assert orientability(z) == oracle_orientability(z.m), name
+
+
+def test_filtration_matches_oracle():
+    for name, p, _, _ in oracle_complexes():
+        assert doubling_filtration(p) == oracle_filtration(p), name
