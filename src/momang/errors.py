@@ -36,7 +36,7 @@ class UnusedFacet(InvalidPolytope):
 
 
 class NotPolytopal(InvalidPolytope):
-    """The 3-dimensional incidence fails the Steinitz-type graph checks."""
+    """The incidence fails the ridge, connectivity or (n = 3) Euler checks."""
 
 
 class InvalidSphere(MomangError):

@@ -134,10 +134,15 @@ def validate_polytope(dim, incidence, facet_labels=None) -> CombPolytope:
     :class:`NotPolytopal` on defects; index/shape problems raise
     :class:`ParseError`.
 
-    For ``dim == 3`` the vertex-edge graph must be planar and 3-connected
-    and every facet boundary a single cycle (Steinitz-type test).  In higher
-    dimensions only simplicity and consistency of the dual pseudo-sphere are
-    checked; genuine polytopality is then the caller's responsibility.
+    For ``dim == 3`` the counts must obey Euler's relation ``2m = V + 4``;
+    after the ridge and connectivity checks that is exact.  Facet boundaries
+    are then unions of cycles, and a disk on each cycle gives a connected
+    closed surface with ``m - V/2 <= V - 3V/2 + #cycles <= 2``, so equality
+    means a sphere tiled by one cycle per facet, two facets meeting in at
+    most one edge: a polyhedral map, planar and 3-connected (Steinitz).
+    In higher dimensions only simplicity and consistency of the dual
+    pseudo-sphere are checked; genuine polytopality is then the caller's
+    responsibility.
     """
     n = int(dim)
     if n < 1:
@@ -192,99 +197,25 @@ def validate_polytope(dim, incidence, facet_labels=None) -> CombPolytope:
         for a, b in ridges.values():
             adjacency[a].append(b)
             adjacency[b].append(a)
-        if _reach_count(adjacency, 0, skip=None) != len(verts):
+        if _reach_count(adjacency, 0) != len(verts):
             raise NotPolytopal("vertex-edge graph is disconnected")
-        if n == 3:
-            _check_steinitz(verts, adjacency)
+        if n == 3 and 2 * m != len(verts) + 4:
+            raise NotPolytopal(
+                f"{m} facets and {len(verts)} vertices break Euler's relation "
+                "2m = V + 4: the facets do not tile a sphere by single cycles")
 
     return CombPolytope(dim=n, facet_count=m, vertices=verts, facet_labels=labels)
 
 
-def _reach_count(adjacency, start, skip):
+def _reach_count(adjacency, start):
     seen = {start}
     stack = [start]
     while stack:
         for w in adjacency[stack.pop()]:
-            if w != skip and w not in seen:
+            if w not in seen:
                 seen.add(w)
                 stack.append(w)
     return len(seen)
-
-
-def _has_cut_vertex(adjacency, skip) -> bool:
-    """Articulation-point test (Tarjan lowpoints) on the graph minus ``skip``."""
-    count = len(adjacency)
-    start = 1 if skip == 0 else 0
-    num = {start: 0}
-    low = {start: 0}
-    parent = {start: None}
-    stack = [(start, iter(adjacency[start]))]
-    counter = 1
-    root_children = 0
-    articulation = False
-    while stack:
-        u, it = stack[-1]
-        descended = False
-        for v in it:
-            if v == skip:
-                continue
-            if v not in num:
-                parent[v] = u
-                num[v] = low[v] = counter
-                counter += 1
-                if u == start:
-                    root_children += 1
-                stack.append((v, iter(adjacency[v])))
-                descended = True
-                break
-            if v != parent[u]:
-                low[u] = min(low[u], num[v])
-        if not descended:
-            stack.pop()
-            pu = parent[u]
-            if pu is not None:
-                low[pu] = min(low[pu], low[u])
-                if pu != start and low[u] >= num[pu]:
-                    articulation = True
-    expected = count - (0 if skip is None else 1)
-    return articulation or root_children > 1 or counter < expected
-
-
-def _check_steinitz(verts, adjacency):
-    """Planarity, 3-connectivity and facet-cycle checks for n = 3."""
-    count = len(adjacency)
-    if count < 4:
-        raise NotPolytopal("a 3-polytope needs at least 4 vertices")
-    graph = nx.Graph()
-    graph.add_nodes_from(range(count))
-    for a, nbrs in enumerate(adjacency):
-        graph.add_edges_from((a, b) for b in nbrs if b > a)
-    planar, _ = nx.check_planarity(graph)
-    if not planar:
-        raise NotPolytopal("vertex-edge graph is not planar")
-    # 3-connected iff no single removal leaves a cut vertex or disconnects.
-    for u in range(count):
-        if _has_cut_vertex(adjacency, skip=u):
-            raise NotPolytopal("vertex-edge graph is not 3-connected")
-    # Each facet's vertices and in-facet edges must form one cycle.
-    facet_verts = defaultdict(list)
-    for vi, fs in enumerate(verts):
-        for f in fs:
-            facet_verts[f].append(vi)
-    for f, vids in facet_verts.items():
-        vset = set(vids)
-        degrees = {v: sum(1 for w in adjacency[v] if w in vset) for v in vids}
-        if any(d != 2 for d in degrees.values()):
-            raise NotPolytopal(f"facet {f} boundary is not a cycle")
-        seen = {vids[0]}
-        stack = [vids[0]]
-        while stack:
-            for w in adjacency[stack.pop()]:
-                if w in vset and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != vset:
-            raise NotPolytopal(f"facet {f} boundary is not a single cycle")
 
 
 # ---------------------------------------------------------------------------

@@ -166,10 +166,9 @@ def fixed_point_components(z: ChamberComplex, i: int) -> FixedPointSet:
     roots, spans = _face_components(z.lattice, z.face_masks,
                                     lambda f: z.face_masks[f] >> i & 1)
     groups: dict[tuple[int, int], list] = {}
-    for cell in z.cells:
-        root = roots.get(cell[0])
-        if root is not None:
-            groups.setdefault((root, cell[1] & ~spans[root]), []).append(cell)
+    for f, root in roots.items():  # face order, reps ascending: cell-id order
+        for g in _stage_cell_reps(z.m, z.face_masks[f]):
+            groups.setdefault((root, g & ~spans[root]), []).append((f, g))
     components = tuple(tuple(grp) for grp in groups.values())
     return FixedPointSet(facet=i, components=components)
 

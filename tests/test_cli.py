@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -209,3 +210,24 @@ def test_console_entry_point(tmp_path):
                            "simplex", "3"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["payload"]["facets"] == 4
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_INPUTS = {"cube3": ["cube", "3"], "prism": ["prism"],
+                 "dodecahedron": ["dodecahedron"],
+                 "rvc12": ["random-vertexcuts", "12", "--seed", "0"]}
+GOLDEN_CASES = [(cmd, name) for cmd in ("validate", "recognize", "andreev", "euler")
+                for name in GOLDEN_INPUTS]
+GOLDEN_CASES += [("moment-angle", name) for name in ("cube3", "prism", "dodecahedron")]
+
+
+@pytest.mark.parametrize("command,name", GOLDEN_CASES,
+                         ids=[f"{c}-{n}" for c, n in GOLDEN_CASES])
+def test_golden_payloads(tmp_path, capsys, command, name):
+    # tests/golden/<command>-<input>.json hold the bare --out payloads;
+    # refactors must reproduce them byte for byte
+    src, out = tmp_path / "input.json", tmp_path / "payload.json"
+    assert main(["generate", *GOLDEN_INPUTS[name], "--out", str(src)]) == 0
+    assert main([command, str(src), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / f"{command}-{name}.json").read_bytes()

@@ -1,12 +1,15 @@
 import itertools
 import json
 import random
+from collections import defaultdict
 
+import networkx as nx
 import pytest
 
 from momang import (
     combinatorial_isomorphic,
     cube,
+    dodecahedron,
     dual_sphere,
     face_lattice,
     facet_graph,
@@ -14,9 +17,11 @@ from momang import (
     polytope_from_json,
     polytope_to_json,
     prism,
+    random_vertexcuts,
     simplex,
     validate_polytope,
     validate_sphere,
+    vertex_cut,
 )
 from momang.errors import (
     DuplicateVertex,
@@ -29,6 +34,169 @@ from momang.errors import (
 from conftest import edge_cut_simplex
 
 SIMPLEX3_VERTS = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
+
+
+def triangles_dual(triangles):
+    """Incidence of the map dual to a triangulated surface: one vertex per
+    triangle, one facet per surface vertex."""
+    return [tuple(sorted(t)) for t in triangles]
+
+
+# dual of the 7-vertex torus: 14 hexagon corners, 7 facets
+HEAWOOD_TORUS = triangles_dual(
+    t for i in range(7)
+    for t in ({i, (i + 1) % 7, (i + 3) % 7}, {i, (i + 2) % 7, (i + 3) % 7}))
+# dual of the 6-vertex hemi-icosahedron: 10 pentagon corners, 6 facets
+PETERSEN_PROJECTIVE = triangles_dual([
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+    (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)])
+
+
+def torus_grid(n, k, twist=False):
+    """Dual of the n x k grid triangulation of the torus, or with ``twist``
+    of the Klein bottle (the wrap in the first direction reflects the
+    second)."""
+    def label(i, j):
+        if i == n:
+            i, j = 0, -j if twist else j
+        return i * k + j % k
+    triangles = []
+    for i, j in itertools.product(range(n), range(k)):
+        a, b, c, d = label(i, j), label(i + 1, j), label(i + 1, j + 1), label(i, j + 1)
+        triangles += [(a, b, c), (a, c, d)]
+    return triangles_dual(triangles)
+
+
+def pinch(verts):
+    """Merge the first two facet labels with disjoint closed neighbourhoods
+    (a facet boundary becomes two cycles), or ``None`` when no pair has."""
+    near = defaultdict(set)
+    for v in verts:
+        for f in v:
+            near[f].update(v)
+    pair = next(((a, b) for a, b in itertools.combinations(sorted(near), 2)
+                 if not near[a] & near[b]), None)
+    if pair is None:
+        return None
+    a, b = pair
+    relabel = {f: a if f == b else f - (f > b) for f in near}
+    return [tuple(sorted(relabel[f] for f in v)) for v in verts]
+
+
+def _has_cut_vertex(adjacency, skip) -> bool:
+    """Articulation-point test (Tarjan lowpoints) on the graph minus ``skip``."""
+    count = len(adjacency)
+    start = 1 if skip == 0 else 0
+    num = {start: 0}
+    low = {start: 0}
+    parent = {start: None}
+    stack = [(start, iter(adjacency[start]))]
+    counter = 1
+    root_children = 0
+    articulation = False
+    while stack:
+        u, it = stack[-1]
+        descended = False
+        for v in it:
+            if v == skip:
+                continue
+            if v not in num:
+                parent[v] = u
+                num[v] = low[v] = counter
+                counter += 1
+                if u == start:
+                    root_children += 1
+                stack.append((v, iter(adjacency[v])))
+                descended = True
+                break
+            if v != parent[u]:
+                low[u] = min(low[u], num[v])
+        if not descended:
+            stack.pop()
+            pu = parent[u]
+            if pu is not None:
+                low[pu] = min(low[pu], low[u])
+                if pu != start and low[u] >= num[pu]:
+                    articulation = True
+    expected = count - (0 if skip is None else 1)
+    return articulation or root_children > 1 or counter < expected
+
+
+def steinitz_oracle(verts):
+    """Reference n = 3 screen for simple incidence with facets 0..m-1: every
+    ridge in two vertices, a connected planar vertex-edge graph with no cut
+    vertex after any single removal (one Tarjan pass per vertex), and each
+    facet boundary one cycle.  Returns the rejecting exception type or
+    ``None``."""
+    ridges = defaultdict(list)
+    for vi, fs in enumerate(verts):
+        for f in fs:
+            ridges[frozenset(fs) - {f}].append(vi)
+    if any(len(ends) != 2 for ends in ridges.values()):
+        return NotPolytopal
+    count = len(verts)
+    adjacency = [[] for _ in verts]
+    for a, b in ridges.values():
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    graph = nx.Graph(list(ridges.values()))
+    if count < 4 or not nx.is_connected(graph) or not nx.check_planarity(graph)[0]:
+        return NotPolytopal
+    if any(_has_cut_vertex(adjacency, skip=u) for u in range(count)):
+        return NotPolytopal
+    facet_verts = defaultdict(list)
+    for vi, fs in enumerate(verts):
+        for f in fs:
+            facet_verts[f].append(vi)
+    for vids in facet_verts.values():
+        vset = set(vids)
+        if any(sum(w in vset for w in adjacency[v]) != 2 for v in vids):
+            return NotPolytopal
+        seen = {vids[0]}
+        stack = [vids[0]]
+        while stack:
+            for w in adjacency[stack.pop()]:
+                if w in vset and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if seen != vset:
+            return NotPolytopal
+    return None
+
+
+def disjoint_union(a, b):
+    """Incidence of ``a`` next to ``b`` with ``b``'s facets shifted past ``a``'s."""
+    shift = 1 + max(max(v) for v in a)
+    return list(a) + [tuple(f + shift for f in v) for v in b]
+
+
+def steinitz_inputs():
+    """Named incidence lists for the differential test of the n = 3 screen."""
+    rng = random.Random(3)
+    polytopes = [("simplex3", simplex(3)), ("cube3", cube(3)), ("prism", prism()),
+                 ("dodecahedron", dodecahedron())]
+    polytopes += [(f"rvc{k}s{s}", random_vertexcuts(k, s))
+                  for s in range(3) for k in (1, 4, 9, 17, 28, 40)]
+    p = dodecahedron()
+    for cuts in range(1, 9):
+        p = vertex_cut(p, rng.randrange(p.vertex_count))
+        polytopes.append((f"dodeca-cut{cuts}", p))
+    inputs = []
+    for name, q in polytopes:
+        inputs.append((name, list(q.vertices)))
+        pinched = pinch(q.vertices)
+        if pinched is not None:
+            inputs.append((f"{name}-pinched", pinched))
+    for n, k in itertools.product(range(3, 6), repeat=2):
+        inputs += [(f"torus{n}x{k}", torus_grid(n, k)),
+                   (f"klein{n}x{k}", torus_grid(n, k, twist=True))]
+    # a sphere beside a torus has Euler characteristic 2: only the
+    # connectivity check tells it apart
+    for name, torus in [("heawood", HEAWOOD_TORUS), ("torus3x4", torus_grid(3, 4))]:
+        inputs.append((f"simplex3+{name}", disjoint_union(SIMPLEX3_VERTS, torus)))
+    inputs += [("heawood", HEAWOOD_TORUS), ("petersen", PETERSEN_PROJECTIVE),
+               ("cube3+cube3", disjoint_union(cube(3).vertices, cube(3).vertices))]
+    return inputs
 
 
 def brute_face_census(dim, verts):
@@ -72,12 +240,32 @@ def test_validate_unused_facet():
         validate_polytope(3, verts)
 
 
-def test_validate_not_polytopal():
+@pytest.mark.parametrize("verts", [
     # two tetrahedra sharing facet labels 0..2 but disjoint vertices: the
     # ridge {0,1} (and others) would lie in four vertices.
-    verts = SIMPLEX3_VERTS + [(1, 2, 4), (0, 2, 4), (0, 1, 4)]
+    SIMPLEX3_VERTS + [(1, 2, 4), (0, 2, 4), (0, 1, 4)],
+    HEAWOOD_TORUS,
+    PETERSEN_PROJECTIVE,
+    pinch(dodecahedron().vertices),
+], ids=["shared-ridges", "heawood-torus", "petersen-projective", "pinched-dodecahedron"])
+def test_validate_not_polytopal(verts):
     with pytest.raises(NotPolytopal):
         validate_polytope(3, verts)
+
+
+def test_euler_screen_matches_steinitz_oracle():
+    inputs = steinitz_inputs()
+    verdicts = []
+    for name, verts in inputs:
+        expected = steinitz_oracle(verts)
+        verdicts.append(expected)
+        if expected is None:
+            validate_polytope(3, verts)
+        else:
+            with pytest.raises(expected):
+                validate_polytope(3, verts)
+    # both verdicts occur often, so neither branch passes vacuously
+    assert verdicts.count(None) >= 20 and verdicts.count(NotPolytopal) >= 20
 
 
 def test_validate_segment_and_polygon():
