@@ -1,24 +1,14 @@
 """Simple-polytope combinatorics, vertex-cut reducibility, and real
-moment-angle manifolds (chamber complexes and quadric intersection models)."""
+moment-angle manifolds (chamber complexes and quadric intersection models).
+
+The :mod:`momang.hrep` names load on first access, so importing the package
+for its combinatorial parts does not load numpy or scipy.
+"""
 
 __version__ = "0.1.0"
 
 from . import errors
 from .corpus import cube, dodecahedron, generate, prism, random_vertexcuts, simplex
-from .hrep import (
-    EmbeddedPoint,
-    HRep,
-    NondegeneracyReport,
-    QuadricSystem,
-    enumerate_vertices,
-    lift_point,
-    make_hrep,
-    parse_hrep,
-    quadric_gradient_rank,
-    quadrics_to_json,
-    relation_matrix,
-    verify_nondegeneracy,
-)
 from .moves import (
     FlipMove,
     PrismaticCircuit,
@@ -68,3 +58,26 @@ from .zcomplex import (
     fixed_point_components,
     orientability,
 )
+
+_HREP_NAMES = frozenset({
+    "EmbeddedPoint",
+    "HRep",
+    "NondegeneracyReport",
+    "QuadricSystem",
+    "enumerate_vertices",
+    "lift_point",
+    "make_hrep",
+    "parse_hrep",
+    "quadric_gradient_rank",
+    "quadrics_to_json",
+    "relation_matrix",
+    "verify_nondegeneracy",
+})
+
+
+def __getattr__(name):
+    if name in _HREP_NAMES:
+        from . import hrep
+
+        return getattr(hrep, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,6 +7,10 @@ traces and quadric systems can be piped into further invocations.
 
 Exit codes: 0 ok, 1 negative verdict under ``--strict`` (recognize,
 andreev), 2 input error, 3 guard exceeded.
+
+Only the H-rep commands (``quadrics``, ``verify-quadrics``) import
+:mod:`momang.hrep`, and with it numpy and scipy; the combinatorial
+commands start without them.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from dataclasses import dataclass
 from . import __version__
 from .corpus import generate
 from .errors import GuardExceeded, MomangError
-from .hrep import parse_hrep, quadrics_to_json, relation_matrix, verify_nondegeneracy
 from .moves import (
     certificate_to_json,
     prismatic_circuits,
@@ -90,6 +93,8 @@ def _load_polytope(path: str):
 
 
 def _load_hrep(path: str, tol: float):
+    from .hrep import parse_hrep
+
     with open(path, "r", encoding="utf-8") as fh:
         return parse_hrep(fh.read(), tol=tol)
 
@@ -275,11 +280,15 @@ def dispatch(args) -> tuple[dict, dict, dict, int]:
             for st in stages]}
 
     elif cmd == "quadrics":
+        from .hrep import quadrics_to_json, relation_matrix
+
         inputs[args.hrep] = _digest(args.hrep)
         flags["tol"] = args.tol
         payload = quadrics_to_json(relation_matrix(_load_hrep(args.hrep, args.tol)))
 
     elif cmd == "verify-quadrics":
+        from .hrep import verify_nondegeneracy
+
         inputs[args.hrep] = _digest(args.hrep)
         flags.update(tol=args.tol, samples=args.samples, seed=args.seed)
         rep = verify_nondegeneracy(_load_hrep(args.hrep, args.tol),

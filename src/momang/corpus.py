@@ -1,8 +1,10 @@
 """Generators for the standard test polytopes.
 
-Everything is combinatorial except the dodecahedron, which is enumerated
-from its half-space presentation (facet normals = icosahedron vertex
-directions) and then validated like any other incidence input.
+The combinatorial generators build facet-vertex incidences directly; the
+dodecahedron's is the fixed incidence that vertex enumeration of
+:func:`dodecahedron_hrep` yields.  The ``*_hrep`` generators give
+half-space presentations and are the only ones that load :mod:`momang.hrep`
+(and with it numpy and scipy).
 """
 
 from __future__ import annotations
@@ -10,11 +12,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from typing import TYPE_CHECKING
 
 from .errors import BadParameters, GuardExceeded
-from .hrep import HRep, enumerate_vertices, make_hrep
 from .moves import vertex_cut
 from .polytope import CombPolytope, validate_polytope
+
+if TYPE_CHECKING:
+    from .hrep import HRep
 
 # Cap on the predicted validation work, vertex count times n^2, of the
 # generated simplices and cubes; checked before any vertex is listed.
@@ -58,12 +63,16 @@ def prism() -> CombPolytope:
 
 def prism_hrep(tol: float = 1e-9) -> HRep:
     """The product of the standard triangle with [0, 1]."""
+    from .hrep import make_hrep
+
     rows = [[1, 0, 0], [0, 1, 0], [-1, -1, 0], [0, 0, 1], [0, 0, -1]]
     return make_hrep(rows, [0, 0, 1, 0, 1], tol=tol)
 
 
 def simplex_hrep(n: int, tol: float = 1e-9) -> HRep:
     """x_i >= 0 and x_1 + ... + x_n <= 1, in that row order."""
+    from .hrep import make_hrep
+
     if n < 1:
         raise BadParameters(f"simplex dimension must be >= 1, got {n}")
     rows = [[1.0 if j == i else 0.0 for j in range(n)] for i in range(n)]
@@ -73,6 +82,8 @@ def simplex_hrep(n: int, tol: float = 1e-9) -> HRep:
 
 def cube_hrep(n: int, tol: float = 1e-9) -> HRep:
     """[0, 1]^n with rows x_i >= 0 first, then 1 - x_i >= 0."""
+    from .hrep import make_hrep
+
     if n < 1:
         raise BadParameters(f"cube dimension must be >= 1, got {n}")
     rows = [[1.0 if j == i else 0.0 for j in range(n)] for i in range(n)]
@@ -82,6 +93,8 @@ def cube_hrep(n: int, tol: float = 1e-9) -> HRep:
 
 def dodecahedron_hrep(tol: float = 1e-9) -> HRep:
     """Regular dodecahedron: one facet per icosahedron vertex direction."""
+    from .hrep import make_hrep
+
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     rows = []
     for a, b in itertools.product((1.0, -1.0), repeat=2):
@@ -92,9 +105,13 @@ def dodecahedron_hrep(tol: float = 1e-9) -> HRep:
 
 
 def dodecahedron() -> CombPolytope:
-    """Combinatorial dodecahedron: 12 pentagons, 20 vertices."""
-    polytope, _ = enumerate_vertices(dodecahedron_hrep())
-    return polytope
+    """Combinatorial dodecahedron: 12 pentagons, 20 vertices, labelled as
+    in the vertex enumeration of :func:`dodecahedron_hrep`."""
+    return validate_polytope(3, [
+        (0, 1, 2), (0, 1, 7), (0, 2, 6), (0, 5, 6), (0, 5, 7),
+        (1, 2, 8), (1, 3, 7), (1, 3, 8), (2, 4, 6), (2, 4, 8),
+        (3, 7, 11), (3, 8, 9), (3, 9, 11), (4, 6, 10), (4, 8, 9),
+        (4, 9, 10), (5, 6, 10), (5, 7, 11), (5, 10, 11), (9, 10, 11)])
 
 
 def random_vertexcuts(k: int, seed: int) -> CombPolytope:

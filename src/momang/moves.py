@@ -33,8 +33,8 @@ from .polytope import (
     SimplicialSphere,
     _family_fingerprint,
     _family_isomorphism,
+    _shared_vertices,
     dual_sphere,
-    facet_graph,
     is_simplex,
     validate_polytope,
     validate_sphere,
@@ -283,46 +283,44 @@ def bistellar_flip(k: SimplicialSphere, face) -> SimplicialSphere:
 def prismatic_circuits(p: CombPolytope, k: int) -> list[PrismaticCircuit]:
     """All prismatic k-circuits, one per cyclic order up to rotation/reflection.
 
-    Brute force over k-subsets of facets whose induced facet-graph is a
-    single cycle (so non-consecutive facets are non-adjacent), keeping those
-    whose k consecutive intersection edges share no vertex.
+    Walks the chordless k-cycles of the facet graph from their smallest
+    facet ``s``: each step adds a facet above ``s`` that meets the path's
+    end and no earlier interior facet, and meets ``s`` exactly when it
+    closes the cycle; ``path[1] < path[-1]`` fixes the direction.  Cycles
+    whose k consecutive intersection edges share no vertex are kept, sorted
+    by facet set.
     """
     if p.dim != 3:
         raise DimensionUnsupported(f"prismatic circuits need dim 3, got {p.dim}")
     if k < 3:
         raise BadParameters(f"circuit length must be >= 3, got {k}")
-    g = facet_graph(p)
+    shared = _shared_vertices(p)
+    nbrs = [set() for _ in range(p.facet_count)]
+    for i, j in shared:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+
     out = []
-    for combo in itertools.combinations(range(p.facet_count), k):
-        sub = g.subgraph(combo)
-        if sub.number_of_edges() != k or any(d != 2 for _, d in sub.degree):
-            continue
-        order = _cycle_order(sub, combo)
-        if order is None:
-            continue
-        edges = [tuple(g.edges[order[i], order[(i + 1) % k]]["vertices"])
-                 for i in range(k)]
-        if _pairwise_disjoint(edges):
-            out.append(PrismaticCircuit(facets=tuple(order), edges=tuple(edges)))
+    for s in range(p.facet_count):
+        stack = [((s, x), set()) for x in nbrs[s] if x > s]
+        while stack:
+            path, blocked = stack.pop()
+            end = path[-1]
+            last = len(path) == k - 1
+            grown = blocked | nbrs[end] | {end}
+            for x in nbrs[end]:
+                if x <= s or x in blocked or (x in nbrs[s]) != last:
+                    continue
+                if not last:
+                    stack.append((path + (x,), grown))
+                elif path[1] < x:
+                    cycle = path + (x,)
+                    edges = [tuple(shared[min(a, b), max(a, b)])
+                             for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+                    if _pairwise_disjoint(edges):
+                        out.append(PrismaticCircuit(facets=cycle, edges=tuple(edges)))
+    out.sort(key=lambda c: sorted(c.facets))
     return out
-
-
-def _cycle_order(sub, combo):
-    """Walk the 2-regular subgraph; canonical start/direction; None if split."""
-    start = min(combo)
-    prev, cur = None, start
-    order = [start]
-    while True:
-        nbrs = sorted(x for x in sub.neighbors(cur) if x != prev)
-        if not nbrs:
-            return None
-        prev, cur = cur, nbrs[0]
-        if cur == start:
-            break
-        order.append(cur)
-        if len(order) > len(combo):
-            return None
-    return order if len(order) == len(combo) else None
 
 
 def _pairwise_disjoint(edges) -> bool:

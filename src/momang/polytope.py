@@ -13,8 +13,7 @@ import itertools
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from .errors import (
     DuplicateVertex,
@@ -24,6 +23,9 @@ from .errors import (
     ParseError,
     UnusedFacet,
 )
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -354,15 +356,22 @@ def facet_graph(p: CombPolytope) -> nx.Graph:
     partially validated regime n >= 4) still give one edge; the attribute
     records the union of the shared vertices.
     """
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(range(p.facet_count))
+    for (i, j), vids in _shared_vertices(p).items():
+        g.add_edge(i, j, vertices=tuple(vids))
+    return g
+
+
+def _shared_vertices(p: CombPolytope) -> dict:
+    """Ids of the vertices on each meeting facet pair ``(i, j)``, ``i < j``."""
     shared = defaultdict(list)
     for vi, fs in enumerate(p.vertices):
         for i, j in itertools.combinations(fs, 2):
             shared[(i, j)].append(vi)
-    for (i, j), vids in shared.items():
-        g.add_edge(i, j, vertices=tuple(vids))
-    return g
+    return shared
 
 
 # ---------------------------------------------------------------------------

@@ -283,10 +283,13 @@ def doubling_filtration(p: CombPolytope, guard: int = 20) -> list[FiltrationStag
     cosets of its facet span in that group, and the boundary (faces meeting
     a facet >= j) has one component per coset of each face component's span.
     """
+    if p.facet_count > guard:
+        raise GuardExceeded(f"facet count {p.facet_count} exceeds guard {guard}")
+    return _filtration_stages(p, face_lattice(p))
+
+
+def _filtration_stages(p: CombPolytope, lattice: FaceLattice) -> list[FiltrationStage]:
     m = p.facet_count
-    if m > guard:
-        raise GuardExceeded(f"facet count {m} exceeds guard {guard}")
-    lattice = face_lattice(p)
     masks = [_face_mask(f) for f in lattice.faces]
     stages = []
     for j in range(m + 1):
@@ -315,7 +318,7 @@ def complex_summary(p: CombPolytope, guard: int = 20) -> dict:
     filtration = [{"j": st.j, "facets": len(st.facets),
                    "type1_edges": st.edge_types.type1,
                    "type2_edges": st.edge_types.type2}
-                  for st in doubling_filtration(p, guard=guard)]
+                  for st in _filtration_stages(p, z.lattice)]
     return {
         "m": z.m,
         "cells_by_dim": list(z.cells_by_dim),

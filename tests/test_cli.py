@@ -212,13 +212,53 @@ def test_console_entry_point(tmp_path):
     assert json.loads(proc.stdout)["payload"]["facets"] == 4
 
 
+IMPORT_BUDGET_SCRIPT = """
+import contextlib, io, json, sys
+from momang.cli import main
+from momang.polytope import polytope_to_json
+from momang.corpus import cube, prism
+
+def write(name, p):
+    with open(name, "w") as fh:
+        json.dump(polytope_to_json(p), fh)
+    return name
+
+a, b = write("cube.json", cube(3)), write("prism.json", prism())
+runs = [["validate", a], ["recognize", a], ["andreev", a], ["euler", a],
+        ["moment-angle", b], ["isomorphic", a, b],
+        ["generate", "random-vertexcuts", "12"], ["generate", "dodecahedron"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+print(json.dumps({"codes": codes, "heavy": sorted(
+    name for name in ("scipy", "numpy", "networkx") if name in sys.modules)}))
+"""
+
+
+def test_combinatorial_commands_import_no_heavy_libraries(tmp_path):
+    # a fresh interpreter: the test process itself has numpy, scipy and
+    # networkx loaded already
+    root = os.path.dirname(os.path.dirname(momang.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_BUDGET_SCRIPT],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0] * 8, "heavy": []}
+    hpath = tmp_path / "cube.hrep"
+    hpath.write_text(hrep_to_text(cube_hrep(3)))
+    proc = subprocess.run([sys.executable, "-m", "momang.cli", "quadrics",
+                           str(hpath)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_INPUTS = {"cube3": ["cube", "3"], "prism": ["prism"],
                  "dodecahedron": ["dodecahedron"],
                  "rvc12": ["random-vertexcuts", "12", "--seed", "0"]}
 GOLDEN_CASES = [(cmd, name) for cmd in ("validate", "recognize", "andreev", "euler")
                 for name in GOLDEN_INPUTS]
-GOLDEN_CASES += [("moment-angle", name) for name in ("cube3", "prism", "dodecahedron")]
+GOLDEN_CASES += [(cmd, name) for cmd in ("moment-angle", "fixed-sets", "filtration")
+                 for name in ("cube3", "prism", "dodecahedron")]
 
 
 @pytest.mark.parametrize("command,name", GOLDEN_CASES,
@@ -231,3 +271,20 @@ def test_golden_payloads(tmp_path, capsys, command, name):
     assert main([command, str(src), "--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / f"{command}-{name}.json").read_bytes()
+
+
+def test_golden_generate_dodecahedron(tmp_path, capsys):
+    out = tmp_path / "payload.json"
+    assert main(["generate", "dodecahedron", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / "generate-dodecahedron.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["quadrics"], ["verify-quadrics", "--seed", "0"]],
+                         ids=["quadrics", "verify-quadrics"])
+def test_golden_hrep_payloads(tmp_path, capsys, argv):
+    src, out = tmp_path / "cube3.hrep", tmp_path / "payload.json"
+    src.write_text(hrep_to_text(cube_hrep(3)))
+    assert main([argv[0], str(src), *argv[1:], "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / f"{argv[0]}-cube3.json").read_bytes()

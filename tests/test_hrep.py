@@ -131,6 +131,14 @@ def test_dodecahedron_enumeration():
     assert sizes == [5] * 12
 
 
+def test_dodecahedron_incidence_is_the_enumerated_one():
+    # corpus.dodecahedron() spells out this incidence instead of solving LPs
+    enumerated, _ = enumerate_vertices(dodecahedron_hrep())
+    fixed = dodecahedron()
+    assert fixed.vertices == enumerated.vertices
+    assert (fixed.dim, fixed.facet_count, fixed.facet_labels) == (3, 12, None)
+
+
 # ---------------------------------------------------------------------------
 # relation matrix
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -7,6 +8,7 @@ from momang import (
     collapse_admissible,
     combinatorial_isomorphic,
     cube,
+    dodecahedron,
     dual_sphere,
     is_simplex,
     prism,
@@ -32,7 +34,8 @@ from momang.errors import (
     NotAFace,
     NotSimplexFacet,
 )
-from momang.polytope import validate_sphere
+from momang.moves import PrismaticCircuit
+from momang.polytope import facet_graph, validate_sphere
 from conftest import cut_cube, cut_prism
 
 
@@ -49,6 +52,50 @@ def reducible_exhaustive(p):
                 simplex_facet_collapse(p, f)):
             return True
     return False
+
+
+def prismatic_oracle(p, k):
+    """The networkx search over all k-subsets of facets: keep those whose
+    induced facet graph is one cycle, walked from the smallest facet
+    towards its smaller neighbour, with pairwise disjoint edges.  The
+    degree test runs on plain sets first, so that only candidate cycles
+    pay for a networkx subgraph."""
+    g = facet_graph(p)
+    adj = [set(g[f]) for f in range(p.facet_count)]
+    out = []
+    for combo in itertools.combinations(range(p.facet_count), k):
+        if any(len(adj[f].intersection(combo)) != 2 for f in combo):
+            continue
+        sub = g.subgraph(combo)
+        if sub.number_of_edges() != k or any(d != 2 for _, d in sub.degree):
+            continue
+        order = _cycle_order(sub, combo)
+        if order is None:
+            continue
+        edges = [tuple(g.edges[order[i], order[(i + 1) % k]]["vertices"])
+                 for i in range(k)]
+        flat = [v for e in edges for v in e]
+        if len(flat) == len(set(flat)):
+            out.append(PrismaticCircuit(facets=tuple(order), edges=tuple(edges)))
+    return out
+
+
+def _cycle_order(sub, combo):
+    """Walk the 2-regular subgraph; canonical start/direction; None if split."""
+    start = min(combo)
+    prev, cur = None, start
+    order = [start]
+    while True:
+        nbrs = sorted(x for x in sub.neighbors(cur) if x != prev)
+        if not nbrs:
+            return None
+        prev, cur = cur, nbrs[0]
+        if cur == start:
+            break
+        order.append(cur)
+        if len(order) > len(combo):
+            return None
+    return order if len(order) == len(combo) else None
 
 
 def brute_prismatic(p, k):
@@ -304,6 +351,24 @@ def test_prismatic_counts_match_bruteforce(small_corpus):
     for name, p in small_corpus:
         for k in (3, 4):
             assert len(prismatic_circuits(p, k)) == brute_prismatic(p, k), (name, k)
+
+
+def seeded_cuts(p, count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = vertex_cut(p, rng.randrange(p.vertex_count))
+    return p
+
+
+def test_prismatic_circuits_match_oracle(corpus):
+    inputs = list(corpus)
+    inputs += [(f"rvc{k}-{s}", random_vertexcuts(k, s))
+               for k in (3, 8, 16) for s in (0, 1, 2)]
+    inputs += [(f"dodecahedron-cut{c}", seeded_cuts(dodecahedron(), c, c)) for c in (1, 3)]
+    inputs += [(f"cube-cut{c}", seeded_cuts(cube(3), c, c)) for c in (2, 4, 6)]
+    for name, p in inputs:
+        for k in range(3, 7):
+            assert prismatic_circuits(p, k) == prismatic_oracle(p, k), (name, k)
 
 
 def test_prismatic_circuits_revalidate(corpus):
