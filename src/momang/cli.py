@@ -41,11 +41,9 @@ from .polytope import (
     polytope_to_json,
 )
 from .zcomplex import (
-    build_chamber_complex,
+    _chamber_counts,
     complex_summary,
-    doubling_filtration,
     euler_characteristic_from_lattice,
-    fixed_point_components,
 )
 
 EXIT_OK = 0
@@ -247,37 +245,20 @@ def dispatch(args) -> tuple[dict, dict, dict, int]:
         if args.strict and not ok:
             code = EXIT_VERDICT_NO
 
-    elif cmd == "moment-angle":
-        inputs[args.polytope] = _digest(args.polytope)
-        flags["guard"] = args.guard
-        payload = complex_summary(_load_polytope(args.polytope), guard=args.guard)
-
     elif cmd == "euler":
         inputs[args.polytope] = _digest(args.polytope)
         p = _load_polytope(args.polytope)
         payload = {"euler": euler_characteristic_from_lattice(p, face_lattice(p))}
 
-    elif cmd == "fixed-sets":
+    elif cmd in ("moment-angle", "fixed-sets", "filtration"):
         inputs[args.polytope] = _digest(args.polytope)
         flags["guard"] = args.guard
         p = _load_polytope(args.polytope)
-        z = build_chamber_complex(p, guard=args.guard)
-        payload = {"fixed_sets": [
-            {"facet": i, "components": fixed_point_components(z, i).count}
-            for i in range(p.facet_count)]}
-
-    elif cmd == "filtration":
-        inputs[args.polytope] = _digest(args.polytope)
-        flags["guard"] = args.guard
-        p = _load_polytope(args.polytope)
-        stages = doubling_filtration(p, guard=args.guard)
-        payload = {"filtration": [
-            {"j": st.j, "facets": len(st.facets),
-             "chambers": st.chamber_count,
-             "boundary_components": st.boundary_components,
-             "type1_edges": st.edge_types.type1,
-             "type2_edges": st.edge_types.type2}
-            for st in stages]}
+        if cmd == "moment-angle":
+            payload = complex_summary(p, guard=args.guard)
+        else:
+            key = cmd.replace("-", "_")
+            payload = {key: _chamber_counts(p, args.guard)[2][key]}
 
     elif cmd == "quadrics":
         from .hrep import quadrics_to_json, relation_matrix

@@ -12,8 +12,9 @@ and the neighbour of chamber ``g`` across facet ``i`` is ``g ^ (1 << i)``.
 
 Closed forms replace search: the copies of a face glue along the cosets
 of its facet span, and so do the cells over one cover-connected set of
-faces (fixed sets, stage boundaries); the chamber graph is the m-cube,
-hence connected; chamber parity orients, as a facet crossing flips one bit.
+faces (those inside a facet; those over a facet-graph component of a stage
+boundary); the chamber graph is the m-cube, hence connected; chamber parity
+orients, as a facet crossing flips one bit.
 
 The doubling filtration truncates the group to its first j generators:
 stage j is the union of the 2^j chambers with group element < 2^j, whose
@@ -30,23 +31,10 @@ from .errors import GuardExceeded, NoSuchFacet
 from .polytope import CombPolytope, FaceLattice, face_lattice
 
 
-class _UnionFind:
-    """Array union-find with path halving; elements are 0..size-1."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+# Objects (cells, or filtration pieces plus edge records) a materialising
+# call may build.  Peak RSS grows by ~210 B per cell (m = 16) and ~300 B per
+# piece or record (m = 18), so an admitted call stays under 1 GB.
+_OBJECT_CAP = 3_000_000
 
 
 def _face_mask(face) -> int:
@@ -56,20 +44,14 @@ def _face_mask(face) -> int:
     return mask
 
 
-def _face_components(lattice: FaceLattice, masks, keep) -> tuple[dict, dict]:
-    """Cover-connected components of the faces selected by ``keep`` (closed
-    under subfaces): each kept face's root, and per root the union of its
-    faces' facet masks, the span along which its cells glue."""
-    uf = _UnionFind(len(masks))
-    for parent, child in lattice.covers:
-        if keep(parent):
-            uf.union(parent, child)
-    roots, spans = {}, {}
-    for f, mask in enumerate(masks):
-        if keep(f):
-            r = roots[f] = uf.find(f)
-            spans[r] = spans.get(r, 0) | mask
-    return roots, spans
+def _facet_stars(lattice: FaceLattice, masks) -> list[int]:
+    """Per facet i, the union of the facet masks of the faces inside it:
+    i and every facet sharing a vertex with it."""
+    star = [0] * lattice.polytope.facet_count
+    for face, mask in zip(lattice.faces, masks):
+        for i in face.facets:
+            star[i] |= mask
+    return star
 
 
 class ChamberComplex:
@@ -105,19 +87,17 @@ def build_chamber_complex(p: CombPolytope, guard: int = 20) -> ChamberComplex:
     The 2^m copies of a face glue along the cosets of the subgroup spanned
     by its facets, so its cells are the submasks of the complement of its
     facet mask, listed in increasing order: 2^(m-k) in codimension k.
+    Over ``_OBJECT_CAP`` cells raise ``GuardExceeded`` before any is built.
     """
-    m = p.facet_count
-    if m > guard:
-        raise GuardExceeded(f"facet count {m} exceeds guard {guard}")
-    lattice = face_lattice(p)
-    masks = [_face_mask(f) for f in lattice.faces]
+    lattice, masks, counts = _chamber_counts(p, guard)
+    if sum(counts["cells_by_dim"]) > _OBJECT_CAP:
+        raise GuardExceeded(f"{sum(counts['cells_by_dim'])} cells exceed "
+                            f"the cap {_OBJECT_CAP}")
     cells = tuple((face_index, g) for face_index, mask in enumerate(masks)
-                  for g in _stage_cell_reps(m, mask))
+                  for g in _stage_cell_reps(p.facet_count, mask))
     cell_ids = {cell: k for k, cell in enumerate(cells)}
-    cells_by_dim = [0] * (p.dim + 1)
-    for face, mask in zip(lattice.faces, masks):
-        cells_by_dim[face.dim] += _coset_count(m, mask)
-    return ChamberComplex(p, lattice, cells, cell_ids, tuple(cells_by_dim))
+    return ChamberComplex(p, lattice, cells, cell_ids,
+                          tuple(counts["cells_by_dim"]))
 
 
 def euler_characteristic_from_lattice(p: CombPolytope,
@@ -157,18 +137,19 @@ class FixedPointSet:
 def fixed_point_components(z: ChamberComplex, i: int) -> FixedPointSet:
     """Cells over faces contained in facet ``i``, grouped by gluing.
 
-    Cells over one cover-connected component of those faces glue along the
-    cosets of its facet span.  Components come in order of their first cell
-    id, with their cells in id order.
+    Those faces are cover-connected through the face {i}, so their cells
+    glue along the cosets of the star of i: one component per coset.
+    Components come in order of their first cell id, with their cells in
+    id order.
     """
     if not 0 <= i < z.m:
         raise NoSuchFacet(f"facet {i} of {z.m}")
-    roots, spans = _face_components(z.lattice, z.face_masks,
-                                    lambda f: z.face_masks[f] >> i & 1)
-    groups: dict[tuple[int, int], list] = {}
-    for f, root in roots.items():  # face order, reps ascending: cell-id order
-        for g in _stage_cell_reps(z.m, z.face_masks[f]):
-            groups.setdefault((root, g & ~spans[root]), []).append((f, g))
+    span = _facet_stars(z.lattice, z.face_masks)[i]
+    groups: dict[int, list] = {}
+    for f, mask in enumerate(z.face_masks):  # reps ascending: cell-id order
+        if mask >> i & 1:
+            for g in _stage_cell_reps(z.m, mask):
+                groups.setdefault(g & ~span, []).append((f, g))
     components = tuple(tuple(grp) for grp in groups.values())
     return FixedPointSet(facet=i, components=components)
 
@@ -254,7 +235,7 @@ def classify_edge_types(stage: FiltrationStage) -> EdgeTypeSummary:
     return stage.edge_types
 
 
-def _build_edge_types(p: CombPolytope, lattice: FaceLattice, j: int) -> EdgeTypeSummary:
+def _build_edge_types(lattice: FaceLattice, j: int, row: dict) -> EdgeTypeSummary:
     records = []
     for face in lattice.faces:
         if len(face.facets) != 2:
@@ -271,37 +252,51 @@ def _build_edge_types(p: CombPolytope, lattice: FaceLattice, j: int) -> EdgeType
                 rec = EdgeRecord(facet_pair=(a, b), rep=r, kind="II",
                                  pieces=((b, r), (b, r | (1 << a))))
             records.append(rec)
-    type1 = sum(1 for r in records if r.kind == "I")
-    return EdgeTypeSummary(records=tuple(records), type1=type1,
-                           type2=len(records) - type1)
+    return EdgeTypeSummary(records=tuple(records), type1=row["type1_edges"],
+                           type2=row["type2_edges"])
+
+
+def _boundary_components(star: list[int], j: int) -> int:
+    """Components of the stage-j boundary.  Its faces (those meeting a
+    facet >= j) cover-connect along the components C of the facet graph on
+    the facets >= j; the cells over C glue along the union of C's stars."""
+    left, total = ((1 << len(star)) - 1) >> j << j, 0  # unreached facets >= j
+    while left:
+        span = todo = left & -left
+        while todo:
+            x = todo.bit_length() - 1
+            left ^= 1 << x
+            span |= star[x]
+            todo = span & left
+        total += _coset_count(j, span)
+    return total
 
 
 def doubling_filtration(p: CombPolytope, guard: int = 20) -> list[FiltrationStage]:
     """All stages 0..m of the doubling filtration.
 
     Stage j keeps the first j generators: a face's stage cells are the
-    cosets of its facet span in that group, and the boundary (faces meeting
-    a facet >= j) has one component per coset of each face component's span.
+    cosets of its facet span in that group; for the boundary see
+    :func:`_boundary_components`.  Over ``_OBJECT_CAP`` pieces plus edge
+    records raise ``GuardExceeded`` before any is built.
     """
-    if p.facet_count > guard:
-        raise GuardExceeded(f"facet count {p.facet_count} exceeds guard {guard}")
-    return _filtration_stages(p, face_lattice(p))
-
-
-def _filtration_stages(p: CombPolytope, lattice: FaceLattice) -> list[FiltrationStage]:
     m = p.facet_count
-    masks = [_face_mask(f) for f in lattice.faces]
+    lattice, masks, counts = _chamber_counts(p, guard)
+    objects = sum(row["facets"] + row["type1_edges"] + row["type2_edges"]
+                  for row in counts["filtration"])
+    if objects > _OBJECT_CAP:
+        raise GuardExceeded(f"{objects} filtration pieces and edge records "
+                            f"exceed the cap {_OBJECT_CAP}")
     stages = []
-    for j in range(m + 1):
+    for j, row in enumerate(counts["filtration"]):
         subgroup = tuple(range(1 << j))
-        _, spans = _face_components(lattice, masks, lambda f: masks[f] >> j)
         stages.append(FiltrationStage(
             base=p, j=j, subgroup=subgroup,
             facets=tuple((i, g) for i in range(j, m) for g in subgroup),
             chamber_count=1 << j,
             cell_count=sum(_coset_count(j, mask) for mask in masks),
-            boundary_components=sum(_coset_count(j, s) for s in spans.values()),
-            edge_types=_build_edge_types(p, lattice, j)))
+            boundary_components=row["boundary_components"],
+            edge_types=_build_edge_types(lattice, j, row)))
     return stages
 
 
@@ -309,22 +304,45 @@ def _filtration_stages(p: CombPolytope, lattice: FaceLattice) -> list[Filtration
 # summary
 
 
-def complex_summary(p: CombPolytope, guard: int = 20) -> dict:
-    """Everything the moment-angle report needs, as one JSON-ready dict."""
-    z = build_chamber_complex(p, guard=guard)
-    ok, _ = orientability(z)
-    fixed = [{"facet": i, "components": fixed_point_components(z, i).count}
-             for i in range(z.m)]
-    filtration = [{"j": st.j, "facets": len(st.facets),
-                   "type1_edges": st.edge_types.type1,
-                   "type2_edges": st.edge_types.type2}
-                  for st in _filtration_stages(p, z.lattice)]
-    return {
-        "m": z.m,
-        "cells_by_dim": list(z.cells_by_dim),
-        "euler": euler_characteristic(z),
-        "components": connected_components(z),
-        "orientable": ok,
-        "fixed_sets": fixed,
+def _chamber_counts(p: CombPolytope, guard: int) -> tuple[FaceLattice, list, dict]:
+    """The face lattice, its facet masks, and every number the chamber
+    commands report, from those masks and the facet stars alone (edge types:
+    see :func:`classify_edge_types`); no cell, piece or record is built."""
+    m = p.facet_count
+    if m > guard:
+        raise GuardExceeded(f"facet count {m} exceeds guard {guard}")
+    lattice = face_lattice(p)
+    masks = [_face_mask(f) for f in lattice.faces]
+    star = _facet_stars(lattice, masks)
+    cells_by_dim = [0] * (p.dim + 1)
+    for face, mask in zip(lattice.faces, masks):
+        cells_by_dim[face.dim] += _coset_count(m, mask)
+    pairs = [mask for mask in masks if mask.bit_count() == 2]
+    filtration = []
+    for j in range(m + 1):
+        low = (1 << j) - 1
+        filtration.append({
+            "j": j, "facets": (m - j) << j, "chambers": 1 << j,
+            "boundary_components": _boundary_components(star, j),
+            "type1_edges": sum(not pair & low for pair in pairs) << j,
+            "type2_edges": sum(bool(pair & low and pair >> j)
+                               for pair in pairs) << j >> 1})
+    return lattice, masks, {
+        "m": m,
+        "cells_by_dim": cells_by_dim,
+        "euler": euler_characteristic_from_lattice(p, lattice),
+        "components": 1,
+        "orientable": True,
+        "fixed_sets": [{"facet": i, "components": _coset_count(m, s)}
+                       for i, s in enumerate(star)],
         "filtration": filtration,
     }
+
+
+def complex_summary(p: CombPolytope, guard: int = 20) -> dict:
+    """Everything the moment-angle report needs, as one JSON-ready dict."""
+    _, _, summary = _chamber_counts(p, guard)
+    summary["filtration"] = [
+        {key: row[key] for key in ("j", "facets", "type1_edges", "type2_edges")}
+        for row in summary["filtration"]]
+    return summary

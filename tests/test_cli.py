@@ -225,7 +225,8 @@ def write(name, p):
 
 a, b = write("cube.json", cube(3)), write("prism.json", prism())
 runs = [["validate", a], ["recognize", a], ["andreev", a], ["euler", a],
-        ["moment-angle", b], ["isomorphic", a, b],
+        ["moment-angle", b], ["fixed-sets", b], ["filtration", b],
+        ["isomorphic", a, b],
         ["generate", "random-vertexcuts", "12"], ["generate", "dodecahedron"]]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in runs]
@@ -243,7 +244,7 @@ def test_combinatorial_commands_import_no_heavy_libraries(tmp_path):
     proc = subprocess.run([sys.executable, "-c", IMPORT_BUDGET_SCRIPT],
                           capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"codes": [0] * 8, "heavy": []}
+    assert json.loads(proc.stdout) == {"codes": [0] * 10, "heavy": []}
     hpath = tmp_path / "cube.hrep"
     hpath.write_text(hrep_to_text(cube_hrep(3)))
     proc = subprocess.run([sys.executable, "-m", "momang.cli", "quadrics",
@@ -251,14 +252,44 @@ def test_combinatorial_commands_import_no_heavy_libraries(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+MEMORY_BUDGET_SCRIPT = """
+import json, resource, subprocess, sys
+codes = [subprocess.run([sys.executable, "-m", "momang.cli", command, sys.argv[1]],
+                        stdout=subprocess.DEVNULL).returncode
+         for command in ("moment-angle", "fixed-sets", "filtration")]
+print(json.dumps({"codes": codes,
+                  "peak_kib": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss}))
+"""
+
+
+def test_chamber_commands_memory_budget(tmp_path, capsys):
+    # 20 facets: 2^20 chambers, ~3 * 10^7 cells if materialised; the counts
+    # come from the face lattice, so each whole process stays small.  A small
+    # fresh interpreter starts the commands: a child's peak RSS includes its
+    # parent's at the fork, and this test process holds numpy and scipy.
+    src = str(tmp_path / "rvc16.json")
+    assert main(["generate", "random-vertexcuts", "16", "--seed", "0",
+                 "--out", src]) == 0
+    assert main(["fixed-sets", src, "--guard", "19"]) == 3
+    capsys.readouterr()
+    root = os.path.dirname(os.path.dirname(momang.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", MEMORY_BUDGET_SCRIPT, src],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [0, 0, 0]
+    assert report["peak_kib"] < 100 * 1024, report  # ru_maxrss is in KiB on Linux
+
+
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_INPUTS = {"cube3": ["cube", "3"], "prism": ["prism"],
                  "dodecahedron": ["dodecahedron"],
                  "rvc12": ["random-vertexcuts", "12", "--seed", "0"]}
-GOLDEN_CASES = [(cmd, name) for cmd in ("validate", "recognize", "andreev", "euler")
+GOLDEN_CASES = [(cmd, name) for cmd in ("validate", "recognize", "andreev", "euler",
+                                        "moment-angle", "fixed-sets", "filtration")
                 for name in GOLDEN_INPUTS]
-GOLDEN_CASES += [(cmd, name) for cmd in ("moment-angle", "fixed-sets", "filtration")
-                 for name in ("cube3", "prism", "dodecahedron")]
 
 
 @pytest.mark.parametrize("command,name", GOLDEN_CASES,

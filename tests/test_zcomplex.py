@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+import momang.zcomplex as zcomplex
 from momang import (
     EdgeRecord,
     EdgeTypeSummary,
@@ -13,6 +14,7 @@ from momang import (
     complex_summary,
     connected_components,
     cube,
+    dodecahedron,
     doubling_filtration,
     euler_characteristic,
     euler_characteristic_from_lattice,
@@ -20,10 +22,13 @@ from momang import (
     fixed_point_components,
     orientability,
     prism,
+    random_vertexcuts,
     simplex,
+    validate_polytope,
     vertex_cut,
 )
 from momang.errors import GuardExceeded, NoSuchFacet
+from momang.zcomplex import _chamber_counts
 from conftest import cut_cube
 
 
@@ -117,6 +122,33 @@ def test_guard():
         build_chamber_complex(cube(3), guard=5)
     with pytest.raises(GuardExceeded):
         doubling_filtration(cube(3), guard=5)
+
+
+def test_object_cap_from_closed_forms(monkeypatch):
+    # m = 20 passes the facet guard, but its ~3 * 10^7 cells do not pass the
+    # object cap; no cell rep may be listed before the cap is checked
+    def unreachable(*args):
+        raise AssertionError("cells listed before the object cap was checked")
+
+    p = random_vertexcuts(16, 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(zcomplex, "_stage_cell_reps", unreachable)
+        with pytest.raises(GuardExceeded):
+            build_chamber_complex(p)
+        with pytest.raises(GuardExceeded):
+            doubling_filtration(p)
+    # the predicted counts are exact: the cap admits exactly what is built
+    q = cube(3)
+    cells = len(build_chamber_complex(q).cells)
+    objects = sum(len(st.facets) + len(st.edge_types.records)
+                  for st in doubling_filtration(q))
+    for count, build in ((cells, build_chamber_complex),
+                         (objects, doubling_filtration)):
+        monkeypatch.setattr(zcomplex, "_OBJECT_CAP", count)
+        build(q)
+        monkeypatch.setattr(zcomplex, "_OBJECT_CAP", count - 1)
+        with pytest.raises(GuardExceeded):
+            build(q)
 
 
 def test_group_action_on_cells():
@@ -542,3 +574,85 @@ def test_connectivity_and_orientation_match_oracle():
 def test_filtration_matches_oracle():
     for name, p, _, _ in oracle_complexes():
         assert doubling_filtration(p) == oracle_filtration(p), name
+
+
+# ---------------------------------------------------------------------------
+# oracles: the report assembly from the materialised complex and filtration,
+# and the union-find over lattice faces, that the counts replaced
+
+
+def oracle_summary(p):
+    z = build_chamber_complex(p)
+    ok, _ = orientability(z)
+    fixed = [{"facet": i, "components": fixed_point_components(z, i).count}
+             for i in range(z.m)]
+    filtration = [{"j": st.j, "facets": len(st.facets),
+                   "type1_edges": st.edge_types.type1,
+                   "type2_edges": st.edge_types.type2}
+                  for st in doubling_filtration(p)]
+    return {
+        "m": z.m,
+        "cells_by_dim": list(z.cells_by_dim),
+        "euler": euler_characteristic(z),
+        "components": connected_components(z),
+        "orientable": ok,
+        "fixed_sets": fixed,
+        "filtration": filtration,
+    }
+
+
+def oracle_filtration_rows(p):
+    return [{"j": st.j, "facets": len(st.facets),
+             "chambers": st.chamber_count,
+             "boundary_components": st.boundary_components,
+             "type1_edges": st.edge_types.type1,
+             "type2_edges": st.edge_types.type2}
+            for st in doubling_filtration(p)]
+
+
+def oracle_face_spans(lattice, keep):
+    """Facet spans of the cover-connected components of the faces whose
+    mask passes ``keep`` (a set closed under taking subfaces)."""
+    masks = [mask_of(f) for f in lattice.faces]
+    uf = UnionFind(len(masks))
+    for parent, child in lattice.covers:
+        if keep(masks[parent]):
+            uf.union(parent, child)
+    spans = {}
+    for f, mask in enumerate(masks):
+        if keep(mask):
+            root = uf.find(f)
+            spans[root] = spans.get(root, 0) | mask
+    return list(spans.values())
+
+
+def count_inputs():
+    pentagon = validate_polytope(2, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    return [(name, p) for name, p, _, _ in oracle_complexes()] + [
+        ("dodecahedron", dodecahedron()), ("pentagon", pentagon)] + [
+        (f"rvc8_{seed}", random_vertexcuts(8, seed)) for seed in range(3)]
+
+
+def test_counts_match_materialised_oracle():
+    for name, p in count_inputs():
+        assert complex_summary(p) == oracle_summary(p), name
+        assert _chamber_counts(p, 20)[2]["filtration"] == oracle_filtration_rows(p), name
+
+
+def test_stars_and_boundaries_match_lattice_union_find():
+    split = 0
+    for name, p in count_inputs() + [("rvc16", random_vertexcuts(16, 0))]:
+        m = p.facet_count
+        lattice = face_lattice(p)
+        counts = _chamber_counts(p, m)[2]
+        for i, row in enumerate(counts["fixed_sets"]):
+            spans = oracle_face_spans(lattice, lambda mask: mask >> i & 1)
+            assert len(spans) == 1, (name, i)
+            assert row["components"] == 1 << (m - spans[0].bit_count()), (name, i)
+        for row in counts["filtration"]:
+            j = row["j"]
+            spans = oracle_face_spans(lattice, lambda mask: mask >> j)
+            split += len(spans) > 1
+            assert row["boundary_components"] == sum(
+                1 << (j - (s & ((1 << j) - 1)).bit_count()) for s in spans), (name, j)
+    assert split  # some stage boundary lies over several facet-graph components
