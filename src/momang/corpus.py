@@ -16,20 +16,16 @@ from typing import TYPE_CHECKING
 
 from .errors import BadParameters, GuardExceeded
 from .moves import vertex_cut
-from .polytope import CombPolytope, validate_polytope
+from .polytope import _WORK_CAP, CombPolytope, validate_polytope
 
 if TYPE_CHECKING:
     from .hrep import HRep
 
-# Cap on the predicted validation work, vertex count times n^2, of the
-# generated simplices and cubes; checked before any vertex is listed.
-_VALIDATION_CAP = 10 ** 7
-
 
 def _check_size(kind: str, n: int, work: int):
-    if work > _VALIDATION_CAP:
+    if work > _WORK_CAP:
         raise GuardExceeded(f"{kind}({n}): vertex count times {n}^2 exceeds "
-                            f"the validation cap {_VALIDATION_CAP}")
+                            f"the work cap {_WORK_CAP}")
 
 
 def simplex(n: int) -> CombPolytope:
@@ -46,7 +42,7 @@ def cube(n: int) -> CombPolytope:
     if n < 1:
         raise BadParameters(f"cube dimension must be >= 1, got {n}")
     # 2^n alone exceeds the cap past its bit length, so the shift stops there
-    _check_size("cube", n, n * n << min(n, _VALIDATION_CAP.bit_length()))
+    _check_size("cube", n, n * n << min(n, _WORK_CAP.bit_length()))
     verts = []
     for corner in itertools.product((0, 1), repeat=n):
         verts.append(tuple(sorted(i if bit == 0 else n + i

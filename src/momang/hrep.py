@@ -7,8 +7,9 @@ each affine coordinate by a square turns those relations into the m - n
 quadrics whose common zero set is the glued manifold embedded in R^m, with
 the sign-flip action of (Z2)^m restricted from the ambient space.
 
-All decisions are floating point against a single tolerance; inputs are
-desk scale and well conditioned, exact arithmetic is out of scope.
+Every accept/reject decision reads one frame, ``HRep._frame``, so verdicts
+do not change under translation, positive row scaling or row permutation;
+payload numbers are still computed from the input's A and b.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
@@ -45,12 +47,42 @@ class HRep:
     b: np.ndarray          # length m offsets
     tol: float = 1e-9
 
-    def row(self, i: int) -> np.ndarray:
-        return self.A[:, i]
-
     def values(self, x) -> np.ndarray:
         """The m affine forms <a_i, x> + b_i at a point."""
         return self.A.T @ np.asarray(x, dtype=float) + self.b
+
+    @cached_property
+    def _frame(self) -> _Frame:
+        """The numeric policy: unit rows u_i = a_i/|a_i|, offsets c_i = b_i/|a_i|.
+
+        Seen from the least-squares solution of U x = -c, which moves with
+        every translation, the offsets c' = U x + c ignore translation and
+        row scaling.  Lengths are decided against tol * max(1, max|c'|) plus
+        8 (n + 1) eps max|c|: each c'_i sums n + 1 terms of size about max|c|
+        (the centre lies that far out), and a vertex solved from n of them is
+        off by a few times that.  Determinants, singular values and pivots of
+        unit rows are dimensionless and are decided against tol itself.
+        """
+        norms = np.linalg.norm(self.A, axis=0)
+        unit, c = self.A.T / norms[:, None], self.b / norms
+        offsets = unit @ np.linalg.lstsq(unit, -c, rcond=None)[0] + c
+        scale = max(1.0, float(np.abs(offsets).max()))
+        rounding = 8 * (self.n + 1) * np.finfo(float).eps * float(np.abs(c).max())
+        return _Frame(norms=norms, U=unit, c=offsets, thr=self.tol * scale + rounding)
+
+
+@dataclass(frozen=True, eq=False)
+class _Frame:
+    norms: np.ndarray      # |a_i|
+    U: np.ndarray          # m x n unit rows
+    c: np.ndarray          # offsets c' seen from the recentring point
+    thr: float             # the one length threshold
+
+
+def _numeric_rank(matrix, tol: float) -> int:
+    """Singular values above ``tol``, relative to the largest once it passes 1."""
+    svals = np.linalg.svd(matrix, compute_uv=False)
+    return int(np.sum(svals > tol * max(1.0, float(svals[0])))) if svals.size else 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,52 +124,49 @@ def make_hrep(rows, offsets, tol: float = 1e-9) -> HRep:
     if tol <= 0:
         raise BadParameters(f"tolerance must be positive, got {tol}")
 
+    if not arows.any(axis=1).all():
+        raise ParseError(f"row {int(np.argmin(arows.any(axis=1)))} has a zero normal")
+    A, b = arows.T.copy(), b.copy()
+    A.setflags(write=False)
+    b.setflags(write=False)
+    h = HRep(n=n, m=m, A=A, b=b, tol=tol)
+    f = h._frame
+
     # Bounded iff the normals positively span R^n: full rank plus a positive
     # dependence (all weights >= 1 summing to zero).
-    scale = max(1.0, float(np.abs(b).max()), float(np.abs(arows).max()))
-    if np.linalg.matrix_rank(arows, tol=tol * scale) < n:
+    if _numeric_rank(f.U, tol) < n:
         raise Unbounded("inward normals do not span the space")
-    res = linprog(np.zeros(m), A_eq=arows.T, b_eq=np.zeros(n),
+    res = linprog(np.zeros(m), A_eq=f.U.T, b_eq=np.zeros(n),
                   bounds=[(1, None)] * m, method="highs")
     if not res.success:
         raise Unbounded("inward normals do not positively span the space")
 
     # Full-dimensional iff the Chebyshev radius is positive.
-    norms = np.linalg.norm(arows, axis=1)
-    a_ub = np.hstack([-arows, norms[:, None]])
-    res = linprog(np.r_[np.zeros(n), -1.0], A_ub=a_ub, b_ub=b,
-                  bounds=[(None, None)] * (n + 1), method="highs")
-    if res.status != 0 or -res.fun <= tol * scale:
+    res = linprog(np.r_[np.zeros(n), -1.0], A_ub=np.hstack([-f.U, np.ones((m, 1))]),
+                  b_ub=f.c, bounds=[(None, None)] * (n + 1), method="highs")
+    if res.status != 0 or -res.fun <= f.thr:
         raise EmptyInterior("no interior point within tolerance")
 
     # Irredundant iff dropping the inequality exposes points violating it.
     for i in range(m):
         keep = [j for j in range(m) if j != i]
-        res = linprog(arows[i], A_ub=-arows[keep], b_ub=b[keep],
+        res = linprog(f.U[i], A_ub=-f.U[keep], b_ub=f.c[keep],
                       bounds=[(None, None)] * n, method="highs")
         if res.status == 3:
             continue  # unbounded below without row i: certainly irredundant
         if res.status != 0:
             raise ParseError(f"LP solver failed on redundancy check {i}")
-        if res.fun + b[i] >= -tol * scale:
+        if res.fun + f.c[i] >= -f.thr:
             raise RedundantHalfspace(i)
-
-    if np.linalg.matrix_rank(arows, tol=tol * scale) < n:
-        raise RankDeficient("normal matrix rank below the dimension")
-    A = arows.T.copy()
-    A.setflags(write=False)
-    b = b.copy()
-    b.setflags(write=False)
-    return HRep(n=n, m=m, A=A, b=b, tol=tol)
+    return h
 
 
 def parse_hrep(text: str, tol: float = 1e-9) -> HRep:
     """Parse the wire format: first line ``n m``, then m rows ``a_1 .. a_n b``.
 
     Raises :class:`Unbounded` when the normals do not positively span,
-    :class:`EmptyInterior` when the region has no interior,
-    :class:`RedundantHalfspace` for rows that do not bound a facet, and
-    :class:`RankDeficient` defensively.
+    :class:`EmptyInterior` when the region has no interior, and
+    :class:`RedundantHalfspace` for rows that do not bound a facet.
     """
     lines = [ln for ln in (s.strip() for s in text.splitlines())
              if ln and not ln.startswith("#")]
@@ -187,36 +216,22 @@ def enumerate_vertices(h: HRep, guard: int = 10 ** 6):
     hyperplanes within tolerance.
     """
     if math.comb(h.m, h.n) > guard:
-        raise GuardExceeded(
-            f"C({h.m},{h.n}) subsets exceed the guard {guard}")
-    rows = np.ascontiguousarray(h.A.T)
-    norms = np.linalg.norm(rows, axis=1)
-    scale = max(1.0, float(np.abs(h.b).max()), float(norms.max()))
-    feastol = h.tol * scale
+        raise GuardExceeded(f"C({h.m},{h.n}) subsets exceed the guard {guard}")
+    f = h._frame
     found: dict[tuple[int, ...], np.ndarray] = {}
     for subset in itertools.combinations(range(h.m), h.n):
-        sub = rows[list(subset)]
-        hadamard = float(np.prod(norms[list(subset)]))
-        if hadamard <= 0:
+        sub = list(subset)
+        if abs(np.linalg.det(f.U[sub])) <= h.tol:  # unit rows: Hadamard bound 1
             continue
-        det = float(np.linalg.det(sub))
-        if abs(det) <= h.tol * hadamard:
+        vals = f.U @ np.linalg.solve(f.U[sub], -f.c[sub]) + f.c
+        vals[sub] = 0.0  # the subset's own rows hold by construction
+        if vals.min() < -f.thr:
             continue
-        x = np.linalg.solve(sub, -h.b[list(subset)])
-        vals = rows @ x + h.b
-        if vals.min() < -feastol:
-            continue
-        active = tuple(int(i) for i in np.flatnonzero(np.abs(vals) <= feastol))
+        active = tuple(int(i) for i in np.flatnonzero(np.abs(vals) <= f.thr))
         if len(active) > h.n:
-            raise NotSimplePresentation(
-                f"point on {len(active)} hyperplanes: {active}")
-        prev = found.get(active)
-        if prev is not None and not np.allclose(prev, x, atol=10 * feastol):
-            raise NotSimplePresentation(
-                f"facet set {active} realized by two distinct points")
-        found[active] = x
-    incidence = sorted(found)
-    polytope = validate_polytope(h.n, incidence)
+            raise NotSimplePresentation(f"point on {len(active)} hyperplanes: {active}")
+        found[subset] = np.linalg.solve(h.A.T[sub], -h.b[sub])
+    polytope = validate_polytope(h.n, sorted(found))
     coords = np.array([found[v] for v in polytope.vertices])
     return polytope, coords
 
@@ -232,17 +247,15 @@ def relation_matrix(h: HRep) -> QuadricSystem:
     relation with unit coefficient there.  Rows are rescaled so their
     largest-magnitude entry is 1, making the output reproducible.
     """
-    A = np.array(h.A, dtype=float)
-    n, m = A.shape
-    scale = max(1.0, float(np.abs(A).max()))
-    R = A.copy()
+    n, m, norms = h.n, h.m, h._frame.norms
+    R = np.array(h.A, dtype=float)
     pivots: list[int] = []
     r = 0
     for c in range(m):
         if r == n:
             break
         lead = r + int(np.argmax(np.abs(R[r:, c])))
-        if abs(R[lead, c]) <= h.tol * scale:
+        if abs(R[lead, c]) <= h.tol * norms[c]:
             continue
         R[[r, lead]] = R[[lead, r]]
         R[r] = R[r] / R[r, c]
@@ -262,7 +275,7 @@ def relation_matrix(h: HRep) -> QuadricSystem:
     for row in range(gamma.shape[0]):
         lead = int(np.argmax(np.abs(gamma[row])))
         gamma[row] = gamma[row] / gamma[row, lead] + 0.0  # +0.0 clears -0.0
-    if np.abs(gamma @ A.T).max() > 100 * h.tol * scale:
+    if np.abs(gamma @ h.A.T).max() > 100 * h.tol * (np.abs(gamma) @ norms).max():
         raise AssertionError("relation rows do not annihilate the normals")
     rhs = gamma @ h.b
     gamma.setflags(write=False)
@@ -276,10 +289,9 @@ def lift_point(h: HRep, x, signs) -> EmbeddedPoint:
     if len(signs) != h.m or any(s not in (-1, 1) for s in signs):
         raise BadParameters(f"signs must be a ±1 vector of length {h.m}")
     vals = h.values(x)
-    scale = max(1.0, float(np.abs(h.b).max()))
-    if vals.min() < -h.tol * scale:
-        raise OutsidePolytope(
-            f"inequality {int(np.argmin(vals))} violated by {-vals.min():g}")
+    dist = vals / h._frame.norms
+    if dist.min() < -h._frame.thr:
+        raise OutsidePolytope(f"inequality {dist.argmin()} violated by {-dist.min():g}")
     y = np.array(signs, dtype=float) * np.sqrt(np.clip(vals, 0.0, None))
     y.setflags(write=False)
     return EmbeddedPoint(y=y, source=(np.asarray(x, dtype=float), signs))
@@ -288,15 +300,10 @@ def lift_point(h: HRep, x, signs) -> EmbeddedPoint:
 def quadric_gradient_rank(q: QuadricSystem, point, tol: float = 1e-9) -> int:
     """Rank of the quadric gradients (rows 2 gamma_jk y_k) at a point."""
     y = point.y if isinstance(point, EmbeddedPoint) else np.asarray(point, float)
-    res = q.residual(y)
-    scale = max(1.0, float(np.abs(q.rhs).max()) if q.rhs.size else 1.0)
-    if res.size and np.abs(res).max() > tol * scale:
-        raise NotOnVariety(f"max residual {np.abs(res).max():g}")
-    jac = 2.0 * q.gamma * y[None, :]
-    if jac.size == 0:
-        return 0
-    svals = np.linalg.svd(jac, compute_uv=False)
-    return int(np.sum(svals > tol * max(1.0, float(svals[0]))))
+    res = np.abs(q.residual(y))
+    if res.size and res.max() > tol * max(1.0, float(np.abs(q.rhs).max())):
+        raise NotOnVariety(f"max residual {res.max():g}")
+    return _numeric_rank(2.0 * q.gamma * y[None, :], tol)
 
 
 @dataclass(frozen=True)
@@ -320,43 +327,36 @@ def verify_nondegeneracy(h: HRep, sample_count: int = 200,
 
     Samples every vertex, the relative-interior centroid of every facet and
     the global centroid, then fills up to ``sample_count`` with seeded
-    random points (alternating interior and facet points).  Failures are
-    reported, not raised.
+    random points (alternating interior and facet points), lifted without a
+    membership test as convex combinations of vertices.  Ranks are decided
+    on the gradients of the relations among unit rows at y_k / sqrt|a_k|,
+    unchanged by row scaling; ``min_margin`` reads those of
+    :func:`relation_matrix`.  Failures are reported, not raised.
     """
     q = relation_matrix(h)
     polytope, coords = enumerate_vertices(h)
     rng = np.random.default_rng(seed)
-    pts = [coords[i] for i in range(len(coords))]
-    facet_members = [[vi for vi, fs in enumerate(polytope.vertices) if i in fs]
-                     for i in range(h.m)]
+    pts = list(coords)
+    facet_members = [list(polytope.facet_vertices(i)) for i in range(h.m)]
     pts += [coords[members].mean(axis=0) for members in facet_members]
     pts.append(coords.mean(axis=0))
-    k = 0
-    while len(pts) < sample_count:
-        if k % 2 == 0:
-            w = rng.dirichlet(np.ones(len(coords)))
-            pts.append(w @ coords)
-        else:
-            members = facet_members[int(rng.integers(h.m))]
-            w = rng.dirichlet(np.ones(len(members)))
-            pts.append(w @ coords[members])
-        k += 1
+    for k in range(sample_count - len(pts)):
+        members = facet_members[int(rng.integers(h.m))] if k % 2 else slice(None)
+        pts.append(rng.dirichlet(np.ones(len(coords[members]))) @ coords[members])
 
+    norms = h._frame.norms
+    unit_gamma = q.gamma * np.sqrt(norms) / np.abs(q.gamma * norms).max(axis=1)[:, None]
     expected = h.m - h.n
-    min_rank = expected
-    min_margin = math.inf
-    failures = []
+    min_rank, min_margin, failures = expected, math.inf, []
     for idx, x in enumerate(pts):
         signs = 1 - 2 * rng.integers(0, 2, size=h.m)
-        y = lift_point(h, x, signs)
-        jac = 2.0 * q.gamma * y.y[None, :]
-        svals = np.linalg.svd(jac, compute_uv=False)
-        rank = int(np.sum(svals > h.tol * max(1.0, float(svals[0]))))
-        margin = float(svals[expected - 1]) if expected else math.inf
-        min_margin = min(min_margin, margin)
+        y = signs * np.sqrt(np.clip(h.values(x), 0.0, None))
+        rank = _numeric_rank(2.0 * unit_gamma * y, h.tol)
+        svals = np.linalg.svd(2.0 * q.gamma * y, compute_uv=False)
+        min_margin = min(min_margin, float(svals[expected - 1]))
+        min_rank = min(min_rank, rank)
         if rank < expected:
             failures.append((idx, rank))
-        min_rank = min(min_rank, rank)
     return NondegeneracyReport(expected_rank=expected, min_rank=min_rank,
                                min_margin=min_margin, samples=len(pts),
                                failures=tuple(failures))

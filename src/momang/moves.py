@@ -376,27 +376,24 @@ def psc_flip_certificate(p: CombPolytope, depth: int,
         raise BadParameters(f"depth must be >= 0, got {depth}")
     target = dual_sphere(p)
     target_fp = _family_fingerprint(*_sphere_key(target))
-    start = simplex_boundary_sphere(n)
-
-    def matches(state):
-        return (_family_fingerprint(*_sphere_key(state)) == target_fp
-                and _spheres_isomorphic(state, target))
-
-    if matches(start):
-        return []
-
     seen: dict = {}
 
-    def register(state) -> bool:
-        fp = _family_fingerprint(*_sphere_key(state))
+    def matches(state, fp):
+        return fp == target_fp and _spheres_isomorphic(state, target)
+
+    def register(state, fp) -> bool:
         bucket = seen.setdefault(fp, [])
-        for other in bucket:
-            if _spheres_isomorphic(state, other):
-                return False
+        if any(_spheres_isomorphic(state, other) for other in bucket):
+            return False
         bucket.append(state)
         return True
 
-    register(start)
+    # every state is fingerprinted once, for both the match and the dedup
+    start = simplex_boundary_sphere(n)
+    fp = _family_fingerprint(*_sphere_key(start))
+    if matches(start, fp):
+        return []
+    register(start, fp)
     frontier = deque([(start, [])])
     generated = 1
     for _ in range(depth):
@@ -415,9 +412,10 @@ def psc_flip_certificate(p: CombPolytope, depth: int,
                 kind = "vertex" if len(sigma) == n else "general"
                 move = FlipMove(kind=kind, target=tuple(sorted(sigma)),
                                 codim=len(sigma))
-                if matches(new):
+                fp = _family_fingerprint(*_sphere_key(new))
+                if matches(new, fp):
                     return path + [move]
-                if register(new):
+                if register(new, fp):
                     next_frontier.append((new, path + [move]))
         frontier = next_frontier
         if not frontier:

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (
     DuplicateVertex,
+    GuardExceeded,
     InvalidSphere,
     NotPolytopal,
     NotSimple,
@@ -27,6 +28,10 @@ from .errors import (
 if TYPE_CHECKING:
     import networkx as nx
 
+# Cap on predicted enumeration work, checked before anything is listed: the
+# face lattice walks vertex count times 2^n subsets, and the generated
+# simplices and cubes are validated in vertex count times n^2 steps.
+_WORK_CAP = 10 ** 7
 
 @dataclass(frozen=True)
 class CombPolytope:
@@ -64,26 +69,20 @@ class Face:
 
 
 class FaceLattice:
-    """All faces of a simple polytope with their codimension-one cover pairs.
+    """All faces of a simple polytope.
 
     ``faces[0]`` is the whole polytope (empty facet set); every other face is
     a nonempty intersection of facets, identified with the set of vertices
-    containing all of them.  ``covers`` holds pairs ``(face, subface)`` where
-    the subface has exactly one more containing facet.
+    containing all of them.
     """
 
-    def __init__(self, polytope: CombPolytope, faces: list[Face],
-                 covers: list[tuple[int, int]]):
+    def __init__(self, polytope: CombPolytope, faces: list[Face]):
         self.polytope = polytope
         self.faces = tuple(faces)
-        self.covers = tuple(covers)
         self._by_facets = {f.facets: i for i, f in enumerate(self.faces)}
 
     def face_index(self, facets) -> int:
         return self._by_facets[frozenset(facets)]
-
-    def faces_of_dim(self, d: int) -> list[Face]:
-        return [f for f in self.faces if f.dim == d]
 
     def f_vector(self) -> tuple[int, ...]:
         """Counts of proper faces by dimension 0..n-1."""
@@ -230,8 +229,13 @@ def face_lattice(p: CombPolytope) -> FaceLattice:
     In a simple polytope every subset of a vertex's facet set is the full
     facet set of a face, so the enumeration walks the power sets of the
     vertex incidences.  The empty set is the top face (the polytope itself).
+    Raises :class:`GuardExceeded` before the walk when its V * 2^n subsets
+    exceed ``_WORK_CAP``.
     """
     n = p.dim
+    if p.vertex_count << n > _WORK_CAP:
+        raise GuardExceeded(f"{p.vertex_count} vertices times 2^{n} subsets exceed "
+                            f"the face-lattice cap {_WORK_CAP}")
     members: dict[frozenset, set] = defaultdict(set)
     for vi, fs in enumerate(p.vertices):
         for k in range(n + 1):
@@ -241,17 +245,7 @@ def face_lattice(p: CombPolytope) -> FaceLattice:
     keys = sorted(members, key=lambda s: (len(s), tuple(sorted(s))))
     faces = [Face(facets=s, dim=n - len(s), vertices=tuple(sorted(members[s])))
              for s in keys]
-    index = {f.facets: i for i, f in enumerate(faces)}
-    covers = []
-    for i, f in enumerate(faces):
-        candidates = set()
-        for vi in f.vertices:
-            candidates.update(p.vertices[vi])
-        for j in sorted(candidates - f.facets):
-            bigger = f.facets | {j}
-            if bigger in index:
-                covers.append((i, index[bigger]))
-    return FaceLattice(p, faces, covers)
+    return FaceLattice(p, faces)
 
 
 def dual_sphere(p: CombPolytope) -> SimplicialSphere:
@@ -269,9 +263,14 @@ def validate_sphere(facets) -> SimplicialSphere:
 
     Enforced: purity, every ridge in exactly two facets, connected facet
     adjacency, and the Euler characteristic of a sphere of the facets'
-    dimension.  For two-dimensional complexes vertex links must additionally
-    be single cycles.  These checks certify spheres in dimension two; in
-    higher dimensions they are a pseudo-manifold screen, not a sphere proof.
+    dimension.  These checks certify spheres in dimension two; in higher
+    dimensions they are a pseudo-manifold screen, not a sphere proof.
+
+    In dimension two vertex links need no check of their own.  Once every
+    edge lies in two triangles, each vertex link is 2-regular, so a disjoint
+    union of c_v cycles.  Splitting each vertex into one copy per cycle
+    gives a connected closed surface S with chi(S) = chi(K) + sum(c_v - 1),
+    and chi(S) <= 2, so chi(K) = 2 forces every link to be a single cycle.
     """
     raw = [frozenset(f) for f in facets]
     fs = sorted(set(raw), key=sorted)
@@ -283,20 +282,14 @@ def validate_sphere(facets) -> SimplicialSphere:
     if any(len(f) != n for f in fs):
         raise InvalidSphere("facets of mixed dimension")
 
-    ridge_count = Counter()
-    for f in fs:
-        for r in itertools.combinations(sorted(f), n - 1):
-            ridge_count[r] += 1
-    for r, c in ridge_count.items():
-        if c != 2:
-            raise InvalidSphere(f"ridge {r} lies in {c} facets, expected 2")
-
-    adjacency = defaultdict(set)
     by_ridge = defaultdict(list)
     for i, f in enumerate(fs):
         for r in itertools.combinations(sorted(f), n - 1):
             by_ridge[r].append(i)
-    for pair in by_ridge.values():
+    adjacency = defaultdict(set)
+    for r, pair in by_ridge.items():
+        if len(pair) != 2:
+            raise InvalidSphere(f"ridge {r} lies in {len(pair)} facets, expected 2")
         adjacency[pair[0]].add(pair[1])
         adjacency[pair[1]].add(pair[0])
     seen = {0}
@@ -316,26 +309,6 @@ def validate_sphere(facets) -> SimplicialSphere:
     euler = sum((-1) ** (len(s) - 1) for s in all_faces)
     if euler != 1 + (-1) ** (n - 1):
         raise InvalidSphere(f"Euler characteristic {euler} is not spherical")
-
-    if n == 3:
-        link_edges = defaultdict(list)
-        for f in fs:
-            for x in f:
-                link_edges[x].append(f - {x})
-        for x, pairs in link_edges.items():
-            deg = Counter(itertools.chain.from_iterable(pairs))
-            if any(d != 2 for d in deg.values()):
-                raise InvalidSphere(f"link of vertex {x} is not a cycle")
-            comp = {next(iter(pairs[0]))}
-            grow = True
-            while grow:
-                grow = False
-                for e in pairs:
-                    if e & comp and not e <= comp:
-                        comp |= e
-                        grow = True
-            if comp != set(deg):
-                raise InvalidSphere(f"link of vertex {x} is not a single cycle")
     return SimplicialSphere(dim=n - 1, facets=tuple(fs))
 
 

@@ -23,6 +23,17 @@ def edge_cut_simplex():
     return validate_polytope(3, verts)
 
 
+def cover_pairs(lattice):
+    """Index pairs ``(face, subface)`` of a face lattice where the subface
+    lies in exactly one more facet, in face order; every facet met by a
+    vertex of the face extends it to a face, the polytope being simple."""
+    pairs = []
+    for i, f in enumerate(lattice.faces):
+        met = set().union(*(lattice.polytope.vertices[v] for v in f.vertices))
+        pairs += [(i, lattice.face_index(f.facets | {j})) for j in sorted(met - f.facets)]
+    return pairs
+
+
 def corpus_3d():
     """The simple 3-polytopes the property tests loop over."""
     return [

@@ -1,16 +1,20 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import momang
-from momang import polytope_from_json, polytope_to_json, prism, simplex
+from momang import polytope_from_json, polytope_to_json, prism, random_vertexcuts, simplex
 from momang.cli import main
-from momang.corpus import cube_hrep, simplex_hrep
-from momang.hrep import hrep_to_text
+from momang.corpus import cube_hrep, dodecahedron_hrep, prism_hrep, simplex_hrep
+from momang.hrep import HRep, hrep_to_text
+from momang.polytope import validate_polytope
 
 
 def run(capsys, *argv):
@@ -99,6 +103,18 @@ def test_generate_cube_over_guard(capsys):
     assert code == 3 and "GuardExceeded" in err
 
 
+def test_euler_over_face_lattice_cap(tmp_path, capsys):
+    # cube 13 passes the generator's cap, but its face lattice would walk
+    # 2^13 subsets at each of 2^13 vertices; the guard fires before the walk
+    src = str(tmp_path / "cube13.json")
+    assert main(["generate", "cube", "13", "--out", src]) == 0
+    capsys.readouterr()
+    started = time.perf_counter()
+    code, _, err = run(capsys, "euler", src)
+    assert code == 3 and "GuardExceeded" in err
+    assert time.perf_counter() - started < 2.0
+
+
 def test_cut_collapse_pipeline(tmp_path, capsys):
     path = write_polytope(tmp_path, "s3.json", simplex(3))
     out = str(tmp_path / "cut.json")
@@ -183,6 +199,27 @@ def test_quadrics_commands(tmp_path, capsys):
     payload = report["payload"]
     assert payload["passed"] is True and payload["min_rank"] == 3
     assert payload["samples"] >= 120
+
+
+@pytest.mark.parametrize("shift,scales", [
+    (1e9, None), (0.0, (1e9, 1e-9)), (0.0, (1e-12, 1e12)), (1e9, (1e-9, 1e9))],
+    ids=["translated", "scaled", "scaled-1e12", "translated-scaled"])
+@pytest.mark.parametrize("name", ["cube3", "dodecahedron"])
+def test_quadrics_commands_on_moved_presentations(tmp_path, capsys, name, shift, scales):
+    # the same polytope, translated and with rows rescaled, is accepted
+    h = GOLDEN_HREPS[name]()
+    rows, offsets = np.asarray(h.A.T), np.asarray(h.b)
+    direction = np.arange(1.0, h.n + 1)
+    offsets = offsets - rows @ (shift * direction / np.linalg.norm(direction))
+    if scales is not None:
+        factors = np.resize(scales, h.m)
+        rows, offsets = rows * factors[:, None], offsets * factors
+    src = tmp_path / "moved.hrep"
+    src.write_text(hrep_to_text(HRep(n=h.n, m=h.m, A=rows.T, b=offsets)))
+    for argv in (["quadrics"], ["verify-quadrics", "--samples", "60"]):
+        code, report, err = run(capsys, argv[0], str(src), *argv[1:])
+        assert code == 0, err
+    assert report["payload"]["passed"] is True
 
 
 def test_payload_deterministic(tmp_path, capsys):
@@ -311,11 +348,53 @@ def test_golden_generate_dodecahedron(tmp_path, capsys):
     assert out.read_bytes() == (GOLDEN / "generate-dodecahedron.json").read_bytes()
 
 
-@pytest.mark.parametrize("argv", [["quadrics"], ["verify-quadrics", "--seed", "0"]],
-                         ids=["quadrics", "verify-quadrics"])
-def test_golden_hrep_payloads(tmp_path, capsys, argv):
-    src, out = tmp_path / "cube3.hrep", tmp_path / "payload.json"
-    src.write_text(hrep_to_text(cube_hrep(3)))
+GOLDEN_HREPS = {"cube3": lambda: cube_hrep(3), "prism": prism_hrep,
+                "dodecahedron": dodecahedron_hrep}
+GOLDEN_HREP_CASES = [(argv, name)
+                     for argv in (["quadrics"], ["verify-quadrics", "--seed", "0"])
+                     for name in GOLDEN_HREPS]
+
+
+@pytest.mark.parametrize("argv,name", GOLDEN_HREP_CASES,
+                         ids=[f"{a[0]}-{n}" for a, n in GOLDEN_HREP_CASES])
+def test_golden_hrep_payloads(tmp_path, capsys, argv, name):
+    src, out = tmp_path / f"{name}.hrep", tmp_path / "payload.json"
+    src.write_text(hrep_to_text(GOLDEN_HREPS[name]()))
     assert main([argv[0], str(src), *argv[1:], "--out", str(out)]) == 0
     capsys.readouterr()
-    assert out.read_bytes() == (GOLDEN / f"{argv[0]}-cube3.json").read_bytes()
+    assert out.read_bytes() == (GOLDEN / f"{argv[0]}-{name}.json").read_bytes()
+
+
+# (generate argv, vertices cut in turn, search depth)
+GOLDEN_FLIPS = {"prism": (["prism"], [], 3),
+                "cutcube": (["cube", "3"], [0], 5),
+                "cutsimplex4": (["simplex", "4"], [0, 3], 3)}
+
+
+@pytest.mark.parametrize("name", GOLDEN_FLIPS)
+def test_golden_flip_cert(tmp_path, capsys, name):
+    gen, cuts, depth = GOLDEN_FLIPS[name]
+    src, out = str(tmp_path / "input.json"), tmp_path / "payload.json"
+    assert main(["generate", *gen, "--out", src]) == 0
+    for vertex in cuts:
+        assert main(["vertex-cut", src, "--vertex", str(vertex), "--out", src]) == 0
+    assert main(["flip-cert", src, "--depth", str(depth), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / f"flip-cert-{name}.json").read_bytes()
+
+
+def relabel(p, perm):
+    return validate_polytope(p.dim, [tuple(perm[f] for f in v) for v in p.vertices])
+
+
+def test_golden_isomorphic_relabelled(tmp_path, capsys):
+    # two facet relabellings of one polytope, so the bijection is nontrivial
+    p = random_vertexcuts(12, 0)
+    shuffled = list(range(p.facet_count))
+    random.Random(1).shuffle(shuffled)
+    a = write_polytope(tmp_path, "a.json", relabel(p, list(reversed(range(p.facet_count)))))
+    b = write_polytope(tmp_path, "b.json", relabel(p, shuffled))
+    out = tmp_path / "payload.json"
+    assert main(["isomorphic", a, b, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / "isomorphic-rvc12.json").read_bytes()

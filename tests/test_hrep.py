@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 from momang import (
@@ -90,6 +92,14 @@ def test_loose_halfspace_redundant():
         make_hrep([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [-1, 0, 0]],
                   [0, 0, 0, 1, 5])
     assert exc.value.index == 4
+
+
+def test_zero_normal_is_a_parse_error():
+    # a zero row is no half-space, and the unit-row frame cannot scale it
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [0, 0, 0]]
+    for offset in (0, -1):
+        with pytest.raises(ParseError, match="row 4"):
+            make_hrep(rows, [0, 0, 0, 1, offset])
 
 
 # ---------------------------------------------------------------------------
@@ -295,3 +305,82 @@ def test_nondegeneracy_deterministic():
     a = verify_nondegeneracy(cube_hrep(3), sample_count=30, seed=9)
     b = verify_nondegeneracy(cube_hrep(3), sample_count=30, seed=9)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: translation, positive row scaling and row permutation
+
+
+METAMORPHIC_CORPUS = {"cube3": lambda: cube_hrep(3), "cube4": lambda: cube_hrep(4),
+                      "prism": prism_hrep, "simplex3": lambda: simplex_hrep(3),
+                      "dodecahedron": dodecahedron_hrep}
+SQUARE = ([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, 0, 1, 1])
+REJECTED = {
+    "flat_square": (SQUARE, EmptyInterior),
+    "duplicate_row": (([[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+                       [0, 0, 0, 0, 1]), RedundantHalfspace),
+    "loose_halfspace": (([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [-1, 0, 0]],
+                         [0, 0, 0, 1, 5]), RedundantHalfspace),
+    "octahedron": (([[sx, sy, sz] for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)],
+                    [1.0] * 8), NotSimplePresentation),
+}
+
+
+@st.composite
+def transforms(draw, m, n):
+    """(unit direction, log10 of the shift, log10 row scales, permutation)."""
+    direction = draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n))
+    return (direction, draw(st.integers(0, 9)),
+            draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m)),
+            draw(st.permutations(range(m))))
+
+
+def extremes(m, n):
+    """A 1e9 shift, rows scaled by 1e9 and 1e-9 in turn, row order reversed."""
+    return ([1.0, 0.5, 0.25, 0.125][:n], 9, [9, -9] * (m // 2) + [0] * (m % 2),
+            list(range(m))[::-1])
+
+
+def transformed(rows, offsets, transform):
+    """The presentation translated, row-scaled and row-permuted; row j of the
+    result is row ``perm[j]`` of the input."""
+    direction, shift_exp, scale_exps, perm = transform
+    rows, offsets = np.asarray(rows, float), np.asarray(offsets, float)
+    shift = np.asarray(direction, float)
+    norm = np.linalg.norm(shift)
+    shift = shift * (10.0 ** shift_exp / norm) if norm > 1e-3 else np.zeros_like(shift)
+    scales = 10.0 ** np.asarray(scale_exps, float)
+    rows, offsets = rows * scales[:, None], (offsets - rows @ shift) * scales
+    return rows[list(perm)], offsets[list(perm)]
+
+
+@pytest.mark.parametrize("name", METAMORPHIC_CORPUS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+@example(data=None)
+def test_verdicts_invariant_under_translation_scaling_permutation(name, data):
+    h = METAMORPHIC_CORPUS[name]()
+    transform = extremes(h.m, h.n) if data is None else data.draw(transforms(h.m, h.n))
+    perm = transform[3]
+    moved = make_hrep(*transformed(h.A.T, h.b, transform))
+    p, _ = enumerate_vertices(h)
+    q, _ = enumerate_vertices(moved)
+    assert sorted(tuple(sorted(perm[f] for f in v)) for v in q.vertices) == list(p.vertices)
+    assert verify_nondegeneracy(moved, sample_count=40, seed=1).passed
+
+
+@pytest.mark.parametrize("name", REJECTED)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+@example(data=None)
+def test_rejections_invariant_under_translation_scaling_permutation(name, data):
+    (rows, offsets), error = REJECTED[name]
+    m, n = len(rows), len(rows[0])
+    transform = extremes(m, n) if data is None else data.draw(transforms(m, n))
+    perm = transform[3]
+    with pytest.raises(error) as exc:
+        enumerate_vertices(make_hrep(*transformed(rows, offsets, transform)))
+    if name == "duplicate_row":  # the first of the two identical rows
+        assert exc.value.index == min(perm.index(0), perm.index(1))
+    elif name == "loose_halfspace":
+        assert perm[exc.value.index] == 4

@@ -1,12 +1,14 @@
 import itertools
 import json
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import networkx as nx
 import pytest
 
+import momang.polytope as polytope
 from momang import (
+    bistellar_flip,
     combinatorial_isomorphic,
     cube,
     dodecahedron,
@@ -25,13 +27,15 @@ from momang import (
 )
 from momang.errors import (
     DuplicateVertex,
+    GuardExceeded,
     InvalidSphere,
+    LinkNotStandard,
     NotPolytopal,
     NotSimple,
     ParseError,
     UnusedFacet,
 )
-from conftest import edge_cut_simplex
+from conftest import cover_pairs, edge_cut_simplex
 
 SIMPLEX3_VERTS = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
 
@@ -306,10 +310,19 @@ def test_face_lattice_structure(corpus):
         # Euler relation over proper faces
         chi = sum((-1) ** f.dim for f in lat.faces if f.dim < n)
         assert chi == 1 + (-1) ** (n - 1), name
-        for a, b in lat.covers:
+        for a, b in cover_pairs(lat):
             fa, fb = lat.faces[a], lat.faces[b]
             assert fa.facets < fb.facets and fb.dim == fa.dim - 1
             assert set(fb.vertices) <= set(fa.vertices)
+
+
+def test_face_lattice_guard_counts_subsets(monkeypatch):
+    # 16 vertices of the 4-cube times 2^4 facet subsets each
+    monkeypatch.setattr(polytope, "_WORK_CAP", 256)
+    assert face_lattice(cube(4)).f_vector() == (16, 32, 24, 8)
+    monkeypatch.setattr(polytope, "_WORK_CAP", 255)
+    with pytest.raises(GuardExceeded):
+        face_lattice(cube(4))
 
 
 def test_minimal_faces_are_vertices(corpus):
@@ -354,6 +367,89 @@ def test_dual_redualization(corpus):
 def test_validate_sphere_rejects_open_disk():
     with pytest.raises(InvalidSphere):
         validate_sphere([(0, 1, 2), (0, 1, 3)])
+
+
+def link_defect(facets):
+    """The vertex-link check validate_sphere once ran on triangle lists: the
+    vertex whose link is not a single cycle, with the reason, or ``None``."""
+    link_edges = defaultdict(list)
+    for f in map(frozenset, facets):
+        for x in f:
+            link_edges[x].append(f - {x})
+    for x, pairs in link_edges.items():
+        deg = Counter(itertools.chain.from_iterable(pairs))
+        if any(d != 2 for d in deg.values()):
+            return x, "not a cycle"
+        comp = {next(iter(pairs[0]))}
+        grow = True
+        while grow:
+            grow = False
+            for e in pairs:
+                if e & comp and not e <= comp:
+                    comp |= e
+                    grow = True
+        if comp != set(deg):
+            return x, "not a single cycle"
+    return None
+
+
+def sphere_oracle(facets):
+    """validate_sphere with the link check added back for triangles."""
+    k = validate_sphere(facets)
+    if k.dim == 2 and link_defect(k.facets):
+        raise InvalidSphere(f"link of vertex {link_defect(k.facets)[0]} is not a cycle")
+    return k
+
+
+def verdict(check, facets):
+    try:
+        return check(facets)
+    except InvalidSphere as e:
+        return type(e)
+
+
+def pinched_spheres(p):
+    """Dual sphere of p with two vertices of disjoint closed stars merged,
+    for every such pair: one vertex link becomes two cycles."""
+    near = defaultdict(set)
+    for v in p.vertices:
+        for f in v:
+            near[f].update(v)
+    for a, b in itertools.combinations(range(p.facet_count), 2):
+        if not near[a] & near[b]:
+            yield [tuple(sorted(a if f == b else f for f in v)) for v in p.vertices]
+
+
+def flip_results(p):
+    d = dual_sphere(p)
+    for sigma in sorted({e for f in d.facets for e in itertools.combinations(sorted(f), 2)}
+                        | set(map(tuple, map(sorted, d.facets)))):
+        try:
+            yield sorted(map(sorted, bistellar_flip(d, sigma).facets))
+        except LinkNotStandard:
+            continue
+
+
+def test_validate_sphere_matches_link_oracle(corpus):
+    cases = [("torus7", HEAWOOD_TORUS), ("torus3x3", torus_grid(3, 3)),
+             ("klein3x4", torus_grid(3, 4, twist=True)),
+             ("projective6", PETERSEN_PROJECTIVE),
+             ("wedge", [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
+                        (0, 4, 5), (0, 4, 6), (0, 5, 6), (4, 5, 6)])]
+    pinched = [(f"pinched-{name}-{k}", verts) for name, p in corpus
+               for k, verts in enumerate(pinched_spheres(p))]
+    assert len([c for c in pinched if "dodecahedron" in c[0]]) == 6
+    cases += pinched
+    cases += [(f"dual-{name}", list(p.vertices)) for name, p in corpus]
+    cases += [(f"flip-{name}-{k}", facets) for name, p in corpus
+              for k, facets in enumerate(flip_results(p))]
+    for name, facets in cases:
+        assert verdict(validate_sphere, facets) == verdict(sphere_oracle, facets), name
+    for name, facets in pinched:
+        # the link check alone would flag them; Euler's relation already does
+        assert link_defect(facets)[1] == "not a single cycle", name
+        with pytest.raises(InvalidSphere, match="Euler"):
+            validate_sphere(facets)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from momang import (
 )
 from momang.errors import GuardExceeded, NoSuchFacet
 from momang.zcomplex import _chamber_counts
-from conftest import cut_cube
+from conftest import cover_pairs, cut_cube
 
 
 def zcomplex_corpus():
@@ -422,7 +422,7 @@ def oracle_fixed_components(lattice, m, cells, i):
     sub = [cid for cid, (fidx, _) in enumerate(cells) if i in faces[fidx].facets]
     local = {cid: k for k, cid in enumerate(sub)}
     uf = UnionFind(len(sub))
-    for parent, child in lattice.covers:
+    for parent, child in cover_pairs(lattice):
         if i not in faces[parent].facets:
             continue
         for g in range(1 << m):
@@ -475,7 +475,7 @@ def oracle_boundary_components(lattice, j):
         return 0
     ids = {cell: k for k, cell in enumerate(boundary)}
     uf = UnionFind(len(boundary))
-    for parent, child in lattice.covers:
+    for parent, child in cover_pairs(lattice):
         if not faces[parent].facets or max(faces[parent].facets) < j:
             continue
         for r in oracle_face_cells(j, mask_of(faces[parent])):
@@ -615,7 +615,7 @@ def oracle_face_spans(lattice, keep):
     mask passes ``keep`` (a set closed under taking subfaces)."""
     masks = [mask_of(f) for f in lattice.faces]
     uf = UnionFind(len(masks))
-    for parent, child in lattice.covers:
+    for parent, child in cover_pairs(lattice):
         if keep(masks[parent]):
             uf.union(parent, child)
     spans = {}
