@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .corpus import generate
-from .errors import GuardExceeded, MomangError
+from .errors import GuardExceeded, MomangError, ParseError
 from .moves import (
     certificate_to_json,
     prismatic_circuits,
@@ -85,16 +85,23 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _read_text(path: str) -> str:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8 text: {e}") from e
+
+
 def _load_polytope(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return polytope_from_json(fh.read())
+    return polytope_from_json(_read_text(path))
 
 
 def _load_hrep(path: str, tol: float):
     from .hrep import parse_hrep
 
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_hrep(fh.read(), tol=tol)
+    return parse_hrep(_read_text(path), tol=tol)
 
 
 def _add_common(sp):
@@ -302,6 +309,11 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         inputs, flags, payload, code = dispatch(args)
+        elapsed = (time.perf_counter() - started) * 1000.0
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
     except GuardExceeded as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}),
               file=sys.stderr)
@@ -310,13 +322,8 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}),
               file=sys.stderr)
         return EXIT_INPUT
-    elapsed = (time.perf_counter() - started) * 1000.0
     report = Report(command=args.command, inputs=inputs, flags=flags,
                     payload=payload, elapsed_ms=elapsed, version=__version__)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     print(report.to_json() if args.format == "json" else report.to_text())
     return code
 

@@ -298,12 +298,22 @@ def lift_point(h: HRep, x, signs) -> EmbeddedPoint:
 
 
 def quadric_gradient_rank(q: QuadricSystem, point, tol: float = 1e-9) -> int:
-    """Rank of the quadric gradients (rows 2 gamma_jk y_k) at a point."""
+    """Rank of the quadric gradients (rows 2 gamma_jk y_k) at a point.
+
+    Each equation's residual is measured against its own terms.  The rank
+    is decided with column k divided by sqrt(max_j |gamma_jk|) and each row
+    then scaled to max 1: scaling half-space k by lambda > 0 divides column
+    k of gamma by lambda and multiplies y_k by sqrt(lambda), so the scaled
+    gradients, and the rank, do not move with it.
+    """
     y = point.y if isinstance(point, EmbeddedPoint) else np.asarray(point, float)
     res = np.abs(q.residual(y))
-    if res.size and res.max() > tol * max(1.0, float(np.abs(q.rhs).max())):
+    if (res > tol * (np.abs(q.gamma) @ (y * y) + np.abs(q.rhs))).any():
         raise NotOnVariety(f"max residual {res.max():g}")
-    return _numeric_rank(2.0 * q.gamma * y[None, :], tol)
+    cols = np.abs(q.gamma).max(axis=0, initial=0.0)
+    grad = q.gamma * (y / np.sqrt(np.where(cols > 0, cols, 1.0)))
+    rows = np.abs(grad).max(axis=1, initial=0.0)[:, None]
+    return _numeric_rank(grad / np.where(rows > 0, rows, 1.0), tol)
 
 
 @dataclass(frozen=True)
@@ -333,6 +343,8 @@ def verify_nondegeneracy(h: HRep, sample_count: int = 200,
     unchanged by row scaling; ``min_margin`` reads those of
     :func:`relation_matrix`.  Failures are reported, not raised.
     """
+    if seed < 0:
+        raise BadParameters(f"seed must be >= 0, got {seed}")
     q = relation_matrix(h)
     polytope, coords = enumerate_vertices(h)
     rng = np.random.default_rng(seed)

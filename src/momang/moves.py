@@ -366,7 +366,19 @@ def psc_flip_certificate(p: CombPolytope, depth: int,
     to isomorphism.  Returns the move list on success and ``None`` when no
     sequence exists within ``depth`` levels; exhausting the search bound is
     not a proof of impossibility.  Raises :class:`GuardExceeded` once more
-    than ``state_cap`` states have been generated.
+    than ``state_cap`` states (flips produced) have been generated.
+
+    States that cannot reach the target are not expanded.  A flip at a face
+    sigma with at least 3 vertices deletes no vertex and no edge: every old
+    star edge lies in some new facet (sigma - u) | comp, and a vertex is
+    only added, when sigma is a facet.  So 1-skeleton degrees never drop
+    along a sequence, and a state can reach ``dual_sphere(p)`` only if its
+    descending degree sequence is no longer than the target's and entrywise
+    at most it.  That condition passes to every ancestor, so the surviving
+    states are closed under taking parents; degree sequences are
+    isomorphism invariants, so a pruned state is isomorphic only to pruned
+    states.  The BFS order, the first representative of every class and
+    the returned certificate are therefore those of the unpruned search.
     """
     n = p.dim
     if n < 3:
@@ -375,6 +387,7 @@ def psc_flip_certificate(p: CombPolytope, depth: int,
     if depth < 0:
         raise BadParameters(f"depth must be >= 0, got {depth}")
     target = dual_sphere(p)
+    bound = _degrees(target)
     target_fp = _family_fingerprint(*_sphere_key(target))
     seen: dict = {}
 
@@ -409,6 +422,10 @@ def psc_flip_certificate(p: CombPolytope, depth: int,
                 if generated > state_cap:
                     raise GuardExceeded(
                         f"flip search generated more than {state_cap} states")
+                degrees = _degrees(new)
+                if len(degrees) > len(bound) or any(
+                        d > b for d, b in zip(degrees, bound)):
+                    continue
                 kind = "vertex" if len(sigma) == n else "general"
                 move = FlipMove(kind=kind, target=tuple(sorted(sigma)),
                                 codim=len(sigma))
@@ -421,6 +438,15 @@ def psc_flip_certificate(p: CombPolytope, depth: int,
         if not frontier:
             break
     return None
+
+
+def _degrees(k: SimplicialSphere) -> list[int]:
+    """Vertex degrees of the 1-skeleton, largest first."""
+    nbrs: dict = {}
+    for f in k.facets:
+        for x in f:
+            nbrs.setdefault(x, set()).update(f)
+    return sorted((len(s) - 1 for s in nbrs.values()), reverse=True)
 
 
 def _candidate_faces(k: SimplicialSphere, n: int):

@@ -519,8 +519,10 @@ def polytope_from_json(data) -> CombPolytope:
     if isinstance(data, (str, bytes)):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ParseError(f"invalid JSON: {e}") from e
+        except RecursionError as e:
+            raise ParseError("JSON nested too deeply") from e
     if not isinstance(data, dict):
         raise ParseError("polytope JSON must be an object")
     for key in ("dim", "facets", "vertices"):

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import momang
-from momang import polytope_from_json, polytope_to_json, prism, random_vertexcuts, simplex
+from momang import (cube, polytope_from_json, polytope_to_json, prism, random_vertexcuts,
+                    simplex)
 from momang.cli import main
 from momang.corpus import cube_hrep, dodecahedron_hrep, prism_hrep, simplex_hrep
 from momang.hrep import HRep, hrep_to_text
@@ -398,3 +399,90 @@ def test_golden_isomorphic_relabelled(tmp_path, capsys):
     assert main(["isomorphic", a, b, "--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / "isomorphic-rvc12.json").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract: every command on malformed files and bad flags
+
+
+MALFORMED_FILES = {
+    "empty": b"",
+    "not-utf8": b'{"dim": 3, "facets": 4, "vertices": [], "note": "\xff\xfe"}',
+    "deep-array": (b'{"dim": 3, "facets": 4, "vertices": '
+                   + b"[" * 100_000 + b"]" * 100_000 + b"}"),
+    "deep-object": b'{"a": ' * 100_000 + b"1" + b"}" * 100_000,
+    "json-array": b"[1, 2, 3]",
+    "string-dim": b'{"dim": "3", "facets": 4, "vertices": []}',
+    "huge-dim": b'{"dim": 100000000000000000000, "facets": 3, "vertices": [[0, 1, 2]]}',
+    "not-simple": b'{"dim": 3, "facets": 4, "vertices": [[0, 1], [1, 2, 3]]}',
+    "hrep-nan": b"3 4\n1 0 0 nan\n0 1 0 0\n0 0 1 0\n-1 -1 -1 1\n",
+    "hrep-short": b"3 1000000000\n1 0 0 0\n",
+    "hrep-not-utf8": b"3 4\n1 0 0 0\xff\n0 1 0 0\n0 0 1 0\n-1 -1 -1 1\n",
+}
+FILE_COMMANDS = {"validate": [], "recognize": [], "vertex-cut": ["--vertex", "0"],
+                 "collapse": ["--facet", "0"], "flip-cert": ["--depth", "2"],
+                 "andreev": [], "moment-angle": [], "euler": [], "fixed-sets": [],
+                 "filtration": [], "quadrics": [], "verify-quadrics": ["--samples", "5"]}
+
+
+def exit_code(capsys, argv):
+    """``main``'s exit code, argparse's included, and the report's payload."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    out = capsys.readouterr().out
+    return code, json.loads(out)["payload"] if code in (0, 1) else None
+
+
+def test_exit_codes_on_malformed_files(tmp_path, capsys):
+    paths = {name: tmp_path / name for name in MALFORMED_FILES}
+    for name, data in MALFORMED_FILES.items():
+        paths[name].write_bytes(data)
+    paths["missing"], paths["directory"] = tmp_path / "missing", tmp_path
+    good = write_polytope(tmp_path, "prism.json", prism())
+    runs = [[cmd, str(path), *extra] for cmd, extra in FILE_COMMANDS.items()
+            for path in paths.values()]
+    runs += [["isomorphic", *pair] for path in paths.values()
+             for pair in ((str(path), good), (good, str(path)))]
+    for argv in runs:
+        assert exit_code(capsys, argv)[0] == 2, argv
+
+
+def test_exit_codes_on_bad_flags(tmp_path, capsys):
+    cube3 = write_polytope(tmp_path, "cube.json", cube(3))
+    prism3 = write_polytope(tmp_path, "prism.json", prism())
+    hrep = tmp_path / "cube.hrep"
+    hrep.write_text(hrep_to_text(cube_hrep(3)))
+    hrep, triangle = str(hrep), write_polytope(tmp_path, "triangle.json", simplex(2))
+    runs = [
+        [], ["nosuch"], ["--bogus"], ["validate"], ["validate", cube3, "--format", "xml"],
+        ["validate", cube3, "--out", str(tmp_path / "no-dir" / "out.json")],
+        ["validate", cube3, "--out", str(tmp_path)],
+        ["flip-cert", cube3, "--depth", "-1"], ["flip-cert", cube3, "--guard", "-5"],
+        ["flip-cert", triangle, "--depth", "1"], ["flip-cert", cube3, "--guard", "3"],
+        ["vertex-cut", cube3, "--vertex", "-1"], ["vertex-cut", cube3, "--vertex", "99"],
+        ["collapse", cube3, "--facet", "abc"], ["collapse", cube3, "--facet", "0"],
+        ["moment-angle", cube3, "--guard", "-1"], ["fixed-sets", cube3, "--guard", "0"],
+        ["quadrics", hrep, "--tol", "-1"], ["quadrics", hrep, "--tol", "0"],
+        ["quadrics", hrep, "--tol", "nan"], ["quadrics", hrep, "--tol", "inf"],
+        ["verify-quadrics", hrep, "--seed", "-1"],
+        ["verify-quadrics", hrep, "--samples", "-1"],
+        ["generate", "cube", "-1"], ["generate", "simplex", "0"], ["generate", "cube"],
+        ["generate", "random-vertexcuts", "-1"], ["generate", "prism", "3"],
+        ["generate", "dodecahedron", "2"], ["generate", "tetrahedron"],
+        ["recognize", prism3, "--strict"], ["recognize", cube3, "--strict"],
+        ["andreev", prism3, "--strict"], ["andreev", cube3, "--strict"],
+    ]
+    negative = {"recognize": lambda p: p["verdict"] == "no",
+                "andreev": lambda p: not p["no_prismatic_circuits"]}
+    seen = set()
+    for argv in runs:
+        code, payload = exit_code(capsys, argv)
+        assert code in (0, 1, 2, 3), argv
+        if code == 1:  # only a negative verdict under --strict
+            assert "--strict" in argv and negative[argv[0]](payload), argv
+        seen.add(code)
+    assert exit_code(capsys, ["verify-quadrics", hrep, "--seed", "-1"])[0] == 2
+    assert exit_code(capsys, ["validate", cube3, "--out", str(tmp_path)])[0] == 2
+    assert seen == {0, 1, 2, 3}

@@ -354,6 +354,15 @@ def transformed(rows, offsets, transform):
     return rows[list(perm)], offsets[list(perm)]
 
 
+def vertex_ranks(h, relabel=lambda f: f):
+    """Gradient rank at each lifted vertex, keyed by its relabelled facets."""
+    p, coords = enumerate_vertices(h)
+    q = relation_matrix(h)
+    return {tuple(sorted(relabel(f) for f in v)):
+            quadric_gradient_rank(q, lift_point(h, x, [1] * h.m))
+            for v, x in zip(p.vertices, coords)}
+
+
 @pytest.mark.parametrize("name", METAMORPHIC_CORPUS)
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(data=st.data())
@@ -367,6 +376,11 @@ def test_verdicts_invariant_under_translation_scaling_permutation(name, data):
     q, _ = enumerate_vertices(moved)
     assert sorted(tuple(sorted(perm[f] for f in v)) for v in q.vertices) == list(p.vertices)
     assert verify_nondegeneracy(moved, sample_count=40, seed=1).passed
+    # gradient ranks see only the scaling and the permutation: far out, the
+    # lifted squares <a_k, x> + b_k carry rounding that no residual test on
+    # the quadric system alone can tell from an off-variety point
+    scaled = make_hrep(*transformed(h.A.T, h.b, ([0.0] * h.n, 0, *transform[2:])))
+    assert vertex_ranks(scaled, perm.__getitem__) == vertex_ranks(h)
 
 
 @pytest.mark.parametrize("name", REJECTED)

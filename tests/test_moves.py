@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -26,6 +27,7 @@ from momang import (
     vertex_cut,
 )
 from momang.errors import (
+    BadParameters,
     DimensionUnsupported,
     GuardExceeded,
     IsSimplex,
@@ -34,8 +36,14 @@ from momang.errors import (
     NotAFace,
     NotSimplexFacet,
 )
-from momang.moves import PrismaticCircuit
-from momang.polytope import facet_graph, validate_sphere
+from momang.moves import (
+    FlipMove,
+    PrismaticCircuit,
+    _candidate_faces,
+    _sphere_key,
+    _spheres_isomorphic,
+)
+from momang.polytope import _family_fingerprint, facet_graph, validate_sphere
 from conftest import cut_cube, cut_prism
 
 
@@ -96,6 +104,65 @@ def _cycle_order(sub, combo):
         if len(order) > len(combo):
             return None
     return order if len(order) == len(combo) else None
+
+
+def flip_oracle(p, depth: int, state_cap: int = 100_000):
+    """The flip search without degree pruning: breadth-first over every
+    codimension >= 3 flip from the n-simplex boundary, deduplicating up to
+    isomorphism."""
+    n = p.dim
+    if n < 3:
+        raise DimensionUnsupported(
+            f"codimension >= 3 flips need dim >= 3, got {n}")
+    if depth < 0:
+        raise BadParameters(f"depth must be >= 0, got {depth}")
+    target = dual_sphere(p)
+    target_fp = _family_fingerprint(*_sphere_key(target))
+    seen: dict = {}
+
+    def matches(state, fp):
+        return fp == target_fp and _spheres_isomorphic(state, target)
+
+    def register(state, fp) -> bool:
+        bucket = seen.setdefault(fp, [])
+        if any(_spheres_isomorphic(state, other) for other in bucket):
+            return False
+        bucket.append(state)
+        return True
+
+    # every state is fingerprinted once, for both the match and the dedup
+    start = simplex_boundary_sphere(n)
+    fp = _family_fingerprint(*_sphere_key(start))
+    if matches(start, fp):
+        return []
+    register(start, fp)
+    frontier = deque([(start, [])])
+    generated = 1
+    for _ in range(depth):
+        next_frontier = deque()
+        while frontier:
+            state, path = frontier.popleft()
+            for sigma in _candidate_faces(state, n):
+                try:
+                    new = bistellar_flip(state, sigma)
+                except LinkNotStandard:
+                    continue
+                generated += 1
+                if generated > state_cap:
+                    raise GuardExceeded(
+                        f"flip search generated more than {state_cap} states")
+                kind = "vertex" if len(sigma) == n else "general"
+                move = FlipMove(kind=kind, target=tuple(sorted(sigma)),
+                                codim=len(sigma))
+                fp = _family_fingerprint(*_sphere_key(new))
+                if matches(new, fp):
+                    return path + [move]
+                if register(new, fp):
+                    next_frontier.append((new, path + [move]))
+        frontier = next_frontier
+        if not frontier:
+            break
+    return None
 
 
 def brute_prismatic(p, k):
@@ -432,3 +499,79 @@ def test_certificate_cut_simplex4():
     moves = psc_flip_certificate(p, depth=2)
     assert moves is not None and len(moves) == 1
     assert moves[0].kind == "vertex" and moves[0].codim == 4
+
+
+def _flip_outcome(search, p, depth, state_cap=100_000):
+    try:
+        return search(p, depth=depth, state_cap=state_cap)
+    except GuardExceeded:
+        return GuardExceeded
+
+
+FLIP_ORACLE_CASES = [
+    ("prism", prism, 3, 100_000),
+    ("prism-guard", prism, 3, 1),
+    ("cube", lambda: cube(3), 4, 100_000),
+    ("cube-guard", lambda: cube(3), 4, 10),
+    ("cut-cube", lambda: vertex_cut(cube(3), 0), 5, 100_000),
+    ("rvc-1-0", lambda: random_vertexcuts(1, seed=0), 2, 100_000),
+    ("rvc-2-4", lambda: random_vertexcuts(2, seed=4), 3, 100_000),
+    ("rvc-3-1", lambda: random_vertexcuts(3, seed=1), 4, 100_000),
+    ("rvc-4-2", lambda: random_vertexcuts(4, seed=2), 5, 100_000),
+    ("rvc-5-3", lambda: random_vertexcuts(5, seed=3), 5, 100_000),
+    ("simplex4-cut", lambda: vertex_cut(simplex(4), 0), 3, 100_000),
+    ("simplex4-cut-twice", lambda: vertex_cut(vertex_cut(simplex(4), 0), 3), 3, 100_000),
+    ("cube4", lambda: cube(4), 3, 100_000),
+    ("cube4-depth2", lambda: cube(4), 2, 100_000),
+    ("cube4-guard", lambda: cube(4), 3, 30),
+]
+
+
+@pytest.mark.parametrize("make,depth,cap", [c[1:] for c in FLIP_ORACLE_CASES],
+                         ids=[c[0] for c in FLIP_ORACLE_CASES])
+def test_flip_search_matches_unpruned_oracle(make, depth, cap):
+    p = make()
+    assert _flip_outcome(psc_flip_certificate, p, depth, cap) == \
+        _flip_outcome(flip_oracle, p, depth, cap)
+
+
+def _skeleton(k):
+    """Each vertex label with its set of 1-skeleton neighbours."""
+    nbrs: dict = {}
+    for f in k.facets:
+        for x in f:
+            nbrs.setdefault(x, set()).update(f - {x})
+    return nbrs
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_flips_never_lower_degrees(n):
+    # the degree prune in psc_flip_certificate rests on this: the faces it
+    # flips (codimension >= 3) delete no vertex and no edge
+    for seed in range(3):
+        rng = random.Random(seed)
+        state = simplex_boundary_sphere(n)
+        kinds = set()
+        for _ in range(10):
+            faces = _candidate_faces(state, n)
+            rng.shuffle(faces)
+            for sigma in faces:
+                try:
+                    new = bistellar_flip(state, sigma)
+                except LinkNotStandard:
+                    continue
+                break
+            before, after = _skeleton(state), _skeleton(new)
+            assert set(before) <= set(after)
+            assert all(before[x] <= after[x] for x in before)
+            kinds.add(len(sigma))
+            state = new
+        assert min(kinds) >= 3
+
+
+def test_pruned_search_generates_few_states():
+    # with the degree prune the cut cube's search dies out after 19 flips,
+    # at any depth; the unpruned search needs 133 at depth 5 alone
+    assert psc_flip_certificate(vertex_cut(cube(3), 0), depth=8, state_cap=19) is None
+    with pytest.raises(GuardExceeded):
+        psc_flip_certificate(vertex_cut(cube(3), 0), depth=8, state_cap=18)
