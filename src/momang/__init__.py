@@ -2,7 +2,7 @@
 moment-angle manifolds (chamber complexes and quadric intersection models).
 
 The :mod:`momang.hrep` names load on first access, so importing the package
-for its combinatorial parts does not load numpy or scipy.
+for its combinatorial parts does not load numpy.
 """
 
 __version__ = "0.1.0"

@@ -9,8 +9,8 @@ Exit codes: 0 ok, 1 negative verdict under ``--strict`` (recognize,
 andreev), 2 input error, 3 guard exceeded.
 
 Only the H-rep commands (``quadrics``, ``verify-quadrics``) import
-:mod:`momang.hrep`, and with it numpy and scipy; the combinatorial
-commands start without them.
+:mod:`momang.hrep`, and with it numpy; the combinatorial commands start
+without it.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The combinatorial generators build facet-vertex incidences directly; the
 dodecahedron's is the fixed incidence that vertex enumeration of
 :func:`dodecahedron_hrep` yields.  The ``*_hrep`` generators give
 half-space presentations and are the only ones that load :mod:`momang.hrep`
-(and with it numpy and scipy).
+(and with it numpy).
 """
 
 from __future__ import annotations

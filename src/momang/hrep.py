@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     BadParameters,
@@ -110,6 +109,55 @@ class EmbeddedPoint:
 # construction
 
 
+_LP_EPS = 1e-9  # pivots, reduced costs and phase I, on unit-row data
+
+
+def _simplex(M, r, cost):
+    """min cost·λ subject to M λ = r and λ >= 0, by a dense two-phase tableau.
+
+    Returns ``("optimal", value)``, ``("infeasible", nan)`` or
+    ``("unbounded", nan)``.  Bland's rule picks the lowest entering index and,
+    among ratio-test ties, the lowest basic index, so it cannot cycle.
+    Phase I starts from one artificial column per row and minimises their sum.
+    """
+    k, N = M.shape
+    sign = np.where(r < 0, -1.0, 1.0)
+    T = np.zeros((k + 1, N + k + 1))
+    T[:k, :N], T[:k, N:-1], T[:k, -1] = M * sign[:, None], np.eye(k), r * sign
+    T[k] = -T[:k].sum(axis=0)
+    T[k, N:-1] = 0.0
+    basis = list(range(N, N + k))
+
+    def pivot(i, j):
+        T[i] /= T[i, j]
+        col = T[:, j].copy()
+        col[i] = 0.0
+        T[:] -= np.outer(col, T[i])
+        basis[i] = j
+
+    def optimise(eps):  # only the N real columns enter; False when unbounded
+        while (enter := np.flatnonzero(T[k, :N] < -eps)).size:
+            rows = np.flatnonzero(T[:k, enter[0]] > _LP_EPS)
+            if not rows.size:
+                return False
+            ratios = T[rows, -1] / T[rows, enter[0]]
+            pivot(min(rows[ratios <= ratios.min() + _LP_EPS], key=basis.__getitem__),
+                  enter[0])
+        return True
+
+    optimise(_LP_EPS)
+    if -T[k, -1] > _LP_EPS * max(1.0, float(np.abs(r).sum())):
+        return "infeasible", math.nan
+    for i in range(k):  # drive the artificials left at level zero out of the basis
+        if basis[i] >= N and (cols := np.flatnonzero(np.abs(T[i, :N]) > _LP_EPS)).size:
+            pivot(i, cols[0])
+    costs = np.r_[cost, np.zeros(k)][basis]
+    T[k, :N], T[k, -1] = cost - costs @ T[:k, :N], -costs @ T[:k, -1]
+    if not optimise(_LP_EPS * max(1.0, float(np.abs(cost).max(initial=0.0)))):
+        return "unbounded", math.nan
+    return "optimal", float(-T[k, -1])
+
+
 def make_hrep(rows, offsets, tol: float = 1e-9) -> HRep:
     """Validate raw normals/offsets; see :func:`parse_hrep` for the checks."""
     arows = np.asarray(rows, dtype=float)
@@ -121,7 +169,7 @@ def make_hrep(rows, offsets, tol: float = 1e-9) -> HRep:
         raise ParseError("empty presentation")
     if not (np.isfinite(arows).all() and np.isfinite(b).all()):
         raise ParseError("non-finite entries")
-    if tol <= 0:
+    if not (math.isfinite(tol) and tol > 0):
         raise BadParameters(f"tolerance must be positive, got {tol}")
 
     if not arows.any(axis=1).all():
@@ -132,31 +180,31 @@ def make_hrep(rows, offsets, tol: float = 1e-9) -> HRep:
     h = HRep(n=n, m=m, A=A, b=b, tol=tol)
     f = h._frame
 
-    # Bounded iff the normals positively span R^n: full rank plus a positive
-    # dependence (all weights >= 1 summing to zero).
+    # Bounded iff the normals positively span R^n: full rank plus weights
+    # w = 1 + v >= 1 with U^t w = 0.
     if _numeric_rank(f.U, tol) < n:
         raise Unbounded("inward normals do not span the space")
-    res = linprog(np.zeros(m), A_eq=f.U.T, b_eq=np.zeros(n),
-                  bounds=[(1, None)] * m, method="highs")
-    if not res.success:
+    ones = np.ones(m)
+    if _simplex(f.U.T, -f.U.T @ ones, np.zeros(m))[0] != "optimal":
         raise Unbounded("inward normals do not positively span the space")
 
-    # Full-dimensional iff the Chebyshev radius is positive.
-    res = linprog(np.r_[np.zeros(n), -1.0], A_ub=np.hstack([-f.U, np.ones((m, 1))]),
-                  b_ub=f.c, bounds=[(None, None)] * (n + 1), method="highs")
-    if res.status != 0 or -res.fun <= f.thr:
+    # Full-dimensional iff the Chebyshev radius max{t : U x + c' >= t 1} is
+    # positive; it equals min{c' λ : U^t λ = 0, 1 λ = 1, λ >= 0}.
+    status, radius = _simplex(np.vstack([f.U.T, ones]), np.r_[np.zeros(n), 1.0], f.c)
+    if status != "optimal" or radius <= f.thr:
         raise EmptyInterior("no interior point within tolerance")
 
-    # Irredundant iff dropping the inequality exposes points violating it.
+    # Irredundant iff dropping the inequality exposes points violating it:
+    # min{u_i x + c'_i : U_keep x + c'_keep >= 0} = c'_i - min{c'_keep λ :
+    # U_keep^t λ = u_i, λ >= 0}, and an infeasible dual means no minimum.
     for i in range(m):
-        keep = [j for j in range(m) if j != i]
-        res = linprog(f.U[i], A_ub=-f.U[keep], b_ub=f.c[keep],
-                      bounds=[(None, None)] * n, method="highs")
-        if res.status == 3:
+        keep = np.arange(m) != i
+        status, value = _simplex(f.U[keep].T, f.U[i], f.c[keep])
+        if status == "infeasible":
             continue  # unbounded below without row i: certainly irredundant
-        if res.status != 0:
+        if status != "optimal":
             raise ParseError(f"LP solver failed on redundancy check {i}")
-        if res.fun + f.c[i] >= -f.thr:
+        if f.c[i] - value >= -f.thr:
             raise RedundantHalfspace(i)
     return h
 

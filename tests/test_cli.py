@@ -273,6 +273,27 @@ print(json.dumps({"codes": codes, "heavy": sorted(
 """
 
 
+HREP_BUDGET_SCRIPT = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # from here on, importing scipy raises ImportError
+from momang.cli import main
+from momang.corpus import cube_hrep
+from momang.hrep import hrep_to_text
+
+with open("cube.hrep", "w") as fh:
+    fh.write(hrep_to_text(cube_hrep(3)))
+with open("redundant.hrep", "w") as fh:
+    fh.write("3 5\\n1 0 0 0\\n1 0 0 0\\n0 1 0 0\\n0 0 1 0\\n-1 -1 -1 1\\n")
+runs = [["quadrics", "cube.hrep"], ["verify-quadrics", "cube.hrep"],
+        ["quadrics", "redundant.hrep"]]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+print(json.dumps({"codes": codes, "scipy": sorted(
+    name for name, module in sys.modules.items()
+    if module is not None and name.split(".")[0] == "scipy")}))
+"""
+
+
 def test_combinatorial_commands_import_no_heavy_libraries(tmp_path):
     # a fresh interpreter: the test process itself has numpy, scipy and
     # networkx loaded already
@@ -283,11 +304,11 @@ def test_combinatorial_commands_import_no_heavy_libraries(tmp_path):
                           capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"codes": [0] * 10, "heavy": []}
-    hpath = tmp_path / "cube.hrep"
-    hpath.write_text(hrep_to_text(cube_hrep(3)))
-    proc = subprocess.run([sys.executable, "-m", "momang.cli", "quadrics",
-                           str(hpath)], capture_output=True, text=True, env=env)
+    # the H-rep commands run with every import of scipy failing
+    proc = subprocess.run([sys.executable, "-c", HREP_BUDGET_SCRIPT],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 2], "scipy": []}
 
 
 MEMORY_BUDGET_SCRIPT = """
@@ -466,6 +487,7 @@ def test_exit_codes_on_bad_flags(tmp_path, capsys):
         ["moment-angle", cube3, "--guard", "-1"], ["fixed-sets", cube3, "--guard", "0"],
         ["quadrics", hrep, "--tol", "-1"], ["quadrics", hrep, "--tol", "0"],
         ["quadrics", hrep, "--tol", "nan"], ["quadrics", hrep, "--tol", "inf"],
+        ["verify-quadrics", hrep, "--tol", "nan"], ["verify-quadrics", hrep, "--tol", "inf"],
         ["verify-quadrics", hrep, "--seed", "-1"],
         ["verify-quadrics", hrep, "--samples", "-1"],
         ["generate", "cube", "-1"], ["generate", "simplex", "0"], ["generate", "cube"],
@@ -484,5 +506,9 @@ def test_exit_codes_on_bad_flags(tmp_path, capsys):
             assert "--strict" in argv and negative[argv[0]](payload), argv
         seen.add(code)
     assert exit_code(capsys, ["verify-quadrics", hrep, "--seed", "-1"])[0] == 2
+    for command in ("quadrics", "verify-quadrics"):
+        for tol in ("nan", "inf"):
+            assert main([command, hrep, "--tol", tol]) == 2, (command, tol)
+            assert json.loads(capsys.readouterr().err)["error"] == "BadParameters"
     assert exit_code(capsys, ["validate", cube3, "--out", str(tmp_path)])[0] == 2
     assert seen == {0, 1, 2, 3}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
+from scipy.optimize import linprog
 
 from momang import (
     combinatorial_isomorphic,
@@ -26,6 +27,7 @@ from momang.corpus import (
     prism_hrep,
     simplex_hrep,
 )
+from momang.hrep import HRep, _simplex
 from momang.errors import (
     EmptyInterior,
     GuardExceeded,
@@ -398,3 +400,115 @@ def test_rejections_invariant_under_translation_scaling_permutation(name, data):
         assert exc.value.index == min(perm.index(0), perm.index(1))
     elif name == "loose_halfspace":
         assert perm[exc.value.index] == 4
+
+
+# ---------------------------------------------------------------------------
+# the simplex behind make_hrep's checks, with linprog as the oracle
+
+
+LINPROG_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+# HiGHS stops at reduced costs of 1e-7 by default, which can leave a value
+# 1e-8 above the optimum when the costs differ by rounding only (the 1e9
+# translations); the comparison is to 1e-9, so the oracle solves tighter.
+HIGHS = dict(method="highs", options=dict(dual_feasibility_tolerance=1e-10,
+                                          primal_feasibility_tolerance=1e-10))
+SLAB = ([[1, 0, 0], [-1, 0, 0]], [0, 1])
+HALFSPACE_ONLY = ([[1, 0], [0, 1], [1, 1]], [0, 0, 1])
+
+
+def tangent_presentation(seed, n):
+    """Planes tangent to the unit sphere: plus and minus an orthonormal frame,
+    then random normals at least 15 degrees from every other."""
+    rng = np.random.default_rng(seed)
+    m = 2 * n + int(rng.integers(1, 9))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    rows = [*q.T, *-q.T]
+    while len(rows) < m:
+        a = rng.standard_normal(n)
+        a /= np.linalg.norm(a)
+        if max(float(a @ r) for r in rows) < math.cos(math.radians(15)):
+            rows.append(a)
+    return rng.permutation(rows), np.ones(m)
+
+
+def frame_lps(rows, offsets):
+    """make_hrep's checks in the frame: (name, dual standard form, primal oracle).
+
+    The standard form (M, r, cost) asks for min cost λ with M λ = r, λ >= 0.
+    The primal is the form the checks took before, as linprog arguments; for
+    the radius and redundancy checks its optimum is minus the dual's."""
+    rows, offsets = np.asarray(rows, float), np.asarray(offsets, float)
+    m, n = rows.shape
+    f = HRep(n=n, m=m, A=rows.T, b=offsets)._frame
+    free = [(None, None)]
+    lps = [("span", (f.U.T, -f.U.T @ np.ones(m), np.zeros(m)),
+            dict(c=np.zeros(m), A_eq=f.U.T, b_eq=np.zeros(n), bounds=[(1, None)])),
+           ("radius", (np.vstack([f.U.T, np.ones(m)]), np.r_[np.zeros(n), 1.0], f.c),
+            dict(c=np.r_[np.zeros(n), -1.0], A_ub=np.hstack([-f.U, np.ones((m, 1))]),
+                 b_ub=f.c, bounds=free))]
+    for i in range(m):
+        keep = np.arange(m) != i
+        lps.append((f"redundancy {i}", (f.U[keep].T, f.U[i], f.c[keep]),
+                    dict(c=f.U[i], A_ub=-f.U[keep], b_ub=f.c[keep], bounds=free)))
+    return lps
+
+
+RAW = {**{name: data for name, (data, _) in REJECTED.items()},
+       "slab": SLAB, "halfspace_only": HALFSPACE_ONLY}
+DIFFERENTIAL = [name + variant for name in [*METAMORPHIC_CORPUS, *RAW]
+                for variant in ("", "+1e9", "+scaled")]
+DIFFERENTIAL += [f"tangent{seed}" for seed in range(30)]
+
+
+def differential_input(name):
+    """A corpus H-rep or rejected input, its 1e9 translation or its rows
+    scaled by 10^±9 in turn; or a seeded tangent presentation, n = 2..5."""
+    if name.startswith("tangent"):
+        seed = int(name[len("tangent"):])
+        return tangent_presentation(seed, 2 + seed % 4)
+    name, _, variant = name.partition("+")
+    if name in METAMORPHIC_CORPUS:
+        h = METAMORPHIC_CORPUS[name]()
+        rows, offsets = h.A.T, h.b
+    else:
+        rows, offsets = RAW[name]
+    m, n = len(rows), len(rows[0])
+    direction, shift, scales, _ = extremes(m, n)
+    if variant == "1e9":
+        return transformed(rows, offsets, (direction, shift, [0] * m, range(m)))
+    if variant == "scaled":
+        return transformed(rows, offsets, (direction, 0, scales, range(m)))
+    return rows, offsets
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_simplex_matches_linprog(name):
+    rows, offsets = differential_input(name)
+    for check, (M, r, cost), primal in frame_lps(rows, offsets):
+        status, value = _simplex(M, r, cost)
+        res = linprog(cost, A_eq=M, b_eq=r, bounds=[(0, None)], **HIGHS)
+        assert status == LINPROG_STATUS[res.status], (check, res.message)
+        if status == "optimal":
+            assert abs(value - res.fun) <= 1e-9, (check, value, res.fun)
+        # by duality: an infeasible dual means an unbounded primal, and the
+        # optimal values agree; span's dual is the same LP with w = 1 + v
+        res = linprog(**primal, **HIGHS)
+        if check == "span":
+            assert (status == "optimal") == res.success, check
+        elif status == "optimal":
+            assert res.status == 0, (check, res.message)
+            assert abs(value + res.fun) <= 1e-9, (check, value, res.fun)
+        else:
+            assert res.status == {"infeasible": 3, "unbounded": 2}[status], check
+
+
+def test_simplex_statuses():
+    # min -λ_1 with λ_1 - λ_2 = 1: unbounded; λ_1 + λ_2 = -1: infeasible
+    assert _simplex(np.array([[1.0, -1.0]]), np.array([1.0]), np.array([-1.0, 0.0]))[0] \
+        == "unbounded"
+    assert _simplex(np.array([[1.0, 1.0]]), np.array([-1.0]), np.zeros(2))[0] \
+        == "infeasible"
+    # a repeated row stays behind as an artificial at level zero
+    M = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    assert _simplex(M, np.array([1.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0])) \
+        == ("optimal", 2.0)
