@@ -96,32 +96,39 @@ def vertex_cut(p: CombPolytope, vertex_index: int) -> CombPolytope:
     """
     if not 0 <= vertex_index < p.vertex_count:
         raise NoSuchVertex(f"vertex {vertex_index} of {p.vertex_count}")
-    target = set(p.vertices[vertex_index])
-    new_facet = p.facet_count
     verts = [v for i, v in enumerate(p.vertices) if i != vertex_index]
-    for f in sorted(target):
-        verts.append(tuple(sorted((target - {f}) | {new_facet})))
-    return validate_polytope(p.dim, verts)
+    return validate_polytope(p.dim, verts + _cut(p.vertices[vertex_index], p.facet_count))
 
 
-def _collapse_data(p: CombPolytope, facet_index: int):
-    """Vertices on the facet and the union of their other facets."""
-    on = [i for i, v in enumerate(p.vertices) if facet_index in v]
-    neighbors = set()
-    for i in on:
-        neighbors.update(p.vertices[i])
-    neighbors.discard(facet_index)
-    return on, neighbors
+def _cut(vertex, new_facet) -> list:
+    """The vertices that replace ``vertex`` when facet ``new_facet`` cuts it."""
+    return [tuple(sorted((set(vertex) - {f}) | {new_facet})) for f in vertex]
+
+
+def _collapse_error(p: CombPolytope, facet_index: int):
+    """The error :func:`simplex_facet_collapse` raises for this facet, or ``None``."""
+    if not 0 <= facet_index < p.facet_count:
+        return NoSuchFacet(f"facet {facet_index} of {p.facet_count}")
+    n = p.dim
+    on = p.facet_vertices(facet_index)
+    if len(on) != n:
+        return NotSimplexFacet(
+            f"facet {facet_index} has {len(on)} vertices, expected {n}")
+    if is_simplex(p):
+        return IsSimplex("polytope is already the simplex")
+    neighbors = set().union(*(p.vertices[i] for i in on)) - {facet_index}
+    if len(neighbors) != n:
+        return CollapseInadmissible(
+            f"facet {facet_index} is adjacent to {len(neighbors)} facets, expected {n}")
+    if tuple(sorted(neighbors)) in set(p.vertices):
+        return CollapseInadmissible(
+            f"the facets around facet {facet_index} already meet at a vertex")
+    return None
 
 
 def collapse_admissible(p: CombPolytope, facet_index: int) -> bool:
     """Whether :func:`simplex_facet_collapse` accepts this facet."""
-    if not 0 <= facet_index < p.facet_count or is_simplex(p):
-        return False
-    on, neighbors = _collapse_data(p, facet_index)
-    if len(on) != p.dim or len(neighbors) != p.dim:
-        return False
-    return tuple(sorted(neighbors)) not in set(p.vertices)
+    return _collapse_error(p, facet_index) is None
 
 
 def simplex_facet_collapse(p: CombPolytope, facet_index: int) -> CombPolytope:
@@ -132,34 +139,27 @@ def simplex_facet_collapse(p: CombPolytope, facet_index: int) -> CombPolytope:
     vertex of ``p``.  The merged vertex lies in the n facets that surrounded
     the collapsed one; facet indices above the removed facet shift down.
     """
-    if not 0 <= facet_index < p.facet_count:
-        raise NoSuchFacet(f"facet {facet_index} of {p.facet_count}")
-    n = p.dim
-    on, neighbors = _collapse_data(p, facet_index)
-    if len(on) != n:
-        raise NotSimplexFacet(
-            f"facet {facet_index} has {len(on)} vertices, expected {n}")
-    if is_simplex(p):
-        raise IsSimplex("polytope is already the simplex")
-    if len(neighbors) != n:
-        raise CollapseInadmissible(
-            f"facet {facet_index} is adjacent to {len(neighbors)} facets, expected {n}")
-    if tuple(sorted(neighbors)) in set(p.vertices):
-        raise CollapseInadmissible(
-            f"the facets around facet {facet_index} already meet at a vertex")
-
-    def relabel(f):
-        return f if f < facet_index else f - 1
-
-    on_set = set(on)
-    verts = [tuple(sorted(relabel(f) for f in v))
-             for i, v in enumerate(p.vertices) if i not in on_set]
-    verts.append(tuple(sorted(relabel(f) for f in neighbors)))
-    return validate_polytope(n, verts)
+    err = _collapse_error(p, facet_index)
+    if err is not None:
+        raise err
+    on = [v for v in p.vertices if facet_index in v]
+    verts = [v for v in p.vertices if facet_index not in v]
+    verts.append(set().union(*on) - {facet_index})
+    return validate_polytope(p.dim, [[f if f < facet_index else f - 1 for f in v]
+                                     for v in verts])
 
 
 # ---------------------------------------------------------------------------
 # recognition
+
+
+def _facet_neighbours(p: CombPolytope) -> list[set]:
+    """For each facet, the set of facets sharing a vertex with it."""
+    nbrs = [set() for _ in range(p.facet_count)]
+    for v in p.vertices:
+        for f in v:
+            nbrs[f].update(x for x in v if x != f)
+    return nbrs
 
 
 def recognize_vertexcut_reducible(p: CombPolytope) -> ReductionTrace:
@@ -168,22 +168,40 @@ def recognize_vertexcut_reducible(p: CombPolytope) -> ReductionTrace:
     Collapses the lowest-indexed admissible triangle at every step so traces
     are deterministic.  Returns a trace with ``reducible=True`` and
     ``end`` the tetrahedron, or ``reducible=False`` with the stuck polytope.
+
+    The run peels triangles off the start's facet graph in its original
+    labels and validates only ``end``.  That repeats the collapses exactly:
+
+    * a collapse changes no adjacency between surviving facets, because the
+      triangle's three neighbours already meet pairwise;
+    * on a simple 3-polytope a facet with three neighbours is a triangle;
+    * its neighbours can already meet at a vertex only in the tetrahedron,
+      so that test cannot fire while more than four facets survive;
+    * relabelling is monotone, so the lowest admissible current index is
+      the rank among the survivors of the lowest admissible original label.
     """
     if p.dim != 3:
         raise DimensionUnsupported(f"recognition needs dim 3, got {p.dim}")
+    nbrs = _facet_neighbours(p)
+    alive = list(range(p.facet_count))
     steps: list[int] = []
-    counts: list[int] = []
-    cur = p
-    while not is_simplex(cur):
-        for f in range(cur.facet_count):
-            if collapse_admissible(cur, f):
-                cur = simplex_facet_collapse(cur, f)
-                steps.append(f)
-                counts.append(cur.facet_count)
-                break
-        else:
-            return ReductionTrace(False, tuple(steps), tuple(counts), p, cur)
-    return ReductionTrace(True, tuple(steps), tuple(counts), p, cur)
+    merged: list[set] = []
+    while len(alive) > 4:
+        rank = next((r for r, f in enumerate(alive) if len(nbrs[f]) == 3), None)
+        if rank is None:
+            break
+        f = alive.pop(rank)
+        for g in nbrs[f]:
+            nbrs[g].discard(f)
+        steps.append(rank)
+        merged.append(nbrs[f])
+    # a start or merged vertex lasts until one of its facets collapses
+    label = {f: r for r, f in enumerate(alive)}
+    verts = [[label[f] for f in v] for v in itertools.chain(p.vertices, merged)
+             if all(f in label for f in v)]
+    end = validate_polytope(3, verts, None if steps else p.facet_labels)
+    counts = range(p.facet_count - 1, len(alive) - 1, -1)
+    return ReductionTrace(len(alive) == 4, tuple(steps), tuple(counts), p, end)
 
 
 def replay_collapses(start: CombPolytope, steps) -> CombPolytope:
@@ -197,34 +215,39 @@ def replay_collapses(start: CombPolytope, steps) -> CombPolytope:
 def rebuild_by_cuts(trace: ReductionTrace) -> CombPolytope:
     """Replay a trace backwards as vertex cuts starting from ``trace.end``.
 
-    Walks the collapse sequence forward once to recover each merged vertex,
-    then cuts them back in reverse order while tracking the facet relabeling
-    each collapse introduced.  The result is a polytope built from
-    ``trace.end`` purely by vertex cuts; for a reducible trace it is
-    isomorphic to ``trace.start``.
+    Peels the start's facet graph along the steps as recognition does: each
+    collapsed facet merged into the vertex of its start neighbours that
+    outlive it.  Those vertices are cut back in reverse order on one vertex
+    set, fresh facets numbered on from ``trace.end``'s, and the result is
+    validated once; for a reducible trace it is isomorphic to ``trace.start``.
     """
-    stages = [trace.start]
-    merged_sets = []
-    cur = trace.start
-    for f in trace.steps:
-        _, neighbors = _collapse_data(cur, f)
-        merged = tuple(sorted(x if x < f else x - 1 for x in neighbors))
-        cur = simplex_facet_collapse(cur, f)
-        stages.append(cur)
-        merged_sets.append(merged)
+    n = trace.start.dim
+    nbrs = _facet_neighbours(trace.start)
+    alive = list(range(trace.start.facet_count))
+    collapsed = []
+    for s in trace.steps:
+        if not 0 <= s < len(alive):
+            raise NoSuchFacet(f"facet {s} of {len(alive)}")
+        f = alive[s]
+        if len(nbrs[f]) != n:
+            raise NotSimplexFacet(f"facet {s} has {len(nbrs[f])} vertices, expected {n}")
+        if len(alive) == n + 1:
+            raise IsSimplex("polytope is already the simplex")
+        del alive[s]
+        for g in nbrs[f]:
+            nbrs[g].discard(f)
+        collapsed.append(f)
 
-    q = trace.end
-    # pi maps facet labels of stages[k] to facet labels of q.
-    pi = list(range(trace.end.facet_count))
-    for k in range(len(trace.steps) - 1, -1, -1):
-        want = frozenset(pi[f] for f in merged_sets[k])
-        (v_idx,) = [i for i, v in enumerate(q.vertices) if frozenset(v) == want]
-        fresh = q.facet_count
-        q = vertex_cut(q, v_idx)
-        t = trace.steps[k]
-        pi = [pi[i] if i < t else (fresh if i == t else pi[i - 1])
-              for i in range(stages[k].facet_count)]
-    return q
+    label = {f: r for r, f in enumerate(alive)}
+    verts = set(trace.end.vertices)
+    for fresh, f in enumerate(reversed(collapsed), trace.end.facet_count):
+        v = tuple(sorted(label[g] for g in nbrs[f]))
+        if v not in verts:
+            raise NoSuchVertex(f"trace end has no vertex {v} to cut")
+        verts.remove(v)
+        verts.update(_cut(v, fresh))
+        label[f] = fresh
+    return validate_polytope(n, verts, None if collapsed else trace.end.facet_labels)
 
 
 def trace_to_json(trace: ReductionTrace) -> dict:
@@ -295,10 +318,7 @@ def prismatic_circuits(p: CombPolytope, k: int) -> list[PrismaticCircuit]:
     if k < 3:
         raise BadParameters(f"circuit length must be >= 3, got {k}")
     shared = _shared_vertices(p)
-    nbrs = [set() for _ in range(p.facet_count)]
-    for i, j in shared:
-        nbrs[i].add(j)
-        nbrs[j].add(i)
+    nbrs = _facet_neighbours(p)
 
     out = []
     for s in range(p.facet_count):

@@ -1,9 +1,12 @@
+import dataclasses
 import itertools
 import random
+import time
 from collections import deque
 
 import pytest
 
+import momang.moves as moves
 from momang import (
     bistellar_flip,
     collapse_admissible,
@@ -32,6 +35,8 @@ from momang.errors import (
     GuardExceeded,
     IsSimplex,
     LinkNotStandard,
+    MomangError,
+    NoSuchFacet,
     NoSuchVertex,
     NotAFace,
     NotSimplexFacet,
@@ -39,11 +44,17 @@ from momang.errors import (
 from momang.moves import (
     FlipMove,
     PrismaticCircuit,
+    ReductionTrace,
     _candidate_faces,
     _sphere_key,
     _spheres_isomorphic,
 )
-from momang.polytope import _family_fingerprint, facet_graph, validate_sphere
+from momang.polytope import (
+    _family_fingerprint,
+    facet_graph,
+    validate_polytope,
+    validate_sphere,
+)
 from conftest import cut_cube, cut_prism
 
 
@@ -60,6 +71,55 @@ def reducible_exhaustive(p):
                 simplex_facet_collapse(p, f)):
             return True
     return False
+
+
+def recognize_oracle(p):
+    """Greedy recognition on whole polytopes: each step scans the current
+    facets from 0 for the first admissible collapse and validates the
+    collapsed polytope."""
+    if p.dim != 3:
+        raise DimensionUnsupported(f"recognition needs dim 3, got {p.dim}")
+    steps: list[int] = []
+    counts: list[int] = []
+    cur = p
+    while not is_simplex(cur):
+        for f in range(cur.facet_count):
+            if collapse_admissible(cur, f):
+                cur = simplex_facet_collapse(cur, f)
+                steps.append(f)
+                counts.append(cur.facet_count)
+                break
+        else:
+            return ReductionTrace(False, tuple(steps), tuple(counts), p, cur)
+    return ReductionTrace(True, tuple(steps), tuple(counts), p, cur)
+
+
+def rebuild_oracle(trace):
+    """Rebuild by replaying every collapse to recover the merged vertices,
+    then cutting them back one validated polytope at a time while tracking
+    the facet relabelling of each collapse."""
+    stages = [trace.start]
+    merged_sets = []
+    cur = trace.start
+    for f in trace.steps:
+        neighbors = set().union(*(v for v in cur.vertices if f in v)) - {f}
+        merged = tuple(sorted(x if x < f else x - 1 for x in neighbors))
+        cur = simplex_facet_collapse(cur, f)
+        stages.append(cur)
+        merged_sets.append(merged)
+
+    q = trace.end
+    # pi maps facet labels of stages[k] to facet labels of q.
+    pi = list(range(trace.end.facet_count))
+    for k in range(len(trace.steps) - 1, -1, -1):
+        want = frozenset(pi[f] for f in merged_sets[k])
+        (v_idx,) = [i for i, v in enumerate(q.vertices) if frozenset(v) == want]
+        fresh = q.facet_count
+        q = vertex_cut(q, v_idx)
+        t = trace.steps[k]
+        pi = [pi[i] if i < t else (fresh if i == t else pi[i - 1])
+              for i in range(stages[k].facet_count)]
+    return q
 
 
 def prismatic_oracle(p, k):
@@ -263,6 +323,19 @@ def test_collapse_simplex_refused():
         simplex_facet_collapse(simplex(3), 0)
 
 
+def test_collapse_admissible_iff_collapse_succeeds(corpus):
+    inputs = list(corpus) + [("simplex4", simplex(4)),
+                             ("cut_cube4", vertex_cut(cube(4), 0))]
+    for name, p in inputs:
+        for f in (-1, *range(p.facet_count), p.facet_count):
+            try:
+                simplex_facet_collapse(p, f)
+                accepted = True
+            except MomangError:
+                accepted = False
+            assert collapse_admissible(p, f) == accepted, (name, f)
+
+
 def test_roundtrip_cut_then_collapse(corpus):
     # collapsing the fresh facet undoes the cut exactly (canonical ordering)
     for name, p in corpus:
@@ -342,6 +415,96 @@ def test_greedy_matches_exhaustive(small_corpus):
     for name, p in small_corpus:
         greedy = recognize_vertexcut_reducible(p).reducible
         assert greedy == reducible_exhaustive(p), name
+
+
+def relabelled(p, seed):
+    perm = list(range(p.facet_count))
+    random.Random(seed).shuffle(perm)
+    return validate_polytope(p.dim, [[perm[f] for f in v] for v in p.vertices])
+
+
+def peel_oracle_inputs():
+    inputs = [(f"rvc{k}-{s}", random_vertexcuts(k, s))
+              for k in (0, 1, 2, 3, 4, 8, 12, 24, 40, 100) for s in range(4)]
+    inputs.append(("rvc200-0", random_vertexcuts(200, 0)))
+    inputs += [(f"{name}-cut{c}", seeded_cuts(make(), c, c))
+               for name, make in (("cube", lambda: cube(3)),
+                                  ("dodecahedron", dodecahedron), ("prism", prism))
+               for c in range(1, 9)]
+    # k <= 40 cuts means at most 44 facets
+    inputs += [(f"{name}-relabelled", relabelled(p, i))
+               for i, (name, p) in enumerate(inputs) if p.facet_count <= 44]
+    for name, p in (("simplex", simplex(3)), ("prism", prism()), ("cube", cube(3))):
+        labels = [f"F{i}" for i in range(p.facet_count)]
+        inputs.append((f"{name}-labelled", validate_polytope(3, p.vertices, labels)))
+    return inputs
+
+
+def test_peel_matches_oracles():
+    for name, p in peel_oracle_inputs():
+        tr = recognize_vertexcut_reducible(p)
+        assert tr == recognize_oracle(p), name
+        assert rebuild_by_cuts(tr) == rebuild_oracle(tr), name
+
+
+def test_rebuild_matches_oracle_in_dim_4():
+    # collapsing the newest cut facet first undoes the cuts one by one
+    start = seeded_cuts(simplex(4), 3, 1)
+    steps = (7, 6, 5)
+    tr = ReductionTrace(True, steps, steps, start, replay_collapses(start, steps))
+    assert is_simplex(tr.end)
+    assert rebuild_by_cuts(tr) == rebuild_oracle(tr)
+
+
+def test_validation_once_per_call(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return validate_polytope(*args, **kwargs)
+
+    inputs = [random_vertexcuts(12, 0), seeded_cuts(dodecahedron(), 3, 3), simplex(3)]
+    monkeypatch.setattr(moves, "validate_polytope", counting)
+    for p in inputs:
+        calls.clear()
+        tr = recognize_vertexcut_reducible(p)
+        assert len(calls) == 1
+        rebuild_by_cuts(tr)
+        assert len(calls) == 2
+
+
+def _forged(make, **changes):
+    return lambda: dataclasses.replace(recognize_vertexcut_reducible(make()), **changes)
+
+
+FORGED_TRACES = [
+    ("step-minus-one", _forged(prism, steps=(-1,)), NoSuchFacet),
+    # after one collapse of the cut prism five facets survive
+    ("step-past-survivors", _forged(cut_prism, steps=(5, 5)), NoSuchFacet),
+    ("step-past-tetrahedron", _forged(prism, steps=(3, 0)), IsSimplex),
+    ("step-on-square", _forged(prism, steps=(0,)), NotSimplexFacet),
+    ("end-lacks-merged-vertex", _forged(cut_cube, end=cut_prism()), NoSuchVertex),
+]
+
+
+@pytest.mark.parametrize("make,error", [c[1:] for c in FORGED_TRACES],
+                         ids=[c[0] for c in FORGED_TRACES])
+def test_rebuild_rejects_forged_traces(make, error):
+    with pytest.raises(MomangError) as info:
+        rebuild_by_cuts(make())
+    assert type(info.value) is error
+
+
+def test_recognize_and_rebuild_big_input():
+    p = random_vertexcuts(800, 0)
+    assert p.facet_count == 804
+    t0 = time.perf_counter()
+    tr = recognize_vertexcut_reducible(p)
+    rebuilt = rebuild_by_cuts(tr)
+    elapsed = time.perf_counter() - t0
+    assert tr.reducible and len(tr.steps) == 800
+    assert elapsed < 1.0, f"{elapsed:.2f}s"
+    assert combinatorial_isomorphic(rebuilt, p) is not None
 
 
 # ---------------------------------------------------------------------------
