@@ -9,13 +9,14 @@ half-space presentations and are the only ones that load :mod:`momang.hrep`
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
 from typing import TYPE_CHECKING
 
 from .errors import BadParameters, GuardExceeded
-from .moves import vertex_cut
+from .moves import _cut
 from .polytope import _WORK_CAP, CombPolytope, validate_polytope
 
 if TYPE_CHECKING:
@@ -24,8 +25,8 @@ if TYPE_CHECKING:
 
 def _check_size(kind: str, n: int, work: int):
     if work > _WORK_CAP:
-        raise GuardExceeded(f"{kind}({n}): vertex count times {n}^2 exceeds "
-                            f"the work cap {_WORK_CAP}")
+        raise GuardExceeded(f"{kind}({n}): vertex count times dimension^2 "
+                            f"exceeds the work cap {_WORK_CAP}")
 
 
 def simplex(n: int) -> CombPolytope:
@@ -113,15 +114,20 @@ def dodecahedron() -> CombPolytope:
 def random_vertexcuts(k: int, seed: int) -> CombPolytope:
     """Apply k vertex cuts at seeded-random vertices of the tetrahedron.
 
-    Every output is reducible back to the tetrahedron by construction.
+    Every output is reducible back to the tetrahedron by construction.  The
+    cuts run on one sorted vertex list, the order a validated polytope keeps,
+    so each draw indexes the vertices as :func:`vertex_cut` would; cut s
+    adds facet 4 + s, and the result is validated once.
     """
     if k < 0:
         raise BadParameters(f"cut count must be >= 0, got {k}")
+    _check_size("random-vertexcuts", k, (4 + 2 * k) * 9)
     rng = random.Random(seed)
-    p = simplex(3)
-    for _ in range(k):
-        p = vertex_cut(p, rng.randrange(p.vertex_count))
-    return p
+    verts = list(itertools.combinations(range(4), 3))
+    for step in range(k):
+        for w in _cut(verts.pop(rng.randrange(len(verts))), 4 + step):
+            bisect.insort(verts, w)
+    return validate_polytope(3, verts)
 
 
 def generate(kind: str, param: int | None = None, seed: int = 0) -> CombPolytope:

@@ -33,7 +33,7 @@ from .polytope import (
     SimplicialSphere,
     _family_fingerprint,
     _family_isomorphism,
-    _shared_vertices,
+    _pair_sets,
     dual_sphere,
     is_simplex,
     validate_polytope,
@@ -153,15 +153,6 @@ def simplex_facet_collapse(p: CombPolytope, facet_index: int) -> CombPolytope:
 # recognition
 
 
-def _facet_neighbours(p: CombPolytope) -> list[set]:
-    """For each facet, the set of facets sharing a vertex with it."""
-    nbrs = [set() for _ in range(p.facet_count)]
-    for v in p.vertices:
-        for f in v:
-            nbrs[f].update(x for x in v if x != f)
-    return nbrs
-
-
 def recognize_vertexcut_reducible(p: CombPolytope) -> ReductionTrace:
     """Greedy reduction to the tetrahedron by collapsing triangular facets.
 
@@ -182,7 +173,7 @@ def recognize_vertexcut_reducible(p: CombPolytope) -> ReductionTrace:
     """
     if p.dim != 3:
         raise DimensionUnsupported(f"recognition needs dim 3, got {p.dim}")
-    nbrs = _facet_neighbours(p)
+    nbrs = [set(row) for row in _pair_sets(p.facet_count, p.vertices)]
     alive = list(range(p.facet_count))
     steps: list[int] = []
     merged: list[set] = []
@@ -222,7 +213,7 @@ def rebuild_by_cuts(trace: ReductionTrace) -> CombPolytope:
     validated once; for a reducible trace it is isomorphic to ``trace.start``.
     """
     n = trace.start.dim
-    nbrs = _facet_neighbours(trace.start)
+    nbrs = [set(row) for row in _pair_sets(trace.start.facet_count, trace.start.vertices)]
     alive = list(range(trace.start.facet_count))
     collapsed = []
     for s in trace.steps:
@@ -317,8 +308,8 @@ def prismatic_circuits(p: CombPolytope, k: int) -> list[PrismaticCircuit]:
         raise DimensionUnsupported(f"prismatic circuits need dim 3, got {p.dim}")
     if k < 3:
         raise BadParameters(f"circuit length must be >= 3, got {k}")
-    shared = _shared_vertices(p)
-    nbrs = _facet_neighbours(p)
+    pairs = _pair_sets(p.facet_count, p.vertices)
+    nbrs = [set(row) for row in pairs]
 
     out = []
     for s in range(p.facet_count):
@@ -335,7 +326,7 @@ def prismatic_circuits(p: CombPolytope, k: int) -> list[PrismaticCircuit]:
                     stack.append((path + (x,), grown))
                 elif path[1] < x:
                     cycle = path + (x,)
-                    edges = [tuple(shared[min(a, b), max(a, b)])
+                    edges = [tuple(pairs[a][b])
                              for a, b in zip(cycle, cycle[1:] + cycle[:1])]
                     if _pairwise_disjoint(edges):
                         out.append(PrismaticCircuit(facets=cycle, edges=tuple(edges)))
@@ -462,11 +453,7 @@ def psc_flip_certificate(p: CombPolytope, depth: int,
 
 def _degrees(k: SimplicialSphere) -> list[int]:
     """Vertex degrees of the 1-skeleton, largest first."""
-    nbrs: dict = {}
-    for f in k.facets:
-        for x in f:
-            nbrs.setdefault(x, set()).update(f)
-    return sorted((len(s) - 1 for s in nbrs.values()), reverse=True)
+    return sorted(map(len, _pair_sets(*_sphere_key(k))), reverse=True)
 
 
 def _candidate_faces(k: SimplicialSphere, n: int):

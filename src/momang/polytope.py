@@ -30,7 +30,8 @@ if TYPE_CHECKING:
 
 # Cap on predicted enumeration work, checked before anything is listed: the
 # face lattice walks vertex count times 2^n subsets, and the generated
-# simplices and cubes are validated in vertex count times n^2 steps.
+# simplices, cubes and cut tetrahedra are validated in vertex count times
+# n^2 steps.
 _WORK_CAP = 10 ** 7
 
 @dataclass(frozen=True)
@@ -327,81 +328,65 @@ def facet_graph(p: CombPolytope) -> nx.Graph:
     Each edge carries the shared vertex set as attribute ``vertices``.  Two
     facets meeting in several codimension-two faces (possible only in the
     partially validated regime n >= 4) still give one edge; the attribute
-    records the union of the shared vertices.
+    records the union of the shared vertices.  Needs the ``momang[graph]``
+    extra (networkx).
     """
-    import networkx as nx
+    try:
+        import networkx as nx
+    except ImportError as e:
+        raise ImportError("facet_graph needs networkx: install momang[graph]") from e
 
     g = nx.Graph()
     g.add_nodes_from(range(p.facet_count))
-    for (i, j), vids in _shared_vertices(p).items():
-        g.add_edge(i, j, vertices=tuple(vids))
+    for i, row in enumerate(_pair_sets(p.facet_count, p.vertices)):
+        g.add_edges_from((i, j, {"vertices": tuple(vids)})
+                         for j, vids in row.items() if i < j)
     return g
 
 
-def _shared_vertices(p: CombPolytope) -> dict:
-    """Ids of the vertices on each meeting facet pair ``(i, j)``, ``i < j``."""
-    shared = defaultdict(list)
-    for vi, fs in enumerate(p.vertices):
-        for i, j in itertools.combinations(fs, 2):
-            shared[(i, j)].append(vi)
-    return shared
+def _pair_sets(num_labels, sets) -> list[dict]:
+    """Per label a, each label b sharing a set with a, mapped to the ascending
+    ids of the sets holding both: for a polytope's vertices, the facets
+    meeting facet a and the vertices where they meet."""
+    pairs: list[dict] = [{} for _ in range(num_labels)]
+    for k, s in enumerate(sets):
+        for a in s:
+            row = pairs[a]
+            for b in s:
+                if b != a:
+                    row.setdefault(b, []).append(k)
+    return pairs
 
 
 # ---------------------------------------------------------------------------
 # isomorphism of labelled set families
 
-def _joint_refinement(families):
+def _joint_refinement(tables):
     """Iterated color refinement applied jointly to several set families.
 
-    A family is ``(num_labels, sets)`` with sets over ``range(num_labels)``.
-    Returns one color dict per family; colors are comparable across families
-    because each round interns structurally equal signatures to the same id.
+    A family enters as its :func:`_pair_sets` table, the weight of a pair
+    being the number of sets holding both.  Returns one color dict per
+    family; colors are comparable across families because each round interns
+    structurally equal signatures to the same id.  A label starts with its
+    total weight, (r - 1) times its set count when all sets have size r.
     """
-    weights = []
-    degs = []
-    for num, sets in families:
-        w = Counter()
-        for s in sets:
-            for a, b in itertools.combinations(sorted(s), 2):
-                w[(a, b)] += 1
-        weights.append(w)
-        deg = Counter()
-        for s in sets:
-            for a in s:
-                deg[a] += 1
-        degs.append(deg)
-
     intern: dict = {}
 
     def intern_id(sig):
         return intern.setdefault(sig, len(intern))
 
-    colors = []
-    for fi, (num, sets) in enumerate(families):
-        colors.append({a: intern_id(("init", degs[fi][a])) for a in range(num)})
-
-    neighbors = []
-    for fi, (num, sets) in enumerate(families):
-        nb = defaultdict(dict)
-        for (a, b), c in weights[fi].items():
-            nb[a][b] = c
-            nb[b][a] = c
-        neighbors.append(nb)
+    colors = [{a: intern_id(("init", sum(map(len, row.values()))))
+               for a, row in enumerate(pairs)} for pairs in tables]
 
     def profile(cols):
         return tuple(tuple(sorted(Counter(c.values()).values())) for c in cols)
 
-    for _ in range(max(num for num, _ in families)):
+    for _ in range(max(map(len, tables))):
         stamp = profile(colors)
-        new_colors = []
-        for fi, (num, sets) in enumerate(families):
-            col = colors[fi]
-            nxt = {}
-            for a in range(num):
-                around = tuple(sorted((col[b], w) for b, w in neighbors[fi][a].items()))
-                nxt[a] = intern_id((col[a], around))
-            new_colors.append(nxt)
-        colors = new_colors
+        colors = [{a: intern_id((col[a], tuple(sorted((col[b], len(ids))
+                                                      for b, ids in row.items()))))
+                   for a, row in enumerate(pairs)}
+                  for pairs, col in zip(tables, colors)]
         if profile(colors) == stamp:
             break
     return colors
@@ -409,7 +394,7 @@ def _joint_refinement(families):
 
 def _family_fingerprint(num_labels, sets):
     """Isomorphism-invariant fingerprint for bucketing set families."""
-    (colors,) = _joint_refinement([(num_labels, sets)])
+    (colors,) = _joint_refinement([_pair_sets(num_labels, sets)])
     hist = tuple(sorted(Counter(colors.values()).items()))
     set_sigs = tuple(sorted(tuple(sorted(colors[a] for a in s)) for s in sets))
     # Colors are local intern ids; only their partition structure is
@@ -423,29 +408,21 @@ def _family_fingerprint(num_labels, sets):
 def _family_isomorphism(num_a, sets_a, num_b, sets_b):
     """Label bijection carrying one set family onto the other, or ``None``.
 
-    Color refinement narrows the candidates, then a backtracking search with
-    pairwise co-occurrence pruning finds a bijection; the result is verified
-    by direct comparison of the mapped family before being returned.
+    Color refinement narrows the candidates, then a depth-first search on a
+    stack of candidate iterators finds a bijection; the result is verified
+    by direct comparison of the mapped family before being returned.  b may
+    take a when every pair with a mapped label keeps its weight: a's mapped
+    partners go to b's partners with equal counts, and b has no other.
     """
     if num_a != num_b or len(sets_a) != len(sets_b):
         return None
     if sorted(map(len, sets_a)) != sorted(map(len, sets_b)):
         return None
     target = Counter(frozenset(s) for s in sets_b)
-    colors_a, colors_b = _joint_refinement([(num_a, sets_a), (num_b, sets_b)])
+    pairs_a, pairs_b = _pair_sets(num_a, sets_a), _pair_sets(num_b, sets_b)
+    colors_a, colors_b = _joint_refinement([pairs_a, pairs_b])
     if sorted(Counter(colors_a.values()).items()) != sorted(Counter(colors_b.values()).items()):
         return None
-
-    w_a, w_b = Counter(), Counter()
-    for s in sets_a:
-        for pair in itertools.combinations(sorted(s), 2):
-            w_a[pair] += 1
-    for s in sets_b:
-        for pair in itertools.combinations(sorted(s), 2):
-            w_b[pair] += 1
-
-    def weight(w, x, y):
-        return w[(x, y)] if x < y else w[(y, x)]
 
     by_color = defaultdict(list)
     for b in range(num_b):
@@ -455,29 +432,31 @@ def _family_isomorphism(num_a, sets_a, num_b, sets_b):
     mapping: dict[int, int] = {}
     used = set()
 
-    def extend(i):
-        if i == num_a:
-            mapped = Counter(frozenset(mapping[x] for x in s) for s in sets_a)
-            return mapped == target
-        a = order[i]
-        for b in by_color[colors_a[a]]:
-            if b in used:
-                continue
-            ok = all(weight(w_a, a, a2) == weight(w_b, b, b2)
-                     for a2, b2 in mapping.items())
-            if not ok:
-                continue
-            mapping[a] = b
-            used.add(b)
-            if extend(i + 1):
-                return True
-            del mapping[a]
-            used.discard(b)
-        return False
+    def candidates(a):
+        mapped = [(mapping[x], len(ids)) for x, ids in pairs_a[a].items() if x in mapping]
+        return (b for b in by_color[colors_a[a]] if b not in used
+                and all(len(pairs_b[b].get(y, ())) == w for y, w in mapped)
+                and sum(y in used for y in pairs_b[b]) == len(mapped))
 
-    if extend(0):
-        return dict(mapping)
-    return None
+    stack = []
+    while True:
+        if len(mapping) < num_a:
+            stack.append(candidates(order[len(mapping)]))
+        elif Counter(frozenset(mapping[x] for x in s) for s in sets_a) == target:
+            return mapping
+        # advance the deepest iterator, backtracking past exhausted ones
+        while stack:
+            a = order[len(stack) - 1]
+            if a in mapping:
+                used.discard(mapping.pop(a))
+            b = next(stack[-1], None)
+            if b is not None:
+                mapping[a] = b
+                used.add(b)
+                break
+            stack.pop()
+        else:
+            return None
 
 
 def combinatorial_isomorphic(p: CombPolytope, q: CombPolytope):

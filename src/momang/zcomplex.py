@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import GuardExceeded, NoSuchFacet
-from .polytope import CombPolytope, FaceLattice, face_lattice
+from .polytope import CombPolytope, FaceLattice, _pair_sets, face_lattice
 
 
 # Objects (cells, or filtration pieces plus edge records) a materialising
@@ -44,14 +44,10 @@ def _face_mask(face) -> int:
     return mask
 
 
-def _facet_stars(lattice: FaceLattice, masks) -> list[int]:
-    """Per facet i, the union of the facet masks of the faces inside it:
-    i and every facet sharing a vertex with it."""
-    star = [0] * lattice.polytope.facet_count
-    for face, mask in zip(lattice.faces, masks):
-        for i in face.facets:
-            star[i] |= mask
-    return star
+def _facet_stars(p: CombPolytope) -> list[int]:
+    """Per facet i, the mask of i and every facet sharing a vertex with it."""
+    return [sum(1 << j for j in row) | 1 << i
+            for i, row in enumerate(_pair_sets(p.facet_count, p.vertices))]
 
 
 class ChamberComplex:
@@ -144,7 +140,7 @@ def fixed_point_components(z: ChamberComplex, i: int) -> FixedPointSet:
     """
     if not 0 <= i < z.m:
         raise NoSuchFacet(f"facet {i} of {z.m}")
-    span = _facet_stars(z.lattice, z.face_masks)[i]
+    span = _facet_stars(z.base)[i]
     groups: dict[int, list] = {}
     for f, mask in enumerate(z.face_masks):  # reps ascending: cell-id order
         if mask >> i & 1:
@@ -313,7 +309,7 @@ def _chamber_counts(p: CombPolytope, guard: int) -> tuple[FaceLattice, list, dic
         raise GuardExceeded(f"facet count {m} exceeds guard {guard}")
     lattice = face_lattice(p)
     masks = [_face_mask(f) for f in lattice.faces]
-    star = _facet_stars(lattice, masks)
+    star = _facet_stars(p)
     cells_by_dim = [0] * (p.dim + 1)
     for face, mask in zip(lattice.faces, masks):
         cells_by_dim[face.dim] += _coset_count(m, mask)

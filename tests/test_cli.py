@@ -15,6 +15,7 @@ from momang import (cube, polytope_from_json, polytope_to_json, prism, random_ve
 from momang.cli import main
 from momang.corpus import cube_hrep, dodecahedron_hrep, prism_hrep, simplex_hrep
 from momang.hrep import HRep, hrep_to_text
+from momang.moves import ReductionTrace, rebuild_by_cuts
 from momang.polytope import validate_polytope
 
 
@@ -102,6 +103,14 @@ def test_generate_cube_over_guard(capsys):
     # the guard fires before a single vertex of the 2^25 is listed
     code, _, err = run(capsys, "generate", "cube", "25")
     assert code == 3 and "GuardExceeded" in err
+
+
+def test_generate_random_vertexcuts_over_guard(capsys):
+    # 2 * 10^7 + 4 vertices: the guard fires before the first cut
+    started = time.perf_counter()
+    code, _, err = run(capsys, "generate", "random-vertexcuts", "10000000")
+    assert code == 3 and "GuardExceeded" in err
+    assert time.perf_counter() - started < 1.0
 
 
 def test_euler_over_face_lattice_cap(tmp_path, capsys):
@@ -420,6 +429,30 @@ def test_golden_isomorphic_relabelled(tmp_path, capsys):
     assert main(["isomorphic", a, b, "--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / "isomorphic-rvc12.json").read_bytes()
+
+
+def test_isomorphic_self_at_a_thousand_cuts(tmp_path, capsys):
+    # one search frame per facet used to overflow the interpreter stack
+    a = write_polytope(tmp_path, "a.json", random_vertexcuts(1000, 0))
+    code, report, _ = run(capsys, "isomorphic", a, a)
+    assert code == 0 and report["payload"]["isomorphic"] is True
+    assert report["payload"]["facet_bijection"] == list(range(1004))
+
+
+def test_big_input_recognize_rebuild_isomorphic(tmp_path, capsys):
+    p = random_vertexcuts(4000, 0)
+    a = write_polytope(tmp_path, "a.json", p)
+    trace = tmp_path / "trace.json"
+    code, report, _ = run(capsys, "recognize", a, "--out", str(trace))
+    assert code == 0 and report["payload"]["verdict"] == "yes"
+    payload = json.loads(trace.read_text())
+    assert len(payload["steps"]) == 4000
+    rebuilt = rebuild_by_cuts(ReductionTrace(
+        True, tuple(payload["steps"]), tuple(payload["intermediate_facet_counts"]),
+        p, simplex(3)))
+    b = write_polytope(tmp_path, "b.json", rebuilt)
+    code, report, _ = run(capsys, "isomorphic", a, b)
+    assert code == 0 and report["payload"]["isomorphic"] is True
 
 
 # ---------------------------------------------------------------------------

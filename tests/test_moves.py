@@ -6,6 +6,7 @@ from collections import deque
 
 import pytest
 
+import momang.corpus as corpus
 import momang.moves as moves
 from momang import (
     bistellar_flip,
@@ -465,12 +466,23 @@ def test_validation_once_per_call(monkeypatch):
 
     inputs = [random_vertexcuts(12, 0), seeded_cuts(dodecahedron(), 3, 3), simplex(3)]
     monkeypatch.setattr(moves, "validate_polytope", counting)
+    monkeypatch.setattr(corpus, "validate_polytope", counting)
     for p in inputs:
         calls.clear()
         tr = recognize_vertexcut_reducible(p)
         assert len(calls) == 1
         rebuild_by_cuts(tr)
         assert len(calls) == 2
+    for k in (0, 1, 12, 200):
+        calls.clear()
+        random_vertexcuts(k, 0)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("k,seed", [(0, 0), (1, 0), (12, 5), (50, 1), (200, 0), (200, 3)])
+def test_random_vertexcuts_matches_per_cut_oracle(k, seed):
+    # the old generator: cut the tetrahedron k times, validating every cut
+    assert random_vertexcuts(k, seed) == seeded_cuts(simplex(3), k, seed)
 
 
 def _forged(make, **changes):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 from collections import Counter, defaultdict
 
 import networkx as nx
@@ -514,6 +515,12 @@ def test_facet_graph_cube_octahedral():
     for i in range(3):
         assert not g.has_edge(i, i + 3)
         assert g.degree[i] == 4 and g.degree[i + 3] == 4
+
+
+def test_facet_graph_without_networkx_names_the_extra(monkeypatch):
+    monkeypatch.setitem(sys.modules, "networkx", None)
+    with pytest.raises(ImportError, match=r"momang\[graph\]"):
+        facet_graph(prism())
 
 
 def test_facet_graph_prism():
