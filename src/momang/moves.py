@@ -31,7 +31,7 @@ from .errors import (
 from .polytope import (
     CombPolytope,
     SimplicialSphere,
-    _family_fingerprint,
+    _family,
     _family_isomorphism,
     _pair_sets,
     dual_sphere,
@@ -348,17 +348,14 @@ def _pairwise_disjoint(edges) -> bool:
 # flip certificates
 
 
-def _sphere_key(k: SimplicialSphere):
+def _sphere_family(k: SimplicialSphere):
+    """The sphere's facets as a :func:`_family` record on its vertices
+    renumbered 0..V-1, and the 1-skeleton degrees, largest first, read off
+    the record's pair table."""
     labels = k.vertex_labels
     pos = {x: i for i, x in enumerate(labels)}
-    sets = [frozenset(pos[x] for x in f) for f in k.facets]
-    return len(labels), sets
-
-
-def _spheres_isomorphic(a: SimplicialSphere, b: SimplicialSphere) -> bool:
-    na, sa = _sphere_key(a)
-    nb, sb = _sphere_key(b)
-    return _family_isomorphism(na, sa, nb, sb) is not None
+    family = _family(len(labels), [[pos[x] for x in f] for f in k.facets])
+    return family, tuple(sorted(map(len, family[2]), reverse=True))
 
 
 def simplex_boundary_sphere(n: int) -> SimplicialSphere:
@@ -390,6 +387,12 @@ def psc_flip_certificate(p: CombPolytope, depth: int,
     isomorphism invariants, so a pruned state is isomorphic only to pruned
     states.  The BFS order, the first representative of every class and
     the returned certificate are therefore those of the unpruned search.
+
+    The degree sequence, an isomorphism invariant, also keys the dedup
+    buckets and gates the target match: isomorphic states share a bucket,
+    so a state is still registered exactly when no registered state is
+    isomorphic to it.  Each state's pair table is built once, for its
+    degrees and every isomorphism test it enters.
     """
     n = p.dim
     if n < 3:
@@ -397,27 +400,24 @@ def psc_flip_certificate(p: CombPolytope, depth: int,
             f"codimension >= 3 flips need dim >= 3, got {n}")
     if depth < 0:
         raise BadParameters(f"depth must be >= 0, got {depth}")
-    target = dual_sphere(p)
-    bound = _degrees(target)
-    target_fp = _family_fingerprint(*_sphere_key(target))
+    target, bound = _sphere_family(dual_sphere(p))
     seen: dict = {}
 
-    def matches(state, fp):
-        return fp == target_fp and _spheres_isomorphic(state, target)
+    def matches(family, degrees):
+        return degrees == bound and _family_isomorphism(family, target) is not None
 
-    def register(state, fp) -> bool:
-        bucket = seen.setdefault(fp, [])
-        if any(_spheres_isomorphic(state, other) for other in bucket):
+    def register(family, degrees) -> bool:
+        bucket = seen.setdefault(degrees, [])
+        if any(_family_isomorphism(family, other) is not None for other in bucket):
             return False
-        bucket.append(state)
+        bucket.append(family)
         return True
 
-    # every state is fingerprinted once, for both the match and the dedup
     start = simplex_boundary_sphere(n)
-    fp = _family_fingerprint(*_sphere_key(start))
-    if matches(start, fp):
+    family, degrees = _sphere_family(start)
+    if matches(family, degrees):
         return []
-    register(start, fp)
+    register(family, degrees)
     frontier = deque([(start, [])])
     generated = 1
     for _ in range(depth):
@@ -433,27 +433,21 @@ def psc_flip_certificate(p: CombPolytope, depth: int,
                 if generated > state_cap:
                     raise GuardExceeded(
                         f"flip search generated more than {state_cap} states")
-                degrees = _degrees(new)
+                family, degrees = _sphere_family(new)
                 if len(degrees) > len(bound) or any(
                         d > b for d, b in zip(degrees, bound)):
                     continue
                 kind = "vertex" if len(sigma) == n else "general"
                 move = FlipMove(kind=kind, target=tuple(sorted(sigma)),
                                 codim=len(sigma))
-                fp = _family_fingerprint(*_sphere_key(new))
-                if matches(new, fp):
+                if matches(family, degrees):
                     return path + [move]
-                if register(new, fp):
+                if register(family, degrees):
                     next_frontier.append((new, path + [move]))
         frontier = next_frontier
         if not frontier:
             break
     return None
-
-
-def _degrees(k: SimplicialSphere) -> list[int]:
-    """Vertex degrees of the 1-skeleton, largest first."""
-    return sorted(map(len, _pair_sets(*_sphere_key(k))), reverse=True)
 
 
 def _candidate_faces(k: SimplicialSphere, n: int):

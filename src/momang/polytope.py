@@ -293,14 +293,7 @@ def validate_sphere(facets) -> SimplicialSphere:
             raise InvalidSphere(f"ridge {r} lies in {len(pair)} facets, expected 2")
         adjacency[pair[0]].add(pair[1])
         adjacency[pair[1]].add(pair[0])
-    seen = {0}
-    stack = [0]
-    while stack:
-        for j in adjacency[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    if len(seen) != len(fs):
+    if _reach_count(adjacency, 0) != len(fs):
         raise InvalidSphere("facet adjacency is disconnected")
 
     all_faces = set()
@@ -392,34 +385,27 @@ def _joint_refinement(tables):
     return colors
 
 
-def _family_fingerprint(num_labels, sets):
-    """Isomorphism-invariant fingerprint for bucketing set families."""
-    (colors,) = _joint_refinement([_pair_sets(num_labels, sets)])
-    hist = tuple(sorted(Counter(colors.values()).items()))
-    set_sigs = tuple(sorted(tuple(sorted(colors[a] for a in s)) for s in sets))
-    # Colors are local intern ids; only their partition structure is
-    # invariant, so fingerprint the histogram shape and signature multiset.
-    shape = tuple(sorted(c for _, c in hist))
-    sig_shape = tuple(sorted(Counter(set_sigs).values()))
-    sizes = tuple(sorted(len(s) for s in sets))
-    return (num_labels, len(sets), sizes, shape, sig_shape)
+def _family(num_labels, sets):
+    """A set family on labels ``0..num_labels-1`` as the record
+    ``(num_labels, sets, pair table)`` that :func:`_family_isomorphism` takes."""
+    sets = [frozenset(s) for s in sets]
+    return num_labels, sets, _pair_sets(num_labels, sets)
 
 
-def _family_isomorphism(num_a, sets_a, num_b, sets_b):
-    """Label bijection carrying one set family onto the other, or ``None``.
+def _family_isomorphism(fam_a, fam_b):
+    """Label bijection carrying one family record onto the other, or ``None``.
 
     Color refinement narrows the candidates, then a depth-first search on a
     stack of candidate iterators finds a bijection; the result is verified
     by direct comparison of the mapped family before being returned.  b may
-    take a when every pair with a mapped label keeps its weight: a's mapped
-    partners go to b's partners with equal counts, and b has no other.
+    take a when a's mapped partners go to b's partners with equal counts.
     """
+    (num_a, sets_a, pairs_a), (num_b, sets_b, pairs_b) = fam_a, fam_b
     if num_a != num_b or len(sets_a) != len(sets_b):
         return None
     if sorted(map(len, sets_a)) != sorted(map(len, sets_b)):
         return None
-    target = Counter(frozenset(s) for s in sets_b)
-    pairs_a, pairs_b = _pair_sets(num_a, sets_a), _pair_sets(num_b, sets_b)
+    target = Counter(sets_b)
     colors_a, colors_b = _joint_refinement([pairs_a, pairs_b])
     if sorted(Counter(colors_a.values()).items()) != sorted(Counter(colors_b.values()).items()):
         return None
@@ -435,8 +421,7 @@ def _family_isomorphism(num_a, sets_a, num_b, sets_b):
     def candidates(a):
         mapped = [(mapping[x], len(ids)) for x, ids in pairs_a[a].items() if x in mapping]
         return (b for b in by_color[colors_a[a]] if b not in used
-                and all(len(pairs_b[b].get(y, ())) == w for y, w in mapped)
-                and sum(y in used for y in pairs_b[b]) == len(mapped))
+                and all(len(pairs_b[b].get(y, ())) == w for y, w in mapped))
 
     stack = []
     while True:
@@ -466,12 +451,8 @@ def combinatorial_isomorphic(p: CombPolytope, q: CombPolytope):
     of ``q`` matching facet ``i`` of ``p``; it is re-verified against the
     incidence before being returned.
     """
-    if p.dim != q.dim or p.facet_count != q.facet_count:
-        return None
-    if p.vertex_count != q.vertex_count:
-        return None
-    mapping = _family_isomorphism(p.facet_count, [frozenset(v) for v in p.vertices],
-                                  q.facet_count, [frozenset(v) for v in q.vertices])
+    mapping = _family_isomorphism(_family(p.facet_count, p.vertices),
+                                  _family(q.facet_count, q.vertices))
     if mapping is None:
         return None
     perm = [mapping[i] for i in range(p.facet_count)]

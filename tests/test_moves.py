@@ -2,12 +2,13 @@ import dataclasses
 import itertools
 import random
 import time
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
 import momang.corpus as corpus
 import momang.moves as moves
+import momang.polytope as polytope
 from momang import (
     bistellar_flip,
     collapse_admissible,
@@ -47,11 +48,12 @@ from momang.moves import (
     PrismaticCircuit,
     ReductionTrace,
     _candidate_faces,
-    _sphere_key,
-    _spheres_isomorphic,
 )
 from momang.polytope import (
-    _family_fingerprint,
+    _family,
+    _family_isomorphism,
+    _joint_refinement,
+    _pair_sets,
     facet_graph,
     validate_polytope,
     validate_sphere,
@@ -167,10 +169,35 @@ def _cycle_order(sub, combo):
     return order if len(order) == len(combo) else None
 
 
+def _sphere_key(k):
+    labels = k.vertex_labels
+    pos = {x: i for i, x in enumerate(labels)}
+    sets = [frozenset(pos[x] for x in f) for f in k.facets]
+    return len(labels), sets
+
+
+def _family_fingerprint(num_labels, sets):
+    """Isomorphism-invariant fingerprint for bucketing set families."""
+    (colors,) = _joint_refinement([_pair_sets(num_labels, sets)])
+    hist = tuple(sorted(Counter(colors.values()).items()))
+    set_sigs = tuple(sorted(tuple(sorted(colors[a] for a in s)) for s in sets))
+    # Colors are local intern ids; only their partition structure is
+    # invariant, so fingerprint the histogram shape and signature multiset.
+    shape = tuple(sorted(c for _, c in hist))
+    sig_shape = tuple(sorted(Counter(set_sigs).values()))
+    sizes = tuple(sorted(len(s) for s in sets))
+    return (num_labels, len(sets), sizes, shape, sig_shape)
+
+
+def _spheres_isomorphic(a, b) -> bool:
+    return _family_isomorphism(_family(*_sphere_key(a)),
+                               _family(*_sphere_key(b))) is not None
+
+
 def flip_oracle(p, depth: int, state_cap: int = 100_000):
     """The flip search without degree pruning: breadth-first over every
     codimension >= 3 flip from the n-simplex boundary, deduplicating up to
-    isomorphism."""
+    isomorphism within buckets keyed by the color-refinement fingerprint."""
     n = p.dim
     if n < 3:
         raise DimensionUnsupported(
@@ -649,7 +676,6 @@ def test_certificate_prism_one_vertex_flip():
     assert moves[0].kind == "vertex" and moves[0].codim == 3
     replayed = replay_flip_certificate(3, moves)
     target = dual_sphere(prism())
-    from momang.moves import _spheres_isomorphic
     assert _spheres_isomorphic(replayed, target)
 
 
@@ -694,6 +720,7 @@ FLIP_ORACLE_CASES = [
     ("rvc-3-1", lambda: random_vertexcuts(3, seed=1), 4, 100_000),
     ("rvc-4-2", lambda: random_vertexcuts(4, seed=2), 5, 100_000),
     ("rvc-5-3", lambda: random_vertexcuts(5, seed=3), 5, 100_000),
+    ("rvc-6-1-deep", lambda: random_vertexcuts(6, seed=1), 6, 100_000),
     ("simplex4-cut", lambda: vertex_cut(simplex(4), 0), 3, 100_000),
     ("simplex4-cut-twice", lambda: vertex_cut(vertex_cut(simplex(4), 0), 3), 3, 100_000),
     ("cube4", lambda: cube(4), 3, 100_000),
@@ -750,3 +777,19 @@ def test_pruned_search_generates_few_states():
     assert psc_flip_certificate(vertex_cut(cube(3), 0), depth=8, state_cap=19) is None
     with pytest.raises(GuardExceeded):
         psc_flip_certificate(vertex_cut(cube(3), 0), depth=8, state_cap=18)
+
+
+def test_flip_search_builds_one_pair_table_per_state(monkeypatch):
+    # 19 generated states and the target: each table serves the state's
+    # degrees and every isomorphism test it enters
+    built = []
+    pair_sets = polytope._pair_sets
+
+    def counting(num_labels, sets):
+        built.append(num_labels)
+        return pair_sets(num_labels, sets)
+
+    monkeypatch.setattr(polytope, "_pair_sets", counting)
+    monkeypatch.setattr(moves, "_pair_sets", counting)
+    assert psc_flip_certificate(vertex_cut(cube(3), 0), depth=5) is None
+    assert len(built) == 20

@@ -23,8 +23,9 @@ from momang import (
     validate_polytope,
     vertex_cut,
 )
-from momang.moves import _degrees, _sphere_key
+from momang.moves import _sphere_family
 from momang.polytope import (
+    _family,
     _family_isomorphism,
     _joint_refinement,
     _pair_sets,
@@ -225,9 +226,19 @@ def spheres():
     return [dual_sphere(p) for _, p in polytopes()] + states
 
 
+def vertex_family(p):
+    return p.facet_count, [frozenset(v) for v in p.vertices]
+
+
+def sphere_family(k):
+    """The sphere's ``(num_labels, sets)`` as the flip search numbers them."""
+    (num, sets, _), _ = _sphere_family(k)
+    return num, sets
+
+
 def dual_polytope(k):
     """The simple polytope whose vertices are the sphere's facets."""
-    _, sets = _sphere_key(k)
+    _, sets = sphere_family(k)
     return validate_polytope(k.dim + 1, [sorted(s) for s in sets])
 
 
@@ -249,14 +260,14 @@ def test_pair_table_matches_adjacency_oracles(spheres):
 
 def test_degrees_match_oracle(spheres):
     for k in spheres:
-        assert _degrees(k) == degrees_oracle(k), k
+        _, degrees = _sphere_family(k)
+        assert degrees == tuple(degrees_oracle(k)), k
 
 
 def test_refinement_matches_oracle(spheres):
     # the colors themselves agree, not only the partitions they induce
-    families = [(p.facet_count, [frozenset(v) for v in p.vertices])
-                for _, p in polytopes()]
-    families += [_sphere_key(k) for k in spheres]
+    families = [vertex_family(p) for _, p in polytopes()]
+    families += [sphere_family(k) for k in spheres]
     for fam in families:
         assert _joint_refinement([_pair_sets(*fam)]) == joint_refinement_oracle([fam])
     # jointly only under the isomorphism search's precondition: equal set
@@ -269,16 +280,12 @@ def test_refinement_matches_oracle(spheres):
             joint_refinement_oracle([fa, fb])
 
 
-def vertex_family(p):
-    return p.facet_count, [frozenset(v) for v in p.vertices]
-
-
 @pytest.mark.parametrize("k", [12, 50, 200])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_isomorphism_matches_recursive_oracle(k, seed):
     p = random_vertexcuts(k, seed)
     q = relabelled(p, seed + 7)
-    new = _family_isomorphism(*vertex_family(p), *vertex_family(q))
+    new = _family_isomorphism(_family(*vertex_family(p)), _family(*vertex_family(q)))
     old = family_isomorphism_oracle(*vertex_family(p), *vertex_family(q))
     assert new is not None
     assert list(new.items()) == list(old.items())
@@ -287,9 +294,11 @@ def test_isomorphism_matches_recursive_oracle(k, seed):
 def test_isomorphism_matches_oracle_on_corpus_and_spheres(spheres):
     families = [vertex_family(p) for _, p in polytopes()]
     families += [vertex_family(relabelled(p, i)) for i, (_, p) in enumerate(polytopes())]
-    families += [_sphere_key(k) for k in spheres]
+    families += [sphere_family(k) for k in spheres]
     for fa, fb in itertools.product(families[::3], families[1::4]):
-        assert _family_isomorphism(*fa, *fb) == family_isomorphism_oracle(*fa, *fb)
+        assert _family_isomorphism(_family(*fa), _family(*fb)) == \
+            family_isomorphism_oracle(*fa, *fb)
     for fam in families:
-        assert _family_isomorphism(*fam, *fam) == family_isomorphism_oracle(*fam, *fam)
+        assert _family_isomorphism(_family(*fam), _family(*fam)) == \
+            family_isomorphism_oracle(*fam, *fam)
 

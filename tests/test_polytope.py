@@ -473,6 +473,8 @@ def test_isomorphic_relabeled_self(corpus):
 def test_isomorphic_rejects_different():
     assert combinatorial_isomorphic(simplex(3), cube(3)) is None
     assert combinatorial_isomorphic(prism(), cube(3)) is None
+    # equal facet and vertex counts, different dimensions
+    assert combinatorial_isomorphic(simplex(3), cube(2)) is None
 
 
 def test_edge_cut_simplex_is_prism():
