@@ -1,9 +1,14 @@
 """Command-line front end.
 
 Every invocation runs one command and emits a report (JSON by default).
-With ``--out`` the bare payload (the wire-format JSON of the command's
-result) is additionally written to the given path, so generated polytopes,
-traces and quadric systems can be piped into further invocations.
+The report's ``inputs`` map each input path to the sha256 of the bytes
+that were parsed: every input file is read once, in argument order, and
+hashed before any is decoded.  ``flags`` echoes every option of the
+subcommand, unchanged, apart from ``--format``, ``--out`` and the input
+paths.  With ``--out`` the bare payload (the wire-format JSON of the
+command's result) is additionally written to the given path, so generated
+polytopes, traces and quadric systems can be piped into further
+invocations.
 
 Exit codes: 0 ok, 1 negative verdict under ``--strict`` (recognize,
 andreev), 2 input error, 3 guard exceeded.
@@ -20,7 +25,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from .corpus import generate
@@ -36,7 +40,6 @@ from .moves import (
 )
 from .polytope import (
     combinatorial_isomorphic,
-    face_lattice,
     polytope_from_json,
     polytope_to_json,
 )
@@ -51,57 +54,30 @@ EXIT_VERDICT_NO = 1
 EXIT_INPUT = 2
 EXIT_GUARD = 3
 
-
-@dataclass
-class Report:
-    command: str
-    inputs: dict
-    flags: dict
-    payload: dict
-    elapsed_ms: float
-    version: str
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "command": self.command, "inputs": self.inputs,
-            "flags": self.flags, "payload": self.payload,
-            "elapsed_ms": round(self.elapsed_ms, 3), "version": self.version,
-        }, indent=2, sort_keys=True)
-
-    def to_text(self) -> str:
-        lines = [f"command: {self.command}", f"version: {self.version}"]
-        for k, v in sorted(self.inputs.items()):
-            lines.append(f"input {k}: sha256:{v}")
-        for k, v in sorted(self.flags.items()):
-            lines.append(f"flag {k}: {v}")
-        lines.append(f"elapsed_ms: {self.elapsed_ms:.3f}")
-        lines.append("payload:")
-        lines.append(json.dumps(self.payload, indent=2, sort_keys=True))
-        return "\n".join(lines)
+_INPUTS = ("polytope", "polytope_a", "polytope_b", "hrep")
+_NOT_FLAGS = {"command", "format", "out", *_INPUTS}
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+def _read_inputs(args) -> tuple[dict, list]:
+    """Read every input file once, in argument order, and hash its bytes.
+
+    Returns ``path -> sha256`` and one ``(path, bytes)`` per input argument;
+    nothing is decoded yet, so a missing file fails before any parse.
+    """
+    paths = [getattr(args, name) for name in _INPUTS if name in vars(args)]
+    data = {}
+    for path in dict.fromkeys(paths):
+        with open(path, "rb") as fh:
+            data[path] = fh.read()
+    return ({path: hashlib.sha256(raw).hexdigest() for path, raw in data.items()},
+            [(path, data[path]) for path in paths])
 
 
-def _read_text(path: str) -> str:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def _decode(path: str, raw: bytes) -> str:
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(f"{path} is not UTF-8 text: {e}") from e
-
-
-def _load_polytope(path: str):
-    return polytope_from_json(_read_text(path))
-
-
-def _load_hrep(path: str, tol: float):
-    from .hrep import parse_hrep
-
-    return parse_hrep(_read_text(path), tol=tol)
 
 
 def _add_common(sp):
@@ -195,51 +171,35 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def dispatch(args) -> tuple[dict, dict, dict, int]:
-    """Run one command; returns (inputs, flags, payload, exit_code)."""
+def dispatch(args, sources: list) -> tuple[dict, int]:
+    """Run one command on its ``(path, bytes)`` inputs; returns
+    (payload, exit_code).  Each input is decoded just before it is parsed."""
     cmd = args.command
-    inputs: dict = {}
-    flags: dict = {}
     code = EXIT_OK
+    texts = (_decode(path, raw) for path, raw in sources)
+    p = polytope_from_json(next(texts)) if "polytope" in vars(args) else None
 
     if cmd == "validate":
-        inputs[args.polytope] = _digest(args.polytope)
-        p = _load_polytope(args.polytope)
         payload = {"valid": True, **polytope_to_json(p)}
 
     elif cmd == "recognize":
-        inputs[args.polytope] = _digest(args.polytope)
-        flags["strict"] = args.strict
-        trace = recognize_vertexcut_reducible(_load_polytope(args.polytope))
+        trace = recognize_vertexcut_reducible(p)
         payload = trace_to_json(trace)
         if args.strict and not trace.reducible:
             code = EXIT_VERDICT_NO
 
     elif cmd == "vertex-cut":
-        inputs[args.polytope] = _digest(args.polytope)
-        flags["vertex"] = args.vertex
-        p = vertex_cut(_load_polytope(args.polytope), args.vertex)
-        payload = polytope_to_json(p)
+        payload = polytope_to_json(vertex_cut(p, args.vertex))
 
     elif cmd == "collapse":
-        inputs[args.polytope] = _digest(args.polytope)
-        flags["facet"] = args.facet
-        p = simplex_facet_collapse(_load_polytope(args.polytope), args.facet)
-        payload = polytope_to_json(p)
+        payload = polytope_to_json(simplex_facet_collapse(p, args.facet))
 
     elif cmd == "flip-cert":
-        inputs[args.polytope] = _digest(args.polytope)
-        flags["depth"] = args.depth
-        flags["guard"] = args.guard
-        moves = psc_flip_certificate(_load_polytope(args.polytope),
-                                     depth=args.depth, state_cap=args.guard)
+        moves = psc_flip_certificate(p, depth=args.depth, state_cap=args.guard)
         payload = {"found": moves is not None, "depth": args.depth,
                    **certificate_to_json(moves)}
 
     elif cmd == "andreev":
-        inputs[args.polytope] = _digest(args.polytope)
-        flags["strict"] = args.strict
-        p = _load_polytope(args.polytope)
         c3 = prismatic_circuits(p, 3)
         c4 = prismatic_circuits(p, 4)
         ok = not c3 and not c4
@@ -253,33 +213,24 @@ def dispatch(args) -> tuple[dict, dict, dict, int]:
             code = EXIT_VERDICT_NO
 
     elif cmd == "euler":
-        inputs[args.polytope] = _digest(args.polytope)
-        p = _load_polytope(args.polytope)
-        payload = {"euler": euler_characteristic_from_lattice(p, face_lattice(p))}
+        payload = {"euler": euler_characteristic_from_lattice(p)}
 
-    elif cmd in ("moment-angle", "fixed-sets", "filtration"):
-        inputs[args.polytope] = _digest(args.polytope)
-        flags["guard"] = args.guard
-        p = _load_polytope(args.polytope)
-        if cmd == "moment-angle":
-            payload = complex_summary(p, guard=args.guard)
-        else:
-            key = cmd.replace("-", "_")
-            payload = {key: _chamber_counts(p, args.guard)[2][key]}
+    elif cmd == "moment-angle":
+        payload = complex_summary(p, guard=args.guard)
+
+    elif cmd in ("fixed-sets", "filtration"):
+        key = cmd.replace("-", "_")
+        payload = {key: _chamber_counts(p, args.guard)[2][key]}
 
     elif cmd == "quadrics":
-        from .hrep import quadrics_to_json, relation_matrix
+        from .hrep import parse_hrep, quadrics_to_json, relation_matrix
 
-        inputs[args.hrep] = _digest(args.hrep)
-        flags["tol"] = args.tol
-        payload = quadrics_to_json(relation_matrix(_load_hrep(args.hrep, args.tol)))
+        payload = quadrics_to_json(relation_matrix(parse_hrep(next(texts), tol=args.tol)))
 
     elif cmd == "verify-quadrics":
-        from .hrep import verify_nondegeneracy
+        from .hrep import parse_hrep, verify_nondegeneracy
 
-        inputs[args.hrep] = _digest(args.hrep)
-        flags.update(tol=args.tol, samples=args.samples, seed=args.seed)
-        rep = verify_nondegeneracy(_load_hrep(args.hrep, args.tol),
+        rep = verify_nondegeneracy(parse_hrep(next(texts), tol=args.tol),
                                    sample_count=args.samples, seed=args.seed)
         payload = {"expected_rank": rep.expected_rank, "min_rank": rep.min_rank,
                    "min_margin": rep.min_margin, "samples": rep.samples,
@@ -287,28 +238,26 @@ def dispatch(args) -> tuple[dict, dict, dict, int]:
                    "passed": rep.passed}
 
     elif cmd == "isomorphic":
-        inputs[args.polytope_a] = _digest(args.polytope_a)
-        inputs[args.polytope_b] = _digest(args.polytope_b)
-        perm = combinatorial_isomorphic(_load_polytope(args.polytope_a),
-                                        _load_polytope(args.polytope_b))
+        perm = combinatorial_isomorphic(*map(polytope_from_json, texts))
         payload = {"isomorphic": perm is not None,
                    "facet_bijection": list(perm) if perm is not None else None}
 
     elif cmd == "generate":
-        flags.update(kind=args.kind, param=args.param, seed=args.seed)
         payload = polytope_to_json(generate(args.kind, args.param, args.seed))
 
     else:  # pragma: no cover - argparse enforces the choices
         raise MomangError(f"unknown command {cmd}")
 
-    return inputs, flags, payload, code
+    return payload, code
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    flags = {k: v for k, v in vars(args).items() if k not in _NOT_FLAGS}
     started = time.perf_counter()
     try:
-        inputs, flags, payload, code = dispatch(args)
+        inputs, sources = _read_inputs(args)
+        payload, code = dispatch(args, sources)
         elapsed = (time.perf_counter() - started) * 1000.0
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -322,9 +271,16 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}),
               file=sys.stderr)
         return EXIT_INPUT
-    report = Report(command=args.command, inputs=inputs, flags=flags,
-                    payload=payload, elapsed_ms=elapsed, version=__version__)
-    print(report.to_json() if args.format == "json" else report.to_text())
+    if args.format == "json":
+        print(json.dumps({"command": args.command, "inputs": inputs, "flags": flags,
+                          "payload": payload, "elapsed_ms": round(elapsed, 3),
+                          "version": __version__}, indent=2, sort_keys=True))
+    else:
+        print("\n".join([f"command: {args.command}", f"version: {__version__}",
+                         *(f"input {k}: sha256:{v}" for k, v in sorted(inputs.items())),
+                         *(f"flag {k}: {v}" for k, v in sorted(flags.items())),
+                         f"elapsed_ms: {elapsed:.3f}", "payload:",
+                         json.dumps(payload, indent=2, sort_keys=True)]))
     return code
 
 

@@ -384,13 +384,16 @@ def verify_nondegeneracy(h: HRep, sample_count: int = 200,
     """Sample the polytope, lift with random signs, check gradient ranks.
 
     Samples every vertex, the relative-interior centroid of every facet and
-    the global centroid, then fills up to ``sample_count`` with seeded
-    random points (alternating interior and facet points), lifted without a
-    membership test as convex combinations of vertices.  Ranks are decided
+    the global centroid, then fills up to ``sample_count`` (at least 0; a
+    count below those points adds none) with seeded random points
+    (alternating interior and facet points), lifted without a membership
+    test as convex combinations of vertices.  Ranks are decided
     on the gradients of the relations among unit rows at y_k / sqrt|a_k|,
     unchanged by row scaling; ``min_margin`` reads those of
     :func:`relation_matrix`.  Failures are reported, not raised.
     """
+    if sample_count < 0:
+        raise BadParameters(f"sample_count must be >= 0, got {sample_count}")
     if seed < 0:
         raise BadParameters(f"seed must be >= 0, got {seed}")
     q = relation_matrix(h)

@@ -37,7 +37,6 @@ from .polytope import (
     dual_sphere,
     is_simplex,
     validate_polytope,
-    validate_sphere,
 )
 
 
@@ -261,6 +260,11 @@ def bistellar_flip(k: SimplicialSphere, face) -> SimplicialSphere:
     that is not yet a face; the star is then swapped for the join of the
     face's boundary with that simplex.  When ``s == n`` the face is a facet
     and the move stacks a new apex onto it.
+
+    ``k`` must be a validated sphere (:func:`validate_sphere` checks outside
+    data).  The result is not re-checked: a move that passes the link checks
+    below replaces a ball (the star) by another ball with the same boundary,
+    so a sphere stays a sphere.
     """
     sigma = frozenset(face)
     if not sigma:
@@ -287,7 +291,7 @@ def bistellar_flip(k: SimplicialSphere, face) -> SimplicialSphere:
             raise LinkNotStandard(
                 f"complementary simplex {tuple(sorted(comp))} is already a face")
         new = (facets - set(star)) | {(sigma - {u}) | comp for u in sigma}
-    return validate_sphere(new)
+    return SimplicialSphere(dim=k.dim, facets=tuple(sorted(new, key=sorted)))
 
 
 # ---------------------------------------------------------------------------

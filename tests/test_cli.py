@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import momang
+import momang.cli
 from momang import (cube, polytope_from_json, polytope_to_json, prism, random_vertexcuts,
                     simplex)
 from momang.cli import main
@@ -245,6 +247,105 @@ def test_text_format(tmp_path, capsys):
     code = main(["recognize", path, "--format", "text"])
     out = capsys.readouterr().out
     assert code == 0 and "verdict" in out and "command: recognize" in out
+
+
+CUBE_SHA = "9784b015364cadb0944745d40ab9bfbb21d03b1388e1c88fac04ff7fe64801a4"
+PRISM_SHA = "45eb1a3136c0279000510f4816ea0592771bd6e5a37746be698e8fcb79e14aa9"
+HREP_SHA = "7a614c7836768d6b22b975d808ce727820d55dd0538f091e5ffc43193edd8c2e"
+CUBE_VERTICES = [[0, 1, 2], [0, 1, 5], [0, 2, 4], [0, 4, 5], [1, 2, 3], [1, 3, 5],
+                 [2, 3, 4], [3, 4, 5]]
+PRISM_VERTICES = [[0, 1, 3], [0, 1, 4], [0, 2, 3], [0, 2, 4], [1, 2, 3], [1, 2, 4]]
+# (argv, exit code, report without elapsed_ms and version, text header lines);
+# cube.json is `generate cube 3`, a.json is `generate prism`, cube.hrep is
+# cube_hrep(3)
+WHOLE_REPORTS = [
+    (["validate", "cube.json"], 0,
+     {"command": "validate", "flags": {}, "inputs": {"cube.json": CUBE_SHA},
+      "payload": {"dim": 3, "facets": 6, "valid": True, "vertices": CUBE_VERTICES}},
+     ["command: validate", f"input cube.json: sha256:{CUBE_SHA}"]),
+    (["recognize", "cube.json", "--strict"], 1,
+     {"command": "recognize", "flags": {"strict": True}, "inputs": {"cube.json": CUBE_SHA},
+      "payload": {"intermediate_facet_counts": [], "steps": [], "verdict": "no"}},
+     ["command: recognize", f"input cube.json: sha256:{CUBE_SHA}", "flag strict: True"]),
+    (["moment-angle", "a.json", "--guard", "7"], 0,
+     {"command": "moment-angle", "flags": {"guard": 7}, "inputs": {"a.json": PRISM_SHA},
+      "payload": {
+          "cells_by_dim": [24, 72, 80, 32], "components": 1, "euler": 0,
+          "filtration": [{"facets": 5, "j": 0, "type1_edges": 9, "type2_edges": 0},
+                         {"facets": 8, "j": 1, "type1_edges": 10, "type2_edges": 4},
+                         {"facets": 12, "j": 2, "type1_edges": 8, "type2_edges": 12},
+                         {"facets": 16, "j": 3, "type1_edges": 0, "type2_edges": 24},
+                         {"facets": 16, "j": 4, "type1_edges": 0, "type2_edges": 24},
+                         {"facets": 0, "j": 5, "type1_edges": 0, "type2_edges": 0}],
+          "fixed_sets": [{"components": 1, "facet": 0}, {"components": 1, "facet": 1},
+                         {"components": 1, "facet": 2}, {"components": 2, "facet": 3},
+                         {"components": 2, "facet": 4}],
+          "m": 5, "orientable": True}},
+     ["command: moment-angle", f"input a.json: sha256:{PRISM_SHA}", "flag guard: 7"]),
+    (["verify-quadrics", "cube.hrep", "--samples", "40", "--seed", "3"], 0,
+     {"command": "verify-quadrics", "flags": {"samples": 40, "seed": 3, "tol": 1e-09},
+      "inputs": {"cube.hrep": HREP_SHA},
+      "payload": {"expected_rank": 3, "failures": [], "min_margin": 1.9999999999999998,
+                  "min_rank": 3, "passed": True, "samples": 40}},
+     ["command: verify-quadrics", f"input cube.hrep: sha256:{HREP_SHA}",
+      "flag samples: 40", "flag seed: 3", "flag tol: 1e-09"]),
+    (["generate", "prism"], 0,
+     {"command": "generate", "flags": {"kind": "prism", "param": None, "seed": 0},
+      "inputs": {}, "payload": {"dim": 3, "facets": 5, "vertices": PRISM_VERTICES}},
+     ["command: generate", "flag kind: prism", "flag param: None", "flag seed: 0"]),
+    (["isomorphic", "a.json", "a.json"], 0,
+     {"command": "isomorphic", "flags": {}, "inputs": {"a.json": PRISM_SHA},
+      "payload": {"facet_bijection": [0, 1, 2, 3, 4], "isomorphic": True}},
+     ["command: isomorphic", f"input a.json: sha256:{PRISM_SHA}"]),
+]
+
+
+@pytest.mark.parametrize("argv,code,report,head", WHOLE_REPORTS,
+                         ids=[" ".join(case[0]) for case in WHOLE_REPORTS])
+def test_whole_reports(tmp_path, monkeypatch, capsys, argv, code, report, head):
+    # every key and value of both renderings, elapsed_ms set to 0
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "cube", "3", "--out", "cube.json"]) == 0
+    assert main(["generate", "prism", "--out", "a.json"]) == 0
+    Path("cube.hrep").write_text(hrep_to_text(cube_hrep(3)))
+    capsys.readouterr()
+
+    def rendered(fmt):
+        assert main([*argv, "--format", fmt]) == code
+        out = capsys.readouterr().out
+        return re.sub(r'("?elapsed_ms"?): [0-9.]+', r"\1: 0", out)
+
+    report = {**report, "elapsed_ms": 0, "version": momang.__version__}
+    assert rendered("json") == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    command, *rest = head
+    assert rendered("text") == "\n".join([
+        command, f"version: {momang.__version__}", *rest, "elapsed_ms: 0", "payload:",
+        json.dumps(report["payload"], indent=2, sort_keys=True)]) + "\n"
+
+
+def test_each_input_read_once(tmp_path, monkeypatch, capsys):
+    # the digest in the report is taken from the bytes that were parsed
+    a = write_polytope(tmp_path, "a.json", prism())
+    b = write_polytope(tmp_path, "b.json", cube(3))
+    h = tmp_path / "cube.hrep"
+    h.write_text(hrep_to_text(cube_hrep(3)))
+    opened = []
+
+    def recording_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(momang.cli, "open", recording_open, raising=False)
+    for argv in (["validate", a], ["isomorphic", a, b], ["quadrics", str(h)]):
+        opened.clear()
+        assert main(argv) == 0, argv
+        assert sorted(opened) == sorted(argv[1:]), argv
+    capsys.readouterr()
+    # every input is read before any is decoded: the missing file is reported
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"dim": 3, "facets": 4, "vertices": [], "note": "\xff"}')
+    assert main(["isomorphic", str(bad), str(tmp_path / "missing.json")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
 
 
 def test_console_entry_point(tmp_path):
@@ -538,7 +639,9 @@ def test_exit_codes_on_bad_flags(tmp_path, capsys):
         if code == 1:  # only a negative verdict under --strict
             assert "--strict" in argv and negative[argv[0]](payload), argv
         seen.add(code)
-    assert exit_code(capsys, ["verify-quadrics", hrep, "--seed", "-1"])[0] == 2
+    for flag in ("--seed", "--samples"):
+        assert main(["verify-quadrics", hrep, flag, "-1"]) == 2, flag
+        assert json.loads(capsys.readouterr().err)["error"] == "BadParameters"
     for command in ("quadrics", "verify-quadrics"):
         for tol in ("nan", "inf"):
             assert main([command, hrep, "--tol", tol]) == 2, (command, tol)

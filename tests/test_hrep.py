@@ -29,6 +29,7 @@ from momang.corpus import (
 )
 from momang.hrep import HRep, _simplex
 from momang.errors import (
+    BadParameters,
     EmptyInterior,
     GuardExceeded,
     NotOnVariety,
@@ -301,6 +302,13 @@ def test_nondegeneracy_reports():
         assert rep.passed, name
         assert rep.min_rank == rep.expected_rank == expected[name], name
         assert rep.samples >= 60 and rep.min_margin > 1e-6, name
+
+
+def test_nondegeneracy_sample_count_bounds():
+    # 0 samples the 8 vertices, the 6 facet centroids and the centroid only
+    assert verify_nondegeneracy(cube_hrep(3), sample_count=0).samples == 15
+    with pytest.raises(BadParameters):
+        verify_nondegeneracy(cube_hrep(3), sample_count=-1)
 
 
 def test_nondegeneracy_deterministic():

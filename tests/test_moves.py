@@ -763,6 +763,8 @@ def test_flips_never_lower_degrees(n):
                 except LinkNotStandard:
                     continue
                 break
+            # bistellar_flip does not re-check its result; the validator does
+            assert validate_sphere(new.facets) == new
             before, after = _skeleton(state), _skeleton(new)
             assert set(before) <= set(after)
             assert all(before[x] <= after[x] for x in before)
