@@ -11,7 +11,8 @@ polytopes, traces and quadric systems can be piped into further
 invocations.
 
 Exit codes: 0 ok, 1 negative verdict under ``--strict`` (recognize,
-andreev), 2 input error, 3 guard exceeded.
+andreev), 2 input error, 3 size cap exceeded (every cap is a module
+constant checked against the work predicted from the input; no option sets one).
 
 Only the H-rep commands (``quadrics``, ``verify-quadrics``) import
 :mod:`momang.hrep`, and with it numpy; the combinatorial commands start
@@ -115,8 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("flip-cert", help="search a codim>=3 flip certificate")
     sp.add_argument("polytope")
     sp.add_argument("--depth", type=int, default=6)
-    sp.add_argument("--guard", type=int, default=100_000,
-                    help="cap on generated search states")
     _add_common(sp)
 
     sp = sub.add_parser("andreev", help="count prismatic 3- and 4-circuits")
@@ -127,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("moment-angle", help="full chamber-complex summary")
     sp.add_argument("polytope")
-    sp.add_argument("--guard", type=int, default=20, help="cap on facet count")
     _add_common(sp)
 
     sp = sub.add_parser("euler", help="Euler characteristic (lattice form)")
@@ -136,12 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fixed-sets", help="components of facet preimages")
     sp.add_argument("polytope")
-    sp.add_argument("--guard", type=int, default=20)
     _add_common(sp)
 
     sp = sub.add_parser("filtration", help="doubling filtration stages")
     sp.add_argument("polytope")
-    sp.add_argument("--guard", type=int, default=20)
     _add_common(sp)
 
     sp = sub.add_parser("quadrics", help="relation matrix of an H-rep file")
@@ -195,7 +191,7 @@ def dispatch(args, sources: list) -> tuple[dict, int]:
         payload = polytope_to_json(simplex_facet_collapse(p, args.facet))
 
     elif cmd == "flip-cert":
-        moves = psc_flip_certificate(p, depth=args.depth, state_cap=args.guard)
+        moves = psc_flip_certificate(p, depth=args.depth)
         payload = {"found": moves is not None, "depth": args.depth,
                    **certificate_to_json(moves)}
 
@@ -216,11 +212,11 @@ def dispatch(args, sources: list) -> tuple[dict, int]:
         payload = {"euler": euler_characteristic_from_lattice(p)}
 
     elif cmd == "moment-angle":
-        payload = complex_summary(p, guard=args.guard)
+        payload = complex_summary(p)
 
     elif cmd in ("fixed-sets", "filtration"):
         key = cmd.replace("-", "_")
-        payload = {key: _chamber_counts(p, args.guard)[2][key]}
+        payload = {key: _chamber_counts(p)[2][key]}
 
     elif cmd == "quadrics":
         from .hrep import parse_hrep, quadrics_to_json, relation_matrix

@@ -15,7 +15,7 @@ import math
 import random
 from typing import TYPE_CHECKING
 
-from .errors import BadParameters, GuardExceeded
+from .errors import BadParameters, _check_work
 from .moves import _cut
 from .polytope import _WORK_CAP, CombPolytope, validate_polytope
 
@@ -23,17 +23,11 @@ if TYPE_CHECKING:
     from .hrep import HRep
 
 
-def _check_size(kind: str, n: int, work: int):
-    if work > _WORK_CAP:
-        raise GuardExceeded(f"{kind}({n}): vertex count times dimension^2 "
-                            f"exceeds the work cap {_WORK_CAP}")
-
-
 def simplex(n: int) -> CombPolytope:
     """The n-simplex: n+1 facets, one vertex per n-subset."""
     if n < 1:
         raise BadParameters(f"simplex dimension must be >= 1, got {n}")
-    _check_size("simplex", n, (n + 1) * n * n)
+    _check_work(f"simplex({n}) validation", (n + 1) * n * n, _WORK_CAP)
     verts = list(itertools.combinations(range(n + 1), n))
     return validate_polytope(n, verts)
 
@@ -43,7 +37,7 @@ def cube(n: int) -> CombPolytope:
     if n < 1:
         raise BadParameters(f"cube dimension must be >= 1, got {n}")
     # 2^n alone exceeds the cap past its bit length, so the shift stops there
-    _check_size("cube", n, n * n << min(n, _WORK_CAP.bit_length()))
+    _check_work(f"cube({n}) validation", n * n << min(n, _WORK_CAP.bit_length()), _WORK_CAP)
     verts = []
     for corner in itertools.product((0, 1), repeat=n):
         verts.append(tuple(sorted(i if bit == 0 else n + i
@@ -121,7 +115,7 @@ def random_vertexcuts(k: int, seed: int) -> CombPolytope:
     """
     if k < 0:
         raise BadParameters(f"cut count must be >= 0, got {k}")
-    _check_size("random-vertexcuts", k, (4 + 2 * k) * 9)
+    _check_work(f"random_vertexcuts({k}) validation", (4 + 2 * k) * 9, _WORK_CAP)
     rng = random.Random(seed)
     verts = list(itertools.combinations(range(4), 3))
     for step in range(k):

@@ -14,7 +14,14 @@ class BadParameters(MomangError):
 
 
 class GuardExceeded(MomangError):
-    """A combinatorial size guard was hit before the computation started."""
+    """A call's predicted work exceeds one of the package's size caps."""
+
+
+def _check_work(what: str, work: int, cap: int):
+    """The one size-cap check: raise before a call whose ``work``, predicted
+    from its input, exceeds ``cap``.  Every cap is a module constant."""
+    if work > cap:
+        raise GuardExceeded(f"{what}: predicted {work} exceeds the cap {cap}")
 
 
 # -- polytope validation -----------------------------------------------------

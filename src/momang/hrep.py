@@ -24,7 +24,6 @@ import numpy as np
 from .errors import (
     BadParameters,
     EmptyInterior,
-    GuardExceeded,
     NotOnVariety,
     NotSimplePresentation,
     OutsidePolytope,
@@ -32,8 +31,15 @@ from .errors import (
     RankDeficient,
     RedundantHalfspace,
     Unbounded,
+    _check_work,
 )
 from .polytope import validate_polytope
+
+# Caps: n-subsets that vertex enumeration solves, and sampling steps; a
+# nondegeneracy sample takes two SVDs of (m - n) x m gradients, ~m^2 (m - n)
+# steps, plus numpy call overhead worth ~20 000 steps.
+_SUBSET_CAP = 10 ** 6
+_SAMPLE_CAP = 10 ** 9
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,7 +261,7 @@ def hrep_to_text(h: HRep) -> str:
 # vertex enumeration
 
 
-def enumerate_vertices(h: HRep, guard: int = 10 ** 6):
+def enumerate_vertices(h: HRep):
     """Brute-force vertices over all n-subsets of half-spaces.
 
     Returns the validated incidence polytope together with the coordinate
@@ -263,8 +269,7 @@ def enumerate_vertices(h: HRep, guard: int = 10 ** 6):
     :class:`NotSimplePresentation` when some point lies on more than n
     hyperplanes within tolerance.
     """
-    if math.comb(h.m, h.n) > guard:
-        raise GuardExceeded(f"C({h.m},{h.n}) subsets exceed the guard {guard}")
+    _check_work(f"C({h.m},{h.n}) vertex subsets", math.comb(h.m, h.n), _SUBSET_CAP)
     f = h._frame
     found: dict[tuple[int, ...], np.ndarray] = {}
     for subset in itertools.combinations(range(h.m), h.n):
@@ -390,12 +395,15 @@ def verify_nondegeneracy(h: HRep, sample_count: int = 200,
     test as convex combinations of vertices.  Ranks are decided
     on the gradients of the relations among unit rows at y_k / sqrt|a_k|,
     unchanged by row scaling; ``min_margin`` reads those of
-    :func:`relation_matrix`.  Failures are reported, not raised.
+    :func:`relation_matrix`.  Failures are reported, not raised; the
+    predicted sampling work is checked against ``_SAMPLE_CAP`` first.
     """
     if sample_count < 0:
         raise BadParameters(f"sample_count must be >= 0, got {sample_count}")
     if seed < 0:
         raise BadParameters(f"seed must be >= 0, got {seed}")
+    _check_work(f"{sample_count} samples", sample_count
+                * (h.m * h.m * (h.m - h.n) + 20_000), _SAMPLE_CAP)
     q = relation_matrix(h)
     polytope, coords = enumerate_vertices(h)
     rng = np.random.default_rng(seed)

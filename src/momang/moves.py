@@ -20,13 +20,13 @@ from .errors import (
     BadParameters,
     CollapseInadmissible,
     DimensionUnsupported,
-    GuardExceeded,
     IsSimplex,
     LinkNotStandard,
     NoSuchFacet,
     NoSuchVertex,
     NotAFace,
     NotSimplexFacet,
+    _check_work,
 )
 from .polytope import (
     CombPolytope,
@@ -38,6 +38,9 @@ from .polytope import (
     is_simplex,
     validate_polytope,
 )
+
+# Flips the certificate search may produce, pruned ones included.
+_STATE_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -369,8 +372,7 @@ def simplex_boundary_sphere(n: int) -> SimplicialSphere:
     return SimplicialSphere(dim=n - 1, facets=facets)
 
 
-def psc_flip_certificate(p: CombPolytope, depth: int,
-                         state_cap: int = 100_000):
+def psc_flip_certificate(p: CombPolytope, depth: int):
     """Search for a flip sequence of codimension >= 3 reaching ``p``.
 
     Breadth-first search over bistellar moves at faces with 3..n vertices,
@@ -378,7 +380,7 @@ def psc_flip_certificate(p: CombPolytope, depth: int,
     to isomorphism.  Returns the move list on success and ``None`` when no
     sequence exists within ``depth`` levels; exhausting the search bound is
     not a proof of impossibility.  Raises :class:`GuardExceeded` once more
-    than ``state_cap`` states (flips produced) have been generated.
+    than ``_STATE_CAP`` states (flips produced) have been generated.
 
     States that cannot reach the target are not expanded.  A flip at a face
     sigma with at least 3 vertices deletes no vertex and no edge: every old
@@ -434,9 +436,7 @@ def psc_flip_certificate(p: CombPolytope, depth: int,
                 except LinkNotStandard:
                     continue
                 generated += 1
-                if generated > state_cap:
-                    raise GuardExceeded(
-                        f"flip search generated more than {state_cap} states")
+                _check_work("flip search states", generated, _STATE_CAP)
                 family, degrees = _sphere_family(new)
                 if len(degrees) > len(bound) or any(
                         d > b for d, b in zip(degrees, bound)):

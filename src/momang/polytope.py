@@ -17,21 +17,21 @@ from typing import TYPE_CHECKING
 
 from .errors import (
     DuplicateVertex,
-    GuardExceeded,
     InvalidSphere,
     NotPolytopal,
     NotSimple,
     ParseError,
     UnusedFacet,
+    _check_work,
 )
 
 if TYPE_CHECKING:
     import networkx as nx
 
 # Cap on predicted enumeration work, checked before anything is listed: the
-# face lattice walks vertex count times 2^n subsets, and the generated
-# simplices, cubes and cut tetrahedra are validated in vertex count times
-# n^2 steps.
+# face lattice's V * 2^n subsets, the V * n^2 validation steps of generated
+# simplices, cubes and cut tetrahedra, and the chamber counts' m + 1 rows
+# over the m facets and the codimension-two faces.
 _WORK_CAP = 10 ** 7
 
 @dataclass(frozen=True)
@@ -234,9 +234,7 @@ def face_lattice(p: CombPolytope) -> FaceLattice:
     exceed ``_WORK_CAP``.
     """
     n = p.dim
-    if p.vertex_count << n > _WORK_CAP:
-        raise GuardExceeded(f"{p.vertex_count} vertices times 2^{n} subsets exceed "
-                            f"the face-lattice cap {_WORK_CAP}")
+    _check_work("face-lattice subsets", p.vertex_count << n, _WORK_CAP)
     members: dict[frozenset, set] = defaultdict(set)
     for vi, fs in enumerate(p.vertices):
         for k in range(n + 1):

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import GuardExceeded, NoSuchFacet
-from .polytope import CombPolytope, FaceLattice, _pair_sets, face_lattice
+from .errors import NoSuchFacet, _check_work
+from .polytope import _WORK_CAP, CombPolytope, FaceLattice, _pair_sets, face_lattice
 
 
 # Objects (cells, or filtration pieces plus edge records) a materialising
@@ -77,7 +77,7 @@ class ChamberComplex:
         return self.canonical(face_index, rep ^ g)
 
 
-def build_chamber_complex(p: CombPolytope, guard: int = 20) -> ChamberComplex:
+def build_chamber_complex(p: CombPolytope) -> ChamberComplex:
     """Enumerate all cells, face by face.
 
     The 2^m copies of a face glue along the cosets of the subgroup spanned
@@ -85,10 +85,8 @@ def build_chamber_complex(p: CombPolytope, guard: int = 20) -> ChamberComplex:
     facet mask, listed in increasing order: 2^(m-k) in codimension k.
     Over ``_OBJECT_CAP`` cells raise ``GuardExceeded`` before any is built.
     """
-    lattice, masks, counts = _chamber_counts(p, guard)
-    if sum(counts["cells_by_dim"]) > _OBJECT_CAP:
-        raise GuardExceeded(f"{sum(counts['cells_by_dim'])} cells exceed "
-                            f"the cap {_OBJECT_CAP}")
+    lattice, masks, counts = _chamber_counts(p)
+    _check_work("chamber cells", sum(counts["cells_by_dim"]), _OBJECT_CAP)
     cells = tuple((face_index, g) for face_index, mask in enumerate(masks)
                   for g in _stage_cell_reps(p.facet_count, mask))
     cell_ids = {cell: k for k, cell in enumerate(cells)}
@@ -96,14 +94,11 @@ def build_chamber_complex(p: CombPolytope, guard: int = 20) -> ChamberComplex:
                           tuple(counts["cells_by_dim"]))
 
 
-def euler_characteristic_from_lattice(p: CombPolytope,
-                                      lattice: FaceLattice | None = None) -> int:
+def euler_characteristic_from_lattice(p: CombPolytope) -> int:
     """Closed-form alternating cell count; never builds any cells."""
-    if lattice is None:
-        lattice = face_lattice(p)
     m = p.facet_count
     return sum((-1) ** f.dim * (1 << (m - len(f.facets)))
-               for f in lattice.faces)
+               for f in face_lattice(p).faces)
 
 
 def euler_characteristic(z: ChamberComplex) -> int:
@@ -268,7 +263,7 @@ def _boundary_components(star: list[int], j: int) -> int:
     return total
 
 
-def doubling_filtration(p: CombPolytope, guard: int = 20) -> list[FiltrationStage]:
+def doubling_filtration(p: CombPolytope) -> list[FiltrationStage]:
     """All stages 0..m of the doubling filtration.
 
     Stage j keeps the first j generators: a face's stage cells are the
@@ -277,12 +272,10 @@ def doubling_filtration(p: CombPolytope, guard: int = 20) -> list[FiltrationStag
     records raise ``GuardExceeded`` before any is built.
     """
     m = p.facet_count
-    lattice, masks, counts = _chamber_counts(p, guard)
-    objects = sum(row["facets"] + row["type1_edges"] + row["type2_edges"]
-                  for row in counts["filtration"])
-    if objects > _OBJECT_CAP:
-        raise GuardExceeded(f"{objects} filtration pieces and edge records "
-                            f"exceed the cap {_OBJECT_CAP}")
+    lattice, masks, counts = _chamber_counts(p)
+    _check_work("filtration pieces and edge records",
+                sum(row["facets"] + row["type1_edges"] + row["type2_edges"]
+                    for row in counts["filtration"]), _OBJECT_CAP)
     stages = []
     for j, row in enumerate(counts["filtration"]):
         subgroup = tuple(range(1 << j))
@@ -300,20 +293,20 @@ def doubling_filtration(p: CombPolytope, guard: int = 20) -> list[FiltrationStag
 # summary
 
 
-def _chamber_counts(p: CombPolytope, guard: int) -> tuple[FaceLattice, list, dict]:
+def _chamber_counts(p: CombPolytope) -> tuple[FaceLattice, list, dict]:
     """The face lattice, its facet masks, and every number the chamber
     commands report, from those masks and the facet stars alone (edge types:
-    see :func:`classify_edge_types`); no cell, piece or record is built."""
+    see :func:`classify_edge_types`); no cell, piece or record is built, and
+    the rows' work is capped before the first (see ``_WORK_CAP``)."""
     m = p.facet_count
-    if m > guard:
-        raise GuardExceeded(f"facet count {m} exceeds guard {guard}")
     lattice = face_lattice(p)
     masks = [_face_mask(f) for f in lattice.faces]
+    pairs = [mask for mask in masks if mask.bit_count() == 2]
+    _check_work("chamber count rows", (m + 1) * (m + len(pairs)), _WORK_CAP)
     star = _facet_stars(p)
     cells_by_dim = [0] * (p.dim + 1)
     for face, mask in zip(lattice.faces, masks):
         cells_by_dim[face.dim] += _coset_count(m, mask)
-    pairs = [mask for mask in masks if mask.bit_count() == 2]
     filtration = []
     for j in range(m + 1):
         low = (1 << j) - 1
@@ -326,7 +319,7 @@ def _chamber_counts(p: CombPolytope, guard: int) -> tuple[FaceLattice, list, dic
     return lattice, masks, {
         "m": m,
         "cells_by_dim": cells_by_dim,
-        "euler": euler_characteristic_from_lattice(p, lattice),
+        "euler": sum((-1) ** d * c for d, c in enumerate(cells_by_dim)),
         "components": 1,
         "orientable": True,
         "fixed_sets": [{"facet": i, "components": _coset_count(m, s)}
@@ -335,9 +328,9 @@ def _chamber_counts(p: CombPolytope, guard: int) -> tuple[FaceLattice, list, dic
     }
 
 
-def complex_summary(p: CombPolytope, guard: int = 20) -> dict:
+def complex_summary(p: CombPolytope) -> dict:
     """Everything the moment-angle report needs, as one JSON-ready dict."""
-    _, _, summary = _chamber_counts(p, guard)
+    _, _, summary = _chamber_counts(p)
     summary["filtration"] = [
         {key: row[key] for key in ("j", "facets", "type1_edges", "type2_edges")}
         for row in summary["filtration"]]

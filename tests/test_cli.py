@@ -164,25 +164,39 @@ def test_andreev_counts(tmp_path, capsys):
     assert report["payload"]["no_prismatic_circuits"] is True
 
 
-def test_flip_cert_command(tmp_path, capsys):
+def test_flip_cert_command(tmp_path, monkeypatch, capsys):
     path = write_polytope(tmp_path, "prism.json", prism())
     code, report, _ = run(capsys, "flip-cert", path, "--depth", "2")
     assert code == 0 and report["payload"]["found"] is True
     assert report["payload"]["moves"] == [
         {"kind": "vertex", "face": [0, 1, 2], "codim": 3}]
-    code, _, err = run(capsys, "flip-cert", path, "--depth", "2", "--guard", "1")
+    monkeypatch.setattr("momang.moves._STATE_CAP", 1)
+    code, _, err = run(capsys, "flip-cert", path, "--depth", "2")
     assert code == 3 and "GuardExceeded" in err
 
 
-def test_moment_angle_summary(tmp_path, capsys):
+def test_moment_angle_summary(tmp_path, monkeypatch, capsys):
     from momang import cube
     path = write_polytope(tmp_path, "cube.json", cube(3))
     code, report, _ = run(capsys, "moment-angle", path)
     payload = report["payload"]
     assert payload["cells_by_dim"] == [64, 192, 192, 64]
     assert payload["euler"] == 0 and payload["orientable"] is True
-    code, _, err = run(capsys, "moment-angle", path, "--guard", "4")
-    assert code == 3
+    # 7 count rows over the cube's 6 facets and 12 edges
+    monkeypatch.setattr("momang.zcomplex._WORK_CAP", 7 * (6 + 12) - 1)
+    code, _, err = run(capsys, "moment-angle", path)
+    assert code == 3 and "GuardExceeded" in err
+
+
+def test_chamber_commands_past_twenty_facets(tmp_path, capsys):
+    # m = 44: the counts cap predicts 45 * (44 + 126) row steps, far below it
+    src = str(tmp_path / "rvc40.json")
+    assert main(["generate", "random-vertexcuts", "40", "--out", src]) == 0
+    capsys.readouterr()
+    for command in ("moment-angle", "fixed-sets", "filtration"):
+        code, report, err = run(capsys, command, src)
+        assert code == 0, (command, err)
+    assert len(report["payload"]["filtration"]) == 45
 
 
 def test_fixed_sets_and_filtration_commands(tmp_path, capsys):
@@ -267,8 +281,8 @@ WHOLE_REPORTS = [
      {"command": "recognize", "flags": {"strict": True}, "inputs": {"cube.json": CUBE_SHA},
       "payload": {"intermediate_facet_counts": [], "steps": [], "verdict": "no"}},
      ["command: recognize", f"input cube.json: sha256:{CUBE_SHA}", "flag strict: True"]),
-    (["moment-angle", "a.json", "--guard", "7"], 0,
-     {"command": "moment-angle", "flags": {"guard": 7}, "inputs": {"a.json": PRISM_SHA},
+    (["moment-angle", "a.json"], 0,
+     {"command": "moment-angle", "flags": {}, "inputs": {"a.json": PRISM_SHA},
       "payload": {
           "cells_by_dim": [24, 72, 80, 32], "components": 1, "euler": 0,
           "filtration": [{"facets": 5, "j": 0, "type1_edges": 9, "type2_edges": 0},
@@ -281,7 +295,7 @@ WHOLE_REPORTS = [
                          {"components": 1, "facet": 2}, {"components": 2, "facet": 3},
                          {"components": 2, "facet": 4}],
           "m": 5, "orientable": True}},
-     ["command: moment-angle", f"input a.json: sha256:{PRISM_SHA}", "flag guard: 7"]),
+     ["command: moment-angle", f"input a.json: sha256:{PRISM_SHA}"]),
     (["verify-quadrics", "cube.hrep", "--samples", "40", "--seed", "3"], 0,
      {"command": "verify-quadrics", "flags": {"samples": 40, "seed": 3, "tol": 1e-09},
       "inputs": {"cube.hrep": HREP_SHA},
@@ -431,7 +445,7 @@ print(json.dumps({"codes": codes,
 """
 
 
-def test_chamber_commands_memory_budget(tmp_path, capsys):
+def test_chamber_commands_memory_budget(tmp_path, monkeypatch, capsys):
     # 20 facets: 2^20 chambers, ~3 * 10^7 cells if materialised; the counts
     # come from the face lattice, so each whole process stays small.  A small
     # fresh interpreter starts the commands: a child's peak RSS includes its
@@ -439,7 +453,10 @@ def test_chamber_commands_memory_budget(tmp_path, capsys):
     src = str(tmp_path / "rvc16.json")
     assert main(["generate", "random-vertexcuts", "16", "--seed", "0",
                  "--out", src]) == 0
-    assert main(["fixed-sets", src, "--guard", "19"]) == 3
+    # 21 count rows over 20 facets and 54 edges; one step less fires the cap
+    with monkeypatch.context() as patch:
+        patch.setattr("momang.zcomplex._WORK_CAP", 21 * (20 + 54) - 1)
+        assert main(["fixed-sets", src]) == 3
     capsys.readouterr()
     root = os.path.dirname(os.path.dirname(momang.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -624,6 +641,7 @@ def test_exit_codes_on_bad_flags(tmp_path, capsys):
         ["verify-quadrics", hrep, "--tol", "nan"], ["verify-quadrics", hrep, "--tol", "inf"],
         ["verify-quadrics", hrep, "--seed", "-1"],
         ["verify-quadrics", hrep, "--samples", "-1"],
+        ["verify-quadrics", hrep, "--samples", "100000000"],
         ["generate", "cube", "-1"], ["generate", "simplex", "0"], ["generate", "cube"],
         ["generate", "random-vertexcuts", "-1"], ["generate", "prism", "3"],
         ["generate", "dodecahedron", "2"], ["generate", "tetrahedron"],
@@ -638,7 +656,11 @@ def test_exit_codes_on_bad_flags(tmp_path, capsys):
         assert code in (0, 1, 2, 3), argv
         if code == 1:  # only a negative verdict under --strict
             assert "--strict" in argv and negative[argv[0]](payload), argv
+        if "--guard" in argv:  # no command takes a guard
+            assert code == 2, argv
         seen.add(code)
+    code, _ = exit_code(capsys, ["verify-quadrics", hrep, "--samples", "100000000"])
+    assert code == 3
     for flag in ("--seed", "--samples"):
         assert main(["verify-quadrics", hrep, flag, "-1"]) == 2, flag
         assert json.loads(capsys.readouterr().err)["error"] == "BadParameters"

@@ -27,6 +27,7 @@ from momang.corpus import (
     prism_hrep,
     simplex_hrep,
 )
+import momang.hrep as hrep
 from momang.hrep import HRep, _simplex
 from momang.errors import (
     BadParameters,
@@ -124,9 +125,13 @@ def test_cube_vertices():
         for bits in np.ndindex(2, 2, 2))
 
 
-def test_enumeration_guard():
+def test_enumeration_guard(monkeypatch):
+    # the cap admits exactly the C(12, 3) = 220 subsets of the dodecahedron
+    monkeypatch.setattr(hrep, "_SUBSET_CAP", 220)
+    enumerate_vertices(dodecahedron_hrep())
+    monkeypatch.setattr(hrep, "_SUBSET_CAP", 219)
     with pytest.raises(GuardExceeded):
-        enumerate_vertices(dodecahedron_hrep(), guard=10)
+        enumerate_vertices(dodecahedron_hrep())
 
 
 def test_octahedron_not_simple_presentation():
@@ -309,6 +314,28 @@ def test_nondegeneracy_sample_count_bounds():
     assert verify_nondegeneracy(cube_hrep(3), sample_count=0).samples == 15
     with pytest.raises(BadParameters):
         verify_nondegeneracy(cube_hrep(3), sample_count=-1)
+
+
+def test_sampling_cap_checked_before_any_point(monkeypatch):
+    # the predicted work is checked before the relations, the vertices or any
+    # sample point are computed; LookupError marks a call past the check
+    def past_the_check(h):
+        raise LookupError
+
+    monkeypatch.setattr(hrep, "relation_matrix", past_the_check)
+    with pytest.raises(GuardExceeded):
+        verify_nondegeneracy(cube_hrep(3), sample_count=10 ** 8)
+    # 1000 samples at m = 30 are admitted; the check reads only n and m
+    with pytest.raises(LookupError):
+        verify_nondegeneracy(HRep(3, 30, np.zeros((3, 30)), np.zeros(30)), 1000)
+    # and the cap admits exactly the prediction
+    work = 40 * (6 * 6 * (6 - 3) + 20_000)
+    monkeypatch.setattr(hrep, "_SAMPLE_CAP", work)
+    with pytest.raises(LookupError):
+        verify_nondegeneracy(cube_hrep(3), sample_count=40)
+    monkeypatch.setattr(hrep, "_SAMPLE_CAP", work - 1)
+    with pytest.raises(GuardExceeded):
+        verify_nondegeneracy(cube_hrep(3), sample_count=40)
 
 
 def test_nondegeneracy_deterministic():

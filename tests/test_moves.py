@@ -683,9 +683,10 @@ def test_certificate_cube_none_within_depth():
     assert psc_flip_certificate(cube(3), depth=3) is None
 
 
-def test_certificate_guard():
+def test_certificate_guard(monkeypatch):
+    monkeypatch.setattr(moves, "_STATE_CAP", 1)
     with pytest.raises(GuardExceeded):
-        psc_flip_certificate(prism(), depth=3, state_cap=1)
+        psc_flip_certificate(prism(), depth=3)
 
 
 def test_certificate_two_cuts():
@@ -702,9 +703,9 @@ def test_certificate_cut_simplex4():
     assert moves[0].kind == "vertex" and moves[0].codim == 4
 
 
-def _flip_outcome(search, p, depth, state_cap=100_000):
+def _flip_outcome(search, *args):
     try:
-        return search(p, depth=depth, state_cap=state_cap)
+        return search(*args)
     except GuardExceeded:
         return GuardExceeded
 
@@ -731,9 +732,10 @@ FLIP_ORACLE_CASES = [
 
 @pytest.mark.parametrize("make,depth,cap", [c[1:] for c in FLIP_ORACLE_CASES],
                          ids=[c[0] for c in FLIP_ORACLE_CASES])
-def test_flip_search_matches_unpruned_oracle(make, depth, cap):
+def test_flip_search_matches_unpruned_oracle(monkeypatch, make, depth, cap):
     p = make()
-    assert _flip_outcome(psc_flip_certificate, p, depth, cap) == \
+    monkeypatch.setattr(moves, "_STATE_CAP", cap)
+    assert _flip_outcome(psc_flip_certificate, p, depth) == \
         _flip_outcome(flip_oracle, p, depth, cap)
 
 
@@ -773,12 +775,14 @@ def test_flips_never_lower_degrees(n):
         assert min(kinds) >= 3
 
 
-def test_pruned_search_generates_few_states():
+def test_pruned_search_generates_few_states(monkeypatch):
     # with the degree prune the cut cube's search dies out after 19 flips,
     # at any depth; the unpruned search needs 133 at depth 5 alone
-    assert psc_flip_certificate(vertex_cut(cube(3), 0), depth=8, state_cap=19) is None
+    monkeypatch.setattr(moves, "_STATE_CAP", 19)
+    assert psc_flip_certificate(vertex_cut(cube(3), 0), depth=8) is None
+    monkeypatch.setattr(moves, "_STATE_CAP", 18)
     with pytest.raises(GuardExceeded):
-        psc_flip_certificate(vertex_cut(cube(3), 0), depth=8, state_cap=18)
+        psc_flip_certificate(vertex_cut(cube(3), 0), depth=8)
 
 
 def test_flip_search_builds_one_pair_table_per_state(monkeypatch):

@@ -117,15 +117,16 @@ def test_components_single(corpus):
         assert connected_components(build_chamber_complex(p)) == 1, name
 
 
-def test_guard():
-    with pytest.raises(GuardExceeded):
-        build_chamber_complex(cube(3), guard=5)
-    with pytest.raises(GuardExceeded):
-        doubling_filtration(cube(3), guard=5)
+def test_guard(monkeypatch):
+    # cube(3): 7 count rows over its 6 facets and 12 edges
+    monkeypatch.setattr(zcomplex, "_WORK_CAP", 7 * (6 + 12) - 1)
+    for call in (build_chamber_complex, doubling_filtration, complex_summary):
+        with pytest.raises(GuardExceeded):
+            call(cube(3))
 
 
 def test_object_cap_from_closed_forms(monkeypatch):
-    # m = 20 passes the facet guard, but its ~3 * 10^7 cells do not pass the
+    # m = 20 passes the counts cap, but its ~3 * 10^7 cells do not pass the
     # object cap; no cell rep may be listed before the cap is checked
     def unreachable(*args):
         raise AssertionError("cells listed before the object cap was checked")
@@ -149,6 +150,23 @@ def test_object_cap_from_closed_forms(monkeypatch):
         monkeypatch.setattr(zcomplex, "_OBJECT_CAP", count - 1)
         with pytest.raises(GuardExceeded):
             build(q)
+
+
+def test_counts_cap_from_closed_forms(monkeypatch):
+    # m + 1 rows over the m facets and the codimension-two faces: the cap
+    # admits exactly the prediction, and fires before any row is computed
+    def unreachable(*args):
+        raise AssertionError("a filtration row computed before the counts cap")
+
+    p = random_vertexcuts(40, 0)
+    m = p.facet_count
+    predicted = (m + 1) * (m + len(edge_pairs(p)))
+    monkeypatch.setattr(zcomplex, "_WORK_CAP", predicted)
+    assert complex_summary(p)["m"] == 44
+    monkeypatch.setattr(zcomplex, "_WORK_CAP", predicted - 1)
+    monkeypatch.setattr(zcomplex, "_boundary_components", unreachable)
+    with pytest.raises(GuardExceeded):
+        complex_summary(p)
 
 
 def test_group_action_on_cells():
@@ -636,15 +654,16 @@ def count_inputs():
 def test_counts_match_materialised_oracle():
     for name, p in count_inputs():
         assert complex_summary(p) == oracle_summary(p), name
-        assert _chamber_counts(p, 20)[2]["filtration"] == oracle_filtration_rows(p), name
+        assert _chamber_counts(p)[2]["filtration"] == oracle_filtration_rows(p), name
 
 
 def test_stars_and_boundaries_match_lattice_union_find():
     split = 0
-    for name, p in count_inputs() + [("rvc16", random_vertexcuts(16, 0))]:
+    for name, p in count_inputs() + [("rvc16", random_vertexcuts(16, 0)),
+                                     ("rvc40", random_vertexcuts(40, 0))]:
         m = p.facet_count
         lattice = face_lattice(p)
-        counts = _chamber_counts(p, m)[2]
+        counts = _chamber_counts(p)[2]
         for i, row in enumerate(counts["fixed_sets"]):
             spans = oracle_face_spans(lattice, lambda mask: mask >> i & 1)
             assert len(spans) == 1, (name, i)
