@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one size-cap check."""
 
 
 class MomangError(Exception):
