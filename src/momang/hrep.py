@@ -14,7 +14,6 @@ payload numbers are still computed from the input's A and b.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,11 +34,15 @@ from .errors import (
 )
 from .polytope import validate_polytope
 
-# Caps: n-subsets that vertex enumeration solves, and sampling steps; a
-# nondegeneracy sample takes two SVDs of (m - n) x m gradients, ~m^2 (m - n)
-# steps, plus numpy call overhead worth ~20 000 steps.
-_SUBSET_CAP = 10 ** 6
+# Caps: vertex walk steps, the upper-bound-theorem vertex count times m n
+# (for m <= 54 the former cap of 10^6 n-subsets admitted at most 1.24e8, at
+# m = 43, n = 38), and sampling steps; a nondegeneracy sample takes two SVDs
+# of (m - n) x m gradients, ~m^2 (m - n) steps, plus numpy call overhead
+# worth ~20 000 steps.  Ranks are taken in stacks of _RANK_CHUNK samples,
+# which bounds the stacked gradients' memory.
+_VERTEX_CAP = 125 * 10 ** 6
 _SAMPLE_CAP = 10 ** 9
+_RANK_CHUNK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +76,13 @@ class HRep:
         offsets = unit @ np.linalg.lstsq(unit, -c, rcond=None)[0] + c
         scale = max(1.0, float(np.abs(offsets).max()))
         rounding = 8 * (self.n + 1) * np.finfo(float).eps * float(np.abs(c).max())
-        return _Frame(norms=norms, U=unit, c=offsets, thr=self.tol * scale + rounding)
+        return _Frame(norms=norms, U=unit, c=offsets, rounding=rounding,
+                      thr=self.tol * scale + rounding)
+
+    @cached_property
+    def _vertices(self):
+        """``enumerate_vertices``' result, walked once per presentation."""
+        return _walk_vertices(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +90,7 @@ class _Frame:
     norms: np.ndarray      # |a_i|
     U: np.ndarray          # m x n unit rows
     c: np.ndarray          # offsets c' seen from the recentring point
+    rounding: float        # length lost to rounding in <a_i, x> + b_i, over |a_i|
     thr: float             # the one length threshold
 
 
@@ -97,6 +107,7 @@ class QuadricSystem:
     m: int
     gamma: np.ndarray      # (m - n) x m, full row rank, gamma @ A^t = 0
     rhs: np.ndarray
+    rounding: np.ndarray | float = 0.0  # per equation, see relation_matrix
 
     def residual(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -121,10 +132,12 @@ _LP_EPS = 1e-9  # pivots, reduced costs and phase I, on unit-row data
 def _simplex(M, r, cost):
     """min cost·λ subject to M λ = r and λ >= 0, by a dense two-phase tableau.
 
-    Returns ``("optimal", value)``, ``("infeasible", nan)`` or
-    ``("unbounded", nan)``.  Bland's rule picks the lowest entering index and,
-    among ratio-test ties, the lowest basic index, so it cannot cycle.
-    Phase I starts from one artificial column per row and minimises their sum.
+    Returns ``("optimal", value, basis)``, ``("infeasible", nan, basis)`` or
+    ``("unbounded", nan, basis)``, where basis lists the column basic in each
+    row, artificials numbered from ``M.shape[1]``.  Bland's rule picks the
+    lowest entering index and, among ratio-test ties, the lowest basic index,
+    so it cannot cycle.  Phase I starts from one artificial column per row and
+    minimises their sum.
     """
     k, N = M.shape
     sign = np.where(r < 0, -1.0, 1.0)
@@ -139,7 +152,7 @@ def _simplex(M, r, cost):
         col = T[:, j].copy()
         col[i] = 0.0
         T[:] -= np.outer(col, T[i])
-        basis[i] = j
+        basis[i] = int(j)
 
     def optimise(eps):  # only the N real columns enter; False when unbounded
         while (enter := np.flatnonzero(T[k, :N] < -eps)).size:
@@ -153,15 +166,15 @@ def _simplex(M, r, cost):
 
     optimise(_LP_EPS)
     if -T[k, -1] > _LP_EPS * max(1.0, float(np.abs(r).sum())):
-        return "infeasible", math.nan
+        return "infeasible", math.nan, basis
     for i in range(k):  # drive the artificials left at level zero out of the basis
         if basis[i] >= N and (cols := np.flatnonzero(np.abs(T[i, :N]) > _LP_EPS)).size:
             pivot(i, cols[0])
     costs = np.r_[cost, np.zeros(k)][basis]
     T[k, :N], T[k, -1] = cost - costs @ T[:k, :N], -costs @ T[:k, -1]
     if not optimise(_LP_EPS * max(1.0, float(np.abs(cost).max(initial=0.0)))):
-        return "unbounded", math.nan
-    return "optimal", float(-T[k, -1])
+        return "unbounded", math.nan, basis
+    return "optimal", float(-T[k, -1]), basis
 
 
 def make_hrep(rows, offsets, tol: float = 1e-9) -> HRep:
@@ -196,7 +209,7 @@ def make_hrep(rows, offsets, tol: float = 1e-9) -> HRep:
 
     # Full-dimensional iff the Chebyshev radius max{t : U x + c' >= t 1} is
     # positive; it equals min{c' λ : U^t λ = 0, 1 λ = 1, λ >= 0}.
-    status, radius = _simplex(np.vstack([f.U.T, ones]), np.r_[np.zeros(n), 1.0], f.c)
+    status, radius, _ = _simplex(np.vstack([f.U.T, ones]), np.r_[np.zeros(n), 1.0], f.c)
     if status != "optimal" or radius <= f.thr:
         raise EmptyInterior("no interior point within tolerance")
 
@@ -205,7 +218,7 @@ def make_hrep(rows, offsets, tol: float = 1e-9) -> HRep:
     # U_keep^t λ = u_i, λ >= 0}, and an infeasible dual means no minimum.
     for i in range(m):
         keep = np.arange(m) != i
-        status, value = _simplex(f.U[keep].T, f.U[i], f.c[keep])
+        status, value, _ = _simplex(f.U[keep].T, f.U[i], f.c[keep])
         if status == "infeasible":
             continue  # unbounded below without row i: certainly irredundant
         if status != "optimal":
@@ -262,17 +275,48 @@ def hrep_to_text(h: HRep) -> str:
 
 
 def enumerate_vertices(h: HRep):
-    """Brute-force vertices over all n-subsets of half-spaces.
+    """Vertices of the region, by an edge walk, computed once per presentation.
 
-    Returns the validated incidence polytope together with the coordinate
-    array aligned with its vertex order.  Raises
+    Returns the validated incidence polytope together with the read-only
+    coordinate array aligned with its vertex order.  Raises
     :class:`NotSimplePresentation` when some point lies on more than n
     hyperplanes within tolerance.
     """
-    _check_work(f"C({h.m},{h.n}) vertex subsets", math.comb(h.m, h.n), _SUBSET_CAP)
+    return h._vertices
+
+
+def _walk_vertices(h: HRep):
+    """The edge walk (Avis & Fukuda, 1992) in the unit-row frame.
+
+    Its predicted work, the upper-bound-theorem vertex count times m n, is
+    checked against ``_VERTEX_CAP`` before any LP.  The start is an optimal
+    basis of one LP, min u_0 z over the region as its dual min{c' λ :
+    U^t λ = u_0, λ >= 0}: the simplex multipliers of any optimal basis solve
+    it at a vertex.  Each visited n-subset passes the checks that decide a
+    vertex: a determinant above tol, no row violated by more than the frame's
+    threshold, and no more than its own n rows within it, else
+    :class:`NotSimplePresentation`.  From a vertex, column k of U_sub^-1
+    leaves row k and runs along the other n - 1; the first row it reaches
+    replaces row k, which gives the neighbour on that edge.  Coordinates are
+    solved from the input's A and b on the sorted subset.
+
+    Why a degenerate point is never missed: the vertex-edge graph of a
+    polytope is connected, and at a vertex that passed the checks the n edges
+    leaving it are exactly these n directions, each walked to its other end.
+    So on a graph path from the start to a degenerate point, the walk visits
+    every vertex up to the first degenerate one, and raises there.
+    """
+    n, m = h.n, h.m
+    bound = math.comb(m - (n + 1) // 2, n // 2) + math.comb(m - n // 2 - 1, (n + 1) // 2 - 1)
+    _check_work(f"{bound} vertices of {m} half-spaces in dimension {n}, "
+                "times m n walk steps", bound * m * n, _VERTEX_CAP)
     f = h._frame
+    status, _, basis = _simplex(f.U.T, f.U[0], f.c)
+    todo = [tuple(sorted(basis))] if status == "optimal" and max(basis) < m else []
+    seen = set(todo)
     found: dict[tuple[int, ...], np.ndarray] = {}
-    for subset in itertools.combinations(range(h.m), h.n):
+    while todo:
+        subset = todo.pop()
         sub = list(subset)
         if abs(np.linalg.det(f.U[sub])) <= h.tol:  # unit rows: Hadamard bound 1
             continue
@@ -281,11 +325,21 @@ def enumerate_vertices(h: HRep):
         if vals.min() < -f.thr:
             continue
         active = tuple(int(i) for i in np.flatnonzero(np.abs(vals) <= f.thr))
-        if len(active) > h.n:
+        if len(active) > n:
             raise NotSimplePresentation(f"point on {len(active)} hyperplanes: {active}")
         found[subset] = np.linalg.solve(h.A.T[sub], -h.b[sub])
+        # every other row has vals > thr > 0; the edge reaches first the row
+        # whose slack it closes fastest per unit of slack
+        rates = -(f.U @ np.linalg.inv(f.U[sub])) / np.where(vals > 0, vals, np.inf)[:, None]
+        for k, j in enumerate(rates.argmax(axis=0)):
+            if rates[j, k] > 0:
+                nxt = tuple(sorted([*sub[:k], *sub[k + 1:], int(j)]))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
     polytope = validate_polytope(h.n, sorted(found))
     coords = np.array([found[v] for v in polytope.vertices])
+    coords.setflags(write=False)
     return polytope, coords
 
 
@@ -298,7 +352,11 @@ def relation_matrix(h: HRep) -> QuadricSystem:
 
     Row reduction of A identifies pivot columns; each free column yields one
     relation with unit coefficient there.  Rows are rescaled so their
-    largest-magnitude entry is 1, making the output reproducible.
+    largest-magnitude entry is 1, making the output reproducible.  Equation j
+    carries the rounding allowance sum_k |gamma_jk| |a_k| times the frame's
+    length rounding 8 (n + 1) eps max|c|: rhs and every lifted square
+    <a_k, x> + b_k sum terms as far out as the region lies, and far out
+    (a 1e9 translation) that rounding exceeds tol times what is left.
     """
     n, m, norms = h.n, h.m, h._frame.norms
     R = np.array(h.A, dtype=float)
@@ -331,9 +389,10 @@ def relation_matrix(h: HRep) -> QuadricSystem:
     if np.abs(gamma @ h.A.T).max() > 100 * h.tol * (np.abs(gamma) @ norms).max():
         raise AssertionError("relation rows do not annihilate the normals")
     rhs = gamma @ h.b
-    gamma.setflags(write=False)
-    rhs.setflags(write=False)
-    return QuadricSystem(m=m, gamma=gamma, rhs=rhs)
+    rounding = np.abs(gamma) @ norms * h._frame.rounding
+    for array in (gamma, rhs, rounding):
+        array.setflags(write=False)
+    return QuadricSystem(m=m, gamma=gamma, rhs=rhs, rounding=rounding)
 
 
 def lift_point(h: HRep, x, signs) -> EmbeddedPoint:
@@ -353,7 +412,8 @@ def lift_point(h: HRep, x, signs) -> EmbeddedPoint:
 def quadric_gradient_rank(q: QuadricSystem, point, tol: float = 1e-9) -> int:
     """Rank of the quadric gradients (rows 2 gamma_jk y_k) at a point.
 
-    Each equation's residual is measured against its own terms.  The rank
+    Each equation's residual is measured against its own terms, plus its
+    rounding allowance from :func:`relation_matrix`.  The rank
     is decided with column k divided by sqrt(max_j |gamma_jk|) and each row
     then scaled to max 1: scaling half-space k by lambda > 0 divides column
     k of gamma by lambda and multiplies y_k by sqrt(lambda), so the scaled
@@ -361,7 +421,7 @@ def quadric_gradient_rank(q: QuadricSystem, point, tol: float = 1e-9) -> int:
     """
     y = point.y if isinstance(point, EmbeddedPoint) else np.asarray(point, float)
     res = np.abs(q.residual(y))
-    if (res > tol * (np.abs(q.gamma) @ (y * y) + np.abs(q.rhs))).any():
+    if (res > tol * (np.abs(q.gamma) @ (y * y) + np.abs(q.rhs)) + q.rounding).any():
         raise NotOnVariety(f"max residual {res.max():g}")
     cols = np.abs(q.gamma).max(axis=0, initial=0.0)
     grad = q.gamma * (y / np.sqrt(np.where(cols > 0, cols, 1.0)))
@@ -395,8 +455,10 @@ def verify_nondegeneracy(h: HRep, sample_count: int = 200,
     test as convex combinations of vertices.  Ranks are decided
     on the gradients of the relations among unit rows at y_k / sqrt|a_k|,
     unchanged by row scaling; ``min_margin`` reads those of
-    :func:`relation_matrix`.  Failures are reported, not raised; the
-    predicted sampling work is checked against ``_SAMPLE_CAP`` first.
+    :func:`relation_matrix`.  Both come from stacked SVDs over chunks of
+    ``_RANK_CHUNK`` samples, with the signs drawn per chunk from the same
+    stream.  Failures are reported, not raised; the predicted sampling work
+    is checked against ``_SAMPLE_CAP`` first.
     """
     if sample_count < 0:
         raise BadParameters(f"sample_count must be >= 0, got {sample_count}")
@@ -419,15 +481,16 @@ def verify_nondegeneracy(h: HRep, sample_count: int = 200,
     unit_gamma = q.gamma * np.sqrt(norms) / np.abs(q.gamma * norms).max(axis=1)[:, None]
     expected = h.m - h.n
     min_rank, min_margin, failures = expected, math.inf, []
-    for idx, x in enumerate(pts):
-        signs = 1 - 2 * rng.integers(0, 2, size=h.m)
-        y = signs * np.sqrt(np.clip(h.values(x), 0.0, None))
-        rank = _numeric_rank(2.0 * unit_gamma * y, h.tol)
-        svals = np.linalg.svd(2.0 * q.gamma * y, compute_uv=False)
-        min_margin = min(min_margin, float(svals[expected - 1]))
-        min_rank = min(min_rank, rank)
-        if rank < expected:
-            failures.append((idx, rank))
+    for start in range(0, len(pts), _RANK_CHUNK):  # ranks decided as _numeric_rank does
+        chunk = pts[start:start + _RANK_CHUNK]
+        signs = 1 - 2 * rng.integers(0, 2, size=(len(chunk), h.m))
+        y = (signs * np.sqrt(np.clip([h.values(x) for x in chunk], 0.0, None)))[:, None, :]
+        svals = np.linalg.svd(2.0 * unit_gamma * y, compute_uv=False)
+        ranks = np.sum(svals > h.tol * np.maximum(1.0, svals[:, :1]), axis=1)
+        margins = np.linalg.svd(2.0 * q.gamma * y, compute_uv=False)[:, expected - 1]
+        min_margin = min(min_margin, float(margins.min()))
+        min_rank = min(min_rank, int(ranks.min()))
+        failures += [(start + i, int(r)) for i, r in enumerate(ranks) if r < expected]
     return NondegeneracyReport(expected_rank=expected, min_rank=min_rank,
                                min_margin=min_margin, samples=len(pts),
                                failures=tuple(failures))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -29,10 +30,12 @@ from momang.corpus import (
 )
 import momang.hrep as hrep
 from momang.hrep import HRep, _simplex
+from momang.polytope import validate_polytope
 from momang.errors import (
     BadParameters,
     EmptyInterior,
     GuardExceeded,
+    MomangError,
     NotOnVariety,
     NotSimplePresentation,
     OutsidePolytope,
@@ -125,13 +128,36 @@ def test_cube_vertices():
         for bits in np.ndindex(2, 2, 2))
 
 
+def past_the_check(*args):
+    raise LookupError
+
+
 def test_enumeration_guard(monkeypatch):
-    # the cap admits exactly the C(12, 3) = 220 subsets of the dodecahedron
-    monkeypatch.setattr(hrep, "_SUBSET_CAP", 220)
-    enumerate_vertices(dodecahedron_hrep())
-    monkeypatch.setattr(hrep, "_SUBSET_CAP", 219)
+    # the vertex bound times m n is checked before any LP or pivot; LookupError
+    # marks a call past the check.  The dodecahedron's bound is its 20 vertices.
+    h = dodecahedron_hrep()
+    monkeypatch.setattr(hrep, "_simplex", past_the_check)
+    work = 20 * 12 * 3
+    monkeypatch.setattr(hrep, "_VERTEX_CAP", work)
+    with pytest.raises(LookupError):
+        enumerate_vertices(h)
+    monkeypatch.setattr(hrep, "_VERTEX_CAP", work - 1)
     with pytest.raises(GuardExceeded):
-        enumerate_vertices(dodecahedron_hrep())
+        enumerate_vertices(h)
+
+
+def test_enumeration_cap_admits_every_shape_the_subset_cap_admitted(monkeypatch):
+    # every (m, n) with m <= 54 and C(m, n) <= 10^6, the former subset cap, is
+    # admitted; so is n = 3 with m = 200, which that cap refused.  The check
+    # reads only n and m (the rows here are all ones).
+    monkeypatch.setattr(hrep, "_simplex", past_the_check)
+    shapes = [(m, n) for m in range(2, 55) for n in range(1, m) if math.comb(m, n) <= 10 ** 6]
+    for m, n in [*shapes, (200, 3)]:
+        with pytest.raises(LookupError):
+            enumerate_vertices(HRep(n, m, np.ones((n, m)), np.zeros(m)))
+    # m = 55, n = 51 was admitted (C(55, 4) = 341,055 subsets) and is not
+    with pytest.raises(GuardExceeded):
+        enumerate_vertices(HRep(51, 55, np.ones((51, 55)), np.zeros(55)))
 
 
 def test_octahedron_not_simple_presentation():
@@ -413,9 +439,7 @@ def test_verdicts_invariant_under_translation_scaling_permutation(name, data):
     q, _ = enumerate_vertices(moved)
     assert sorted(tuple(sorted(perm[f] for f in v)) for v in q.vertices) == list(p.vertices)
     assert verify_nondegeneracy(moved, sample_count=40, seed=1).passed
-    # gradient ranks see only the scaling and the permutation: far out, the
-    # lifted squares <a_k, x> + b_k carry rounding that no residual test on
-    # the quadric system alone can tell from an off-variety point
+    assert vertex_ranks(moved, perm.__getitem__) == vertex_ranks(h)
     scaled = make_hrep(*transformed(h.A.T, h.b, ([0.0] * h.n, 0, *transform[2:])))
     assert vertex_ranks(scaled, perm.__getitem__) == vertex_ranks(h)
 
@@ -520,7 +544,7 @@ def differential_input(name):
 def test_simplex_matches_linprog(name):
     rows, offsets = differential_input(name)
     for check, (M, r, cost), primal in frame_lps(rows, offsets):
-        status, value = _simplex(M, r, cost)
+        status, value, _ = _simplex(M, r, cost)
         res = linprog(cost, A_eq=M, b_eq=r, bounds=[(0, None)], **HIGHS)
         assert status == LINPROG_STATUS[res.status], (check, res.message)
         if status == "optimal":
@@ -543,7 +567,150 @@ def test_simplex_statuses():
         == "unbounded"
     assert _simplex(np.array([[1.0, 1.0]]), np.array([-1.0]), np.zeros(2))[0] \
         == "infeasible"
-    # a repeated row stays behind as an artificial at level zero
+    # a repeated row stays behind as an artificial at level zero: column 4
     M = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
     assert _simplex(M, np.array([1.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0])) \
-        == ("optimal", 2.0)
+        == ("optimal", 2.0, [1, 4, 2])
+
+
+# ---------------------------------------------------------------------------
+# the edge walk and the stacked ranks, with the brute force as the oracle
+
+
+def brute_force_vertices(h):
+    """Vertices over all n-subsets of half-spaces, with the walk's checks."""
+    f = h._frame
+    found = {}
+    for subset in itertools.combinations(range(h.m), h.n):
+        sub = list(subset)
+        if abs(np.linalg.det(f.U[sub])) <= h.tol:
+            continue
+        vals = f.U @ np.linalg.solve(f.U[sub], -f.c[sub]) + f.c
+        vals[sub] = 0.0
+        if vals.min() < -f.thr:
+            continue
+        active = tuple(int(i) for i in np.flatnonzero(np.abs(vals) <= f.thr))
+        if len(active) > h.n:
+            raise NotSimplePresentation(f"point on {len(active)} hyperplanes: {active}")
+        found[subset] = np.linalg.solve(h.A.T[sub], -h.b[sub])
+    polytope = validate_polytope(h.n, sorted(found))
+    return polytope, np.array([found[v] for v in polytope.vertices])
+
+
+def looped_nondegeneracy(h, sample_count, seed):
+    """verify_nondegeneracy's report with two SVDs per sample, one at a time."""
+    q = relation_matrix(h)
+    polytope, coords = brute_force_vertices(h)
+    rng = np.random.default_rng(seed)
+    pts = list(coords)
+    facet_members = [list(polytope.facet_vertices(i)) for i in range(h.m)]
+    pts += [coords[members].mean(axis=0) for members in facet_members]
+    pts.append(coords.mean(axis=0))
+    for k in range(sample_count - len(pts)):
+        members = facet_members[int(rng.integers(h.m))] if k % 2 else slice(None)
+        pts.append(rng.dirichlet(np.ones(len(coords[members]))) @ coords[members])
+    norms = h._frame.norms
+    unit_gamma = q.gamma * np.sqrt(norms) / np.abs(q.gamma * norms).max(axis=1)[:, None]
+    expected = h.m - h.n
+    min_rank, min_margin, failures = expected, math.inf, []
+    for idx, x in enumerate(pts):
+        signs = 1 - 2 * rng.integers(0, 2, size=h.m)
+        y = signs * np.sqrt(np.clip(h.values(x), 0.0, None))
+        rank = hrep._numeric_rank(2.0 * unit_gamma * y, h.tol)
+        svals = np.linalg.svd(2.0 * q.gamma * y, compute_uv=False)
+        min_margin = min(min_margin, float(svals[expected - 1]))
+        min_rank = min(min_rank, rank)
+        if rank < expected:
+            failures.append((idx, rank))
+    return hrep.NondegeneracyReport(expected_rank=expected, min_rank=min_rank,
+                                    min_margin=min_margin, samples=len(pts),
+                                    failures=tuple(failures))
+
+
+def outcome(call, *args):
+    """The call's result, or the type of the package error it raised."""
+    try:
+        return call(*args)
+    except MomangError as e:
+        return type(e)
+
+
+# every input make_hrep accepts, and the octahedron, which it accepts too
+WALKED = [name for name in DIFFERENTIAL if name.partition("+")[0] not in RAW
+          or name.startswith("octahedron")]
+
+
+@pytest.mark.parametrize("name", WALKED)
+def test_walk_equals_brute_force(name):
+    h = make_hrep(*differential_input(name))
+    walked, oracle = outcome(enumerate_vertices, h), outcome(brute_force_vertices, h)
+    if name.startswith("octahedron"):
+        assert walked is oracle is NotSimplePresentation
+        return
+    (p, coords), (q, expect) = walked, oracle
+    assert p.vertices == q.vertices and p == q
+    assert coords.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("name", [n for n in WALKED if not n.startswith("octahedron")])
+def test_stacked_ranks_equal_the_looped_report(name):
+    h = make_hrep(*differential_input(name))
+    count = 2 * hrep._RANK_CHUNK + 17  # three chunks, the last one short
+    report = verify_nondegeneracy(h, sample_count=count, seed=7)
+    assert report.samples == count and isinstance(report.min_rank, int)
+    assert report == looped_nondegeneracy(h, count, 7)
+
+
+def test_stacked_ranks_report_the_loops_failures():
+    # at tol 0.2 small singular values count as zero: ranks fail in every chunk
+    g = dodecahedron_hrep()
+    h = HRep(g.n, g.m, g.A, g.b, tol=0.2)
+    report = verify_nondegeneracy(h, sample_count=600, seed=3)
+    assert len(report.failures) > 200 and report.failures[-1][0] > 2 * hrep._RANK_CHUNK
+    assert report == looped_nondegeneracy(h, 600, 3)
+
+
+def test_enumeration_is_cached_and_read_only():
+    h = dodecahedron_hrep()
+    first = enumerate_vertices(h)
+    assert enumerate_vertices(h) is first
+    with pytest.raises(ValueError):
+        first[1][0, 0] = 1.0
+
+
+# a cube whose top is a hip roof: four planes at 45 degrees to the walls,
+# meeting at the apex (0.5, 0.5, 2), the only point on more than 3 planes;
+# the roof ridges end at the midpoints of the top edges, the planes at the
+# top corners (x, y, 1)
+ROOFED_CUBE = ([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]]
+               + [[-sx, -sy, -1] for sx in (1, -1) for sy in (1, -1)],
+               [0, 1, 0, 1, 0] + [2 + (sx + sy) / 2 for sx in (1, -1) for sy in (1, -1)])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(perm=st.permutations(range(9)))
+@example(perm=list(range(9)))
+def test_degenerate_apex_found_from_any_start(perm):
+    rows, offsets = (np.asarray(a, float)[list(perm)] for a in ROOFED_CUBE)
+    h = make_hrep(rows, offsets)
+    if perm == list(range(9)):  # the walk starts at (0, 0, 0), 3 edges from the apex
+        f = h._frame
+        assert sorted(_simplex(f.U.T, f.U[0], f.c)[2]) == [0, 2, 4]
+    with pytest.raises(NotSimplePresentation, match="point on 4 hyperplanes"):
+        enumerate_vertices(h)
+    with pytest.raises(NotSimplePresentation):
+        brute_force_vertices(h)
+
+
+@pytest.mark.parametrize("name", [f"{n}+1e9" for n in METAMORPHIC_CORPUS])
+def test_off_variety_still_raises_on_translated_input(name):
+    h = make_hrep(*differential_input(name))
+    q = relation_matrix(h)
+    _, coords = enumerate_vertices(h)
+    for x in (coords[0], coords.mean(axis=0)):
+        y = lift_point(h, x, [1] * h.m).y
+        assert quadric_gradient_rank(q, y) == h.m - h.n
+        off = y * y
+        off[int(np.argmax(off))] += 1e-3
+        with pytest.raises(NotOnVariety):
+            quadric_gradient_rank(q, np.sqrt(off))
