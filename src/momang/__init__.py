@@ -20,7 +20,6 @@ from .moves import (
     psc_flip_certificate,
     rebuild_by_cuts,
     recognize_vertexcut_reducible,
-    replay_collapses,
     replay_flip_certificate,
     simplex_boundary_sphere,
     simplex_facet_collapse,
@@ -35,7 +34,6 @@ from .polytope import (
     combinatorial_isomorphic,
     dual_sphere,
     face_lattice,
-    facet_graph,
     is_simplex,
     polytope_from_json,
     polytope_to_json,
@@ -54,7 +52,6 @@ from .zcomplex import (
     connected_components,
     doubling_filtration,
     euler_characteristic,
-    euler_characteristic_from_lattice,
     fixed_point_components,
     orientability,
 )

@@ -41,14 +41,11 @@ from .moves import (
 )
 from .polytope import (
     combinatorial_isomorphic,
+    face_lattice,
     polytope_from_json,
     polytope_to_json,
 )
-from .zcomplex import (
-    _chamber_counts,
-    complex_summary,
-    euler_characteristic_from_lattice,
-)
+from .zcomplex import _cell_counts, _chamber_counts, complex_summary
 
 EXIT_OK = 0
 EXIT_VERDICT_NO = 1
@@ -209,14 +206,14 @@ def dispatch(args, sources: list) -> tuple[dict, int]:
             code = EXIT_VERDICT_NO
 
     elif cmd == "euler":
-        payload = {"euler": euler_characteristic_from_lattice(p)}
+        payload = {"euler": _cell_counts(face_lattice(p))[1]}
 
     elif cmd == "moment-angle":
         payload = complex_summary(p)
 
     elif cmd in ("fixed-sets", "filtration"):
         key = cmd.replace("-", "_")
-        payload = {key: _chamber_counts(p)[2][key]}
+        payload = {key: _chamber_counts(p)[1][key]}
 
     elif cmd == "quadrics":
         from .hrep import parse_hrep, quadrics_to_json, relation_matrix

@@ -457,17 +457,19 @@ def verify_nondegeneracy(h: HRep, sample_count: int = 200,
     unchanged by row scaling; ``min_margin`` reads those of
     :func:`relation_matrix`.  Both come from stacked SVDs over chunks of
     ``_RANK_CHUNK`` samples, with the signs drawn per chunk from the same
-    stream.  Failures are reported, not raised; the predicted sampling work
-    is checked against ``_SAMPLE_CAP`` first.
+    stream.  Failures are reported, not raised; the sampling work, predicted
+    from the point count the vertex walk fixes, is checked against
+    ``_SAMPLE_CAP`` before the relations or any point are computed.
     """
     if sample_count < 0:
         raise BadParameters(f"sample_count must be >= 0, got {sample_count}")
     if seed < 0:
         raise BadParameters(f"seed must be >= 0, got {seed}")
-    _check_work(f"{sample_count} samples", sample_count
-                * (h.m * h.m * (h.m - h.n) + 20_000), _SAMPLE_CAP)
-    q = relation_matrix(h)
     polytope, coords = enumerate_vertices(h)
+    count = max(sample_count, polytope.vertex_count + h.m + 1)
+    _check_work(f"{count} samples", count * (h.m * h.m * (h.m - h.n) + 20_000),
+                _SAMPLE_CAP)
+    q = relation_matrix(h)
     rng = np.random.default_rng(seed)
     pts = list(coords)
     facet_members = [list(polytope.facet_vertices(i)) for i in range(h.m)]

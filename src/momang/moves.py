@@ -41,6 +41,8 @@ from .polytope import (
 
 # Flips the certificate search may produce, pruned ones included.
 _STATE_CAP = 100_000
+# Paths the prismatic-circuit walk may take off its stack: ~4 s at the cap.
+_PATH_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -197,14 +199,6 @@ def recognize_vertexcut_reducible(p: CombPolytope) -> ReductionTrace:
     return ReductionTrace(len(alive) == 4, tuple(steps), tuple(counts), p, end)
 
 
-def replay_collapses(start: CombPolytope, steps) -> CombPolytope:
-    """Apply recorded collapse steps to ``start`` and return the result."""
-    cur = start
-    for f in steps:
-        cur = simplex_facet_collapse(cur, f)
-    return cur
-
-
 def rebuild_by_cuts(trace: ReductionTrace) -> CombPolytope:
     """Replay a trace backwards as vertex cuts starting from ``trace.end``.
 
@@ -309,7 +303,8 @@ def prismatic_circuits(p: CombPolytope, k: int) -> list[PrismaticCircuit]:
     end and no earlier interior facet, and meets ``s`` exactly when it
     closes the cycle; ``path[1] < path[-1]`` fixes the direction.  Cycles
     whose k consecutive intersection edges share no vertex are kept, sorted
-    by facet set.
+    by facet set.  Raises :class:`GuardExceeded` once more than
+    ``_PATH_CAP`` paths have been walked.
     """
     if p.dim != 3:
         raise DimensionUnsupported(f"prismatic circuits need dim 3, got {p.dim}")
@@ -319,10 +314,13 @@ def prismatic_circuits(p: CombPolytope, k: int) -> list[PrismaticCircuit]:
     nbrs = [set(row) for row in pairs]
 
     out = []
+    walked = 0
     for s in range(p.facet_count):
         stack = [((s, x), set()) for x in nbrs[s] if x > s]
         while stack:
             path, blocked = stack.pop()
+            walked += 1
+            _check_work("prismatic circuit paths", walked, _PATH_CAP)
             end = path[-1]
             last = len(path) == k - 1
             grown = blocked | nbrs[end] | {end}

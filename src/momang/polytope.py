@@ -13,7 +13,7 @@ import itertools
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import cached_property
 
 from .errors import (
     DuplicateVertex,
@@ -25,13 +25,11 @@ from .errors import (
     _check_work,
 )
 
-if TYPE_CHECKING:
-    import networkx as nx
-
 # Cap on predicted enumeration work, checked before anything is listed: the
-# face lattice's V * 2^n subsets, the V * n^2 validation steps of generated
-# simplices, cubes and cut tetrahedra, and the chamber counts' m + 1 rows
-# over the m facets and the codimension-two faces.
+# face lattice's V * 2^n subsets, in 64-bit words of their m-bit masks, the
+# V * n^2 validation steps of generated simplices, cubes and cut tetrahedra,
+# and the chamber counts' m + 1 rows over the m facets and the
+# codimension-two faces.
 _WORK_CAP = 10 ** 7
 
 @dataclass(frozen=True)
@@ -70,28 +68,40 @@ class Face:
 
 
 class FaceLattice:
-    """All faces of a simple polytope.
+    """All faces of a simple polytope, keyed by facet bitmask.
 
-    ``faces[0]`` is the whole polytope (empty facet set); every other face is
-    a nonempty intersection of facets, identified with the set of vertices
-    containing all of them.
+    ``masks`` holds one bitmask per face (bit i set when facet i contains
+    it), ordered by facet count and then by sorted facet tuple, so
+    ``masks[0] == 0`` is the whole polytope.  ``faces`` lists the matching
+    :class:`Face` records, built on first read.
     """
 
-    def __init__(self, polytope: CombPolytope, faces: list[Face]):
+    def __init__(self, polytope: CombPolytope, masks):
         self.polytope = polytope
-        self.faces = tuple(faces)
-        self._by_facets = {f.facets: i for i, f in enumerate(self.faces)}
+        self.masks = tuple(masks)
+
+    @cached_property
+    def faces(self) -> tuple[Face, ...]:
+        members = {mask: [] for mask in self.masks}
+        for vi, fs in enumerate(self.polytope.vertices):
+            for mask in _submasks(fs):
+                members[mask].append(vi)
+        n = self.polytope.dim
+        return tuple(Face(facets=frozenset(_bits(mask)), dim=n - mask.bit_count(),
+                          vertices=tuple(members[mask])) for mask in self.masks)
+
+    @cached_property
+    def _by_mask(self) -> dict[int, int]:
+        return {mask: i for i, mask in enumerate(self.masks)}
 
     def face_index(self, facets) -> int:
-        return self._by_facets[frozenset(facets)]
+        return self._by_mask[sum({1 << f for f in facets})]
 
     def f_vector(self) -> tuple[int, ...]:
         """Counts of proper faces by dimension 0..n-1."""
-        counts = [0] * self.polytope.dim
-        for f in self.faces:
-            if 0 <= f.dim < self.polytope.dim:
-                counts[f.dim] += 1
-        return tuple(counts)
+        n = self.polytope.dim
+        counts = Counter(n - mask.bit_count() for mask in self.masks)
+        return tuple(counts[d] for d in range(n))
 
 
 @dataclass(frozen=True)
@@ -119,12 +129,22 @@ class SimplicialSphere:
 # validation
 
 
-def _edge_pairs(vertices):
-    """Vertex index pairs sharing n-1 facets, via the ridge -> endpoints map."""
+def _edge_pairs(vertices, m):
+    """Vertex index pairs sharing n-1 facets, via the ridge -> endpoints map.
+
+    A ridge is keyed by one int holding its facet indices, ascending, in
+    fields of ``m.bit_length()`` bits from the low end: n - 1 fields however
+    many facets there are, where a facet bitmask would grow to m bits.
+    """
+    width = m.bit_length()
     ridges = defaultdict(list)
     for vi, fs in enumerate(vertices):
-        for f in fs:
-            ridges[frozenset(fs) - {f}].append(vi)
+        key = 0
+        for f in reversed(fs):
+            key = key << width | f
+        for i in range(len(fs)):
+            low = (1 << width * i) - 1
+            ridges[key >> width & ~low | key & low].append(vi)
     return ridges
 
 
@@ -187,12 +207,13 @@ def validate_polytope(dim, incidence, facet_labels=None) -> CombPolytope:
 
     # Dual pseudo-sphere consistency: every ridge (an (n-1)-subset of some
     # vertex's facet set) must belong to exactly two vertices.
-    ridges = _edge_pairs(verts)
+    ridges = _edge_pairs(verts, m)
     for ridge, ends in ridges.items():
         if len(ends) != 2:
-            raise NotPolytopal(
-                f"facet set {tuple(sorted(ridge))} shared by {len(ends)} vertices, "
-                "expected 2")
+            width = m.bit_length()
+            facets = tuple(ridge >> width * i & (1 << width) - 1 for i in range(n - 1))
+            raise NotPolytopal(f"facet set {facets} shared by {len(ends)} vertices, "
+                               "expected 2")
 
     if n >= 2:
         adjacency = [[] for _ in verts]
@@ -224,27 +245,39 @@ def _reach_count(adjacency, start):
 # faces and duality
 
 
+def _submasks(facets) -> list[int]:
+    """Bitmasks of all subsets of ``facets``, by doubling."""
+    subs = [0]
+    for f in facets:
+        subs += [s | 1 << f for s in subs]
+    return subs
+
+
+def _bits(mask) -> tuple[int, ...]:
+    """The set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def face_lattice(p: CombPolytope) -> FaceLattice:
     """Enumerate all faces as nonempty intersections of facet subsets.
 
     In a simple polytope every subset of a vertex's facet set is the full
-    facet set of a face, so the enumeration walks the power sets of the
-    vertex incidences.  The empty set is the top face (the polytope itself).
-    Raises :class:`GuardExceeded` before the walk when its V * 2^n subsets
-    exceed ``_WORK_CAP``.
+    facet set of a face, so the faces are the submasks of the vertices'
+    facet masks.  The empty set is the top face (the polytope itself).
+    Raises :class:`GuardExceeded` before the walk when its V * 2^n subsets,
+    counted in 64-bit words of mask, exceed ``_WORK_CAP``.
     """
-    n = p.dim
-    _check_work("face-lattice subsets", p.vertex_count << n, _WORK_CAP)
-    members: dict[frozenset, set] = defaultdict(set)
-    for vi, fs in enumerate(p.vertices):
-        for k in range(n + 1):
-            for sub in itertools.combinations(fs, k):
-                members[frozenset(sub)].add(vi)
-
-    keys = sorted(members, key=lambda s: (len(s), tuple(sorted(s))))
-    faces = [Face(facets=s, dim=n - len(s), vertices=tuple(sorted(members[s])))
-             for s in keys]
-    return FaceLattice(p, faces)
+    words = -(-p.facet_count // 64)
+    _check_work("face-lattice subset words", (p.vertex_count << p.dim) * words, _WORK_CAP)
+    masks = set()
+    for fs in p.vertices:
+        masks.update(_submasks(fs))
+    return FaceLattice(p, sorted(masks, key=lambda s: (s.bit_count(), _bits(s))))
 
 
 def dual_sphere(p: CombPolytope) -> SimplicialSphere:
@@ -311,28 +344,6 @@ def is_simplex(p: CombPolytope) -> bool:
         return False
     expected = {tuple(c) for c in itertools.combinations(range(n + 1), n)}
     return set(p.vertices) == expected
-
-
-def facet_graph(p: CombPolytope) -> nx.Graph:
-    """Graph on facets; edge when two facets share a codimension-two face.
-
-    Each edge carries the shared vertex set as attribute ``vertices``.  Two
-    facets meeting in several codimension-two faces (possible only in the
-    partially validated regime n >= 4) still give one edge; the attribute
-    records the union of the shared vertices.  Needs the ``momang[graph]``
-    extra (networkx).
-    """
-    try:
-        import networkx as nx
-    except ImportError as e:
-        raise ImportError("facet_graph needs networkx: install momang[graph]") from e
-
-    g = nx.Graph()
-    g.add_nodes_from(range(p.facet_count))
-    for i, row in enumerate(_pair_sets(p.facet_count, p.vertices)):
-        g.add_edges_from((i, j, {"vertices": tuple(vids)})
-                         for j, vids in row.items() if i < j)
-    return g
 
 
 def _pair_sets(num_labels, sets) -> list[dict]:

@@ -28,20 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NoSuchFacet, _check_work
-from .polytope import _WORK_CAP, CombPolytope, FaceLattice, _pair_sets, face_lattice
+from .polytope import _WORK_CAP, CombPolytope, FaceLattice, _bits, _pair_sets, face_lattice
 
 
 # Objects (cells, or filtration pieces plus edge records) a materialising
 # call may build.  Peak RSS grows by ~210 B per cell (m = 16) and ~300 B per
 # piece or record (m = 18), so an admitted call stays under 1 GB.
 _OBJECT_CAP = 3_000_000
-
-
-def _face_mask(face) -> int:
-    mask = 0
-    for i in face.facets:
-        mask |= 1 << i
-    return mask
 
 
 def _facet_stars(p: CombPolytope) -> list[int]:
@@ -62,7 +55,7 @@ class ChamberComplex:
         self.cells = cells              # tuple of (face_index, representative)
         self.cell_ids = cell_ids        # (face_index, representative) -> cell id
         self.cells_by_dim = cells_by_dim
-        self.face_masks = tuple(_face_mask(f) for f in lattice.faces)
+        self.face_masks = lattice.masks
 
     def canonical(self, face_index: int, g: int) -> tuple[int, int]:
         """The cell containing the copies of a face point indexed by ``g``."""
@@ -85,20 +78,13 @@ def build_chamber_complex(p: CombPolytope) -> ChamberComplex:
     facet mask, listed in increasing order: 2^(m-k) in codimension k.
     Over ``_OBJECT_CAP`` cells raise ``GuardExceeded`` before any is built.
     """
-    lattice, masks, counts = _chamber_counts(p)
+    lattice, counts = _chamber_counts(p)
     _check_work("chamber cells", sum(counts["cells_by_dim"]), _OBJECT_CAP)
-    cells = tuple((face_index, g) for face_index, mask in enumerate(masks)
+    cells = tuple((face_index, g) for face_index, mask in enumerate(lattice.masks)
                   for g in _stage_cell_reps(p.facet_count, mask))
     cell_ids = {cell: k for k, cell in enumerate(cells)}
     return ChamberComplex(p, lattice, cells, cell_ids,
                           tuple(counts["cells_by_dim"]))
-
-
-def euler_characteristic_from_lattice(p: CombPolytope) -> int:
-    """Closed-form alternating cell count; never builds any cells."""
-    m = p.facet_count
-    return sum((-1) ** f.dim * (1 << (m - len(f.facets)))
-               for f in face_lattice(p).faces)
 
 
 def euler_characteristic(z: ChamberComplex) -> int:
@@ -228,13 +214,12 @@ def classify_edge_types(stage: FiltrationStage) -> EdgeTypeSummary:
 
 def _build_edge_types(lattice: FaceLattice, j: int, row: dict) -> EdgeTypeSummary:
     records = []
-    for face in lattice.faces:
-        if len(face.facets) != 2:
+    for mask in lattice.masks:
+        if mask.bit_count() != 2:
             continue
-        a, b = sorted(face.facets)
+        a, b = _bits(mask)
         if b < j:
             continue  # fully doubled: interior to the stage
-        mask = (1 << a) | (1 << b)
         for r in _stage_cell_reps(j, mask):
             if a >= j:
                 rec = EdgeRecord(facet_pair=(a, b), rep=r, kind="I",
@@ -272,7 +257,7 @@ def doubling_filtration(p: CombPolytope) -> list[FiltrationStage]:
     records raise ``GuardExceeded`` before any is built.
     """
     m = p.facet_count
-    lattice, masks, counts = _chamber_counts(p)
+    lattice, counts = _chamber_counts(p)
     _check_work("filtration pieces and edge records",
                 sum(row["facets"] + row["type1_edges"] + row["type2_edges"]
                     for row in counts["filtration"]), _OBJECT_CAP)
@@ -283,7 +268,7 @@ def doubling_filtration(p: CombPolytope) -> list[FiltrationStage]:
             base=p, j=j, subgroup=subgroup,
             facets=tuple((i, g) for i in range(j, m) for g in subgroup),
             chamber_count=1 << j,
-            cell_count=sum(_coset_count(j, mask) for mask in masks),
+            cell_count=sum(_coset_count(j, mask) for mask in lattice.masks),
             boundary_components=row["boundary_components"],
             edge_types=_build_edge_types(lattice, j, row)))
     return stages
@@ -293,20 +278,27 @@ def doubling_filtration(p: CombPolytope) -> list[FiltrationStage]:
 # summary
 
 
-def _chamber_counts(p: CombPolytope) -> tuple[FaceLattice, list, dict]:
-    """The face lattice, its facet masks, and every number the chamber
-    commands report, from those masks and the facet stars alone (edge types:
-    see :func:`classify_edge_types`); no cell, piece or record is built, and
+def _cell_counts(lattice: FaceLattice) -> tuple[list[int], int]:
+    """Cells per dimension, 2^(m-k) over each face of codimension k, and
+    their alternating sum, the Euler characteristic; no cell is built."""
+    m, n = lattice.polytope.facet_count, lattice.polytope.dim
+    cells_by_dim = [0] * (n + 1)
+    for mask in lattice.masks:
+        cells_by_dim[n - mask.bit_count()] += _coset_count(m, mask)
+    return cells_by_dim, sum((-1) ** d * c for d, c in enumerate(cells_by_dim))
+
+
+def _chamber_counts(p: CombPolytope) -> tuple[FaceLattice, dict]:
+    """The face lattice and every number the chamber commands report, from
+    its facet masks and the facet stars alone (edge types: see
+    :func:`classify_edge_types`); no cell, piece or record is built, and
     the rows' work is capped before the first (see ``_WORK_CAP``)."""
     m = p.facet_count
     lattice = face_lattice(p)
-    masks = [_face_mask(f) for f in lattice.faces]
-    pairs = [mask for mask in masks if mask.bit_count() == 2]
+    pairs = [mask for mask in lattice.masks if mask.bit_count() == 2]
     _check_work("chamber count rows", (m + 1) * (m + len(pairs)), _WORK_CAP)
     star = _facet_stars(p)
-    cells_by_dim = [0] * (p.dim + 1)
-    for face, mask in zip(lattice.faces, masks):
-        cells_by_dim[face.dim] += _coset_count(m, mask)
+    cells_by_dim, euler = _cell_counts(lattice)
     filtration = []
     for j in range(m + 1):
         low = (1 << j) - 1
@@ -316,10 +308,10 @@ def _chamber_counts(p: CombPolytope) -> tuple[FaceLattice, list, dict]:
             "type1_edges": sum(not pair & low for pair in pairs) << j,
             "type2_edges": sum(bool(pair & low and pair >> j)
                                for pair in pairs) << j >> 1})
-    return lattice, masks, {
+    return lattice, {
         "m": m,
         "cells_by_dim": cells_by_dim,
-        "euler": sum((-1) ** d * c for d, c in enumerate(cells_by_dim)),
+        "euler": euler,
         "components": 1,
         "orientable": True,
         "fixed_sets": [{"facet": i, "components": _coset_count(m, s)}
@@ -330,7 +322,7 @@ def _chamber_counts(p: CombPolytope) -> tuple[FaceLattice, list, dict]:
 
 def complex_summary(p: CombPolytope) -> dict:
     """Everything the moment-angle report needs, as one JSON-ready dict."""
-    _, _, summary = _chamber_counts(p)
+    _, summary = _chamber_counts(p)
     summary["filtration"] = [
         {key: row[key] for key in ("j", "facets", "type1_edges", "type2_edges")}
         for row in summary["filtration"]]

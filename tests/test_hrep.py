@@ -343,17 +343,18 @@ def test_nondegeneracy_sample_count_bounds():
 
 
 def test_sampling_cap_checked_before_any_point(monkeypatch):
-    # the predicted work is checked before the relations, the vertices or any
-    # sample point are computed; LookupError marks a call past the check
+    # the predicted work is checked after the vertex walk, which fixes the
+    # point count, and before the relations or any sample point are
+    # computed; LookupError marks a call past the check
     def past_the_check(h):
         raise LookupError
 
     monkeypatch.setattr(hrep, "relation_matrix", past_the_check)
     with pytest.raises(GuardExceeded):
         verify_nondegeneracy(cube_hrep(3), sample_count=10 ** 8)
-    # 1000 samples at m = 30 are admitted; the check reads only n and m
+    # 1000 samples at m = 12 are admitted
     with pytest.raises(LookupError):
-        verify_nondegeneracy(HRep(3, 30, np.zeros((3, 30)), np.zeros(30)), 1000)
+        verify_nondegeneracy(dodecahedron_hrep(), 1000)
     # and the cap admits exactly the prediction
     work = 40 * (6 * 6 * (6 - 3) + 20_000)
     monkeypatch.setattr(hrep, "_SAMPLE_CAP", work)
@@ -362,6 +363,46 @@ def test_sampling_cap_checked_before_any_point(monkeypatch):
     monkeypatch.setattr(hrep, "_SAMPLE_CAP", work - 1)
     with pytest.raises(GuardExceeded):
         verify_nondegeneracy(cube_hrep(3), sample_count=40)
+    # below the 8 vertices, 6 facet centroids and the centroid, those 15
+    # points are predicted, not the requested count
+    work = 15 * (6 * 6 * (6 - 3) + 20_000)
+    monkeypatch.setattr(hrep, "_SAMPLE_CAP", work)
+    with pytest.raises(LookupError):
+        verify_nondegeneracy(cube_hrep(3), sample_count=1)
+    monkeypatch.setattr(hrep, "_SAMPLE_CAP", work - 1)
+    with pytest.raises(GuardExceeded):
+        verify_nondegeneracy(cube_hrep(3), sample_count=1)
+
+
+def fibonacci_tangent_hrep(m):
+    """Planes tangent to the unit sphere at m Fibonacci-spiral points."""
+    k = np.arange(m) + 0.5
+    z = 1 - 2 * k / m
+    phi = np.pi * (1 + 5 ** 0.5) * k
+    r = np.sqrt(1 - z * z)
+    rows = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    return "\n".join([f"3 {m}", *(" ".join(map(repr, [*map(float, row), 1.0]))
+                                   for row in rows)]) + "\n"
+
+
+def test_sampling_cap_counts_the_vertices_and_centroids(monkeypatch, tmp_path, capsys):
+    # 100 requested samples alone would predict 7.9 * 10^8 steps, under the
+    # cap, but the 396 vertices, 200 facet centroids and the centroid make
+    # 597 points; the call exits 3 before any relation or rank
+    from momang.cli import main
+
+    def past_the_check(h):
+        raise LookupError
+
+    monkeypatch.setattr(hrep, "relation_matrix", past_the_check)
+    path = tmp_path / "tangent200.hrep"
+    path.write_text(fibonacci_tangent_hrep(200))
+    h = parse_hrep(path.read_text())
+    assert enumerate_vertices(h)[0].vertex_count == 396
+    with pytest.raises(GuardExceeded, match="597 samples"):
+        verify_nondegeneracy(h, sample_count=100)
+    assert main(["verify-quadrics", str(path), "--samples", "100"]) == 3
+    assert "GuardExceeded" in capsys.readouterr().err
 
 
 def test_nondegeneracy_deterministic():

@@ -4,6 +4,7 @@ import random
 import time
 from collections import Counter, deque
 
+import networkx as nx
 import pytest
 
 import momang.corpus as corpus
@@ -23,7 +24,6 @@ from momang import (
     random_vertexcuts,
     rebuild_by_cuts,
     recognize_vertexcut_reducible,
-    replay_collapses,
     replay_flip_certificate,
     simplex,
     simplex_boundary_sphere,
@@ -54,7 +54,6 @@ from momang.polytope import (
     _family_isomorphism,
     _joint_refinement,
     _pair_sets,
-    facet_graph,
     validate_polytope,
     validate_sphere,
 )
@@ -97,6 +96,14 @@ def recognize_oracle(p):
     return ReductionTrace(True, tuple(steps), tuple(counts), p, cur)
 
 
+def replay_collapses(start, steps):
+    """Apply recorded collapse steps to ``start`` and return the result."""
+    cur = start
+    for f in steps:
+        cur = simplex_facet_collapse(cur, f)
+    return cur
+
+
 def rebuild_oracle(trace):
     """Rebuild by replaying every collapse to recover the merged vertices,
     then cutting them back one validated polytope at a time while tracking
@@ -130,8 +137,15 @@ def prismatic_oracle(p, k):
     induced facet graph is one cycle, walked from the smallest facet
     towards its smaller neighbour, with pairwise disjoint edges.  The
     degree test runs on plain sets first, so that only candidate cycles
-    pay for a networkx subgraph."""
-    g = facet_graph(p)
+    pay for a networkx subgraph.  Each edge of the facet graph carries the
+    ids of the vertices where its two facets meet."""
+    shared = {}
+    for vi, fs in enumerate(p.vertices):
+        for i, j in itertools.combinations(fs, 2):
+            shared.setdefault((i, j), []).append(vi)
+    g = nx.Graph()
+    g.add_nodes_from(range(p.facet_count))
+    g.add_edges_from((i, j, {"vertices": tuple(vids)}) for (i, j), vids in shared.items())
     adj = [set(g[f]) for f in range(p.facet_count)]
     out = []
     for combo in itertools.combinations(range(p.facet_count), k):
@@ -654,6 +668,48 @@ def test_prismatic_circuits_revalidate(corpus):
                     assert not any({a, b} <= set(v) for v in p.vertices), name
                 flat = [v for e in c.edges for v in e]
                 assert len(flat) == len(set(flat)), name
+
+
+def geodesic(freq):
+    """The simple 3-polytope dual to the icosahedron with each triangle cut
+    into freq^2: its facet graph is mostly a triangular grid, with
+    exponentially many chordless paths in their length."""
+    ids = {}
+
+    def point(weights):
+        key = tuple(sorted((v, w) for v, w in weights.items() if w))
+        return ids.setdefault(key, len(ids))
+
+    triangles = []
+    for face in dual_sphere(dodecahedron()).facets:
+        a, b, c = sorted(face)
+        grid = {(i, j): point({a: freq - i - j, b: i, c: j})
+                for i in range(freq + 1) for j in range(freq + 1 - i)}
+        for i, j in grid:
+            if i + j < freq:
+                triangles.append((grid[i, j], grid[i + 1, j], grid[i, j + 1]))
+            if i + j < freq - 1:
+                triangles.append((grid[i + 1, j], grid[i + 1, j + 1], grid[i, j + 1]))
+    return validate_polytope(3, triangles)
+
+
+def test_prismatic_path_cap_admits_exactly_the_walk(monkeypatch):
+    # the dodecahedron's 4-circuit walk takes 72 paths off its stack
+    found = prismatic_circuits(dodecahedron(), 4)
+    monkeypatch.setattr(moves, "_PATH_CAP", 72)
+    assert prismatic_circuits(dodecahedron(), 4) == found
+    monkeypatch.setattr(moves, "_PATH_CAP", 71)
+    with pytest.raises(GuardExceeded):
+        prismatic_circuits(dodecahedron(), 4)
+
+
+def test_prismatic_large_k_stops_at_the_cap():
+    p = geodesic(3)
+    assert (p.facet_count, p.vertex_count) == (92, 180)
+    started = time.perf_counter()
+    with pytest.raises(GuardExceeded, match="prismatic circuit paths"):
+        prismatic_circuits(p, 16)
+    assert time.perf_counter() - started < 10.0
 
 
 def test_prismatic_dimension_guard():

@@ -15,7 +15,6 @@ from momang import (
     dodecahedron,
     dual_sphere,
     face_lattice,
-    facet_graph,
     is_simplex,
     polytope_from_json,
     polytope_to_json,
@@ -36,7 +35,13 @@ from momang.errors import (
     ParseError,
     UnusedFacet,
 )
-from conftest import cover_pairs, edge_cut_simplex
+from conftest import (
+    cover_pairs,
+    edge_cut_simplex,
+    face_lattice_oracle,
+    polar_cyclic,
+    ridge_table_oracle,
+)
 
 SIMPLEX3_VERTS = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
 
@@ -324,6 +329,68 @@ def test_face_lattice_guard_counts_subsets(monkeypatch):
     monkeypatch.setattr(polytope, "_WORK_CAP", 255)
     with pytest.raises(GuardExceeded):
         face_lattice(cube(4))
+    # past 64 facets a mask takes two 64-bit words: 126 vertices * 2^3 * 2
+    p = random_vertexcuts(61, 0)
+    assert (p.facet_count, p.vertex_count) == (65, 126)
+    monkeypatch.setattr(polytope, "_WORK_CAP", 2016)
+    assert face_lattice(p).f_vector() == (126, 189, 65)
+    monkeypatch.setattr(polytope, "_WORK_CAP", 2015)
+    with pytest.raises(GuardExceeded):
+        face_lattice(p)
+
+
+def lattice_oracle_inputs(corpus):
+    return (corpus + [(f"cube{n}", cube(n)) for n in range(1, 9)]
+            + [(f"rvc{k}", random_vertexcuts(k, k)) for k in (0, 7, 40)]
+            + [("polar_cyclic_10_4", polar_cyclic(10, 4))])
+
+
+def test_face_lattice_matches_frozenset_oracle(corpus):
+    for name, p in lattice_oracle_inputs(corpus):
+        lat = face_lattice(p)
+        faces = face_lattice_oracle(p)
+        assert lat.faces == tuple(faces), name
+        assert lat.masks == tuple(sum(1 << i for i in f.facets) for f in faces), name
+        assert all(lat.face_index(f.facets) == i for i, f in enumerate(faces)), name
+        census = Counter(f.dim for f in faces if f.dim < p.dim)
+        assert lat.f_vector() == tuple(census[d] for d in range(p.dim)), name
+
+
+def test_ridge_table_matches_frozenset_oracle(corpus):
+    for name, p in lattice_oracle_inputs(corpus):
+        # a key holds the ridge's n - 1 facets in fields of m.bit_length() bits
+        width = p.facet_count.bit_length()
+        decoded = [(frozenset(key >> width * i & (1 << width) - 1 for i in range(p.dim - 1)),
+                    ends) for key, ends in polytope._edge_pairs(p.vertices, p.facet_count).items()]
+        assert decoded == list(ridge_table_oracle(p.vertices).items()), name
+
+
+def first_bad_ridge_message(verts):
+    """The NotPolytopal message the frozenset ridge table gives first."""
+    for ridge, ends in ridge_table_oracle(sorted(verts)).items():
+        if len(ends) != 2:
+            return (f"facet set {tuple(sorted(ridge))} shared by {len(ends)} "
+                    "vertices, expected 2")
+    return None
+
+
+def test_ridge_defect_message_matches_oracle(corpus):
+    # a ridge in one vertex only; every triple of five facets but (2, 3, 4)
+    # puts three vertices on each ridge through facet 0 or 1
+    with pytest.raises(NotPolytopal) as info:
+        validate_polytope(3, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+    assert str(info.value) == "facet set (1, 2) shared by 1 vertices, expected 2"
+    triples = [t for t in itertools.combinations(range(5), 3) if t != (2, 3, 4)]
+    with pytest.raises(NotPolytopal) as info:
+        validate_polytope(3, triples)
+    assert str(info.value) == "facet set (1, 2) shared by 3 vertices, expected 2"
+    cases = [(f"{name}-less{vi}", [v for i, v in enumerate(p.vertices) if i != vi])
+             for name, p in lattice_oracle_inputs(corpus) if p.dim > 1
+             for vi in (0, p.vertex_count // 2)]
+    for name, verts in cases:
+        with pytest.raises(NotPolytopal) as info:
+            validate_polytope(len(verts[0]), verts)
+        assert str(info.value) == first_bad_ridge_message(verts), name
 
 
 def test_minimal_faces_are_vertices(corpus):
@@ -500,42 +567,6 @@ def test_not_isomorphic_same_counts():
     from momang import vertex_cut
     a = vertex_cut(vertex_cut(prism(), 0), 0)
     assert combinatorial_isomorphic(a, a) is not None
-
-
-# ---------------------------------------------------------------------------
-# facet graph
-
-
-def test_facet_graph_simplex_complete():
-    g = facet_graph(simplex(3))
-    assert g.number_of_nodes() == 4 and g.number_of_edges() == 6
-
-
-def test_facet_graph_cube_octahedral():
-    g = facet_graph(cube(3))
-    assert g.number_of_edges() == 12
-    for i in range(3):
-        assert not g.has_edge(i, i + 3)
-        assert g.degree[i] == 4 and g.degree[i + 3] == 4
-
-
-def test_facet_graph_without_networkx_names_the_extra(monkeypatch):
-    monkeypatch.setitem(sys.modules, "networkx", None)
-    with pytest.raises(ImportError, match=r"momang\[graph\]"):
-        facet_graph(prism())
-
-
-def test_facet_graph_prism():
-    g = facet_graph(prism())
-    # quads 0,1,2 pairwise adjacent; triangles 3,4 adjacent to all quads only
-    for i, j in itertools.combinations(range(3), 2):
-        assert g.has_edge(i, j)
-    for t in (3, 4):
-        assert sorted(g.neighbors(t)) == [0, 1, 2]
-    assert not g.has_edge(3, 4)
-    for i, j, data in g.edges(data=True):
-        shared = [v for v in prism().vertices if {i, j} <= set(v)]
-        assert len(data["vertices"]) == len(shared) == 2
 
 
 def test_is_simplex():

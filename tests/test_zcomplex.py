@@ -17,7 +17,6 @@ from momang import (
     dodecahedron,
     doubling_filtration,
     euler_characteristic,
-    euler_characteristic_from_lattice,
     face_lattice,
     fixed_point_components,
     orientability,
@@ -28,8 +27,8 @@ from momang import (
     vertex_cut,
 )
 from momang.errors import GuardExceeded, NoSuchFacet
-from momang.zcomplex import _chamber_counts
-from conftest import cover_pairs, cut_cube
+from momang.zcomplex import _cell_counts, _chamber_counts
+from conftest import cover_pairs, cut_cube, face_lattice_oracle
 
 
 def zcomplex_corpus():
@@ -41,6 +40,14 @@ def zcomplex_corpus():
 def facet_adjacency_count(p, i):
     """Number of facets sharing an edge (codim-2 face) with facet i."""
     return len({j for v in p.vertices if i in v for j in v if j != i})
+
+
+def lattice_euler_oracle(p):
+    """Alternating cell count, 2^(m-k) cells over each face of codimension
+    k, summed over the frozenset face lattice; never builds any cells."""
+    m = p.facet_count
+    return sum((-1) ** f.dim * (1 << (m - len(f.facets)))
+               for f in face_lattice_oracle(p))
 
 
 def edge_pairs(p):
@@ -98,16 +105,20 @@ def test_cells_by_dim_against_lattice_oracle():
 def test_euler_matches_lattice_form():
     for name, p in zcomplex_corpus():
         z = build_chamber_complex(p)
-        assert euler_characteristic(z) == euler_characteristic_from_lattice(p), name
+        assert euler_characteristic(z) == lattice_euler_oracle(p), name
+        assert _cell_counts(face_lattice(p)) == (list(z.cells_by_dim),
+                                                 lattice_euler_oracle(p)), name
 
 
 def test_euler_values():
-    assert euler_characteristic_from_lattice(simplex(1)) == 0
-    assert euler_characteristic_from_lattice(simplex(2)) == 2
+    assert lattice_euler_oracle(simplex(1)) == 0
+    assert lattice_euler_oracle(simplex(2)) == 2
     for p in (simplex(3), cube(3), prism(), cut_cube()):
-        assert euler_characteristic_from_lattice(p) == 0
+        assert lattice_euler_oracle(p) == 0
     # 4-dimensional check: chi of the glued manifold over the 4-simplex is 2
-    assert euler_characteristic_from_lattice(simplex(4)) == 2
+    assert lattice_euler_oracle(simplex(4)) == 2
+    for p in (simplex(1), simplex(2), cube(3), simplex(4)):
+        assert _cell_counts(face_lattice(p))[1] == lattice_euler_oracle(p)
 
 
 def test_components_single(corpus):
@@ -573,7 +584,7 @@ def test_cells_match_union_find_oracle():
             dims[z.lattice.faces[fidx].dim] += 1
         assert z.cells_by_dim == tuple(dims), name
         chi = sum((-1) ** d * c for d, c in enumerate(dims))
-        assert euler_characteristic(z) == chi == euler_characteristic_from_lattice(p)
+        assert euler_characteristic(z) == chi == lattice_euler_oracle(p)
 
 
 def test_fixed_sets_match_cover_oracle():
@@ -654,7 +665,7 @@ def count_inputs():
 def test_counts_match_materialised_oracle():
     for name, p in count_inputs():
         assert complex_summary(p) == oracle_summary(p), name
-        assert _chamber_counts(p)[2]["filtration"] == oracle_filtration_rows(p), name
+        assert _chamber_counts(p)[1]["filtration"] == oracle_filtration_rows(p), name
 
 
 def test_stars_and_boundaries_match_lattice_union_find():
@@ -663,7 +674,7 @@ def test_stars_and_boundaries_match_lattice_union_find():
                                      ("rvc40", random_vertexcuts(40, 0))]:
         m = p.facet_count
         lattice = face_lattice(p)
-        counts = _chamber_counts(p)[2]
+        counts = _chamber_counts(p)[1]
         for i, row in enumerate(counts["fixed_sets"]):
             spans = oracle_face_spans(lattice, lambda mask: mask >> i & 1)
             assert len(spans) == 1, (name, i)
