@@ -259,22 +259,6 @@ def test_pair_table_matches_adjacency_oracles(spheres):
         assert _facet_stars(p) == facet_stars_oracle(p), p
 
 
-def test_pair_table_known_adjacency():
-    # the tetrahedron's facet graph is complete
-    rows = _pair_sets(4, simplex(3).vertices)
-    assert all(sorted(row) == [j for j in range(4) if j != i] for i, row in enumerate(rows))
-    # the cube's is the octahedron: opposite facets i, i + 3 never meet
-    rows = _pair_sets(6, cube(3).vertices)
-    for i in range(3):
-        assert i + 3 not in rows[i] and len(rows[i]) == len(rows[i + 3]) == 4
-    # the prism's quads 0, 1, 2 meet pairwise, its triangles 3, 4 only the
-    # quads, and every meeting pair shares an edge: two vertices
-    rows = _pair_sets(5, prism().vertices)
-    assert all(j in rows[i] for i, j in itertools.combinations(range(3), 2))
-    assert sorted(rows[3]) == sorted(rows[4]) == [0, 1, 2]
-    assert all(len(ids) == 2 for row in rows for ids in row.values())
-
-
 def test_degrees_match_oracle(spheres):
     for k in spheres:
         _, degrees = _sphere_family(k)

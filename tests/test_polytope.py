@@ -569,6 +569,37 @@ def test_not_isomorphic_same_counts():
     assert combinatorial_isomorphic(a, a) is not None
 
 
+def test_facet_graph_simplex_complete():
+    # the tetrahedron's facet graph, read off the facet-pair table, is complete
+    rows = polytope._pair_sets(4, simplex(3).vertices)
+    assert all(sorted(row) == [j for j in range(4) if j != i] for i, row in enumerate(rows))
+
+
+def test_facet_graph_cube_octahedral():
+    # the cube's facet graph is the octahedron: opposite facets i, i + 3 never meet
+    rows = polytope._pair_sets(6, cube(3).vertices)
+    assert sum(map(len, rows)) == 2 * 12
+    for i in range(3):
+        assert i + 3 not in rows[i]
+        assert len(rows[i]) == len(rows[i + 3]) == 4
+
+
+def test_facet_graph_prism():
+    # quads 0, 1, 2 meet pairwise, triangles 3, 4 only the quads, and every
+    # meeting pair shares an edge: two vertices
+    p = prism()
+    rows = polytope._pair_sets(5, p.vertices)
+    for i, j in itertools.combinations(range(3), 2):
+        assert j in rows[i]
+    for t in (3, 4):
+        assert sorted(rows[t]) == [0, 1, 2]
+    assert 4 not in rows[3]
+    for i, row in enumerate(rows):
+        for j, ids in row.items():
+            shared = [v for v in p.vertices if {i, j} <= set(v)]
+            assert len(ids) == len(shared) == 2
+
+
 def test_is_simplex():
     assert is_simplex(simplex(3)) and is_simplex(simplex(5))
     assert not is_simplex(cube(3)) and not is_simplex(prism())
