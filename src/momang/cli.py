@@ -139,12 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("quadrics", help="relation matrix of an H-rep file")
     sp.add_argument("hrep")
-    sp.add_argument("--tol", type=float, default=1e-9)
     _add_common(sp)
 
     sp = sub.add_parser("verify-quadrics", help="sampled non-degeneracy report")
     sp.add_argument("hrep")
-    sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--samples", type=int, default=200)
     sp.add_argument("--seed", type=int, default=0)
     _add_common(sp)
@@ -218,12 +216,12 @@ def dispatch(args, sources: list) -> tuple[dict, int]:
     elif cmd == "quadrics":
         from .hrep import parse_hrep, quadrics_to_json, relation_matrix
 
-        payload = quadrics_to_json(relation_matrix(parse_hrep(next(texts), tol=args.tol)))
+        payload = quadrics_to_json(relation_matrix(parse_hrep(next(texts))))
 
     elif cmd == "verify-quadrics":
         from .hrep import parse_hrep, verify_nondegeneracy
 
-        rep = verify_nondegeneracy(parse_hrep(next(texts), tol=args.tol),
+        rep = verify_nondegeneracy(parse_hrep(next(texts)),
                                    sample_count=args.samples, seed=args.seed)
         payload = {"expected_rank": rep.expected_rank, "min_rank": rep.min_rank,
                    "min_margin": rep.min_margin, "samples": rep.samples,

@@ -52,15 +52,15 @@ def prism() -> CombPolytope:
     return validate_polytope(3, verts)
 
 
-def prism_hrep(tol: float = 1e-9) -> HRep:
+def prism_hrep() -> HRep:
     """The product of the standard triangle with [0, 1]."""
     from .hrep import make_hrep
 
     rows = [[1, 0, 0], [0, 1, 0], [-1, -1, 0], [0, 0, 1], [0, 0, -1]]
-    return make_hrep(rows, [0, 0, 1, 0, 1], tol=tol)
+    return make_hrep(rows, [0, 0, 1, 0, 1])
 
 
-def simplex_hrep(n: int, tol: float = 1e-9) -> HRep:
+def simplex_hrep(n: int) -> HRep:
     """x_i >= 0 and x_1 + ... + x_n <= 1, in that row order."""
     from .hrep import make_hrep
 
@@ -68,10 +68,10 @@ def simplex_hrep(n: int, tol: float = 1e-9) -> HRep:
         raise BadParameters(f"simplex dimension must be >= 1, got {n}")
     rows = [[1.0 if j == i else 0.0 for j in range(n)] for i in range(n)]
     rows.append([-1.0] * n)
-    return make_hrep(rows, [0.0] * n + [1.0], tol=tol)
+    return make_hrep(rows, [0.0] * n + [1.0])
 
 
-def cube_hrep(n: int, tol: float = 1e-9) -> HRep:
+def cube_hrep(n: int) -> HRep:
     """[0, 1]^n with rows x_i >= 0 first, then 1 - x_i >= 0."""
     from .hrep import make_hrep
 
@@ -79,10 +79,10 @@ def cube_hrep(n: int, tol: float = 1e-9) -> HRep:
         raise BadParameters(f"cube dimension must be >= 1, got {n}")
     rows = [[1.0 if j == i else 0.0 for j in range(n)] for i in range(n)]
     rows += [[-1.0 if j == i else 0.0 for j in range(n)] for i in range(n)]
-    return make_hrep(rows, [0.0] * n + [1.0] * n, tol=tol)
+    return make_hrep(rows, [0.0] * n + [1.0] * n)
 
 
-def dodecahedron_hrep(tol: float = 1e-9) -> HRep:
+def dodecahedron_hrep() -> HRep:
     """Regular dodecahedron: one facet per icosahedron vertex direction."""
     from .hrep import make_hrep
 
@@ -92,7 +92,7 @@ def dodecahedron_hrep(tol: float = 1e-9) -> HRep:
         rows.append([0.0, a, b * phi])
         rows.append([a, b * phi, 0.0])
         rows.append([b * phi, 0.0, a])
-    return make_hrep(rows, [1.0] * 12, tol=tol)
+    return make_hrep(rows, [1.0] * 12)
 
 
 def dodecahedron() -> CombPolytope:

@@ -43,6 +43,7 @@ from .polytope import validate_polytope
 _VERTEX_CAP = 125 * 10 ** 6
 _SAMPLE_CAP = 10 ** 9
 _RANK_CHUNK = 256
+_TOL = 1e-9  # the one tolerance of every accept/reject decision, see HRep._frame
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +54,6 @@ class HRep:
     m: int
     A: np.ndarray          # n x m, column i is the inward normal a_i
     b: np.ndarray          # length m offsets
-    tol: float = 1e-9
 
     def values(self, x) -> np.ndarray:
         """The m affine forms <a_i, x> + b_i at a point."""
@@ -65,11 +65,11 @@ class HRep:
 
         Seen from the least-squares solution of U x = -c, which moves with
         every translation, the offsets c' = U x + c ignore translation and
-        row scaling.  Lengths are decided against tol * max(1, max|c'|) plus
+        row scaling.  Lengths are decided against 1e-9 * max(1, max|c'|) plus
         8 (n + 1) eps max|c|: each c'_i sums n + 1 terms of size about max|c|
         (the centre lies that far out), and a vertex solved from n of them is
         off by a few times that.  Determinants, singular values and pivots of
-        unit rows are dimensionless and are decided against tol itself.
+        unit rows are dimensionless and are decided against 1e-9 itself.
         """
         norms = np.linalg.norm(self.A, axis=0)
         unit, c = self.A.T / norms[:, None], self.b / norms
@@ -77,7 +77,7 @@ class HRep:
         scale = max(1.0, float(np.abs(offsets).max()))
         rounding = 8 * (self.n + 1) * np.finfo(float).eps * float(np.abs(c).max())
         return _Frame(norms=norms, U=unit, c=offsets, rounding=rounding,
-                      thr=self.tol * scale + rounding)
+                      thr=_TOL * scale + rounding)
 
     @cached_property
     def _vertices(self):
@@ -94,10 +94,11 @@ class _Frame:
     thr: float             # the one length threshold
 
 
-def _numeric_rank(matrix, tol: float) -> int:
-    """Singular values above ``tol``, relative to the largest once it passes 1."""
+def _numeric_rank(matrix):
+    """Singular values above 1e-9, relative to the largest once it passes 1;
+    of a stack of matrices, one rank per matrix."""
     svals = np.linalg.svd(matrix, compute_uv=False)
-    return int(np.sum(svals > tol * max(1.0, float(svals[0])))) if svals.size else 0
+    return np.sum(svals > _TOL * np.maximum(1.0, svals[..., :1]), axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,9 +125,6 @@ class EmbeddedPoint:
 
 # ---------------------------------------------------------------------------
 # construction
-
-
-_LP_EPS = 1e-9  # pivots, reduced costs and phase I, on unit-row data
 
 
 def _simplex(M, r, cost):
@@ -156,28 +154,28 @@ def _simplex(M, r, cost):
 
     def optimise(eps):  # only the N real columns enter; False when unbounded
         while (enter := np.flatnonzero(T[k, :N] < -eps)).size:
-            rows = np.flatnonzero(T[:k, enter[0]] > _LP_EPS)
+            rows = np.flatnonzero(T[:k, enter[0]] > _TOL)
             if not rows.size:
                 return False
             ratios = T[rows, -1] / T[rows, enter[0]]
-            pivot(min(rows[ratios <= ratios.min() + _LP_EPS], key=basis.__getitem__),
+            pivot(min(rows[ratios <= ratios.min() + _TOL], key=basis.__getitem__),
                   enter[0])
         return True
 
-    optimise(_LP_EPS)
-    if -T[k, -1] > _LP_EPS * max(1.0, float(np.abs(r).sum())):
+    optimise(_TOL)
+    if -T[k, -1] > _TOL * max(1.0, float(np.abs(r).sum())):
         return "infeasible", math.nan, basis
     for i in range(k):  # drive the artificials left at level zero out of the basis
-        if basis[i] >= N and (cols := np.flatnonzero(np.abs(T[i, :N]) > _LP_EPS)).size:
+        if basis[i] >= N and (cols := np.flatnonzero(np.abs(T[i, :N]) > _TOL)).size:
             pivot(i, cols[0])
     costs = np.r_[cost, np.zeros(k)][basis]
     T[k, :N], T[k, -1] = cost - costs @ T[:k, :N], -costs @ T[:k, -1]
-    if not optimise(_LP_EPS * max(1.0, float(np.abs(cost).max(initial=0.0)))):
+    if not optimise(_TOL * max(1.0, float(np.abs(cost).max(initial=0.0)))):
         return "unbounded", math.nan, basis
     return "optimal", float(-T[k, -1]), basis
 
 
-def make_hrep(rows, offsets, tol: float = 1e-9) -> HRep:
+def make_hrep(rows, offsets) -> HRep:
     """Validate raw normals/offsets; see :func:`parse_hrep` for the checks."""
     arows = np.asarray(rows, dtype=float)
     b = np.asarray(offsets, dtype=float)
@@ -188,20 +186,18 @@ def make_hrep(rows, offsets, tol: float = 1e-9) -> HRep:
         raise ParseError("empty presentation")
     if not (np.isfinite(arows).all() and np.isfinite(b).all()):
         raise ParseError("non-finite entries")
-    if not (math.isfinite(tol) and tol > 0):
-        raise BadParameters(f"tolerance must be positive, got {tol}")
 
     if not arows.any(axis=1).all():
         raise ParseError(f"row {int(np.argmin(arows.any(axis=1)))} has a zero normal")
     A, b = arows.T.copy(), b.copy()
     A.setflags(write=False)
     b.setflags(write=False)
-    h = HRep(n=n, m=m, A=A, b=b, tol=tol)
+    h = HRep(n=n, m=m, A=A, b=b)
     f = h._frame
 
     # Bounded iff the normals positively span R^n: full rank plus weights
     # w = 1 + v >= 1 with U^t w = 0.
-    if _numeric_rank(f.U, tol) < n:
+    if _numeric_rank(f.U) < n:
         raise Unbounded("inward normals do not span the space")
     ones = np.ones(m)
     if _simplex(f.U.T, -f.U.T @ ones, np.zeros(m))[0] != "optimal":
@@ -228,7 +224,7 @@ def make_hrep(rows, offsets, tol: float = 1e-9) -> HRep:
     return h
 
 
-def parse_hrep(text: str, tol: float = 1e-9) -> HRep:
+def parse_hrep(text: str) -> HRep:
     """Parse the wire format: first line ``n m``, then m rows ``a_1 .. a_n b``.
 
     Raises :class:`Unbounded` when the normals do not positively span,
@@ -259,7 +255,7 @@ def parse_hrep(text: str, tol: float = 1e-9) -> HRep:
             raise ParseError(f"bad number in row {ln!r}") from e
         rows.append(vals[:n])
         offs.append(vals[n])
-    return make_hrep(rows, offs, tol=tol)
+    return make_hrep(rows, offs)
 
 
 def hrep_to_text(h: HRep) -> str:
@@ -293,7 +289,7 @@ def _walk_vertices(h: HRep):
     basis of one LP, min u_0 z over the region as its dual min{c' λ :
     U^t λ = u_0, λ >= 0}: the simplex multipliers of any optimal basis solve
     it at a vertex.  Each visited n-subset passes the checks that decide a
-    vertex: a determinant above tol, no row violated by more than the frame's
+    vertex: a determinant above 1e-9, no row violated by more than the frame's
     threshold, and no more than its own n rows within it, else
     :class:`NotSimplePresentation`.  From a vertex, column k of U_sub^-1
     leaves row k and runs along the other n - 1; the first row it reaches
@@ -318,7 +314,7 @@ def _walk_vertices(h: HRep):
     while todo:
         subset = todo.pop()
         sub = list(subset)
-        if abs(np.linalg.det(f.U[sub])) <= h.tol:  # unit rows: Hadamard bound 1
+        if abs(np.linalg.det(f.U[sub])) <= _TOL:  # unit rows: Hadamard bound 1
             continue
         vals = f.U @ np.linalg.solve(f.U[sub], -f.c[sub]) + f.c
         vals[sub] = 0.0  # the subset's own rows hold by construction
@@ -356,7 +352,7 @@ def relation_matrix(h: HRep) -> QuadricSystem:
     carries the rounding allowance sum_k |gamma_jk| |a_k| times the frame's
     length rounding 8 (n + 1) eps max|c|: rhs and every lifted square
     <a_k, x> + b_k sum terms as far out as the region lies, and far out
-    (a 1e9 translation) that rounding exceeds tol times what is left.
+    (a 1e9 translation) that rounding exceeds 1e-9 times what is left.
     """
     n, m, norms = h.n, h.m, h._frame.norms
     R = np.array(h.A, dtype=float)
@@ -366,7 +362,7 @@ def relation_matrix(h: HRep) -> QuadricSystem:
         if r == n:
             break
         lead = r + int(np.argmax(np.abs(R[r:, c])))
-        if abs(R[lead, c]) <= h.tol * norms[c]:
+        if abs(R[lead, c]) <= _TOL * norms[c]:
             continue
         R[[r, lead]] = R[[lead, r]]
         R[r] = R[r] / R[r, c]
@@ -386,7 +382,7 @@ def relation_matrix(h: HRep) -> QuadricSystem:
     for row in range(gamma.shape[0]):
         lead = int(np.argmax(np.abs(gamma[row])))
         gamma[row] = gamma[row] / gamma[row, lead] + 0.0  # +0.0 clears -0.0
-    if np.abs(gamma @ h.A.T).max() > 100 * h.tol * (np.abs(gamma) @ norms).max():
+    if np.abs(gamma @ h.A.T).max() > 100 * _TOL * (np.abs(gamma) @ norms).max():
         raise AssertionError("relation rows do not annihilate the normals")
     rhs = gamma @ h.b
     rounding = np.abs(gamma) @ norms * h._frame.rounding
@@ -409,7 +405,7 @@ def lift_point(h: HRep, x, signs) -> EmbeddedPoint:
     return EmbeddedPoint(y=y, source=(np.asarray(x, dtype=float), signs))
 
 
-def quadric_gradient_rank(q: QuadricSystem, point, tol: float = 1e-9) -> int:
+def quadric_gradient_rank(q: QuadricSystem, point) -> int:
     """Rank of the quadric gradients (rows 2 gamma_jk y_k) at a point.
 
     Each equation's residual is measured against its own terms, plus its
@@ -421,12 +417,12 @@ def quadric_gradient_rank(q: QuadricSystem, point, tol: float = 1e-9) -> int:
     """
     y = point.y if isinstance(point, EmbeddedPoint) else np.asarray(point, float)
     res = np.abs(q.residual(y))
-    if (res > tol * (np.abs(q.gamma) @ (y * y) + np.abs(q.rhs)) + q.rounding).any():
+    if (res > _TOL * (np.abs(q.gamma) @ (y * y) + np.abs(q.rhs)) + q.rounding).any():
         raise NotOnVariety(f"max residual {res.max():g}")
     cols = np.abs(q.gamma).max(axis=0, initial=0.0)
     grad = q.gamma * (y / np.sqrt(np.where(cols > 0, cols, 1.0)))
     rows = np.abs(grad).max(axis=1, initial=0.0)[:, None]
-    return _numeric_rank(grad / np.where(rows > 0, rows, 1.0), tol)
+    return int(_numeric_rank(grad / np.where(rows > 0, rows, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -483,12 +479,11 @@ def verify_nondegeneracy(h: HRep, sample_count: int = 200,
     unit_gamma = q.gamma * np.sqrt(norms) / np.abs(q.gamma * norms).max(axis=1)[:, None]
     expected = h.m - h.n
     min_rank, min_margin, failures = expected, math.inf, []
-    for start in range(0, len(pts), _RANK_CHUNK):  # ranks decided as _numeric_rank does
+    for start in range(0, len(pts), _RANK_CHUNK):
         chunk = pts[start:start + _RANK_CHUNK]
         signs = 1 - 2 * rng.integers(0, 2, size=(len(chunk), h.m))
         y = (signs * np.sqrt(np.clip([h.values(x) for x in chunk], 0.0, None)))[:, None, :]
-        svals = np.linalg.svd(2.0 * unit_gamma * y, compute_uv=False)
-        ranks = np.sum(svals > h.tol * np.maximum(1.0, svals[:, :1]), axis=1)
+        ranks = _numeric_rank(2.0 * unit_gamma * y)
         margins = np.linalg.svd(2.0 * q.gamma * y, compute_uv=False)[:, expected - 1]
         min_margin = min(min_margin, float(margins.min()))
         min_rank = min(min_rank, int(ranks.min()))

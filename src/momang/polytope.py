@@ -32,6 +32,8 @@ from .errors import (
 # codimension-two faces.
 _WORK_CAP = 10 ** 7
 
+_FACES_CAP = 5 * 10 ** 6  # FaceLattice.faces' V * 2^n memberships, ~130 B each: < 1 GB
+
 @dataclass(frozen=True)
 class CombPolytope:
     """A simple n-polytope: every vertex lies in exactly ``dim`` facets.
@@ -73,7 +75,8 @@ class FaceLattice:
     ``masks`` holds one bitmask per face (bit i set when facet i contains
     it), ordered by facet count and then by sorted facet tuple, so
     ``masks[0] == 0`` is the whole polytope.  ``faces`` lists the matching
-    :class:`Face` records, built on first read.
+    :class:`Face` records, built on first read; over ``_FACES_CAP`` vertex
+    memberships it raises :class:`GuardExceeded` before any is built.
     """
 
     def __init__(self, polytope: CombPolytope, masks):
@@ -82,12 +85,13 @@ class FaceLattice:
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
+        p = self.polytope
+        _check_work("face-record vertex memberships", p.vertex_count << p.dim, _FACES_CAP)
         members = {mask: [] for mask in self.masks}
-        for vi, fs in enumerate(self.polytope.vertices):
+        for vi, fs in enumerate(p.vertices):
             for mask in _submasks(fs):
                 members[mask].append(vi)
-        n = self.polytope.dim
-        return tuple(Face(facets=frozenset(_bits(mask)), dim=n - mask.bit_count(),
+        return tuple(Face(facets=frozenset(_bits(mask)), dim=p.dim - mask.bit_count(),
                           vertices=tuple(members[mask])) for mask in self.masks)
 
     @cached_property

@@ -291,13 +291,14 @@ def _cell_counts(lattice: FaceLattice) -> tuple[list[int], int]:
 def _chamber_counts(p: CombPolytope) -> tuple[FaceLattice, dict]:
     """The face lattice and every number the chamber commands report, from
     its facet masks and the facet stars alone (edge types: see
-    :func:`classify_edge_types`); no cell, piece or record is built, and
-    the rows' work is capped before the first (see ``_WORK_CAP``)."""
+    :func:`classify_edge_types`); no cell, piece or record is built, and the
+    rows' work is capped (see ``_WORK_CAP``) before the lattice is built: the
+    codimension-two faces are the facet pairs in a star."""
     m = p.facet_count
-    lattice = face_lattice(p)
-    pairs = [mask for mask in lattice.masks if mask.bit_count() == 2]
-    _check_work("chamber count rows", (m + 1) * (m + len(pairs)), _WORK_CAP)
     star = _facet_stars(p)
+    pairs = [1 << a | 1 << b for a, s in enumerate(star) for b in _bits(s) if b > a]
+    _check_work("chamber count rows", (m + 1) * (m + len(pairs)), _WORK_CAP)
+    lattice = face_lattice(p)
     cells_by_dim, euler = _cell_counts(lattice)
     filtration = []
     for j in range(m + 1):

@@ -38,6 +38,7 @@ from momang import (
     verify_nondegeneracy,
     vertex_cut,
 )
+import momang.hrep as hrep
 from momang.corpus import cube_hrep, simplex_hrep
 from conftest import cut_cube, cut_prism
 
@@ -156,8 +157,9 @@ def test_criterion_04(failures):
 
 @criterion(5, 1.0, "simplex models: single sphere quadric, chi, barycenter lift")
 def test_criterion_05(failures):
+    assert hrep._TOL == TOL
     for n in (1, 2, 3):
-        h = simplex_hrep(n, tol=TOL)
+        h = simplex_hrep(n)
         q = relation_matrix(h)
         check(failures, q.gamma.shape == (1, n + 1)
               and np.array_equal(q.gamma, np.ones((1, n + 1)))
@@ -176,7 +178,8 @@ def test_criterion_05(failures):
 
 @criterion(6, 5.0, "cube torus model: paired quadrics, ranks, chi, fixed sets")
 def test_criterion_06(failures):
-    h = cube_hrep(3, tol=TOL)
+    assert hrep._TOL == TOL
+    h = cube_hrep(3)
     q = relation_matrix(h)
     expect = np.zeros((3, 6))
     for i in range(3):

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import os
 import random
@@ -297,12 +299,12 @@ WHOLE_REPORTS = [
           "m": 5, "orientable": True}},
      ["command: moment-angle", f"input a.json: sha256:{PRISM_SHA}"]),
     (["verify-quadrics", "cube.hrep", "--samples", "40", "--seed", "3"], 0,
-     {"command": "verify-quadrics", "flags": {"samples": 40, "seed": 3, "tol": 1e-09},
+     {"command": "verify-quadrics", "flags": {"samples": 40, "seed": 3},
       "inputs": {"cube.hrep": HREP_SHA},
       "payload": {"expected_rank": 3, "failures": [], "min_margin": 1.9999999999999998,
                   "min_rank": 3, "passed": True, "samples": 40}},
      ["command: verify-quadrics", f"input cube.hrep: sha256:{HREP_SHA}",
-      "flag samples: 40", "flag seed: 3", "flag tol: 1e-09"]),
+      "flag samples: 40", "flag seed: 3"]),
     (["generate", "prism"], 0,
      {"command": "generate", "flags": {"kind": "prism", "param": None, "seed": 0},
       "inputs": {}, "payload": {"dim": 3, "facets": 5, "vertices": PRISM_VERTICES}},
@@ -621,6 +623,19 @@ def test_exit_codes_on_malformed_files(tmp_path, capsys):
         assert exit_code(capsys, argv)[0] == 2, argv
 
 
+def test_no_command_or_public_name_takes_a_tol():
+    # the H-rep tolerance is the module constant hrep._TOL; nothing sets it
+    (subparsers,) = [a for a in momang.cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    for command, parser in subparsers.choices.items():
+        assert all(a.dest != "tol" for a in parser._actions), command
+    names = sorted({*dir(momang), *momang._HREP_NAMES} - {"errors"})
+    for obj in [getattr(momang, name) for name in names if not name.startswith("_")] + [
+            cube_hrep, dodecahedron_hrep, prism_hrep, simplex_hrep]:
+        if callable(obj):
+            assert "tol" not in inspect.signature(obj).parameters, obj
+
+
 def test_exit_codes_on_bad_flags(tmp_path, capsys):
     cube3 = write_polytope(tmp_path, "cube.json", cube(3))
     prism3 = write_polytope(tmp_path, "prism.json", prism())
@@ -658,15 +673,13 @@ def test_exit_codes_on_bad_flags(tmp_path, capsys):
             assert "--strict" in argv and negative[argv[0]](payload), argv
         if "--guard" in argv:  # no command takes a guard
             assert code == 2, argv
+        if "--tol" in argv:  # no command takes a tol
+            assert code == 2, argv
         seen.add(code)
     code, _ = exit_code(capsys, ["verify-quadrics", hrep, "--samples", "100000000"])
     assert code == 3
     for flag in ("--seed", "--samples"):
         assert main(["verify-quadrics", hrep, flag, "-1"]) == 2, flag
         assert json.loads(capsys.readouterr().err)["error"] == "BadParameters"
-    for command in ("quadrics", "verify-quadrics"):
-        for tol in ("nan", "inf"):
-            assert main([command, hrep, "--tol", tol]) == 2, (command, tol)
-            assert json.loads(capsys.readouterr().err)["error"] == "BadParameters"
     assert exit_code(capsys, ["validate", cube3, "--out", str(tmp_path)])[0] == 2
     assert seen == {0, 1, 2, 3}

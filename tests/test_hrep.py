@@ -624,7 +624,7 @@ def brute_force_vertices(h):
     found = {}
     for subset in itertools.combinations(range(h.m), h.n):
         sub = list(subset)
-        if abs(np.linalg.det(f.U[sub])) <= h.tol:
+        if abs(np.linalg.det(f.U[sub])) <= hrep._TOL:
             continue
         vals = f.U @ np.linalg.solve(f.U[sub], -f.c[sub]) + f.c
         vals[sub] = 0.0
@@ -657,7 +657,8 @@ def looped_nondegeneracy(h, sample_count, seed):
     for idx, x in enumerate(pts):
         signs = 1 - 2 * rng.integers(0, 2, size=h.m)
         y = signs * np.sqrt(np.clip(h.values(x), 0.0, None))
-        rank = hrep._numeric_rank(2.0 * unit_gamma * y, h.tol)
+        svals = np.linalg.svd(2.0 * unit_gamma * y, compute_uv=False)
+        rank = int(np.sum(svals > hrep._TOL * max(1.0, svals[0])))
         svals = np.linalg.svd(2.0 * q.gamma * y, compute_uv=False)
         min_margin = min(min_margin, float(svals[expected - 1]))
         min_rank = min(min_rank, rank)
@@ -702,13 +703,27 @@ def test_stacked_ranks_equal_the_looped_report(name):
     assert report == looped_nondegeneracy(h, count, 7)
 
 
-def test_stacked_ranks_report_the_loops_failures():
-    # at tol 0.2 small singular values count as zero: ranks fail in every chunk
+def test_stacked_ranks_report_the_loops_failures(monkeypatch):
+    # at tolerance 0.2 small singular values count as zero: ranks fail in
+    # every chunk; the presentation is validated at 1e-9 first
     g = dodecahedron_hrep()
-    h = HRep(g.n, g.m, g.A, g.b, tol=0.2)
+    monkeypatch.setattr(hrep, "_TOL", 0.2)
+    h = HRep(g.n, g.m, g.A, g.b)
     report = verify_nondegeneracy(h, sample_count=600, seed=3)
     assert len(report.failures) > 200 and report.failures[-1][0] > 2 * hrep._RANK_CHUNK
     assert report == looped_nondegeneracy(h, 600, 3)
+
+
+def test_numeric_rank_of_a_stack_equals_each_rank():
+    rng = np.random.default_rng(4)
+    stack = rng.standard_normal((5, 3, 6))
+    stack[1, 2] = stack[1, 0] + stack[1, 1]      # rank 2
+    stack[2] *= 1e-12                            # every value under 1e-9: rank 0
+    stack[3, :2] *= 1e6                          # past 1 the threshold is relative:
+    stack[3, 2] *= 1e-4                          # 1e-4 is under 1e-9 * 1e6, rank 2
+    ranks = hrep._numeric_rank(stack)
+    assert ranks.tolist() == [hrep._numeric_rank(a) for a in stack] == [3, 2, 0, 2, 3]
+    assert hrep._numeric_rank(np.zeros((0, 4))) == 0
 
 
 def test_enumeration_is_cached_and_read_only():

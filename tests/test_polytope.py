@@ -339,6 +339,22 @@ def test_face_lattice_guard_counts_subsets(monkeypatch):
         face_lattice(p)
 
 
+def test_face_records_capped_by_vertex_memberships(monkeypatch):
+    # simplex(18) is admitted; the polar cyclic 7-polytope with 64 vertices
+    # (68,440 vertices, 937 MB peak for its records) is not
+    assert 19 << 18 <= polytope._FACES_CAP < 68440 << 7
+    # 16 vertices of the 4-cube in 2^4 faces each; the cap is checked on
+    # first read, before any record is built, and admits exactly that count
+    lat = face_lattice(cube(4))
+    with monkeypatch.context() as patch:
+        patch.setattr(polytope, "_FACES_CAP", 255)
+        patch.setattr(polytope, "Face", None)  # unreachable before the check
+        with pytest.raises(GuardExceeded, match="predicted 256 exceeds the cap 255"):
+            lat.faces
+    monkeypatch.setattr(polytope, "_FACES_CAP", 256)
+    assert len(lat.faces) == 81
+
+
 def lattice_oracle_inputs(corpus):
     return (corpus + [(f"cube{n}", cube(n)) for n in range(1, 9)]
             + [(f"rvc{k}", random_vertexcuts(k, k)) for k in (0, 7, 40)]

@@ -180,6 +180,19 @@ def test_counts_cap_from_closed_forms(monkeypatch):
         complex_summary(p)
 
 
+def test_counts_cap_refuses_before_the_face_lattice(monkeypatch):
+    # the codimension-two faces come from the facet stars, so a cut
+    # tetrahedron over the row cap is refused without a lattice
+    def unreachable(*args):
+        raise AssertionError("face lattice built before the counts cap")
+
+    monkeypatch.setattr(zcomplex, "face_lattice", unreachable)
+    p = random_vertexcuts(1600, 0)
+    for call in (complex_summary, build_chamber_complex, doubling_filtration):
+        with pytest.raises(GuardExceeded, match="chamber count rows"):
+            call(p)
+
+
 def test_group_action_on_cells():
     for name, p in [("prism", prism()), ("simplex2", simplex(2))]:
         z = build_chamber_complex(p)
