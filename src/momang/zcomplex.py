@@ -21,41 +21,162 @@ stage j is the union of the 2^j chambers with group element < 2^j, whose
 boundary consists of one piece per (facet i >= j, group element in the
 stage).  Stage j+1 is two copies of stage j glued along the pieces of
 facet j.
+
+Nothing is listed per cell: the cells, cell ids, chamber signs, stage
+groups, stage pieces and edge records are read-only views whose lengths are
+closed forms and whose k-th object is computed on demand in O(m).
+Iterating a view builds its objects in turn, so it is capped by
+``_OBJECT_CAP`` before the first; the components of a fixed set are built,
+under the same cap, on first read.
 """
 
 from __future__ import annotations
 
+import sys
+from bisect import bisect_right
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 
 from .errors import NoSuchFacet, _check_work
-from .polytope import _WORK_CAP, CombPolytope, FaceLattice, _bits, _pair_sets, face_lattice
+from .polytope import _WORK_CAP, CombPolytope, FaceLattice, _bits, face_lattice
 
 
-# Objects (cells, or filtration pieces plus edge records) a materialising
-# call may build.  Peak RSS grows by ~210 B per cell (m = 16) and ~300 B per
-# piece or record (m = 18), so an admitted call stays under 1 GB.
+# Objects (cells, components' cells, group elements, signs, filtration
+# pieces or edge records) one materialising read of a view may build.  Peak
+# RSS grows by ~210 B per cell (m = 16) and ~300 B per piece or record
+# (m = 18), so an admitted read stays under 1 GB.
 _OBJECT_CAP = 3_000_000
 
 
 def _facet_stars(p: CombPolytope) -> list[int]:
-    """Per facet i, the mask of i and every facet sharing a vertex with it."""
-    return [sum(1 << j for j in row) | 1 << i
-            for i, row in enumerate(_pair_sets(p.facet_count, p.vertices))]
+    """Per facet i, the mask of i and every facet sharing a vertex with it:
+    each vertex ORs its facet mask into the stars of its facets."""
+    star = [1 << i for i in range(p.facet_count)]
+    for fs in p.vertices:
+        mask = sum(1 << i for i in fs)
+        for i in fs:
+            star[i] |= mask
+    return star
+
+
+def _deposit(k: int, mask: int) -> int:
+    """The k-th submask of ``~mask`` in increasing order: k with a zero bit
+    inserted at every set bit of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        k = k & (low - 1) | (k & -low) << 1
+        mask ^= low
+    return k
+
+
+def _compact(g: int, mask: int) -> int:
+    """The rank of ``g`` (disjoint from ``mask``) among the submasks of
+    ``~mask``: the inverse of :func:`_deposit`, dropping the bits of
+    ``mask`` from the highest down."""
+    while mask:
+        high = 1 << mask.bit_length() - 1
+        g = g & (high - 1) | g >> 1 & -high
+        mask ^= high
+    return g
+
+
+class _View(Sequence):
+    """``length`` objects, the k-th computed by ``item(k)``; ``items()``,
+    when given, lists them all in order faster.
+
+    ``len`` and random access never build the others.  Iterating, or
+    slicing, builds the objects in turn and raises ``GuardExceeded`` before
+    the first when they exceed ``_OBJECT_CAP``.  A view longer than
+    ``sys.maxsize``, which ``len`` could not return, is refused at
+    construction.
+    """
+
+    def __init__(self, what: str, length: int, item, items=None):
+        _check_work(what, length, sys.maxsize)
+        self._what, self._len, self._item, self._items = what, length, item, items
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, k):
+        k = range(self._len)[k]  # an index in range, or a range for a slice
+        if isinstance(k, range):
+            return tuple(map(self._item, self._admit(k)))
+        return self._item(k)
+
+    def __iter__(self):
+        ks = self._admit(range(self._len))
+        return self._items() if self._items else map(self._item, ks)
+
+    def __reversed__(self):
+        return map(self._item, self._admit(range(self._len)[::-1]))
+
+    def __repr__(self) -> str:
+        return f"<{self._what}: {self._len}>"
+
+    def _admit(self, ks: range) -> range:
+        _check_work(self._what, len(ks), _OBJECT_CAP)
+        return ks
+
+
+class _CellIds(Mapping):
+    """Cell -> cell id over the cells view of a :class:`ChamberComplex`:
+    the face's offset plus the rank of the representative among the
+    submasks of the face's complement.  Any key that is not a canonical cell
+    raises ``KeyError``."""
+
+    def __init__(self, z: ChamberComplex):
+        self._z = z
+
+    def __getitem__(self, cell) -> int:
+        z = self._z
+        try:
+            f, g = cell
+            if f < 0 or g < 0 or g >> z.m:
+                raise KeyError(cell)
+            mask = z.face_masks[f]
+        except (TypeError, ValueError, IndexError):
+            raise KeyError(cell) from None
+        if g & mask:
+            raise KeyError(cell)
+        return z._starts[f] + _compact(g, mask)
+
+    def __iter__(self):
+        return iter(self._z.cells)
+
+    def __len__(self) -> int:
+        return len(self._z.cells)
 
 
 class ChamberComplex:
-    """Cell model of the glued manifold, built by :func:`build_chamber_complex`."""
+    """Cell model of the glued manifold, built by :func:`build_chamber_complex`.
+
+    ``cells`` is a sequence view of ``(face_index, representative)`` pairs,
+    face by face in lattice order and by increasing representative within a
+    face; ``cell_ids`` maps each cell back to its index.
+    """
 
     def __init__(self, base: CombPolytope, lattice: FaceLattice,
-                 cells, cell_ids, cells_by_dim):
+                 stars: list[int], cells_by_dim):
         self.base = base
         self.lattice = lattice
         self.m = base.facet_count
         self.n = base.dim
-        self.cells = cells              # tuple of (face_index, representative)
-        self.cell_ids = cell_ids        # (face_index, representative) -> cell id
         self.cells_by_dim = cells_by_dim
         self.face_masks = lattice.masks
+        self._stars = stars
+        self._starts = list(accumulate((_coset_count(self.m, mask) for mask in self.face_masks),
+                                       initial=0))
+        self.cells = _View("chamber cells", self._starts[-1], self._cell, lambda: (
+            (f, g) for f, mask in enumerate(self.face_masks)
+            for g in _stage_cell_reps(self.m, mask)))
+        self.cell_ids = _CellIds(self)
+
+    def _cell(self, k: int) -> tuple[int, int]:
+        f = bisect_right(self._starts, k) - 1
+        return f, _deposit(k - self._starts[f], self.face_masks[f])
 
     def canonical(self, face_index: int, g: int) -> tuple[int, int]:
         """The cell containing the copies of a face point indexed by ``g``."""
@@ -71,20 +192,19 @@ class ChamberComplex:
 
 
 def build_chamber_complex(p: CombPolytope) -> ChamberComplex:
-    """Enumerate all cells, face by face.
+    """The chamber complex over ``p``, with its cells as a view.
 
     The 2^m copies of a face glue along the cosets of the subgroup spanned
     by its facets, so its cells are the submasks of the complement of its
-    facet mask, listed in increasing order: 2^(m-k) in codimension k.
-    Over ``_OBJECT_CAP`` cells raise ``GuardExceeded`` before any is built.
+    facet mask, listed in increasing order: 2^(m-k) in codimension k.  No
+    cell is built here: ``cells[k]`` deposits the bits of k's rank within
+    its face into that complement, and ``cell_ids`` compacts them back.
+    Iterating ``cells`` or ``cell_ids`` over ``_OBJECT_CAP`` cells raises
+    ``GuardExceeded`` before any is built; over ``sys.maxsize`` cells the
+    call itself does.
     """
-    lattice, counts = _chamber_counts(p)
-    _check_work("chamber cells", sum(counts["cells_by_dim"]), _OBJECT_CAP)
-    cells = tuple((face_index, g) for face_index, mask in enumerate(lattice.masks)
-                  for g in _stage_cell_reps(p.facet_count, mask))
-    cell_ids = {cell: k for k, cell in enumerate(cells)}
-    return ChamberComplex(p, lattice, cells, cell_ids,
-                          tuple(counts["cells_by_dim"]))
+    stars, _, lattice = _stars_pairs_lattice(p)
+    return ChamberComplex(p, lattice, stars, tuple(_cell_counts(lattice)[0]))
 
 
 def euler_characteristic(z: ChamberComplex) -> int:
@@ -98,17 +218,35 @@ def connected_components(z: ChamberComplex) -> int:
     return 1
 
 
-@dataclass(frozen=True)
 class FixedPointSet:
     """Components of the subcomplex over one facet (fixed set of its
-    generator under the group action)."""
+    generator under the group action).
 
-    facet: int
-    components: tuple[tuple[tuple[int, int], ...], ...]
+    ``count`` is the closed form 2^(m - |star|); ``components``, tuples of
+    cells, is built on first read, and over ``_OBJECT_CAP`` cells raises
+    ``GuardExceeded`` before any is built.
+    """
 
-    @property
-    def count(self) -> int:
-        return len(self.components)
+    def __init__(self, z: ChamberComplex, facet: int):
+        self._z = z
+        self.facet = facet
+        self.count = _coset_count(z.m, z._stars[facet])
+
+    def __repr__(self) -> str:
+        return f"FixedPointSet(facet={self.facet}, count={self.count})"
+
+    @cached_property
+    def components(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        z, i = self._z, self.facet
+        cells = sum(_coset_count(z.m, mask) for mask in z.face_masks if mask >> i & 1)
+        _check_work("fixed-set cells", cells, _OBJECT_CAP)
+        span = z._stars[i]
+        groups: dict[int, list] = {}
+        for f, mask in enumerate(z.face_masks):  # reps ascending: cell-id order
+            if mask >> i & 1:
+                for g in _stage_cell_reps(z.m, mask):
+                    groups.setdefault(g & ~span, []).append((f, g))
+        return tuple(tuple(grp) for grp in groups.values())
 
 
 def fixed_point_components(z: ChamberComplex, i: int) -> FixedPointSet:
@@ -121,14 +259,11 @@ def fixed_point_components(z: ChamberComplex, i: int) -> FixedPointSet:
     """
     if not 0 <= i < z.m:
         raise NoSuchFacet(f"facet {i} of {z.m}")
-    span = _facet_stars(z.base)[i]
-    groups: dict[int, list] = {}
-    for f, mask in enumerate(z.face_masks):  # reps ascending: cell-id order
-        if mask >> i & 1:
-            for g in _stage_cell_reps(z.m, mask):
-                groups.setdefault(g & ~span, []).append((f, g))
-    components = tuple(tuple(grp) for grp in groups.values())
-    return FixedPointSet(facet=i, components=components)
+    return FixedPointSet(z, i)
+
+
+def _parity_sign(g: int) -> int:
+    return 1 - 2 * (g.bit_count() & 1)
 
 
 def orientability(z: ChamberComplex):
@@ -136,9 +271,9 @@ def orientability(z: ChamberComplex):
 
     Adjacent chambers differ by one generator, hence get opposite signs, so
     the parity orientation is always consistent.  Returns the verdict
-    together with the sign of each chamber.
+    together with a view of the sign of each chamber.
     """
-    return True, [1 - 2 * (g.bit_count() & 1) for g in z.chambers()]
+    return True, _View("chamber signs", 1 << z.m, _parity_sign)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +298,7 @@ class EdgeRecord:
 
 @dataclass(frozen=True)
 class EdgeTypeSummary:
-    records: tuple[EdgeRecord, ...]
+    records: Sequence[EdgeRecord]
     type1: int
     type2: int
 
@@ -171,12 +306,14 @@ class EdgeTypeSummary:
 @dataclass(frozen=True)
 class FiltrationStage:
     """Stage j of the doubling filtration: 2^j chambers, boundary made of
-    one piece per (facet >= j, group element below 2^j)."""
+    one piece per (facet >= j, group element below 2^j).  ``subgroup`` and
+    ``facets`` are views in increasing order (pieces by facet, then by
+    group element)."""
 
     base: CombPolytope
     j: int
-    subgroup: tuple[int, ...]
-    facets: tuple[tuple[int, int], ...]
+    subgroup: Sequence[int]
+    facets: Sequence[tuple[int, int]]
     chamber_count: int
     cell_count: int
     boundary_components: int
@@ -212,24 +349,23 @@ def classify_edge_types(stage: FiltrationStage) -> EdgeTypeSummary:
     return stage.edge_types
 
 
-def _build_edge_types(lattice: FaceLattice, j: int, row: dict) -> EdgeTypeSummary:
-    records = []
-    for mask in lattice.masks:
-        if mask.bit_count() != 2:
-            continue
-        a, b = _bits(mask)
-        if b < j:
-            continue  # fully doubled: interior to the stage
-        for r in _stage_cell_reps(j, mask):
-            if a >= j:
-                rec = EdgeRecord(facet_pair=(a, b), rep=r, kind="I",
-                                 pieces=((a, r), (b, r)))
-            else:
-                rec = EdgeRecord(facet_pair=(a, b), rep=r, kind="II",
-                                 pieces=((b, r), (b, r | (1 << a))))
-            records.append(rec)
-    return EdgeTypeSummary(records=tuple(records), type1=row["type1_edges"],
-                           type2=row["type2_edges"])
+def _edge_records(pairs: list[int], j: int) -> _View:
+    """The stage-j edge records as a view: the boundary facet pairs (b >= j)
+    in lattice order, each with its stage cells in increasing order."""
+    low = (1 << j) - 1
+    kept = [pair for pair in pairs if pair >> j]
+    starts = list(accumulate((_coset_count(j, pair) for pair in kept), initial=0))
+
+    def record(k: int) -> EdgeRecord:
+        t = bisect_right(starts, k) - 1
+        a, b = _bits(kept[t])
+        r = _deposit(k - starts[t], kept[t] & low)
+        if a >= j:
+            return EdgeRecord(facet_pair=(a, b), rep=r, kind="I", pieces=((a, r), (b, r)))
+        return EdgeRecord(facet_pair=(a, b), rep=r, kind="II",
+                          pieces=((b, r), (b, r | (1 << a))))
+
+    return _View("filtration edge records", starts[-1], record)
 
 
 def _boundary_components(star: list[int], j: int) -> int:
@@ -253,24 +389,26 @@ def doubling_filtration(p: CombPolytope) -> list[FiltrationStage]:
 
     Stage j keeps the first j generators: a face's stage cells are the
     cosets of its facet span in that group; for the boundary see
-    :func:`_boundary_components`.  Over ``_OBJECT_CAP`` pieces plus edge
-    records raise ``GuardExceeded`` before any is built.
+    :func:`_boundary_components`.  Each stage's group, pieces and edge
+    records are views: no piece or record is built until one is read, and
+    iterating a view over ``_OBJECT_CAP`` objects raises ``GuardExceeded``
+    before the first; over ``sys.maxsize`` the call itself does.
     """
     m = p.facet_count
-    lattice, counts = _chamber_counts(p)
-    _check_work("filtration pieces and edge records",
-                sum(row["facets"] + row["type1_edges"] + row["type2_edges"]
-                    for row in counts["filtration"]), _OBJECT_CAP)
+    star, pairs, lattice = _stars_pairs_lattice(p)
     stages = []
-    for j, row in enumerate(counts["filtration"]):
-        subgroup = tuple(range(1 << j))
+    for j, row in enumerate(_filtration_rows(m, star, pairs)):
+        low = (1 << j) - 1
         stages.append(FiltrationStage(
-            base=p, j=j, subgroup=subgroup,
-            facets=tuple((i, g) for i in range(j, m) for g in subgroup),
+            base=p, j=j, subgroup=_View("stage group elements", 1 << j, int),
+            facets=_View("filtration pieces", row["facets"],
+                         lambda k, j=j, low=low: (j + (k >> j), k & low)),
             chamber_count=1 << j,
             cell_count=sum(_coset_count(j, mask) for mask in lattice.masks),
             boundary_components=row["boundary_components"],
-            edge_types=_build_edge_types(lattice, j, row)))
+            edge_types=EdgeTypeSummary(
+                records=_edge_records(pairs, j),
+                type1=row["type1_edges"], type2=row["type2_edges"])))
     return stages
 
 
@@ -288,27 +426,37 @@ def _cell_counts(lattice: FaceLattice) -> tuple[list[int], int]:
     return cells_by_dim, sum((-1) ** d * c for d, c in enumerate(cells_by_dim))
 
 
-def _chamber_counts(p: CombPolytope) -> tuple[FaceLattice, dict]:
-    """The face lattice and every number the chamber commands report, from
-    its facet masks and the facet stars alone (edge types: see
-    :func:`classify_edge_types`); no cell, piece or record is built, and the
-    rows' work is capped (see ``_WORK_CAP``) before the lattice is built: the
-    codimension-two faces are the facet pairs in a star."""
+def _stars_pairs_lattice(p: CombPolytope) -> tuple[list[int], list[int], FaceLattice]:
+    """The facet stars, the codimension-two faces (the facet pairs in a
+    star, in lattice order) and the face lattice.  The count rows' work is
+    capped (see ``_WORK_CAP``) before the lattice is built."""
     m = p.facet_count
     star = _facet_stars(p)
     pairs = [1 << a | 1 << b for a, s in enumerate(star) for b in _bits(s) if b > a]
     _check_work("chamber count rows", (m + 1) * (m + len(pairs)), _WORK_CAP)
-    lattice = face_lattice(p)
-    cells_by_dim, euler = _cell_counts(lattice)
-    filtration = []
+    return star, pairs, face_lattice(p)
+
+
+def _filtration_rows(m: int, star: list[int], pairs: list[int]):
+    """Per stage j, in turn, its piece, chamber, boundary-component and
+    edge-type counts (edge types: see :func:`classify_edge_types`)."""
     for j in range(m + 1):
         low = (1 << j) - 1
-        filtration.append({
+        yield {
             "j": j, "facets": (m - j) << j, "chambers": 1 << j,
             "boundary_components": _boundary_components(star, j),
             "type1_edges": sum(not pair & low for pair in pairs) << j,
             "type2_edges": sum(bool(pair & low and pair >> j)
-                               for pair in pairs) << j >> 1})
+                               for pair in pairs) << j >> 1}
+
+
+def _chamber_counts(p: CombPolytope) -> tuple[FaceLattice, dict]:
+    """The face lattice and every number the chamber commands report, from
+    its facet masks and the facet stars alone; no cell, piece or record is
+    built, and the rows' work is capped before the lattice is built."""
+    m = p.facet_count
+    star, pairs, lattice = _stars_pairs_lattice(p)
+    cells_by_dim, euler = _cell_counts(lattice)
     return lattice, {
         "m": m,
         "cells_by_dim": cells_by_dim,
@@ -317,7 +465,7 @@ def _chamber_counts(p: CombPolytope) -> tuple[FaceLattice, dict]:
         "orientable": True,
         "fixed_sets": [{"facet": i, "components": _coset_count(m, s)}
                        for i, s in enumerate(star)],
-        "filtration": filtration,
+        "filtration": list(_filtration_rows(m, star, pairs)),
     }
 
 

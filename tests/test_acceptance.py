@@ -216,7 +216,7 @@ def test_criterion_07(failures):
         for st in stages:
             check(failures, len(st.facets) == (m - st.j) * 2 ** st.j,
                   f"{name}: stage {st.j} facet count")
-        check(failures, stages[m].facets == () and
+        check(failures, tuple(stages[m].facets) == () and
               stages[m].boundary_components == 0,
               f"{name}: final stage boundary not empty")
         for j in range(m):

@@ -1,9 +1,12 @@
 import functools
 import itertools
+import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
 
+import momang.polytope as polytope
 import momang.zcomplex as zcomplex
 from momang import (
     EdgeRecord,
@@ -27,6 +30,7 @@ from momang import (
     vertex_cut,
 )
 from momang.errors import GuardExceeded, NoSuchFacet
+from momang.polytope import CombPolytope
 from momang.zcomplex import _cell_counts, _chamber_counts
 from conftest import cover_pairs, cut_cube, face_lattice_oracle
 
@@ -137,30 +141,110 @@ def test_guard(monkeypatch):
 
 
 def test_object_cap_from_closed_forms(monkeypatch):
-    # m = 20 passes the counts cap, but its ~3 * 10^7 cells do not pass the
-    # object cap; no cell rep may be listed before the cap is checked
+    # the cap fires when a view materialises, before its first object, and
+    # admits exactly the view's closed-form length
     def unreachable(*args):
-        raise AssertionError("cells listed before the object cap was checked")
+        raise AssertionError("an object built before the object cap was checked")
+
+    q = cube(3)
+    z = build_chamber_complex(q)
+    stage = doubling_filtration(q)[2]
+    reads = [(len(z.cells), lambda: len(tuple(z.cells))),
+             (len(z.cells), lambda: len(dict(z.cell_ids))),
+             (1 << z.m, lambda: len(list(orientability(z)[1]))),
+             (len(stage.subgroup), lambda: len(tuple(stage.subgroup))),
+             (len(stage.facets), lambda: len(tuple(stage.facets))),
+             (len(stage.edge_types.records), lambda: len(tuple(stage.edge_types.records))),
+             # the cells over facet 0: the facet, its 4 edges and 4 vertices
+             (32 + 4 * 16 + 4 * 8,
+              lambda: sum(map(len, fixed_point_components(z, 0).components)))]
+    for count, read in reads:
+        monkeypatch.setattr(zcomplex, "_OBJECT_CAP", count - 1)
+        with monkeypatch.context() as patch:
+            for name in ("_stage_cell_reps", "_deposit", "_parity_sign"):
+                patch.setattr(zcomplex, name, unreachable)
+            with pytest.raises(GuardExceeded):
+                read()
+        monkeypatch.setattr(zcomplex, "_OBJECT_CAP", count)
+        assert read() == count
+    # random access is never capped
+    monkeypatch.setattr(zcomplex, "_OBJECT_CAP", 0)
+    assert z.cell_ids[z.cells[-1]] == len(z.cells) - 1
+    assert stage.facets[-1] == (5, 3) and stage.subgroup[3] == 3
+    assert stage.edge_types.records[0].facet_pair == (0, 2)
+
+
+def test_views_of_a_complex_over_the_cap(monkeypatch):
+    # m = 20: ~3 * 10^7 cells, over the object cap, yet the complex and its
+    # filtration are built and their view lengths are the closed forms
+    def unreachable(*args):
+        raise AssertionError("an object built before the object cap was checked")
 
     p = random_vertexcuts(16, 0)
-    with monkeypatch.context() as patch:
-        patch.setattr(zcomplex, "_stage_cell_reps", unreachable)
+    monkeypatch.setattr(zcomplex, "_stage_cell_reps", unreachable)
+    z = build_chamber_complex(p)
+    counts = _chamber_counts(p)[1]
+    assert z.m == 20 and len(z.cells) == sum(counts["cells_by_dim"]) > zcomplex._OBJECT_CAP
+    assert len(z.cell_ids) == len(z.cells)
+    assert len(orientability(z)[1]) == 1 << 20
+    for row in counts["fixed_sets"]:
+        assert fixed_point_components(z, row["facet"]).count == row["components"]
+    stages = doubling_filtration(p)
+    for st, row in zip(stages, counts["filtration"], strict=True):
+        assert len(st.subgroup) == row["chambers"] == st.chamber_count
+        assert len(st.facets) == row["facets"]
+        assert len(st.edge_types.records) == row["type1_edges"] + row["type2_edges"]
+    for read in (lambda: tuple(z.cells), lambda: list(z.cell_ids),
+                 lambda: z.cells[:], lambda: list(reversed(z.cells)),
+                 lambda: z.cell_ids == {}):
         with pytest.raises(GuardExceeded):
-            build_chamber_complex(p)
-        with pytest.raises(GuardExceeded):
-            doubling_filtration(p)
-    # the predicted counts are exact: the cap admits exactly what is built
-    q = cube(3)
-    cells = len(build_chamber_complex(q).cells)
-    objects = sum(len(st.facets) + len(st.edge_types.records)
-                  for st in doubling_filtration(q))
-    for count, build in ((cells, build_chamber_complex),
-                         (objects, doubling_filtration)):
-        monkeypatch.setattr(zcomplex, "_OBJECT_CAP", count)
-        build(q)
-        monkeypatch.setattr(zcomplex, "_OBJECT_CAP", count - 1)
-        with pytest.raises(GuardExceeded):
-            build(q)
+            read()
+
+
+def test_views_longer_than_maxsize_are_refused():
+    # m = 63 and 64: len() of a view this long would raise OverflowError, so
+    # the builders refuse with GuardExceeded; at m = 62 only the cells do
+    for n in (59, 60):
+        p = random_vertexcuts(n, 0)
+        assert p.facet_count == n + 4
+        for call in (build_chamber_complex, doubling_filtration):
+            with pytest.raises(GuardExceeded, match=f"exceeds the cap {sys.maxsize}"):
+                call(p)
+    q = random_vertexcuts(58, 0)
+    with pytest.raises(GuardExceeded, match="chamber cells"):
+        build_chamber_complex(q)
+    stages = doubling_filtration(q)
+    assert len(stages[62].subgroup) == 1 << 62
+    assert len(stages[61].facets) == 1 << 61
+
+
+def test_orientability_builds_no_sign_list():
+    z = build_chamber_complex(random_vertexcuts(36, 0))
+    assert z.m == 40
+    tracemalloc.start()
+    try:
+        ok, signs = orientability(z)
+        assert ok and len(signs) == 1 << 40
+        assert (signs[0], signs[1], signs[-1], signs[-2]) == (1, -1, 1, -1)
+        assert tracemalloc.get_traced_memory()[1] < 10_000
+    finally:
+        tracemalloc.stop()
+
+
+def test_chamber_counts_refuse_without_the_pair_table(monkeypatch):
+    # a cube(14) incidence passes the row cap but not the face-lattice cap;
+    # the facet stars come from one vertex pass, not from the pair table
+    def unreachable(*args):
+        raise AssertionError("facet-pair table built before the face-lattice cap")
+
+    n = 14
+    verts = sorted(tuple(sorted(i if bit == 0 else n + i for i, bit in enumerate(corner)))
+                   for corner in itertools.product((0, 1), repeat=n))
+    p = CombPolytope(dim=n, facet_count=2 * n, vertices=tuple(verts))
+    monkeypatch.setattr(polytope, "_pair_sets", unreachable)
+    for call in (complex_summary, build_chamber_complex, doubling_filtration):
+        with pytest.raises(GuardExceeded, match="face-lattice subset words"):
+            call(p)
 
 
 def test_counts_cap_from_closed_forms(monkeypatch):
@@ -282,7 +366,7 @@ def test_filtration_facet_law():
         for st in stages:
             assert len(st.facets) == (m - st.j) * (1 << st.j), (name, st.j)
             assert st.chamber_count == 1 << st.j
-        assert stages[m].facets == ()
+        assert tuple(stages[m].facets) == ()
         assert stages[m].boundary_components == 0
 
 
@@ -590,8 +674,8 @@ def oracle_complexes():
 
 def test_cells_match_union_find_oracle():
     for name, p, z, cells in oracle_complexes():
-        assert z.cells == tuple(cells), name
-        assert z.cell_ids == {cell: k for k, cell in enumerate(cells)}, name
+        assert tuple(z.cells) == tuple(cells), name
+        assert dict(z.cell_ids) == {cell: k for k, cell in enumerate(cells)}, name
         dims = [0] * (p.dim + 1)
         for fidx, _ in cells:
             dims[z.lattice.faces[fidx].dim] += 1
@@ -610,12 +694,14 @@ def test_fixed_sets_match_cover_oracle():
 def test_connectivity_and_orientation_match_oracle():
     for name, p, z, _ in oracle_complexes():
         assert connected_components(z) == oracle_chamber_components(z.m), name
-        assert orientability(z) == oracle_orientability(z.m), name
+        ok, signs = orientability(z)
+        assert (ok, list(signs)) == oracle_orientability(z.m), name
 
 
 def test_filtration_matches_oracle():
     for name, p, _, _ in oracle_complexes():
-        assert doubling_filtration(p) == oracle_filtration(p), name
+        assert list(map(stage_values, doubling_filtration(p))) == \
+            list(map(stage_values, oracle_filtration(p))), name
 
 
 # ---------------------------------------------------------------------------
@@ -699,3 +785,107 @@ def test_stars_and_boundaries_match_lattice_union_find():
             assert row["boundary_components"] == sum(
                 1 << (j - (s & ((1 << j) - 1)).bit_count()) for s in spans), (name, j)
     assert split  # some stage boundary lies over several facet-graph components
+
+
+# ---------------------------------------------------------------------------
+# oracles: the materialising builders that the views replaced
+
+
+def oracle_reps(j, mask):
+    """Submasks of the low j bits outside ``mask``, in increasing order."""
+    free = ((1 << j) - 1) & ~mask
+    return [g for g in range(1 << j) if not g & ~free]
+
+
+def materialised_cells(z):
+    cells = tuple((f, g) for f, mask in enumerate(z.face_masks)
+                  for g in oracle_reps(z.m, mask))
+    return cells, {cell: k for k, cell in enumerate(cells)}
+
+
+def materialised_components(z, i):
+    span = 1 << i
+    for v in z.base.vertices:
+        if i in v:
+            span |= sum(1 << x for x in v)
+    groups = {}
+    for f, mask in enumerate(z.face_masks):
+        if mask >> i & 1:
+            for g in oracle_reps(z.m, mask):
+                groups.setdefault(g & ~span, []).append((f, g))
+    return tuple(tuple(grp) for grp in groups.values())
+
+
+def materialised_stage_facets(m, j):
+    return tuple((i, g) for i in range(j, m) for g in range(1 << j))
+
+
+def materialised_records(z, j):
+    records = []
+    for mask in z.face_masks:
+        if mask.bit_count() != 2:
+            continue
+        a, b = sorted(i for i in range(z.m) if mask >> i & 1)
+        if b < j:
+            continue
+        for r in oracle_reps(j, mask):
+            if a >= j:
+                records.append(EdgeRecord((a, b), r, "I", ((a, r), (b, r))))
+            else:
+                records.append(EdgeRecord((a, b), r, "II", ((b, r), (b, r | 1 << a))))
+    return tuple(records)
+
+
+def stage_values(st):
+    """A stage with its views listed, for comparison with a listed stage."""
+    return (st.base, st.j, tuple(st.subgroup), tuple(st.facets), st.chamber_count,
+            st.cell_count, st.boundary_components,
+            tuple(st.edge_types.records), st.edge_types.type1, st.edge_types.type2)
+
+
+def check_view(view, listed):
+    """``view`` equals ``listed`` by iteration, index, negative index and
+    slice, and is out of range exactly past both ends."""
+    n = len(listed)
+    assert len(view) == n and tuple(view) == listed
+    assert all(view[k] == listed[k] == view[k - n] for k in range(n))
+    assert view[1::3] == listed[1::3] and tuple(reversed(view)) == listed[::-1]
+    for k in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[k]
+
+
+def view_inputs():
+    seen = {}
+    for name, p in count_inputs():
+        if p.facet_count <= 12:
+            seen.setdefault(name, p)
+    return seen.items()
+
+
+def test_views_match_materialising_oracles():
+    for name, p in view_inputs():
+        z = build_chamber_complex(p)
+        m = z.m
+        cells, ids = materialised_cells(z)
+        check_view(z.cells, cells)
+        assert dict(z.cell_ids) == ids and list(z.cell_ids) == list(cells), name
+        assert len(z.cell_ids) == len(cells), name
+        assert all(z.cell_ids[cells[k]] == k for k in range(len(cells))), name
+        bad = [(len(z.face_masks), 0), (-1, 0), (0, -1), (0, 1 << m), (0, -(1 << m))]
+        bad += [(f, g | (mask & -mask)) for f, mask in enumerate(z.face_masks) if mask
+                for g in (0, (1 << m) - 1 & ~mask)]
+        for key in bad + [0, (0,), (0, 0, 0), ("a", 0), (0, None)]:
+            with pytest.raises(KeyError):
+                z.cell_ids[key]
+            assert key not in z.cell_ids, (name, key)
+        ok, signs = orientability(z)
+        check_view(signs, tuple(1 - 2 * (bin(g).count("1") % 2) for g in range(1 << m)))
+        for i in range(m):
+            fs = fixed_point_components(z, i)
+            assert fs.components == materialised_components(z, i), (name, i)
+            assert fs.count == len(fs.components), (name, i)
+        for st in doubling_filtration(p):
+            check_view(st.subgroup, tuple(range(1 << st.j)))
+            check_view(st.facets, materialised_stage_facets(m, st.j))
+            check_view(st.edge_types.records, materialised_records(z, st.j))
