@@ -211,7 +211,7 @@ def dispatch(args, sources: list) -> tuple[dict, int]:
 
     elif cmd in ("fixed-sets", "filtration"):
         key = cmd.replace("-", "_")
-        payload = {key: _chamber_counts(p)[1][key]}
+        payload = {key: _chamber_counts(p)[key]}
 
     elif cmd == "quadrics":
         from .hrep import parse_hrep, quadrics_to_json, relation_matrix

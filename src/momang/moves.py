@@ -217,7 +217,7 @@ def rebuild_by_cuts(trace: ReductionTrace) -> CombPolytope:
             raise NoSuchFacet(f"facet {s} of {len(alive)}")
         f = alive[s]
         if len(nbrs[f]) != n:
-            raise NotSimplexFacet(f"facet {s} has {len(nbrs[f])} vertices, expected {n}")
+            raise NotSimplexFacet(f"facet {s} is adjacent to {len(nbrs[f])} facets, expected {n}")
         if len(alive) == n + 1:
             raise IsSimplex("polytope is already the simplex")
         del alive[s]

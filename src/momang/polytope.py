@@ -17,6 +17,7 @@ from functools import cached_property
 
 from .errors import (
     DuplicateVertex,
+    InvalidPolytope,
     InvalidSphere,
     NotPolytopal,
     NotSimple,
@@ -253,7 +254,8 @@ def _submasks(facets) -> list[int]:
     """Bitmasks of all subsets of ``facets``, by doubling."""
     subs = [0]
     for f in facets:
-        subs += [s | 1 << f for s in subs]
+        bit = 1 << f
+        subs += [s | bit for s in subs]
     return subs
 
 
@@ -302,6 +304,14 @@ def validate_sphere(facets) -> SimplicialSphere:
     dimension.  These checks certify spheres in dimension two; in higher
     dimensions they are a pseudo-manifold screen, not a sphere proof.
 
+    The facets, with the vertex labels renumbered 0..V-1 in sorted order,
+    are the vertices of the dual pseudo-polytope, so :func:`validate_polytope`
+    runs the ridge and connectivity checks, and for triangles Euler's
+    relation 2m = V + 4, which is chi = 2.  For larger facets chi is read
+    from the nonzero masks of that polytope's :func:`face_lattice`, under
+    its cap; :class:`GuardExceeded` passes through, every other defect is
+    :class:`InvalidSphere`.
+
     In dimension two vertex links need no check of their own.  Once every
     edge lies in two triangles, each vertex link is 2-regular, so a disjoint
     union of c_v cycles.  Splitting each vertex into one copy per cycle
@@ -318,26 +328,15 @@ def validate_sphere(facets) -> SimplicialSphere:
     if any(len(f) != n for f in fs):
         raise InvalidSphere("facets of mixed dimension")
 
-    by_ridge = defaultdict(list)
-    for i, f in enumerate(fs):
-        for r in itertools.combinations(sorted(f), n - 1):
-            by_ridge[r].append(i)
-    adjacency = defaultdict(set)
-    for r, pair in by_ridge.items():
-        if len(pair) != 2:
-            raise InvalidSphere(f"ridge {r} lies in {len(pair)} facets, expected 2")
-        adjacency[pair[0]].add(pair[1])
-        adjacency[pair[1]].add(pair[0])
-    if _reach_count(adjacency, 0) != len(fs):
-        raise InvalidSphere("facet adjacency is disconnected")
-
-    all_faces = set()
-    for f in fs:
-        for k in range(1, n + 1):
-            all_faces.update(itertools.combinations(sorted(f), k))
-    euler = sum((-1) ** (len(s) - 1) for s in all_faces)
-    if euler != 1 + (-1) ** (n - 1):
-        raise InvalidSphere(f"Euler characteristic {euler} is not spherical")
+    label = {x: i for i, x in enumerate(sorted(set().union(*fs)))}
+    try:
+        dual = validate_polytope(n, [[label[x] for x in f] for f in fs])
+    except (InvalidPolytope, ParseError) as e:
+        raise InvalidSphere(f"dual polytope: {e}") from e
+    if n >= 4:
+        euler = sum((-1) ** (mask.bit_count() - 1) for mask in face_lattice(dual).masks if mask)
+        if euler != 1 + (-1) ** (n - 1):
+            raise InvalidSphere(f"Euler characteristic {euler} is not spherical")
     return SimplicialSphere(dim=n - 1, facets=tuple(fs))
 
 

@@ -40,7 +40,7 @@ from functools import cached_property
 from itertools import accumulate
 
 from .errors import NoSuchFacet, _check_work
-from .polytope import _WORK_CAP, CombPolytope, FaceLattice, _bits, face_lattice
+from .polytope import _WORK_CAP, CombPolytope, FaceLattice, _bits, _submasks, face_lattice
 
 
 # Objects (cells, components' cells, group elements, signs, filtration
@@ -171,7 +171,7 @@ class ChamberComplex:
                                        initial=0))
         self.cells = _View("chamber cells", self._starts[-1], self._cell, lambda: (
             (f, g) for f, mask in enumerate(self.face_masks)
-            for g in _stage_cell_reps(self.m, mask)))
+            for g in _submasks(_bits(~mask & (1 << self.m) - 1))))
         self.cell_ids = _CellIds(self)
 
     def _cell(self, k: int) -> tuple[int, int]:
@@ -203,7 +203,8 @@ def build_chamber_complex(p: CombPolytope) -> ChamberComplex:
     ``GuardExceeded`` before any is built; over ``sys.maxsize`` cells the
     call itself does.
     """
-    stars, _, lattice = _stars_pairs_lattice(p)
+    stars, _ = _stars_pairs(p)
+    lattice = face_lattice(p)
     return ChamberComplex(p, lattice, stars, tuple(_cell_counts(lattice)[0]))
 
 
@@ -244,7 +245,7 @@ class FixedPointSet:
         groups: dict[int, list] = {}
         for f, mask in enumerate(z.face_masks):  # reps ascending: cell-id order
             if mask >> i & 1:
-                for g in _stage_cell_reps(z.m, mask):
+                for g in _submasks(_bits(~mask & (1 << z.m) - 1)):
                     groups.setdefault(g & ~span, []).append((f, g))
         return tuple(tuple(grp) for grp in groups.values())
 
@@ -325,18 +326,6 @@ def _coset_count(j: int, mask: int) -> int:
     return 1 << (j - (mask & ((1 << j) - 1)).bit_count())
 
 
-def _stage_cell_reps(j: int, mask: int):
-    """Canonical reps of stage-j cells over a face with facet bitmask ``mask``."""
-    low = ((1 << j) - 1) & ~mask
-    reps = [0]
-    bit = 1
-    while bit <= low:
-        if bit & low:
-            reps += [r | bit for r in reps]
-        bit <<= 1
-    return reps
-
-
 def classify_edge_types(stage: FiltrationStage) -> EdgeTypeSummary:
     """Tag every boundary codimension-two cell of the stage.
 
@@ -395,7 +384,8 @@ def doubling_filtration(p: CombPolytope) -> list[FiltrationStage]:
     before the first; over ``sys.maxsize`` the call itself does.
     """
     m = p.facet_count
-    star, pairs, lattice = _stars_pairs_lattice(p)
+    star, pairs = _stars_pairs(p)
+    lattice = face_lattice(p)
     stages = []
     for j, row in enumerate(_filtration_rows(m, star, pairs)):
         low = (1 << j) - 1
@@ -426,15 +416,15 @@ def _cell_counts(lattice: FaceLattice) -> tuple[list[int], int]:
     return cells_by_dim, sum((-1) ** d * c for d, c in enumerate(cells_by_dim))
 
 
-def _stars_pairs_lattice(p: CombPolytope) -> tuple[list[int], list[int], FaceLattice]:
-    """The facet stars, the codimension-two faces (the facet pairs in a
-    star, in lattice order) and the face lattice.  The count rows' work is
-    capped (see ``_WORK_CAP``) before the lattice is built."""
+def _stars_pairs(p: CombPolytope) -> tuple[list[int], list[int]]:
+    """The facet stars and the codimension-two faces (the facet pairs in a
+    star, in lattice order), with the count rows' work capped (see
+    ``_WORK_CAP``): a caller that needs the face lattice builds it after."""
     m = p.facet_count
     star = _facet_stars(p)
     pairs = [1 << a | 1 << b for a, s in enumerate(star) for b in _bits(s) if b > a]
     _check_work("chamber count rows", (m + 1) * (m + len(pairs)), _WORK_CAP)
-    return star, pairs, face_lattice(p)
+    return star, pairs
 
 
 def _filtration_rows(m: int, star: list[int], pairs: list[int]):
@@ -450,17 +440,15 @@ def _filtration_rows(m: int, star: list[int], pairs: list[int]):
                                for pair in pairs) << j >> 1}
 
 
-def _chamber_counts(p: CombPolytope) -> tuple[FaceLattice, dict]:
-    """The face lattice and every number the chamber commands report, from
-    its facet masks and the facet stars alone; no cell, piece or record is
-    built, and the rows' work is capped before the lattice is built."""
+def _chamber_counts(p: CombPolytope) -> dict:
+    """Every row the chamber commands report, from the facet stars and the
+    codimension-two faces alone, the rows' work capped first: the
+    ``fixed-sets`` and ``filtration`` commands build no face lattice, and
+    no cell, piece or record is built."""
     m = p.facet_count
-    star, pairs, lattice = _stars_pairs_lattice(p)
-    cells_by_dim, euler = _cell_counts(lattice)
-    return lattice, {
+    star, pairs = _stars_pairs(p)
+    return {
         "m": m,
-        "cells_by_dim": cells_by_dim,
-        "euler": euler,
         "components": 1,
         "orientable": True,
         "fixed_sets": [{"facet": i, "components": _coset_count(m, s)}
@@ -470,8 +458,10 @@ def _chamber_counts(p: CombPolytope) -> tuple[FaceLattice, dict]:
 
 
 def complex_summary(p: CombPolytope) -> dict:
-    """Everything the moment-angle report needs, as one JSON-ready dict."""
-    _, summary = _chamber_counts(p)
+    """Everything the moment-angle report needs, as one JSON-ready dict:
+    the chamber rows, then the cell counts from the face lattice."""
+    summary = _chamber_counts(p)
+    summary["cells_by_dim"], summary["euler"] = _cell_counts(face_lattice(p))
     summary["filtration"] = [
         {key: row[key] for key in ("j", "facets", "type1_edges", "type2_edges")}
         for row in summary["filtration"]]

@@ -129,6 +129,33 @@ def test_euler_over_face_lattice_cap(tmp_path, capsys):
     assert time.perf_counter() - started < 2.0
 
 
+def test_row_commands_build_no_face_lattice(tmp_path, monkeypatch, capsys):
+    # fixed-sets and filtration read only the facet stars and the facet
+    # pairs, so cube 12 passes them; its face lattice (2^12 subsets at each
+    # of 2^12 vertices) is over the cap for moment-angle and euler
+    src = str(tmp_path / "cube12.json")
+    assert main(["generate", "cube", "12", "--out", src]) == 0
+    capsys.readouterr()
+
+    def unreachable(*args):
+        raise AssertionError("a row command built the face lattice")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("momang.zcomplex.face_lattice", unreachable)
+        code, report, _ = run(capsys, "fixed-sets", src)
+        assert code == 0
+        assert report["payload"]["fixed_sets"] == [{"facet": i, "components": 2}
+                                                   for i in range(24)]
+        code, report, _ = run(capsys, "filtration", src)
+        assert code == 0
+        rows = report["payload"]["filtration"]
+        assert [(row["j"], row["facets"], row["chambers"]) for row in rows] == [
+            (j, (24 - j) << j, 1 << j) for j in range(25)]
+    for command in ("moment-angle", "euler"):
+        code, _, err = run(capsys, command, src)
+        assert code == 3 and "face-lattice subset words" in err, command
+
+
 def test_cut_collapse_pipeline(tmp_path, capsys):
     path = write_polytope(tmp_path, "s3.json", simplex(3))
     out = str(tmp_path / "cut.json")
@@ -449,7 +476,8 @@ print(json.dumps({"codes": codes,
 
 def test_chamber_commands_memory_budget(tmp_path, monkeypatch, capsys):
     # 20 facets: 2^20 chambers, ~3 * 10^7 cells if materialised; the counts
-    # come from the face lattice, so each whole process stays small.  A small
+    # come from the facet stars and the face lattice, so each whole process
+    # stays small.  A small
     # fresh interpreter starts the commands: a child's peak RSS includes its
     # parent's at the fork, and this test process holds numpy and scipy.
     src = str(tmp_path / "rvc16.json")

@@ -531,21 +531,27 @@ def _forged(make, **changes):
 
 
 FORGED_TRACES = [
-    ("step-minus-one", _forged(prism, steps=(-1,)), NoSuchFacet),
+    ("step-minus-one", _forged(prism, steps=(-1,)), NoSuchFacet, "facet -1 of 5"),
     # after one collapse of the cut prism five facets survive
-    ("step-past-survivors", _forged(cut_prism, steps=(5, 5)), NoSuchFacet),
-    ("step-past-tetrahedron", _forged(prism, steps=(3, 0)), IsSimplex),
-    ("step-on-square", _forged(prism, steps=(0,)), NotSimplexFacet),
-    ("end-lacks-merged-vertex", _forged(cut_cube, end=cut_prism()), NoSuchVertex),
+    ("step-past-survivors", _forged(cut_prism, steps=(5, 5)), NoSuchFacet, "facet 5 of 5"),
+    ("step-past-tetrahedron", _forged(prism, steps=(3, 0)), IsSimplex, "already the simplex"),
+    ("step-on-square", _forged(prism, steps=(0,)), NotSimplexFacet,
+     "facet 0 is adjacent to 4 facets, expected 3"),
+    # a 4-cube facet has 8 vertices and 6 neighbours; the trace checks neighbours
+    ("step-on-4-cube", lambda: ReductionTrace(True, (0,), (7,), cube(4), cube(4)),
+     NotSimplexFacet, "facet 0 is adjacent to 6 facets, expected 4"),
+    ("end-lacks-merged-vertex", _forged(cut_cube, end=cut_prism()), NoSuchVertex,
+     "trace end has no vertex"),
 ]
 
 
-@pytest.mark.parametrize("make,error", [c[1:] for c in FORGED_TRACES],
+@pytest.mark.parametrize("make,error,message", [c[1:] for c in FORGED_TRACES],
                          ids=[c[0] for c in FORGED_TRACES])
-def test_rebuild_rejects_forged_traces(make, error):
+def test_rebuild_rejects_forged_traces(make, error, message):
     with pytest.raises(MomangError) as info:
         rebuild_by_cuts(make())
     assert type(info.value) is error
+    assert message in str(info.value)
 
 
 def test_recognize_and_rebuild_big_input():

@@ -9,6 +9,7 @@ import pytest
 
 import momang.polytope as polytope
 from momang import (
+    SimplicialSphere,
     bistellar_flip,
     combinatorial_isomorphic,
     cube,
@@ -21,6 +22,7 @@ from momang import (
     prism,
     random_vertexcuts,
     simplex,
+    simplex_boundary_sphere,
     validate_polytope,
     validate_sphere,
     vertex_cut,
@@ -514,7 +516,51 @@ def flip_results(p):
             continue
 
 
+def validate_sphere_oracle(facets) -> SimplicialSphere:
+    """The validate_sphere that kept its own tuple ridge table, facet
+    adjacency walk and face set for the Euler characteristic."""
+    raw = [frozenset(f) for f in facets]
+    fs = sorted(set(raw), key=sorted)
+    if len(fs) != len(raw):
+        raise InvalidSphere("duplicate facets")
+    if not fs:
+        raise InvalidSphere("no facets")
+    n = len(fs[0])
+    if any(len(f) != n for f in fs):
+        raise InvalidSphere("facets of mixed dimension")
+
+    by_ridge = defaultdict(list)
+    for i, f in enumerate(fs):
+        for r in itertools.combinations(sorted(f), n - 1):
+            by_ridge[r].append(i)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(fs)))
+    for r, pair in by_ridge.items():
+        if len(pair) != 2:
+            raise InvalidSphere(f"ridge {r} lies in {len(pair)} facets, expected 2")
+        graph.add_edge(*pair)
+    if not nx.is_connected(graph):
+        raise InvalidSphere("facet adjacency is disconnected")
+
+    all_faces = set()
+    for f in fs:
+        for k in range(1, n + 1):
+            all_faces.update(itertools.combinations(sorted(f), k))
+    euler = sum((-1) ** (len(s) - 1) for s in all_faces)
+    if euler != 1 + (-1) ** (n - 1):
+        raise InvalidSphere(f"Euler characteristic {euler} is not spherical")
+    return SimplicialSphere(dim=n - 1, facets=tuple(fs))
+
+
+def suspension(facets):
+    """The join of a facet list with two new apexes."""
+    top = max(map(max, facets))
+    return [(*f, a) for f in facets for a in (top + 1, top + 2)]
+
+
 def test_validate_sphere_matches_link_oracle(corpus):
+    # the link oracle on triangles, and on every case the old standalone
+    # ridge, adjacency and face-set checks; the dual-polytope route agrees
     cases = [("torus7", HEAWOOD_TORUS), ("torus3x3", torus_grid(3, 3)),
              ("klein3x4", torus_grid(3, 4, twist=True)),
              ("projective6", PETERSEN_PROJECTIVE),
@@ -527,13 +573,45 @@ def test_validate_sphere_matches_link_oracle(corpus):
     cases += [(f"dual-{name}", list(p.vertices)) for name, p in corpus]
     cases += [(f"flip-{name}-{k}", facets) for name, p in corpus
               for k, facets in enumerate(flip_results(p))]
+    cases += [(f"simplex-boundary-{n}", simplex_boundary_sphere(n).facets) for n in (1, 2, 4, 6)]
+    cases += [(f"dual-{name}", list(p.vertices)) for name, p in
+              [("cube4", cube(4)), ("cube5", cube(5)), ("cut-cube4", vertex_cut(cube(4), 0))]]
+    octahedron = list(map(sorted, dual_sphere(cube(3)).facets))
+    rejected = [("suspended-torus", suspension(HEAWOOD_TORUS), "Euler"),
+                ("two-4-simplex-boundaries", [tuple(x + shift for x in sorted(f))
+                                              for shift in (0, 5)
+                                              for f in simplex_boundary_sphere(4).facets],
+                 "disconnected")]
+    cases += [("suspended-octahedron", suspension(octahedron))]
+    cases += [(name, facets) for name, facets, _ in rejected]
     for name, facets in cases:
-        assert verdict(validate_sphere, facets) == verdict(sphere_oracle, facets), name
+        old = verdict(validate_sphere_oracle, facets)
+        assert verdict(validate_sphere, facets) == verdict(sphere_oracle, facets) == old, name
     for name, facets in pinched:
         # the link check alone would flag them; Euler's relation already does
         assert link_defect(facets)[1] == "not a single cycle", name
         with pytest.raises(InvalidSphere, match="Euler"):
             validate_sphere(facets)
+    assert validate_sphere(suspension(octahedron)).dim == 3
+    for name, facets, reason in rejected:
+        with pytest.raises(InvalidSphere, match=reason):
+            validate_sphere(facets)
+
+
+def test_validate_sphere_refuses_empty_facets_and_big_simplices(monkeypatch):
+    # a facet with no vertex is a dual polytope of dimension 0; the boundary
+    # of the 20-simplex would walk 21 * 2^20 subsets, refused before the walk
+    with pytest.raises(InvalidSphere):
+        validate_sphere([()])
+    k = simplex_boundary_sphere(16)
+    assert validate_sphere(k.facets) == k
+
+    def unreachable(*args):
+        raise AssertionError("faces enumerated before the face-lattice cap was checked")
+
+    monkeypatch.setattr(polytope, "_submasks", unreachable)
+    with pytest.raises(GuardExceeded, match="face-lattice subset words"):
+        validate_sphere(simplex_boundary_sphere(20).facets)
 
 
 # ---------------------------------------------------------------------------

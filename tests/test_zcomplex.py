@@ -30,7 +30,7 @@ from momang import (
     vertex_cut,
 )
 from momang.errors import GuardExceeded, NoSuchFacet
-from momang.polytope import CombPolytope
+from momang.polytope import CombPolytope, _bits, _submasks
 from momang.zcomplex import _cell_counts, _chamber_counts
 from conftest import cover_pairs, cut_cube, face_lattice_oracle
 
@@ -161,7 +161,7 @@ def test_object_cap_from_closed_forms(monkeypatch):
     for count, read in reads:
         monkeypatch.setattr(zcomplex, "_OBJECT_CAP", count - 1)
         with monkeypatch.context() as patch:
-            for name in ("_stage_cell_reps", "_deposit", "_parity_sign"):
+            for name in ("_submasks", "_deposit", "_parity_sign"):
                 patch.setattr(zcomplex, name, unreachable)
             with pytest.raises(GuardExceeded):
                 read()
@@ -181,10 +181,11 @@ def test_views_of_a_complex_over_the_cap(monkeypatch):
         raise AssertionError("an object built before the object cap was checked")
 
     p = random_vertexcuts(16, 0)
-    monkeypatch.setattr(zcomplex, "_stage_cell_reps", unreachable)
+    monkeypatch.setattr(zcomplex, "_submasks", unreachable)
     z = build_chamber_complex(p)
-    counts = _chamber_counts(p)[1]
-    assert z.m == 20 and len(z.cells) == sum(counts["cells_by_dim"]) > zcomplex._OBJECT_CAP
+    counts = _chamber_counts(p)
+    cells_by_dim = complex_summary(p)["cells_by_dim"]
+    assert z.m == 20 and len(z.cells) == sum(cells_by_dim) > zcomplex._OBJECT_CAP
     assert len(z.cell_ids) == len(z.cells)
     assert len(orientability(z)[1]) == 1 << 20
     for row in counts["fixed_sets"]:
@@ -764,7 +765,7 @@ def count_inputs():
 def test_counts_match_materialised_oracle():
     for name, p in count_inputs():
         assert complex_summary(p) == oracle_summary(p), name
-        assert _chamber_counts(p)[1]["filtration"] == oracle_filtration_rows(p), name
+        assert _chamber_counts(p)["filtration"] == oracle_filtration_rows(p), name
 
 
 def test_stars_and_boundaries_match_lattice_union_find():
@@ -773,7 +774,7 @@ def test_stars_and_boundaries_match_lattice_union_find():
                                      ("rvc40", random_vertexcuts(40, 0))]:
         m = p.facet_count
         lattice = face_lattice(p)
-        counts = _chamber_counts(p)[1]
+        counts = _chamber_counts(p)
         for i, row in enumerate(counts["fixed_sets"]):
             spans = oracle_face_spans(lattice, lambda mask: mask >> i & 1)
             assert len(spans) == 1, (name, i)
@@ -795,6 +796,29 @@ def oracle_reps(j, mask):
     """Submasks of the low j bits outside ``mask``, in increasing order."""
     free = ((1 << j) - 1) & ~mask
     return [g for g in range(1 << j) if not g & ~free]
+
+
+def stage_cell_reps_oracle(j, mask):
+    """Canonical reps of stage-j cells over a face with facet bitmask
+    ``mask``, doubled bit by bit: the list the cells iteration and the
+    fixed-set components walked before they took ``_submasks``."""
+    low = ((1 << j) - 1) & ~mask
+    reps = [0]
+    bit = 1
+    while bit <= low:
+        if bit & low:
+            reps += [r | bit for r in reps]
+        bit <<= 1
+    return reps
+
+
+def test_submasks_of_the_complement_match_stage_cell_reps():
+    for p in (cube(5), dodecahedron()):
+        m = p.facet_count
+        for mask in face_lattice(p).masks:
+            for j in range(m + 1):
+                low = ((1 << j) - 1) & ~mask
+                assert _submasks(_bits(low)) == stage_cell_reps_oracle(j, mask), (m, mask, j)
 
 
 def materialised_cells(z):
