@@ -35,6 +35,8 @@ _WORK_CAP = 10 ** 7
 
 _FACES_CAP = 5 * 10 ** 6  # FaceLattice.faces' V * 2^n memberships, ~130 B each: < 1 GB
 
+_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte, bits reversed
+
 @dataclass(frozen=True)
 class CombPolytope:
     """A simple n-polytope: every vertex lies in exactly ``dim`` facets.
@@ -283,7 +285,11 @@ def face_lattice(p: CombPolytope) -> FaceLattice:
     masks = set()
     for fs in p.vertices:
         masks.update(_submasks(fs))
-    return FaceLattice(p, sorted(masks, key=lambda s: (s.bit_count(), _bits(s))))
+    # Within a bit count, sorted facet tuples put the mask holding the lowest
+    # differing bit first: facet f is bit 8 width - 1 - f of the reversed int.
+    width = -(-p.facet_count // 8)
+    return FaceLattice(p, sorted(masks, key=lambda s: (s.bit_count(), -int.from_bytes(
+        s.to_bytes(width, "big").translate(_REV8), "little"))))
 
 
 def dual_sphere(p: CombPolytope) -> SimplicialSphere:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -553,8 +554,16 @@ def frame_lps(rows, offsets):
     return lps
 
 
+# accepted inputs with a row whose ray from the Chebyshev centre meets
+# another row first, so only its redundancy LP certifies it: a 10 x 1 box
+# with the corner (10, 1) cut by x + y <= 10.5, and a 10 x 1 x 1 bar with
+# the same cut along its edge
+LP_ONLY = {"corner_cut_box": ([[1, 0], [-1, 0], [0, 1], [0, -1], [-1, -1]],
+                              [0, 10, 0, 1, 10.5]),
+           "edge_cut_bar": ([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1],
+                             [0, 0, -1], [-1, -1, 0]], [0, 10, 0, 1, 0, 1, 10.5])}
 RAW = {**{name: data for name, (data, _) in REJECTED.items()},
-       "slab": SLAB, "halfspace_only": HALFSPACE_ONLY}
+       "slab": SLAB, "halfspace_only": HALFSPACE_ONLY, **LP_ONLY}
 DIFFERENTIAL = [name + variant for name in [*METAMORPHIC_CORPUS, *RAW]
                 for variant in ("", "+1e9", "+scaled")]
 DIFFERENTIAL += [f"tangent{seed}" for seed in range(30)]
@@ -679,7 +688,7 @@ def outcome(call, *args):
 
 # every input make_hrep accepts, and the octahedron, which it accepts too
 WALKED = [name for name in DIFFERENTIAL if name.partition("+")[0] not in RAW
-          or name.startswith("octahedron")]
+          or name.startswith(("octahedron", *LP_ONLY))]
 
 
 @pytest.mark.parametrize("name", WALKED)
@@ -770,3 +779,162 @@ def test_off_variety_still_raises_on_translated_input(name):
         off[int(np.argmax(off))] += 1e-3
         with pytest.raises(NotOnVariety):
             quadric_gradient_rank(q, np.sqrt(off))
+
+
+# ---------------------------------------------------------------------------
+# ray-shot certificates, with the all-rows redundancy loop as the oracle
+
+
+def redundancy_lp(h, i):
+    """Whether row i is redundant, by its LP (the loop make_hrep ran on every row)."""
+    f = h._frame
+    keep = np.arange(h.m) != i
+    status, value, _ = _simplex(f.U[keep].T, f.U[i], f.c[keep])
+    if status == "infeasible":
+        return False  # unbounded below without row i: certainly irredundant
+    if status != "optimal":
+        raise ParseError(f"LP solver failed on redundancy check {i}")
+    return f.c[i] - value >= -f.thr
+
+
+def looped_make_hrep(rows, offsets):
+    """make_hrep before the ray shots: its checks up to the Chebyshev radius
+    (run with every row certified, so no redundancy LP), then the redundancy
+    LP on every row in ascending order; the first redundant row raises."""
+    with mock.patch.object(hrep, "_ray_certified", lambda f, basis: np.ones(len(f.c), bool)):
+        h = make_hrep(rows, offsets)
+    for i in range(h.m):
+        if redundancy_lp(h, i):
+            raise RedundantHalfspace(i)
+    return h
+
+
+def looped_ray_shots(h):
+    """``_ray_certified`` of the radius LP's basis, one row and one ray at a time."""
+    f, m, n = h._frame, h.m, h.n
+    _, _, basis = _simplex(np.vstack([f.U.T, np.ones(m)]), np.r_[np.zeros(n), 1.0], f.c)
+    if max(basis) >= m:
+        return [False] * m
+    system = np.c_[f.U[basis], -np.ones(n + 1)]
+    if abs(np.linalg.det(system)) <= hrep._TOL:
+        return [False] * m
+    slack = f.U @ np.linalg.solve(system, -f.c[basis])[:n] + f.c
+    if slack.min() < 0:
+        return [False] * m
+    certified = []
+    for i in range(m):
+        hits = [slack[j] / (f.U[j] @ f.U[i]) for j in range(m)
+                if j != i and f.U[j] @ f.U[i] > 0]
+        certified.append(bool(slack[i] - min(hits, default=math.inf) < -f.thr))
+    return certified
+
+
+def verdict(call, *args):
+    """The accepted presentation's A and b, or the error's type, index and message."""
+    try:
+        h = call(*args)
+    except MomangError as e:
+        return type(e), getattr(e, "index", None), str(e)
+    return h.A.tobytes(), h.b.tobytes()
+
+
+@pytest.fixture
+def simplex_calls(monkeypatch):
+    """The right-hand sides of the LPs make_hrep solves, in order."""
+    calls = []
+
+    def counting(M, r, cost):
+        calls.append(np.array(r))
+        return _simplex(M, r, cost)
+
+    monkeypatch.setattr(hrep, "_simplex", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_ray_shots_match_the_all_rows_loop(name, simplex_calls):
+    rows, offsets = differential_input(name)
+    expected = verdict(looped_make_hrep, rows, offsets)
+    simplex_calls.clear()
+    assert verdict(make_hrep, rows, offsets) == expected
+    if expected[0] in (Unbounded, EmptyInterior):
+        return  # refused before any row is shot at
+    # the LP fallback ran on the uncertified rows, in order, up to the first
+    # redundant one; every certified row is irredundant by its LP
+    rows, offsets = np.asarray(rows, float), np.asarray(offsets, float)
+    h = HRep(n=rows.shape[1], m=rows.shape[0], A=rows.T, b=offsets)
+    certified = looped_ray_shots(h)
+    uncertified = [i for i, ok in enumerate(certified) if not ok]
+    if expected[0] is RedundantHalfspace:
+        uncertified = uncertified[:uncertified.index(expected[1]) + 1]
+    assert [r.tobytes() for r in simplex_calls[2:]] == \
+        [h._frame.U[i].tobytes() for i in uncertified]
+    assert not any(redundancy_lp(h, i) for i in range(h.m) if certified[i])
+    base = name.partition("+")[0]
+    if base in (*METAMORPHIC_CORPUS, "octahedron") or base.startswith("tangent"):
+        assert len(simplex_calls) == 2 and all(certified)
+    if base in LP_ONLY:
+        assert certified.count(False) == 1
+
+
+@pytest.mark.parametrize("name", [*REJECTED, *LP_ONLY])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+@example(data=None)
+def test_ray_shots_match_the_all_rows_loop_under_transforms(name, data):
+    rows, offsets = RAW[name]
+    m, n = len(rows), len(rows[0])
+    transform = extremes(m, n) if data is None else data.draw(transforms(m, n))
+    moved = transformed(rows, offsets, transform)
+    assert verdict(make_hrep, *moved) == verdict(looped_make_hrep, *moved)
+
+
+@pytest.mark.parametrize("name", [*WALKED, "fibonacci300"])
+def test_ray_shots_in_blocks_equal_the_row_loop(name):
+    # 300 rows take two blocks of _RANK_CHUNK, the last one short
+    h = (parse_hrep(fibonacci_tangent_hrep(300)) if name == "fibonacci300"
+         else make_hrep(*differential_input(name)))
+    f = h._frame
+    basis = _simplex(np.vstack([f.U.T, np.ones(h.m)]), np.r_[np.zeros(h.n), 1.0], f.c)[2]
+    assert hrep._ray_certified(f, basis).tolist() == looped_ray_shots(h)
+
+
+def test_ray_shots_certify_nothing_when_the_basis_fixes_no_centre():
+    h = make_hrep(*LP_ONLY["corner_cut_box"])
+    f = h._frame
+    # the radius LP's basis: y = 0, y = 1 and the cut, 0.5 from the centre
+    assert hrep._ray_certified(f, [3, 2, 4]).tolist() == [True, False, True, True, True]
+    # an artificial column; a repeated row, which fixes no point; and x = 0,
+    # y = 0, x = 10, whose equidistant point (5, 5) violates y <= 1
+    for basis in ([3, 2, 5], [2, 2, 4], [0, 2, 1]):
+        assert not hrep._ray_certified(f, basis).any(), basis
+
+
+def test_tangent_planes_parse_with_two_lps(simplex_calls):
+    # every row of 300 planes tangent to the sphere is certified by its ray:
+    # the span and radius LPs are the only ones (the all-rows loop ran 302)
+    h = parse_hrep(fibonacci_tangent_hrep(300))
+    assert len(simplex_calls) == 2
+    assert enumerate_vertices(h)[0].vertex_count == 2 * 300 - 4
+
+
+def test_redundancy_lps_capped_before_the_first(monkeypatch, simplex_calls):
+    # with no row of the cube certified, 6 LPs of (3 + 1)(6 + 3) tableau
+    # entries and 6 pivots each are predicted after the span and radius LPs
+    cube3 = cube_hrep(3)
+    rows, offsets = cube3.A.T, cube3.b
+    work = 6 * 4 * 9 * 6
+    monkeypatch.setattr(hrep, "_LP_CAP", 0)
+    simplex_calls.clear()
+    make_hrep(rows, offsets)  # every row certified: nothing predicted
+    assert len(simplex_calls) == 2
+    monkeypatch.setattr(hrep, "_ray_certified", lambda f, basis: np.zeros(6, bool))
+    monkeypatch.setattr(hrep, "_LP_CAP", work - 1)
+    simplex_calls.clear()
+    with pytest.raises(GuardExceeded, match=f"6 redundancy LPs .* predicted {work} exceeds"):
+        make_hrep(rows, offsets)
+    assert len(simplex_calls) == 2
+    monkeypatch.setattr(hrep, "_LP_CAP", work)
+    simplex_calls.clear()
+    make_hrep(rows, offsets)
+    assert len(simplex_calls) == 2 + 6

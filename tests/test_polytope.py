@@ -374,6 +374,19 @@ def test_face_lattice_matches_frozenset_oracle(corpus):
         assert lat.f_vector() == tuple(census[d] for d in range(p.dim)), name
 
 
+def test_face_lattice_order_matches_the_bits_key(corpus):
+    # the tuple key the lattice was sorted by, facet count then the ascending
+    # facet tuple, is the oracle for its bit-reversed int key; masks of
+    # random_vertexcuts(61)'s 65 facets take 9 bytes
+    duals = [(f"dual-simplex-boundary-{n}", validate_polytope(
+        n, sorted(tuple(sorted(f)) for f in simplex_boundary_sphere(n).facets)))
+        for n in range(1, 13)]
+    cuts = [(f"rvc{k}", random_vertexcuts(k, 0)) for k in (61, 200)]
+    for name, p in [*lattice_oracle_inputs(corpus), *duals, *cuts]:
+        masks = face_lattice(p).masks
+        assert list(masks) == sorted(masks, key=lambda s: (s.bit_count(), polytope._bits(s))), name
+
+
 def test_ridge_table_matches_frozenset_oracle(corpus):
     for name, p in lattice_oracle_inputs(corpus):
         # a key holds the ridge's n - 1 facets in fields of m.bit_length() bits
