@@ -278,8 +278,8 @@ def parse_hrep(text: str) -> HRep:
     Raises :class:`Unbounded` when the normals do not positively span,
     :class:`EmptyInterior` when the region has no interior, and
     :class:`RedundantHalfspace` for the first row that does not bound a
-    facet: rows a ray shot certifies are skipped, the rest are decided by
-    their redundancy LP, under ``_LP_CAP`` (see :func:`make_hrep`).
+    facet, and :class:`GuardExceeded` when the redundancy LPs left after the
+    ray shots would pass ``_LP_CAP`` (see :func:`make_hrep`).
     """
     lines = [ln for ln in (s.strip() for s in text.splitlines())
              if ln and not ln.startswith("#")]
