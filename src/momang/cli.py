@@ -45,7 +45,7 @@ from .polytope import (
     polytope_from_json,
     polytope_to_json,
 )
-from .zcomplex import _cell_counts, _chamber_counts, complex_summary
+from .zcomplex import _cell_counts, _chamber_counts, _fixed_set_rows, _stars_pairs, complex_summary
 
 EXIT_OK = 0
 EXIT_VERDICT_NO = 1
@@ -209,9 +209,11 @@ def dispatch(args, sources: list) -> tuple[dict, int]:
     elif cmd == "moment-angle":
         payload = complex_summary(p)
 
-    elif cmd in ("fixed-sets", "filtration"):
-        key = cmd.replace("-", "_")
-        payload = {key: _chamber_counts(p)[key]}
+    elif cmd == "fixed-sets":
+        payload = {"fixed_sets": _fixed_set_rows(_stars_pairs(p)[0])}
+
+    elif cmd == "filtration":
+        payload = {"filtration": _chamber_counts(p)["filtration"]}
 
     elif cmd == "quadrics":
         from .hrep import parse_hrep, quadrics_to_json, relation_matrix

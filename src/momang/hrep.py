@@ -76,7 +76,13 @@ class HRep:
         off by a few times that.  Determinants, singular values and pivots of
         unit rows are dimensionless and are decided against 1e-9 itself.
         """
-        norms = np.linalg.norm(self.A, axis=0)
+        with np.errstate(over="ignore", under="ignore"):
+            norms = np.linalg.norm(self.A, axis=0)
+        # squares over- or underflowed (|a| > ~1e154, < ~1e-154): |a| = s |a/s|, s = max|a|
+        far = np.isinf(norms) | (norms < math.sqrt(np.finfo(float).tiny))
+        if far.any():
+            s = np.abs(self.A[:, far]).max(axis=0)
+            norms[far] = s * np.linalg.norm(self.A[:, far] / s, axis=0)
         unit, c = self.A.T / norms[:, None], self.b / norms
         offsets = unit @ np.linalg.lstsq(unit, -c, rcond=None)[0] + c
         scale = max(1.0, float(np.abs(offsets).max()))

@@ -372,61 +372,48 @@ def _pair_sets(num_labels, sets) -> list[dict]:
 # ---------------------------------------------------------------------------
 # isomorphism of labelled set families
 
-def _joint_refinement(tables):
-    """Iterated color refinement applied jointly to several set families.
+def _refine(pairs):
+    """Iterated colour refinement of one :func:`_pair_sets` table.
 
-    A family enters as its :func:`_pair_sets` table, the weight of a pair
-    being the number of sets holding both.  Returns one color dict per
-    family; colors are comparable across families because each round interns
-    structurally equal signatures to the same id.  A label starts with its
-    total weight, (r - 1) times its set count when all sets have size r.
+    A label starts with its total pair weight, the weight of a pair being
+    the number of sets holding both; each round hashes its colour with the
+    sorted (partner colour, weight) pairs around it.  Rounds stop when one
+    splits no class, or after one per label.  A colour depends only on the
+    structure and the round, so isomorphic families get equal colours.
     """
-    intern: dict = {}
-
-    def intern_id(sig):
-        return intern.setdefault(sig, len(intern))
-
-    colors = [{a: intern_id(("init", sum(map(len, row.values()))))
-               for a, row in enumerate(pairs)} for pairs in tables]
-
-    def profile(cols):
-        return tuple(tuple(sorted(Counter(c.values()).values())) for c in cols)
-
-    for _ in range(max(map(len, tables))):
-        stamp = profile(colors)
-        colors = [{a: intern_id((col[a], tuple(sorted((col[b], len(ids))
-                                                      for b, ids in row.items()))))
-                   for a, row in enumerate(pairs)}
-                  for pairs, col in zip(tables, colors)]
-        if profile(colors) == stamp:
+    colors = [sum(map(len, row.values())) for row in pairs]
+    for _ in pairs:
+        classes = len(set(colors))
+        colors = [hash((c, tuple(sorted([(colors[b], len(ids)) for b, ids in row.items()]))))
+                  for c, row in zip(colors, pairs)]
+        if len(set(colors)) == classes:
             break
     return colors
 
 
 def _family(num_labels, sets):
     """A set family on labels ``0..num_labels-1`` as the record
-    ``(num_labels, sets, pair table)`` that :func:`_family_isomorphism` takes."""
+    ``(num_labels, sets, pair table, colours)`` that
+    :func:`_family_isomorphism` takes; colours are refined once, here."""
     sets = [frozenset(s) for s in sets]
-    return num_labels, sets, _pair_sets(num_labels, sets)
+    pairs = _pair_sets(num_labels, sets)
+    return num_labels, sets, pairs, _refine(pairs)
 
 
 def _family_isomorphism(fam_a, fam_b):
     """Label bijection carrying one family record onto the other, or ``None``.
 
-    Color refinement narrows the candidates, then a depth-first search on a
-    stack of candidate iterators finds a bijection; the result is verified
+    The records' colours narrow the candidates, then a depth-first search on
+    a stack of candidate iterators finds a bijection; the result is verified
     by direct comparison of the mapped family before being returned.  b may
     take a when a's mapped partners go to b's partners with equal counts.
     """
-    (num_a, sets_a, pairs_a), (num_b, sets_b, pairs_b) = fam_a, fam_b
-    if num_a != num_b or len(sets_a) != len(sets_b):
+    (num_a, sets_a, pairs_a, colors_a), (num_b, sets_b, pairs_b, colors_b) = fam_a, fam_b
+    if sorted(colors_a) != sorted(colors_b):
         return None
     if sorted(map(len, sets_a)) != sorted(map(len, sets_b)):
         return None
     target = Counter(sets_b)
-    colors_a, colors_b = _joint_refinement([pairs_a, pairs_b])
-    if sorted(Counter(colors_a.values()).items()) != sorted(Counter(colors_b.values()).items()):
-        return None
 
     by_color = defaultdict(list)
     for b in range(num_b):

@@ -440,6 +440,11 @@ def _filtration_rows(m: int, star: list[int], pairs: list[int]):
                                for pair in pairs) << j >> 1}
 
 
+def _fixed_set_rows(star: list[int]) -> list[dict]:
+    """Per facet, its fixed set's component count, 2^(m - |star|)."""
+    return [{"facet": i, "components": _coset_count(len(star), s)} for i, s in enumerate(star)]
+
+
 def _chamber_counts(p: CombPolytope) -> dict:
     """Every row the chamber commands report, from the facet stars and the
     codimension-two faces alone, the rows' work capped first: the
@@ -451,8 +456,7 @@ def _chamber_counts(p: CombPolytope) -> dict:
         "m": m,
         "components": 1,
         "orientable": True,
-        "fixed_sets": [{"facet": i, "components": _coset_count(m, s)}
-                       for i, s in enumerate(star)],
+        "fixed_sets": _fixed_set_rows(star),
         "filtration": list(_filtration_rows(m, star, pairs)),
     }
 

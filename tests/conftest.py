@@ -1,5 +1,5 @@
 import itertools
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -71,6 +71,115 @@ def cover_pairs(lattice):
         met = set().union(*(lattice.polytope.vertices[v] for v in f.vertices))
         pairs += [(i, lattice.face_index(f.facets | {j})) for j in sorted(met - f.facets)]
     return pairs
+
+
+def joint_refinement_oracle(families):
+    """Color refinement on ``(num_labels, sets)`` families with its own pair
+    weights, set degrees and neighbour maps."""
+    weights = []
+    degs = []
+    for num, sets in families:
+        w = Counter()
+        for s in sets:
+            for a, b in itertools.combinations(sorted(s), 2):
+                w[(a, b)] += 1
+        weights.append(w)
+        deg = Counter()
+        for s in sets:
+            for a in s:
+                deg[a] += 1
+        degs.append(deg)
+
+    intern: dict = {}
+
+    def intern_id(sig):
+        return intern.setdefault(sig, len(intern))
+
+    colors = []
+    for fi, (num, sets) in enumerate(families):
+        colors.append({a: intern_id(("init", degs[fi][a])) for a in range(num)})
+
+    neighbors = []
+    for fi, (num, sets) in enumerate(families):
+        nb = defaultdict(dict)
+        for (a, b), c in weights[fi].items():
+            nb[a][b] = c
+            nb[b][a] = c
+        neighbors.append(nb)
+
+    def profile(cols):
+        return tuple(tuple(sorted(Counter(c.values()).values())) for c in cols)
+
+    for _ in range(max(num for num, _ in families)):
+        stamp = profile(colors)
+        new_colors = []
+        for fi, (num, sets) in enumerate(families):
+            col = colors[fi]
+            nxt = {}
+            for a in range(num):
+                around = tuple(sorted((col[b], w) for b, w in neighbors[fi][a].items()))
+                nxt[a] = intern_id((col[a], around))
+            new_colors.append(nxt)
+        colors = new_colors
+        if profile(colors) == stamp:
+            break
+    return colors
+
+
+def family_isomorphism_oracle(num_a, sets_a, num_b, sets_b):
+    """Recursive backtracking that checks the weight of every mapped pair,
+    zero weights included, before taking a candidate."""
+    if num_a != num_b or len(sets_a) != len(sets_b):
+        return None
+    if sorted(map(len, sets_a)) != sorted(map(len, sets_b)):
+        return None
+    target = Counter(frozenset(s) for s in sets_b)
+    colors_a, colors_b = joint_refinement_oracle([(num_a, sets_a), (num_b, sets_b)])
+    if sorted(Counter(colors_a.values()).items()) != sorted(Counter(colors_b.values()).items()):
+        return None
+
+    w_a, w_b = Counter(), Counter()
+    for s in sets_a:
+        for pair in itertools.combinations(sorted(s), 2):
+            w_a[pair] += 1
+    for s in sets_b:
+        for pair in itertools.combinations(sorted(s), 2):
+            w_b[pair] += 1
+
+    def weight(w, x, y):
+        return w[(x, y)] if x < y else w[(y, x)]
+
+    by_color = defaultdict(list)
+    for b in range(num_b):
+        by_color[colors_b[b]].append(b)
+    order = sorted(range(num_a), key=lambda a: (len(by_color[colors_a[a]]), a))
+
+    mapping: dict[int, int] = {}
+    used = set()
+
+    def extend(i):
+        if i == num_a:
+            mapped = Counter(frozenset(mapping[x] for x in s) for s in sets_a)
+            return mapped == target
+        a = order[i]
+        for b in by_color[colors_a[a]]:
+            if b in used:
+                continue
+            ok = all(weight(w_a, a, a2) == weight(w_b, b, b2)
+                     for a2, b2 in mapping.items())
+            if not ok:
+                continue
+            mapping[a] = b
+            used.add(b)
+            if extend(i + 1):
+                return True
+            del mapping[a]
+            used.discard(b)
+        return False
+
+    if extend(0):
+        return dict(mapping)
+    return None
 
 
 def corpus_3d():

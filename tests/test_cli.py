@@ -21,6 +21,7 @@ from momang.corpus import cube_hrep, dodecahedron_hrep, prism_hrep, simplex_hrep
 from momang.hrep import HRep, hrep_to_text
 from momang.moves import ReductionTrace, rebuild_by_cuts
 from momang.polytope import validate_polytope
+from momang.zcomplex import _chamber_counts
 
 
 def run(capsys, *argv):
@@ -154,6 +155,20 @@ def test_row_commands_build_no_face_lattice(tmp_path, monkeypatch, capsys):
     for command in ("moment-angle", "euler"):
         code, _, err = run(capsys, command, src)
         assert code == 3 and "face-lattice subset words" in err, command
+
+
+def test_fixed_sets_builds_no_filtration_row(tmp_path, monkeypatch, capsys):
+    p = random_vertexcuts(40, 0)
+    src = write_polytope(tmp_path, "rvc40.json", p)
+    expected = _chamber_counts(p)["fixed_sets"]
+
+    def unreachable(*args):
+        raise AssertionError("fixed-sets built a filtration row")
+
+    monkeypatch.setattr("momang.zcomplex._boundary_components", unreachable)
+    code, report, err = run(capsys, "fixed-sets", src)
+    assert code == 0, err
+    assert report["payload"]["fixed_sets"] == expected
 
 
 def test_cut_collapse_pipeline(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from unittest import mock
 
@@ -108,6 +109,31 @@ def test_zero_normal_is_a_parse_error():
     for offset in (0, -1):
         with pytest.raises(ParseError, match="row 4"):
             make_hrep(rows, [0, 0, 0, 1, offset])
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-170, 1e-160, 1e160, 1e200, 1e300])
+def test_extreme_row_magnitudes(tmp_path, capsys, scale):
+    # the squares in |a| under- or overflow at these scales of the cube's
+    # row 0 0 -1 1 (at 1e-160 into subnormals, which gave 9.99994e-161);
+    # its length is taken from the rescaled row instead
+    from momang.cli import main
+
+    path = tmp_path / "cube.hrep"
+    path.write_text("3 6\n1 0 0 0\n0 1 0 0\n0 0 1 0\n-1 0 0 1\n0 -1 0 1\n"
+                    f"0 0 {-scale!r} {scale!r}\n")
+    for command in ("quadrics", "verify-quadrics"):
+        assert main([command, str(path)]) == 0, command
+        out = capsys.readouterr()
+        assert out.err == "", command
+    assert json.loads(out.out)["payload"]["min_rank"] == 3
+    h = parse_hrep(path.read_text())
+    assert h._frame.norms[5] == scale
+    assert enumerate_vertices(h)[0] == cube(3)
+
+
+def test_ordinary_row_lengths_are_the_direct_norms():
+    for name, h in all_hreps():
+        assert np.array_equal(h._frame.norms, np.linalg.norm(h.A, axis=0)), name
 
 
 # ---------------------------------------------------------------------------

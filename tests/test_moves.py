@@ -49,15 +49,8 @@ from momang.moves import (
     ReductionTrace,
     _candidate_faces,
 )
-from momang.polytope import (
-    _family,
-    _family_isomorphism,
-    _joint_refinement,
-    _pair_sets,
-    validate_polytope,
-    validate_sphere,
-)
-from conftest import cut_cube, cut_prism
+from momang.polytope import validate_polytope, validate_sphere
+from conftest import cut_cube, cut_prism, family_isomorphism_oracle, joint_refinement_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +185,7 @@ def _sphere_key(k):
 
 def _family_fingerprint(num_labels, sets):
     """Isomorphism-invariant fingerprint for bucketing set families."""
-    (colors,) = _joint_refinement([_pair_sets(num_labels, sets)])
+    (colors,) = joint_refinement_oracle([(num_labels, sets)])
     hist = tuple(sorted(Counter(colors.values()).items()))
     set_sigs = tuple(sorted(tuple(sorted(colors[a] for a in s)) for s in sets))
     # Colors are local intern ids; only their partition structure is
@@ -204,8 +197,7 @@ def _family_fingerprint(num_labels, sets):
 
 
 def _spheres_isomorphic(a, b) -> bool:
-    return _family_isomorphism(_family(*_sphere_key(a)),
-                               _family(*_sphere_key(b))) is not None
+    return family_isomorphism_oracle(*_sphere_key(a), *_sphere_key(b)) is not None
 
 
 def flip_oracle(p, depth: int, state_cap: int = 100_000):
@@ -861,3 +853,31 @@ def test_flip_search_builds_one_pair_table_per_state(monkeypatch):
     monkeypatch.setattr(moves, "_pair_sets", counting)
     assert psc_flip_certificate(vertex_cut(cube(3), 0), depth=5) is None
     assert len(built) == 20
+
+
+def test_flip_search_refines_each_family_once(monkeypatch):
+    # every record's colours are refined in _family and only read by the
+    # isomorphism test: 465 states, pruned ones included, and 235 tests
+    refined, records, tests = [], [], []
+    refine, family, isomorphism = polytope._refine, polytope._family, polytope._family_isomorphism
+
+    def counting_refine(pairs):
+        refined.append(len(pairs))
+        return refine(pairs)
+
+    def counting_family(num_labels, sets):
+        records.append(num_labels)
+        return family(num_labels, sets)
+
+    def refining_nothing(fam_a, fam_b):
+        before = len(refined)
+        result = isomorphism(fam_a, fam_b)
+        tests.append(len(refined) - before)
+        return result
+
+    monkeypatch.setattr(polytope, "_refine", counting_refine)
+    monkeypatch.setattr(moves, "_family", counting_family)
+    monkeypatch.setattr(moves, "_family_isomorphism", refining_nothing)
+    psc_flip_certificate(random_vertexcuts(7, 0), 7)
+    assert refined == records and len(records) == 465
+    assert tests == [0] * 235

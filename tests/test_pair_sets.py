@@ -3,7 +3,9 @@
 Each oracle below is the per-module derivation of "which facets meet, and
 where" (or of label co-occurrence in a set family) that ``_pair_sets`` now
 serves alone; the tests compare them for equality on the corpus, on facet
-relabellings and on the spheres a flip search generates.
+relabellings and on the spheres a flip search generates.  The colour
+refinement and isomorphism oracles are in ``conftest``, shared with the
+flip-search oracle.
 """
 
 import itertools
@@ -28,11 +30,10 @@ from momang.moves import _sphere_family
 from momang.polytope import (
     _family,
     _family_isomorphism,
-    _joint_refinement,
     _pair_sets,
 )
 from momang.zcomplex import _facet_stars
-from conftest import corpus_3d
+from conftest import corpus_3d, family_isomorphism_oracle, joint_refinement_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -75,115 +76,6 @@ def degrees_oracle(k):
         for x in f:
             nbrs.setdefault(x, set()).update(f)
     return sorted((len(s) - 1 for s in nbrs.values()), reverse=True)
-
-
-def joint_refinement_oracle(families):
-    """Color refinement on ``(num_labels, sets)`` families with its own pair
-    weights, set degrees and neighbour maps."""
-    weights = []
-    degs = []
-    for num, sets in families:
-        w = Counter()
-        for s in sets:
-            for a, b in itertools.combinations(sorted(s), 2):
-                w[(a, b)] += 1
-        weights.append(w)
-        deg = Counter()
-        for s in sets:
-            for a in s:
-                deg[a] += 1
-        degs.append(deg)
-
-    intern: dict = {}
-
-    def intern_id(sig):
-        return intern.setdefault(sig, len(intern))
-
-    colors = []
-    for fi, (num, sets) in enumerate(families):
-        colors.append({a: intern_id(("init", degs[fi][a])) for a in range(num)})
-
-    neighbors = []
-    for fi, (num, sets) in enumerate(families):
-        nb = defaultdict(dict)
-        for (a, b), c in weights[fi].items():
-            nb[a][b] = c
-            nb[b][a] = c
-        neighbors.append(nb)
-
-    def profile(cols):
-        return tuple(tuple(sorted(Counter(c.values()).values())) for c in cols)
-
-    for _ in range(max(num for num, _ in families)):
-        stamp = profile(colors)
-        new_colors = []
-        for fi, (num, sets) in enumerate(families):
-            col = colors[fi]
-            nxt = {}
-            for a in range(num):
-                around = tuple(sorted((col[b], w) for b, w in neighbors[fi][a].items()))
-                nxt[a] = intern_id((col[a], around))
-            new_colors.append(nxt)
-        colors = new_colors
-        if profile(colors) == stamp:
-            break
-    return colors
-
-
-def family_isomorphism_oracle(num_a, sets_a, num_b, sets_b):
-    """Recursive backtracking that checks the weight of every mapped pair,
-    zero weights included, before taking a candidate."""
-    if num_a != num_b or len(sets_a) != len(sets_b):
-        return None
-    if sorted(map(len, sets_a)) != sorted(map(len, sets_b)):
-        return None
-    target = Counter(frozenset(s) for s in sets_b)
-    colors_a, colors_b = joint_refinement_oracle([(num_a, sets_a), (num_b, sets_b)])
-    if sorted(Counter(colors_a.values()).items()) != sorted(Counter(colors_b.values()).items()):
-        return None
-
-    w_a, w_b = Counter(), Counter()
-    for s in sets_a:
-        for pair in itertools.combinations(sorted(s), 2):
-            w_a[pair] += 1
-    for s in sets_b:
-        for pair in itertools.combinations(sorted(s), 2):
-            w_b[pair] += 1
-
-    def weight(w, x, y):
-        return w[(x, y)] if x < y else w[(y, x)]
-
-    by_color = defaultdict(list)
-    for b in range(num_b):
-        by_color[colors_b[b]].append(b)
-    order = sorted(range(num_a), key=lambda a: (len(by_color[colors_a[a]]), a))
-
-    mapping: dict[int, int] = {}
-    used = set()
-
-    def extend(i):
-        if i == num_a:
-            mapped = Counter(frozenset(mapping[x] for x in s) for s in sets_a)
-            return mapped == target
-        a = order[i]
-        for b in by_color[colors_a[a]]:
-            if b in used:
-                continue
-            ok = all(weight(w_a, a, a2) == weight(w_b, b, b2)
-                     for a2, b2 in mapping.items())
-            if not ok:
-                continue
-            mapping[a] = b
-            used.add(b)
-            if extend(i + 1):
-                return True
-            del mapping[a]
-            used.discard(b)
-        return False
-
-    if extend(0):
-        return dict(mapping)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +125,7 @@ def vertex_family(p):
 
 def sphere_family(k):
     """The sphere's ``(num_labels, sets)`` as the flip search numbers them."""
-    (num, sets, _), _ = _sphere_family(k)
+    (num, sets, _, _), _ = _sphere_family(k)
     return num, sets
 
 
@@ -265,20 +157,54 @@ def test_degrees_match_oracle(spheres):
         assert degrees == tuple(degrees_oracle(k)), k
 
 
+def partition(colors):
+    """The label classes of a colouring (a list, or a dict on 0..n-1)."""
+    classes = defaultdict(list)
+    for a in range(len(colors)):
+        classes[colors[a]].append(a)
+    return sorted(classes.values())
+
+
 def test_refinement_matches_oracle(spheres):
-    # the colors themselves agree, not only the partitions they induce
+    # colours are hashes, so the partitions they induce are compared: a
+    # family refined alone splits as it does in the oracle's joint runs
     families = [vertex_family(p) for _, p in polytopes()]
     families += [sphere_family(k) for k in spheres]
-    for fam in families:
-        assert _joint_refinement([_pair_sets(*fam)]) == joint_refinement_oracle([fam])
+    colors = [_family(*fam)[3] for fam in families]
+    for fam, col in zip(families, colors):
+        assert partition(col) == partition(joint_refinement_oracle([fam])[0])
     # jointly only under the isomorphism search's precondition: equal set
     # sizes, so that the initial colors scale alike in both families
-    joint = [(fa, fb) for fa, fb in itertools.product(families, repeat=2)
-             if sorted(map(len, fa[1])) == sorted(map(len, fb[1]))]
+    joint = [(a, b) for a, b in itertools.product(range(len(families)), repeat=2)
+             if sorted(map(len, families[a][1])) == sorted(map(len, families[b][1]))]
     assert len(joint) > 2 * len(families)
-    for fa, fb in joint:
-        assert _joint_refinement([_pair_sets(*fa), _pair_sets(*fb)]) == \
-            joint_refinement_oracle([fa, fb])
+    for a, b in joint:
+        col_a, col_b = joint_refinement_oracle([families[a], families[b]])
+        assert partition(colors[a]) == partition(col_a)
+        assert partition(colors[b]) == partition(col_b)
+        # the early rejection never passes a pair the joint colours reject
+        if sorted(Counter(col_a.values()).items()) != sorted(Counter(col_b.values()).items()):
+            assert sorted(colors[a]) != sorted(colors[b])
+
+
+def test_isomorphisms_carry_colours():
+    # a colour depends only on structure and round, not on the labels
+    for i, (_, p) in enumerate(polytopes()):
+        q = relabelled(p, i)
+        mapping = family_isomorphism_oracle(*vertex_family(p), *vertex_family(q))
+        col_p, col_q = _family(*vertex_family(p))[3], _family(*vertex_family(q))[3]
+        assert [col_q[mapping[a]] for a in range(p.facet_count)] == col_p
+
+
+def test_colour_mismatch_rejects_before_the_search():
+    # the cube and the twice-cut tetrahedron both have 6 facets and 8
+    # vertices; their stored colours differ, so no pair row is read
+    (num, sets, _, colors_a), (_, sets_b, _, colors_b) = (
+        _family(*vertex_family(p)) for p in (cube(3), random_vertexcuts(2, 0)))
+    assert sorted(colors_a) != sorted(colors_b)
+    unread = [None] * num
+    assert _family_isomorphism((num, sets, unread, colors_a),
+                               (num, sets_b, unread, colors_b)) is None
 
 
 @pytest.mark.parametrize("k", [12, 50, 200])
