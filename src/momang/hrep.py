@@ -36,13 +36,17 @@ from .polytope import validate_polytope
 
 # Caps: vertex walk steps, the upper-bound-theorem vertex count times m n
 # (for m <= 54 the former cap of 10^6 n-subsets admitted at most 1.24e8, at
-# m = 43, n = 38), and sampling steps; a nondegeneracy sample takes two SVDs
-# of (m - n) x m gradients, ~m^2 (m - n) steps, plus numpy call overhead
-# worth ~20 000 steps.  Ranks are taken in stacks of _RANK_CHUNK samples,
-# which bounds the stacked gradients' memory; ray shots are taken in blocks
-# of as many rows.  Redundancy LP steps: each LP pivots a tableau of
-# (n + 1)(m + n) entries, and Bland's rule took ~m/4 pivots per LP on
-# tangent presentations, so m pivots are predicted (~4 ns a step on a
+# m = 43, n = 38), and sampling steps; a nondegeneracy sample takes one SVD
+# of its (m - n) x m gradients, ~m^2 (m - n) steps, plus numpy call overhead
+# worth ~20 000 steps (a second, rank SVD runs only for the samples the
+# first one's bounds leave uncertified).  Samples are taken in stacks of
+# _RANK_CHUNK, which bounds the stacked gradients' memory; ray shots are
+# taken in blocks of as many rows, and the walk expands blocks of
+# _RANK_CHUNK^2 / max(m, n^2) subsets, whose stacked slacks and n x n
+# matrices then hold at most _RANK_CHUNK^2 entries and rates n times that.
+# LP steps: each LP pivots a tableau of (n + 1)(m + n) entries (the span
+# and radius LPs (n + 2)(m + n + 2)), and Bland's rule took ~m/4 pivots per
+# LP on tangent presentations, so m pivots are predicted (~4 ns a step on a
 # 2-vCPU Xeon VM).
 _VERTEX_CAP = 125 * 10 ** 6
 _SAMPLE_CAP = 10 ** 9
@@ -189,11 +193,12 @@ def _simplex(M, r, cost):
 def make_hrep(rows, offsets) -> HRep:
     """Validate m raw normals (rows) and offsets; see :func:`parse_hrep`.
 
-    Boundedness and the Chebyshev radius are one LP each.  A row's
-    irredundancy is certified by a ray shot from the Chebyshev centre (see
+    Boundedness and the Chebyshev radius are one LP each, run after their
+    predicted work is checked against ``_LP_CAP``.  A row's irredundancy is
+    certified by a ray shot from the Chebyshev centre (see
     :func:`_ray_certified`); only the rows left uncertified run their
     redundancy LP, in ascending order, after their predicted work is checked
-    against ``_LP_CAP``.  The first redundant row raises.
+    against ``_LP_CAP`` too.  The first redundant row raises.
     """
     arows = np.asarray(rows, dtype=float)
     b = np.asarray(offsets, dtype=float)
@@ -217,6 +222,8 @@ def make_hrep(rows, offsets) -> HRep:
     # w = 1 + v >= 1 with U^t w = 0.
     if _numeric_rank(f.U) < n:
         raise Unbounded("inward normals do not span the space")
+    _check_work(f"span and radius LPs of {m} half-spaces in dimension {n}, times "
+                "(n + 2)(m + n + 2) m pivot steps", 2 * (n + 2) * (m + n + 2) * m, _LP_CAP)
     ones = np.ones(m)
     if _simplex(f.U.T, -f.U.T @ ones, np.zeros(m))[0] != "optimal":
         raise Unbounded("inward normals do not positively span the space")
@@ -284,8 +291,9 @@ def parse_hrep(text: str) -> HRep:
     Raises :class:`Unbounded` when the normals do not positively span,
     :class:`EmptyInterior` when the region has no interior, and
     :class:`RedundantHalfspace` for the first row that does not bound a
-    facet, and :class:`GuardExceeded` when the redundancy LPs left after the
-    ray shots would pass ``_LP_CAP`` (see :func:`make_hrep`).
+    facet, and :class:`GuardExceeded` when the span and radius LPs, or the
+    redundancy LPs left after the ray shots, would pass ``_LP_CAP`` (see
+    :func:`make_hrep`).
     """
     lines = [ln for ln in (s.strip() for s in text.splitlines())
              if ln and not ln.startswith("#")]
@@ -338,7 +346,8 @@ def enumerate_vertices(h: HRep):
 
 
 def _walk_vertices(h: HRep):
-    """The edge walk (Avis & Fukuda, 1992) in the unit-row frame.
+    """The edge walk (Avis & Fukuda, 1992) in the unit-row frame, one
+    breadth-first layer at a time.
 
     Its predicted work, the upper-bound-theorem vertex count times m n, is
     checked against ``_VERTEX_CAP`` before any LP.  The start is an optimal
@@ -350,13 +359,17 @@ def _walk_vertices(h: HRep):
     :class:`NotSimplePresentation`.  From a vertex, column k of U_sub^-1
     leaves row k and runs along the other n - 1; the first row it reaches
     replaces row k, which gives the neighbour on that edge.  Coordinates are
-    solved from the input's A and b on the sorted subset.
+    solved from the input's A and b on the sorted subset.  A layer is
+    expanded in blocks of ``_RANK_CHUNK^2 / max(m, n^2)`` subsets with stacked
+    ``det``, ``solve`` and ``inv``, which give each subset the bits of a
+    call on it alone.
 
     Why a degenerate point is never missed: the vertex-edge graph of a
     polytope is connected, and at a vertex that passed the checks the n edges
     leaving it are exactly these n directions, each walked to its other end.
     So on a graph path from the start to a degenerate point, the walk visits
-    every vertex up to the first degenerate one, and raises there.
+    every vertex up to the first degenerate one, layer by layer, and raises
+    there; which degenerate point it names depends on the visiting order.
     """
     n, m = h.n, h.m
     bound = math.comb(m - (n + 1) // 2, n // 2) + math.comb(m - n // 2 - 1, (n + 1) // 2 - 1)
@@ -364,31 +377,42 @@ def _walk_vertices(h: HRep):
                 "times m n walk steps", bound * m * n, _VERTEX_CAP)
     f = h._frame
     status, _, basis = _simplex(f.U.T, f.U[0], f.c)
-    todo = [tuple(sorted(basis))] if status == "optimal" and max(basis) < m else []
-    seen = set(todo)
+    layer = [tuple(sorted(basis))] if status == "optimal" and max(basis) < m else []
+    seen = set(layer)
     found: dict[tuple[int, ...], np.ndarray] = {}
-    while todo:
-        subset = todo.pop()
-        sub = list(subset)
-        if abs(np.linalg.det(f.U[sub])) <= _TOL:  # unit rows: Hadamard bound 1
-            continue
-        vals = f.U @ np.linalg.solve(f.U[sub], -f.c[sub]) + f.c
-        vals[sub] = 0.0  # the subset's own rows hold by construction
-        if vals.min() < -f.thr:
-            continue
-        active = tuple(int(i) for i in np.flatnonzero(np.abs(vals) <= f.thr))
-        if len(active) > n:
-            raise NotSimplePresentation(f"point on {len(active)} hyperplanes: {active}")
-        found[subset] = np.linalg.solve(h.A.T[sub], -h.b[sub])
-        # every other row has vals > thr > 0; the edge reaches first the row
-        # whose slack it closes fastest per unit of slack
-        rates = -(f.U @ np.linalg.inv(f.U[sub])) / np.where(vals > 0, vals, np.inf)[:, None]
-        for k, j in enumerate(rates.argmax(axis=0)):
-            if rates[j, k] > 0:
-                nxt = tuple(sorted([*sub[:k], *sub[k + 1:], int(j)]))
+    block, diag = max(1, _RANK_CHUNK * _RANK_CHUNK // max(m, n * n)), np.arange(n)
+    while layer:
+        ahead = []
+        for lo in range(0, len(layer), block):
+            subs = np.array(layer[lo:lo + block])
+            Us = f.U[subs]
+            keep = np.abs(np.linalg.det(Us)) > _TOL  # unit rows: Hadamard bound 1
+            subs, Us = subs[keep], Us[keep]
+            vals = (f.U @ np.linalg.solve(Us, -f.c[subs][..., None]))[..., 0] + f.c
+            vals[np.arange(len(subs))[:, None], subs] = 0.0  # a subset's own rows hold
+            keep = vals.min(axis=1, initial=np.inf) >= -f.thr
+            subs, Us, vals = subs[keep], Us[keep], vals[keep]
+            tight = np.abs(vals) <= f.thr
+            if (over := np.flatnonzero(tight.sum(axis=1) > n)).size:
+                active = tuple(int(i) for i in np.flatnonzero(tight[over[0]]))
+                raise NotSimplePresentation(f"point on {len(active)} hyperplanes: {active}")
+            coords = np.linalg.solve(h.A.T[subs], -h.b[subs][..., None])[..., 0]
+            found.update(zip(map(tuple, subs.tolist()), coords))
+            # every other row has vals > thr > 0; edge k reaches first the row j
+            # whose slack it closes fastest per unit of slack, rates laid out
+            # (vertex, edge, row) so that the argmax reads contiguous rows
+            rates = np.linalg.inv(Us).transpose(0, 2, 1) @ -f.U.T
+            rates /= np.where(vals > 0, vals, np.inf)[:, None, :]
+            first = rates.argmax(axis=2)
+            reached = np.take_along_axis(rates, first[..., None], axis=2)[..., 0] > 0
+            nbrs = np.repeat(subs[:, None, :], n, axis=1)
+            nbrs[:, diag, diag] = first
+            nbrs.sort(axis=2)
+            for nxt in map(tuple, nbrs[reached].tolist()):
                 if nxt not in seen:
                     seen.add(nxt)
-                    todo.append(nxt)
+                    ahead.append(nxt)
+        layer = ahead
     polytope = validate_polytope(h.n, sorted(found))
     coords = np.array([found[v] for v in polytope.vertices])
     coords.setflags(write=False)
@@ -504,14 +528,21 @@ def verify_nondegeneracy(h: HRep, sample_count: int = 200,
     the global centroid, then fills up to ``sample_count`` (at least 0; a
     count below those points adds none) with seeded random points
     (alternating interior and facet points), lifted without a membership
-    test as convex combinations of vertices.  Ranks are decided
-    on the gradients of the relations among unit rows at y_k / sqrt|a_k|,
-    unchanged by row scaling; ``min_margin`` reads those of
-    :func:`relation_matrix`.  Both come from stacked SVDs over chunks of
-    ``_RANK_CHUNK`` samples, with the signs drawn per chunk from the same
-    stream.  Failures are reported, not raised; the sampling work, predicted
-    from the point count the vertex walk fixes, is checked against
-    ``_SAMPLE_CAP`` before the relations or any point are computed.
+    test as convex combinations of vertices.  Ranks are decided on the
+    gradients H of the relations among unit rows at y_k / sqrt|a_k|,
+    unchanged by row scaling; ``min_margin`` reads the gradients G of
+    :func:`relation_matrix`.  Samples go in chunks of ``_RANK_CHUNK``, with
+    the signs drawn per chunk from the same stream, and each chunk takes
+    one stacked SVD of G.  Since H = D_r^-1 G D_c with D_r the rows' largest
+    |gamma_jk a_k| and D_c = diag(sqrt|a_k|), sigma_{m-n}(H) is at least
+    sigma_{m-n}(G) sqrt(min|a_k|) / max D_r and sigma_1(H) at most
+    sigma_1(G) sqrt(max|a_k|) / min D_r; a sample whose lower bound exceeds
+    twice 1e-9 max(1, upper bound), far above SVD rounding, has full rank.
+    Only the samples left uncertified, including any whose bounds over- or
+    underflow, take the rank SVD of H.  Failures are reported, not raised;
+    the sampling work, predicted from the point count the vertex walk
+    fixes, is checked against ``_SAMPLE_CAP`` before the relations or any
+    point are computed.
     """
     if sample_count < 0:
         raise BadParameters(f"sample_count must be >= 0, got {sample_count}")
@@ -532,16 +563,28 @@ def verify_nondegeneracy(h: HRep, sample_count: int = 200,
         pts.append(rng.dirichlet(np.ones(len(coords[members]))) @ coords[members])
 
     norms = h._frame.norms
-    unit_gamma = q.gamma * np.sqrt(norms) / np.abs(q.gamma * norms).max(axis=1)[:, None]
+    rowmax = np.abs(q.gamma * norms).max(axis=1)
+    unit_gamma = q.gamma * np.sqrt(norms) / rowmax[:, None]
+    with np.errstate(all="ignore"):  # H = D_r^-1 G D_c, see the docstring
+        low = math.sqrt(norms.min()) / rowmax.max()
+        high = math.sqrt(norms.max()) / rowmax.min()
     expected = h.m - h.n
     min_rank, min_margin, failures = expected, math.inf, []
+    pts = np.array(pts)
     for start in range(0, len(pts), _RANK_CHUNK):
         chunk = pts[start:start + _RANK_CHUNK]
         signs = 1 - 2 * rng.integers(0, 2, size=(len(chunk), h.m))
-        y = (signs * np.sqrt(np.clip([h.values(x) for x in chunk], 0.0, None)))[:, None, :]
-        ranks = _numeric_rank(2.0 * unit_gamma * y)
-        margins = np.linalg.svd(2.0 * q.gamma * y, compute_uv=False)[:, expected - 1]
-        min_margin = min(min_margin, float(margins.min()))
+        values = (h.A.T @ chunk[..., None])[..., 0] + h.b  # h.values' bits; chunk @ A is not
+        y = (signs * np.sqrt(np.clip(values, 0.0, None)))[:, None, :]
+        svals = np.linalg.svd(2.0 * q.gamma * y, compute_uv=False)
+        min_margin = min(min_margin, float(svals[:, expected - 1].min()))
+        with np.errstate(all="ignore"):
+            upper = svals[:, 0] * high
+            sure = np.isfinite(upper) & (svals[:, expected - 1] * low
+                                         > 2 * _TOL * np.maximum(1.0, upper))
+        ranks = np.full(len(chunk), expected)
+        if not sure.all():
+            ranks[~sure] = _numeric_rank(2.0 * unit_gamma * y[~sure])
         min_rank = min(min_rank, int(ranks.min()))
         failures += [(start + i, int(r)) for i, r in enumerate(ranks) if r < expected]
     return NondegeneracyReport(expected_rank=expected, min_rank=min_rank,

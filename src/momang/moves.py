@@ -354,13 +354,14 @@ def _pairwise_disjoint(edges) -> bool:
 
 
 def _sphere_family(k: SimplicialSphere):
-    """The sphere's facets as a :func:`_family` record on its vertices
-    renumbered 0..V-1, and the 1-skeleton degrees, largest first, read off
-    the record's pair table."""
+    """The sphere's facets on its vertices renumbered 0..V-1, as the
+    arguments ``(num_labels, sets, pair table)`` of :func:`_family`, and the
+    1-skeleton degrees, largest first, read off the pair table."""
     labels = k.vertex_labels
     pos = {x: i for i, x in enumerate(labels)}
-    family = _family(len(labels), [[pos[x] for x in f] for f in k.facets])
-    return family, tuple(sorted(map(len, family[2]), reverse=True))
+    sets = [frozenset(pos[x] for x in f) for f in k.facets]
+    pairs = _pair_sets(len(labels), sets)
+    return (len(labels), sets, pairs), tuple(sorted(map(len, pairs), reverse=True))
 
 
 def simplex_boundary_sphere(n: int) -> SimplicialSphere:
@@ -396,7 +397,8 @@ def psc_flip_certificate(p: CombPolytope, depth: int):
     buckets and gates the target match: isomorphic states share a bucket,
     so a state is still registered exactly when no registered state is
     isomorphic to it.  Each state's pair table is built once, for its
-    degrees and every isomorphism test it enters.
+    degrees and every isomorphism test it enters; its colours are refined
+    once too, and only when it survives the prune.
     """
     n = p.dim
     if n < 3:
@@ -404,7 +406,8 @@ def psc_flip_certificate(p: CombPolytope, depth: int):
             f"codimension >= 3 flips need dim >= 3, got {n}")
     if depth < 0:
         raise BadParameters(f"depth must be >= 0, got {depth}")
-    target, bound = _sphere_family(dual_sphere(p))
+    shape, bound = _sphere_family(dual_sphere(p))
+    target = _family(*shape)
     seen: dict = {}
 
     def matches(family, degrees):
@@ -418,7 +421,8 @@ def psc_flip_certificate(p: CombPolytope, depth: int):
         return True
 
     start = simplex_boundary_sphere(n)
-    family, degrees = _sphere_family(start)
+    shape, degrees = _sphere_family(start)
+    family = _family(*shape)
     if matches(family, degrees):
         return []
     register(family, degrees)
@@ -435,10 +439,11 @@ def psc_flip_certificate(p: CombPolytope, depth: int):
                     continue
                 generated += 1
                 _check_work("flip search states", generated, _STATE_CAP)
-                family, degrees = _sphere_family(new)
+                shape, degrees = _sphere_family(new)
                 if len(degrees) > len(bound) or any(
                         d > b for d, b in zip(degrees, bound)):
                     continue
+                family = _family(*shape)  # colours only for the states kept
                 kind = "vertex" if len(sigma) == n else "general"
                 move = FlipMove(kind=kind, target=tuple(sorted(sigma)),
                                 codim=len(sigma))

@@ -391,12 +391,14 @@ def _refine(pairs):
     return colors
 
 
-def _family(num_labels, sets):
+def _family(num_labels, sets, pairs=None):
     """A set family on labels ``0..num_labels-1`` as the record
     ``(num_labels, sets, pair table, colours)`` that
-    :func:`_family_isomorphism` takes; colours are refined once, here."""
+    :func:`_family_isomorphism` takes; colours are refined once, here.  A
+    caller that built the sets' :func:`_pair_sets` table already passes it."""
     sets = [frozenset(s) for s in sets]
-    pairs = _pair_sets(num_labels, sets)
+    if pairs is None:
+        pairs = _pair_sets(num_labels, sets)
     return num_labels, sets, pairs, _refine(pairs)
 
 

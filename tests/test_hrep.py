@@ -673,6 +673,37 @@ def brute_force_vertices(h):
     return polytope, np.array([found[v] for v in polytope.vertices])
 
 
+def edge_walk_oracle(h):
+    """The edge walk depth first, one vertex at a time, with the same checks."""
+    n, m, f = h.n, h.m, h._frame
+    status, _, basis = _simplex(f.U.T, f.U[0], f.c)
+    todo = [tuple(sorted(basis))] if status == "optimal" and max(basis) < m else []
+    seen = set(todo)
+    found = {}
+    while todo:
+        subset = todo.pop()
+        sub = list(subset)
+        if abs(np.linalg.det(f.U[sub])) <= hrep._TOL:
+            continue
+        vals = f.U @ np.linalg.solve(f.U[sub], -f.c[sub]) + f.c
+        vals[sub] = 0.0
+        if vals.min() < -f.thr:
+            continue
+        active = tuple(int(i) for i in np.flatnonzero(np.abs(vals) <= f.thr))
+        if len(active) > n:
+            raise NotSimplePresentation(f"point on {len(active)} hyperplanes: {active}")
+        found[subset] = np.linalg.solve(h.A.T[sub], -h.b[sub])
+        rates = -(f.U @ np.linalg.inv(f.U[sub])) / np.where(vals > 0, vals, np.inf)[:, None]
+        for k, j in enumerate(rates.argmax(axis=0)):
+            if rates[j, k] > 0:
+                nxt = tuple(sorted([*sub[:k], *sub[k + 1:], int(j)]))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+    polytope = validate_polytope(h.n, sorted(found))
+    return polytope, np.array([found[v] for v in polytope.vertices])
+
+
 def looped_nondegeneracy(h, sample_count, seed):
     """verify_nondegeneracy's report with two SVDs per sample, one at a time."""
     q = relation_matrix(h)
@@ -718,14 +749,25 @@ WALKED = [name for name in DIFFERENTIAL if name.partition("+")[0] not in RAW
 
 
 @pytest.mark.parametrize("name", WALKED)
-def test_walk_equals_brute_force(name):
-    h = make_hrep(*differential_input(name))
-    walked, oracle = outcome(enumerate_vertices, h), outcome(brute_force_vertices, h)
-    if name.startswith("octahedron"):
-        assert walked is oracle is NotSimplePresentation
-        return
-    (p, coords), (q, expect) = walked, oracle
-    assert p.vertices == q.vertices and p == q
+def test_walk_equals_brute_force(name, monkeypatch):
+    # at _RANK_CHUNK = 2 every layer is expanded one subset per block
+    oracle = outcome(brute_force_vertices, make_hrep(*differential_input(name)))
+    for chunk in (hrep._RANK_CHUNK, 2):
+        monkeypatch.setattr(hrep, "_RANK_CHUNK", chunk)
+        walked = outcome(enumerate_vertices, make_hrep(*differential_input(name)))
+        if name.startswith("octahedron"):
+            assert walked is oracle is NotSimplePresentation
+            continue
+        (p, coords), (q, expect) = walked, oracle
+        assert p.vertices == q.vertices and p == q
+        assert coords.tobytes() == expect.tobytes()
+
+
+def test_layered_walk_equals_the_depth_first_walk():
+    # 300 tangent planes: 596 vertices in blocks of 256^2 // 300 = 218 subsets
+    h = parse_hrep(fibonacci_tangent_hrep(300))
+    (p, coords), (q, expect) = enumerate_vertices(h), edge_walk_oracle(h)
+    assert p.vertex_count == 596 and p.vertices == q.vertices
     assert coords.tobytes() == expect.tobytes()
 
 
@@ -747,6 +789,29 @@ def test_stacked_ranks_report_the_loops_failures(monkeypatch):
     report = verify_nondegeneracy(h, sample_count=600, seed=3)
     assert len(report.failures) > 200 and report.failures[-1][0] > 2 * hrep._RANK_CHUNK
     assert report == looped_nondegeneracy(h, 600, 3)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_uncertified_samples_take_the_rank_svd(monkeypatch, scale):
+    # the cube's row 0 0 -1 1 scaled by 1e200 or 1e-200: the column and row
+    # scales spread by 1e100 or more, so no sample's bounds certify its rank
+    # and every sample takes the rank SVD; the report is still the loop's
+    rows, offsets = cube_hrep(3).A.T.copy(), cube_hrep(3).b.copy()
+    rows[5], offsets[5] = rows[5] * scale, offsets[5] * scale
+    h = make_hrep(rows, offsets)
+    ranked, numeric_rank = [], hrep._numeric_rank
+    monkeypatch.setattr(hrep, "_numeric_rank", lambda M: ranked.append(len(M)) or numeric_rank(M))
+    report = verify_nondegeneracy(h, sample_count=300, seed=5)
+    assert ranked == [256, 44] and report.min_rank == 3
+    assert report == looped_nondegeneracy(h, 300, 5)
+
+
+def test_certified_samples_skip_the_rank_svd(monkeypatch):
+    ranked, hreps = [], all_hreps()
+    monkeypatch.setattr(hrep, "_numeric_rank", lambda M: ranked.append(len(M)))
+    for name, h in hreps:
+        assert verify_nondegeneracy(h, sample_count=300, seed=5).passed, name
+    assert ranked == []
 
 
 def test_numeric_rank_of_a_stack_equals_each_rank():
@@ -944,15 +1009,32 @@ def test_tangent_planes_parse_with_two_lps(simplex_calls):
     assert enumerate_vertices(h)[0].vertex_count == 2 * 300 - 4
 
 
+def test_span_and_radius_lps_capped_before_the_first(monkeypatch, simplex_calls):
+    # two LPs of (n + 2)(m + n + 2) tableau entries and m pivots each: the
+    # cube's 2 * 5 * 11 * 6 = 660 steps, and 12,000 tangent planes, which
+    # took 3.0 s to parse, predict 1.44e9 and are refused before any LP
+    cube3 = cube_hrep(3)
+    simplex_calls.clear()
+    monkeypatch.setattr(hrep, "_LP_CAP", 659)
+    with pytest.raises(GuardExceeded, match="span and radius LPs .* predicted 660 exceeds"):
+        make_hrep(cube3.A.T, cube3.b)
+    assert simplex_calls == []
+    monkeypatch.setattr(hrep, "_LP_CAP", 10 ** 9)
+    with pytest.raises(GuardExceeded, match="predicted 1440600000 exceeds"):
+        parse_hrep(fibonacci_tangent_hrep(12_000))
+    assert simplex_calls == []
+
+
 def test_redundancy_lps_capped_before_the_first(monkeypatch, simplex_calls):
     # with no row of the cube certified, 6 LPs of (3 + 1)(6 + 3) tableau
-    # entries and 6 pivots each are predicted after the span and radius LPs
+    # entries and 6 pivots each are predicted after the span and radius LPs,
+    # whose own 660 predicted steps pass caps down to 660
     cube3 = cube_hrep(3)
     rows, offsets = cube3.A.T, cube3.b
     work = 6 * 4 * 9 * 6
-    monkeypatch.setattr(hrep, "_LP_CAP", 0)
+    monkeypatch.setattr(hrep, "_LP_CAP", 660)
     simplex_calls.clear()
-    make_hrep(rows, offsets)  # every row certified: nothing predicted
+    make_hrep(rows, offsets)  # every row certified: no redundancy LP predicted
     assert len(simplex_calls) == 2
     monkeypatch.setattr(hrep, "_ray_certified", lambda f, basis: np.zeros(6, bool))
     monkeypatch.setattr(hrep, "_LP_CAP", work - 1)

@@ -125,7 +125,7 @@ def vertex_family(p):
 
 def sphere_family(k):
     """The sphere's ``(num_labels, sets)`` as the flip search numbers them."""
-    (num, sets, _, _), _ = _sphere_family(k)
+    (num, sets, _), _ = _sphere_family(k)
     return num, sets
 
 
@@ -185,6 +185,22 @@ def test_refinement_matches_oracle(spheres):
         # the early rejection never passes a pair the joint colours reject
         if sorted(Counter(col_a.values()).items()) != sorted(Counter(col_b.values()).items()):
             assert sorted(colors[a]) != sorted(colors[b])
+
+
+def cycle(labels, weights):
+    """Pairs around a cycle of labels, the i-th pair repeated weights[i] times."""
+    pairs = zip(labels, labels[1:] + labels[:1])
+    return [frozenset(pair) for pair, w in zip(pairs, weights) for _ in range(w)]
+
+
+def test_refinement_separates_classes_by_pair_weights():
+    # two 4-cycles, with pair weights 3, 1, 3, 1 and 2, 2, 2, 2: every label
+    # has two partners and total weight 4, so the cycles differ only through
+    # the weights, which no corpus polytope or flip state needs
+    family = (8, cycle([0, 1, 2, 3], [3, 1, 3, 1]) + cycle([4, 5, 6, 7], [2, 2, 2, 2]))
+    classes = [[0, 1, 2, 3], [4, 5, 6, 7]]
+    assert partition(_family(*family)[3]) == classes
+    assert partition(joint_refinement_oracle([family])[0]) == classes
 
 
 def test_isomorphisms_carry_colours():
