@@ -14,9 +14,11 @@ Exit codes: 0 ok, 1 negative verdict under ``--strict`` (recognize,
 andreev), 2 input error, 3 size cap exceeded (every cap is a module
 constant checked against the work predicted from the input; no option sets one).
 
-Only the H-rep commands (``quadrics``, ``verify-quadrics``) import
-:mod:`momang.hrep`, and with it numpy; the combinatorial commands start
-without it.
+Each command imports the modules it runs, in its branch of
+:func:`dispatch`; only :mod:`momang.errors` and :mod:`momang.polytope`, which
+decode and encode polytopes, load with the CLI.  So ``validate`` loads no
+other module, and only the H-rep commands (``quadrics``,
+``verify-quadrics``) load :mod:`momang.hrep` and, with it, numpy.
 """
 
 from __future__ import annotations
@@ -28,24 +30,13 @@ import sys
 import time
 
 from . import __version__
-from .corpus import generate
 from .errors import GuardExceeded, MomangError, ParseError
-from .moves import (
-    certificate_to_json,
-    prismatic_circuits,
-    psc_flip_certificate,
-    recognize_vertexcut_reducible,
-    simplex_facet_collapse,
-    trace_to_json,
-    vertex_cut,
-)
 from .polytope import (
     combinatorial_isomorphic,
     face_lattice,
     polytope_from_json,
     polytope_to_json,
 )
-from .zcomplex import _cell_counts, _chamber_counts, _fixed_set_rows, _stars_pairs, complex_summary
 
 EXIT_OK = 0
 EXIT_VERDICT_NO = 1
@@ -174,23 +165,33 @@ def dispatch(args, sources: list) -> tuple[dict, int]:
         payload = {"valid": True, **polytope_to_json(p)}
 
     elif cmd == "recognize":
+        from .moves import recognize_vertexcut_reducible, trace_to_json
+
         trace = recognize_vertexcut_reducible(p)
         payload = trace_to_json(trace)
         if args.strict and not trace.reducible:
             code = EXIT_VERDICT_NO
 
     elif cmd == "vertex-cut":
+        from .moves import vertex_cut
+
         payload = polytope_to_json(vertex_cut(p, args.vertex))
 
     elif cmd == "collapse":
+        from .moves import simplex_facet_collapse
+
         payload = polytope_to_json(simplex_facet_collapse(p, args.facet))
 
     elif cmd == "flip-cert":
+        from .moves import certificate_to_json, psc_flip_certificate
+
         moves = psc_flip_certificate(p, depth=args.depth)
         payload = {"found": moves is not None, "depth": args.depth,
                    **certificate_to_json(moves)}
 
     elif cmd == "andreev":
+        from .moves import prismatic_circuits
+
         c3 = prismatic_circuits(p, 3)
         c4 = prismatic_circuits(p, 4)
         ok = not c3 and not c4
@@ -204,15 +205,23 @@ def dispatch(args, sources: list) -> tuple[dict, int]:
             code = EXIT_VERDICT_NO
 
     elif cmd == "euler":
+        from .zcomplex import _cell_counts
+
         payload = {"euler": _cell_counts(face_lattice(p))[1]}
 
     elif cmd == "moment-angle":
+        from .zcomplex import complex_summary
+
         payload = complex_summary(p)
 
     elif cmd == "fixed-sets":
+        from .zcomplex import _fixed_set_rows, _stars_pairs
+
         payload = {"fixed_sets": _fixed_set_rows(_stars_pairs(p)[0])}
 
     elif cmd == "filtration":
+        from .zcomplex import _chamber_counts
+
         payload = {"filtration": _chamber_counts(p)["filtration"]}
 
     elif cmd == "quadrics":
@@ -236,6 +245,8 @@ def dispatch(args, sources: list) -> tuple[dict, int]:
                    "facet_bijection": list(perm) if perm is not None else None}
 
     elif cmd == "generate":
+        from .corpus import generate
+
         payload = polytope_to_json(generate(args.kind, args.param, args.seed))
 
     else:  # pragma: no cover - argparse enforces the choices

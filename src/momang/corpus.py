@@ -16,8 +16,7 @@ import random
 from typing import TYPE_CHECKING
 
 from .errors import BadParameters, _check_work
-from .moves import _cut
-from .polytope import _WORK_CAP, CombPolytope, validate_polytope
+from .polytope import _WORK_CAP, CombPolytope, _cut, validate_polytope
 
 if TYPE_CHECKING:
     from .hrep import HRep

@@ -80,19 +80,26 @@ class HRep:
         off by a few times that.  Determinants, singular values and pivots of
         unit rows are dimensionless and are decided against 1e-9 itself.
         """
-        with np.errstate(over="ignore", under="ignore"):
-            norms = np.linalg.norm(self.A, axis=0)
-        # squares over- or underflowed (|a| > ~1e154, < ~1e-154): |a| = s |a/s|, s = max|a|
-        far = np.isinf(norms) | (norms < math.sqrt(np.finfo(float).tiny))
-        if far.any():
-            s = np.abs(self.A[:, far]).max(axis=0)
-            norms[far] = s * np.linalg.norm(self.A[:, far] / s, axis=0)
+        norms = self._norms
         unit, c = self.A.T / norms[:, None], self.b / norms
         offsets = unit @ np.linalg.lstsq(unit, -c, rcond=None)[0] + c
         scale = max(1.0, float(np.abs(offsets).max()))
         rounding = 8 * (self.n + 1) * np.finfo(float).eps * float(np.abs(c).max())
         return _Frame(norms=norms, U=unit, c=offsets, rounding=rounding,
                       thr=_TOL * scale + rounding)
+
+    @cached_property
+    def _norms(self) -> np.ndarray:
+        """The row lengths |a_i|, each within rounding wherever it is a float."""
+        with np.errstate(over="ignore", under="ignore"):
+            norms = np.linalg.norm(self.A, axis=0)
+        # squares over- or underflowed (|a| > ~1e154, < ~1e-154): |a| = s |a/s|, s = max|a|
+        far = np.isinf(norms) | (norms < math.sqrt(np.finfo(float).tiny))
+        if far.any():
+            s = np.abs(self.A[:, far]).max(axis=0)
+            with np.errstate(over="ignore"):
+                norms[far] = s * np.linalg.norm(self.A[:, far] / s, axis=0)
+        return norms
 
     @cached_property
     def _vertices(self):
@@ -123,11 +130,29 @@ class QuadricSystem:
     m: int
     gamma: np.ndarray      # (m - n) x m, full row rank, gamma @ A^t = 0
     rhs: np.ndarray
+    norms: np.ndarray      # the frame's row lengths |a_k|, see HRep._norms
     rounding: np.ndarray | float = 0.0  # per equation, see relation_matrix
 
     def residual(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         return self.gamma @ (y * y) - self.rhs
+
+    @cached_property
+    def _rowmax(self) -> np.ndarray:
+        """max_k |gamma_jk a_k| per equation: the row scales of ``_unit_gamma``."""
+        return np.abs(self.gamma * self.norms).max(axis=1)
+
+    @cached_property
+    def _unit_gamma(self) -> np.ndarray:
+        """gamma diag(sqrt|a_k|) / max_k |gamma_jk a_k|; every rank is decided
+        on the gradients H = 2 (this) y.
+
+        They are the gradients of the relations among unit rows at
+        y_k / sqrt|a_k|, each scaled to max coefficient 1: scaling half-space
+        k by lambda > 0 divides column k of gamma by lambda, multiplies |a_k|
+        by lambda and y_k by sqrt(lambda), so H does not move with it.
+        """
+        return self.gamma * np.sqrt(self.norms) / self._rowmax[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,7 +223,9 @@ def make_hrep(rows, offsets) -> HRep:
     certified by a ray shot from the Chebyshev centre (see
     :func:`_ray_certified`); only the rows left uncertified run their
     redundancy LP, in ascending order, after their predicted work is checked
-    against ``_LP_CAP`` too.  The first redundant row raises.
+    against ``_LP_CAP`` too.  The first redundant row raises.  So does,
+    before any LP, the first row whose numbers the float frame cannot hold,
+    as a :class:`ParseError` naming it.
     """
     arows = np.asarray(rows, dtype=float)
     b = np.asarray(offsets, dtype=float)
@@ -216,6 +243,21 @@ def make_hrep(rows, offsets) -> HRep:
     A.setflags(write=False)
     b.setflags(write=False)
     h = HRep(n=n, m=m, A=A, b=b)
+    # rows the float frame cannot hold: subnormal entries alone solve to NaN
+    # coordinates, and a relation's coefficients are ratios of lengths and
+    # its terms sum up to the lengths' sum
+    norms, tiny = h._norms, np.finfo(float).tiny
+    with np.errstate(over="ignore"):
+        out_of_range = [
+            (np.abs(A).max(axis=0) < tiny, "its largest entry is subnormal"),
+            (~np.isfinite(norms), "its length overflows"),
+            (~np.isfinite(b / norms), "its offset over its length overflows"),
+            (norms < norms.max() * tiny, "its length over the longest row's is subnormal"),
+            (np.isinf(norms.sum()) & (norms == norms.max()), "the lengths' sum overflows"),
+        ]
+    for lost, why in out_of_range:
+        if lost.any():
+            raise ParseError(f"row {int(np.argmax(lost))} is out of float range: {why}")
     f = h._frame
 
     # Bounded iff the normals positively span R^n: full rank plus weights
@@ -280,7 +322,8 @@ def _ray_certified(f: _Frame, basis) -> np.ndarray:
         block = slice(lo, lo + _RANK_CHUNK)
         dots = f.U[block] @ f.U.T
         np.fill_diagonal(dots[:, block], 0.0)  # row i does not stop its own ray
-        hits = np.divide(slack, dots, out=np.full_like(dots, np.inf), where=dots > 0)
+        with np.errstate(over="ignore"):  # an infinite hit time: never reached
+            hits = np.divide(slack, dots, out=np.full_like(dots, np.inf), where=dots > 0)
         certified[block] = slack[block] - hits.min(axis=1) < -f.thr
     return certified
 
@@ -468,7 +511,7 @@ def relation_matrix(h: HRep) -> QuadricSystem:
     rounding = np.abs(gamma) @ norms * h._frame.rounding
     for array in (gamma, rhs, rounding):
         array.setflags(write=False)
-    return QuadricSystem(m=m, gamma=gamma, rhs=rhs, rounding=rounding)
+    return QuadricSystem(m=m, gamma=gamma, rhs=rhs, norms=norms, rounding=rounding)
 
 
 def lift_point(h: HRep, x, signs) -> EmbeddedPoint:
@@ -489,20 +532,15 @@ def quadric_gradient_rank(q: QuadricSystem, point) -> int:
     """Rank of the quadric gradients (rows 2 gamma_jk y_k) at a point.
 
     Each equation's residual is measured against its own terms, plus its
-    rounding allowance from :func:`relation_matrix`.  The rank
-    is decided with column k divided by sqrt(max_j |gamma_jk|) and each row
-    then scaled to max 1: scaling half-space k by lambda > 0 divides column
-    k of gamma by lambda and multiplies y_k by sqrt(lambda), so the scaled
-    gradients, and the rank, do not move with it.
+    rounding allowance from :func:`relation_matrix`.  The rank is decided, as
+    in :func:`verify_nondegeneracy`, on the gradients H of
+    ``QuadricSystem._unit_gamma``, which positive row scaling does not move.
     """
     y = point.y if isinstance(point, EmbeddedPoint) else np.asarray(point, float)
     res = np.abs(q.residual(y))
     if (res > _TOL * (np.abs(q.gamma) @ (y * y) + np.abs(q.rhs)) + q.rounding).any():
         raise NotOnVariety(f"max residual {res.max():g}")
-    cols = np.abs(q.gamma).max(axis=0, initial=0.0)
-    grad = q.gamma * (y / np.sqrt(np.where(cols > 0, cols, 1.0)))
-    rows = np.abs(grad).max(axis=1, initial=0.0)[:, None]
-    return int(_numeric_rank(grad / np.where(rows > 0, rows, 1.0)))
+    return int(_numeric_rank(2.0 * q._unit_gamma * y))
 
 
 @dataclass(frozen=True)
@@ -529,8 +567,8 @@ def verify_nondegeneracy(h: HRep, sample_count: int = 200,
     count below those points adds none) with seeded random points
     (alternating interior and facet points), lifted without a membership
     test as convex combinations of vertices.  Ranks are decided on the
-    gradients H of the relations among unit rows at y_k / sqrt|a_k|,
-    unchanged by row scaling; ``min_margin`` reads the gradients G of
+    gradients H of ``QuadricSystem._unit_gamma``, unchanged by row
+    scaling; ``min_margin`` reads the gradients G of
     :func:`relation_matrix`.  Samples go in chunks of ``_RANK_CHUNK``, with
     the signs drawn per chunk from the same stream, and each chunk takes
     one stacked SVD of G.  Since H = D_r^-1 G D_c with D_r the rows' largest
@@ -562,9 +600,7 @@ def verify_nondegeneracy(h: HRep, sample_count: int = 200,
         members = facet_members[int(rng.integers(h.m))] if k % 2 else slice(None)
         pts.append(rng.dirichlet(np.ones(len(coords[members]))) @ coords[members])
 
-    norms = h._frame.norms
-    rowmax = np.abs(q.gamma * norms).max(axis=1)
-    unit_gamma = q.gamma * np.sqrt(norms) / rowmax[:, None]
+    norms, rowmax = q.norms, q._rowmax
     with np.errstate(all="ignore"):  # H = D_r^-1 G D_c, see the docstring
         low = math.sqrt(norms.min()) / rowmax.max()
         high = math.sqrt(norms.max()) / rowmax.min()
@@ -584,7 +620,7 @@ def verify_nondegeneracy(h: HRep, sample_count: int = 200,
                                          > 2 * _TOL * np.maximum(1.0, upper))
         ranks = np.full(len(chunk), expected)
         if not sure.all():
-            ranks[~sure] = _numeric_rank(2.0 * unit_gamma * y[~sure])
+            ranks[~sure] = _numeric_rank(2.0 * q._unit_gamma * y[~sure])
         min_rank = min(min_rank, int(ranks.min()))
         failures += [(start + i, int(r)) for i, r in enumerate(ranks) if r < expected]
     return NondegeneracyReport(expected_rank=expected, min_rank=min_rank,

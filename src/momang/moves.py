@@ -31,6 +31,7 @@ from .errors import (
 from .polytope import (
     CombPolytope,
     SimplicialSphere,
+    _cut,
     _family,
     _family_isomorphism,
     _pair_sets,
@@ -102,11 +103,6 @@ def vertex_cut(p: CombPolytope, vertex_index: int) -> CombPolytope:
         raise NoSuchVertex(f"vertex {vertex_index} of {p.vertex_count}")
     verts = [v for i, v in enumerate(p.vertices) if i != vertex_index]
     return validate_polytope(p.dim, verts + _cut(p.vertices[vertex_index], p.facet_count))
-
-
-def _cut(vertex, new_facet) -> list:
-    """The vertices that replace ``vertex`` when facet ``new_facet`` cuts it."""
-    return [tuple(sorted((set(vertex) - {f}) | {new_facet})) for f in vertex]
 
 
 def _collapse_error(p: CombPolytope, facet_index: int):

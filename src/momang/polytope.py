@@ -248,6 +248,11 @@ def _reach_count(adjacency, start):
     return len(seen)
 
 
+def _cut(vertex, new_facet) -> list:
+    """The vertices that replace ``vertex`` when facet ``new_facet`` cuts it."""
+    return [tuple(sorted((set(vertex) - {f}) | {new_facet})) for f in vertex]
+
+
 # ---------------------------------------------------------------------------
 # faces and duality
 

@@ -75,20 +75,20 @@ def cover_pairs(lattice):
 
 def joint_refinement_oracle(families):
     """Color refinement on ``(num_labels, sets)`` families with its own pair
-    weights, set degrees and neighbour maps."""
+    weights, neighbour maps and start colours, each label's total pair weight."""
     weights = []
-    degs = []
+    totals = []
     for num, sets in families:
         w = Counter()
         for s in sets:
             for a, b in itertools.combinations(sorted(s), 2):
                 w[(a, b)] += 1
         weights.append(w)
-        deg = Counter()
-        for s in sets:
-            for a in s:
-                deg[a] += 1
-        degs.append(deg)
+        total = Counter()
+        for (a, b), c in w.items():
+            total[a] += c
+            total[b] += c
+        totals.append(total)
 
     intern: dict = {}
 
@@ -97,7 +97,7 @@ def joint_refinement_oracle(families):
 
     colors = []
     for fi, (num, sets) in enumerate(families):
-        colors.append({a: intern_id(("init", degs[fi][a])) for a in range(num)})
+        colors.append({a: intern_id(("init", totals[fi][a])) for a in range(num)})
 
     neighbors = []
     for fi, (num, sets) in enumerate(families):

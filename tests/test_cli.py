@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -406,12 +407,17 @@ def test_each_input_read_once(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
 
 
+def fresh_env():
+    """The environment of a fresh interpreter that imports this checkout's momang."""
+    root = os.path.dirname(os.path.dirname(momang.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")]))}
+
+
 def test_console_entry_point(tmp_path):
     # the child imports momang from wherever this process found it, so the
     # test also runs from a checkout without an install
-    root = os.path.dirname(os.path.dirname(momang.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [root, os.environ.get("PYTHONPATH")]))}
+    env = fresh_env()
     proc = subprocess.run([sys.executable, "-m", "momang.cli", "generate",
                            "simplex", "3"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
@@ -465,9 +471,7 @@ print(json.dumps({"codes": codes, "scipy": sorted(
 def test_combinatorial_commands_import_no_heavy_libraries(tmp_path):
     # a fresh interpreter: the test process itself has numpy, scipy and
     # networkx loaded already
-    root = os.path.dirname(os.path.dirname(momang.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [root, os.environ.get("PYTHONPATH")]))}
+    env = fresh_env()
     proc = subprocess.run([sys.executable, "-c", IMPORT_BUDGET_SCRIPT],
                           capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
@@ -489,6 +493,75 @@ print(json.dumps({"codes": codes,
 """
 
 
+MODULES_SCRIPT = """
+import contextlib, io, json, sys
+from momang.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(
+    name for name in sys.modules if name.startswith("momang."))}))
+"""
+
+COMMAND_MODULES = {
+    ("validate", "cube.json"): (),
+    ("isomorphic", "cube.json", "prism.json"): (),
+    ("recognize", "cube.json"): ("moves",),
+    ("andreev", "cube.json"): ("moves",),
+    ("flip-cert", "prism.json", "--depth", "2"): ("moves",),
+    ("vertex-cut", "cube.json", "--vertex", "0"): ("moves",),
+    ("collapse", "cut.json", "--facet", "6"): ("moves",),
+    ("euler", "cube.json"): ("zcomplex",),
+    ("moment-angle", "cube.json"): ("zcomplex",),
+    ("fixed-sets", "cube.json"): ("zcomplex",),
+    ("filtration", "cube.json"): ("zcomplex",),
+    ("generate", "cube", "3"): ("corpus",),
+    ("quadrics", "cube.hrep"): ("hrep",),
+    ("verify-quadrics", "cube.hrep"): ("hrep",),
+}
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # one fresh interpreter per command: the CLI brings errors and polytope,
+    # and each command's branch imports the one module it runs
+    write_polytope(tmp_path, "cube.json", cube(3))
+    write_polytope(tmp_path, "prism.json", prism())
+    write_polytope(tmp_path, "cut.json", momang.vertex_cut(cube(3), 0))
+    (tmp_path / "cube.hrep").write_text(hrep_to_text(cube_hrep(3)))
+    for argv, extra in COMMAND_MODULES.items():
+        proc = subprocess.run([sys.executable, "-c", MODULES_SCRIPT, *argv],
+                              capture_output=True, text=True, env=fresh_env(), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"code": 0, "modules": sorted(
+            f"momang.{name}" for name in ("cli", "errors", "polytope", *extra))}, argv
+
+
+PUBLIC_NAMES_SCRIPT = """
+import json, sys
+import momang
+
+loaded = sorted(name for name in sys.modules if name.startswith("momang"))
+names = [name for name in dir(momang) if not name.startswith("_")]
+resolved = {name: getattr(momang, name).__module__ for name in names if name != "errors"}
+print(json.dumps({"loaded": loaded, "names": names, "resolved": resolved,
+                  "hrep_names": hasattr(momang, "_HREP_NAMES")}))
+"""
+
+
+def test_public_names_load_their_module_on_first_access(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", PUBLIC_NAMES_SCRIPT],
+                          capture_output=True, text=True, env=fresh_env(), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["loaded"] == ["momang", "momang.errors"]
+    assert len(report["names"]) == 59 and "errors" in report["names"]  # 58 and errors
+    assert set(report["resolved"].values()) == {
+        "momang.corpus", "momang.moves", "momang.polytope", "momang.zcomplex", "momang.hrep"}
+    assert not report["hrep_names"]
+    with pytest.raises(AttributeError):
+        momang.no_such_name
+
+
 def test_chamber_commands_memory_budget(tmp_path, monkeypatch, capsys):
     # 20 facets: 2^20 chambers, ~3 * 10^7 cells if materialised; the counts
     # come from the facet stars and the face lattice, so each whole process
@@ -503,9 +576,7 @@ def test_chamber_commands_memory_budget(tmp_path, monkeypatch, capsys):
         patch.setattr("momang.zcomplex._WORK_CAP", 21 * (20 + 54) - 1)
         assert main(["fixed-sets", src]) == 3
     capsys.readouterr()
-    root = os.path.dirname(os.path.dirname(momang.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [root, os.environ.get("PYTHONPATH")]))}
+    env = fresh_env()
     proc = subprocess.run([sys.executable, "-c", MEMORY_BUDGET_SCRIPT, src],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
@@ -672,11 +743,15 @@ def test_no_command_or_public_name_takes_a_tol():
                      if isinstance(a, argparse._SubParsersAction)]
     for command, parser in subparsers.choices.items():
         assert all(a.dest != "tol" for a in parser._actions), command
-    names = sorted({*dir(momang), *momang._HREP_NAMES} - {"errors"})
+    names = sorted(set(dir(momang)) - {"errors"})
     for obj in [getattr(momang, name) for name in names if not name.startswith("_")] + [
             cube_hrep, dodecahedron_hrep, prism_hrep, simplex_hrep]:
         if callable(obj):
             assert "tol" not in inspect.signature(obj).parameters, obj
+
+
+NEGATIVE_VERDICTS = {"recognize": lambda p: p["verdict"] == "no",
+                     "andreev": lambda p: not p["no_prismatic_circuits"]}
 
 
 def test_exit_codes_on_bad_flags(tmp_path, capsys):
@@ -706,14 +781,12 @@ def test_exit_codes_on_bad_flags(tmp_path, capsys):
         ["recognize", prism3, "--strict"], ["recognize", cube3, "--strict"],
         ["andreev", prism3, "--strict"], ["andreev", cube3, "--strict"],
     ]
-    negative = {"recognize": lambda p: p["verdict"] == "no",
-                "andreev": lambda p: not p["no_prismatic_circuits"]}
     seen = set()
     for argv in runs:
         code, payload = exit_code(capsys, argv)
         assert code in (0, 1, 2, 3), argv
         if code == 1:  # only a negative verdict under --strict
-            assert "--strict" in argv and negative[argv[0]](payload), argv
+            assert "--strict" in argv and NEGATIVE_VERDICTS[argv[0]](payload), argv
         if "--guard" in argv:  # no command takes a guard
             assert code == 2, argv
         if "--tol" in argv:  # no command takes a tol
@@ -726,3 +799,156 @@ def test_exit_codes_on_bad_flags(tmp_path, capsys):
         assert json.loads(capsys.readouterr().err)["error"] == "BadParameters"
     assert exit_code(capsys, ["validate", cube3, "--out", str(tmp_path)])[0] == 2
     assert seen == {0, 1, 2, 3}
+
+
+# ---------------------------------------------------------------------------
+# seeded contract fuzz: every command on mutated polytope and H-rep files
+
+
+CUBE_ROWS = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],
+             ["-1", "0", "0", "1"], ["0", "-1", "0", "1"], ["0", "0", "-1", "1"]]
+ODD_VALUES = ["0", "-1", "1.5", "7", "true", "null", '"0"', "[]", "{}", "1e400", "NaN",
+              str(2 ** 64)]
+ODD_ENTRIES = ["nan", "-nan", "inf", "-inf", "5e-324", "-1e-310", "2.2e-308", "1e-320"]
+BROKEN_HEADERS = ["", "3", "3 6 1", "x 6", "3 x", "3 5", "3 7", "2 6", "4 6", "0 6", "3 0",
+                  "-1 6", "3 -6", "3.0 6", "1e9 6", "3 100000000"]
+
+
+def mutated_polytope(rng, bases):
+    """One of the polytopes' JSON with vertices dropped, duplicated or
+    extended, or a wrong type in an entry or under a key."""
+    p = rng.choice(bases)
+    doc = polytope_to_json(p)
+    verts = doc["vertices"]
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.randrange(6)
+        if kind == 0 and verts:
+            verts.pop(rng.randrange(len(verts)))
+        elif kind == 1 and verts:
+            verts.insert(rng.randrange(len(verts) + 1), list(rng.choice(verts)))
+        elif kind == 2:
+            verts.append(sorted(rng.sample(range(p.facet_count + 1), p.dim)))
+        elif kind == 3 and verts:
+            rng.choice(verts).append(rng.randrange(-1, p.facet_count + 2))
+        elif kind == 4 and verts:
+            v = rng.choice(verts)
+            v[rng.randrange(len(v))] = json.loads(rng.choice(ODD_VALUES))
+        else:
+            key = rng.choice(["dim", "facets", "vertices", "facet_labels", "extra"])
+            if rng.random() < 0.2:
+                doc.pop(key, None)
+            else:
+                doc[key] = json.loads(rng.choice(ODD_VALUES))
+    return json.dumps(doc)
+
+
+def mutated_hrep(rng):
+    """The unit cube's H-rep with a row scaled by 10^k, k in -320..308, an
+    entry replaced by nan, inf or a subnormal, or a broken header."""
+    rows = [list(row) for row in CUBE_ROWS]
+    head = "3 6"
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.randrange(3)
+        i = rng.randrange(len(rows))
+        if kind == 0:
+            k = rng.randint(-320, 308)
+            rows[i] = [f"{v}e{k}" for v in rows[i]]
+        elif kind == 1:
+            rows[i][rng.randrange(4)] = rng.choice(ODD_ENTRIES)
+        else:
+            head = rng.choice(BROKEN_HEADERS)
+    return head + "\n" + "".join(" ".join(row) + "\n" for row in rows)
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite number {name} in a report")
+
+
+def assert_contract(capfd, argv):
+    """Run ``main`` and check the exit-code and output contract; a warning
+    counts as stderr, where a ``momang`` process would print it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = capfd.readouterr()
+    err += "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code in (0, 1):
+        assert err == "", (argv, err)
+        payload = json.loads(out, parse_constant=reject_constant)["payload"]
+        if code == 1:  # only a negative verdict under --strict
+            assert "--strict" in argv and NEGATIVE_VERDICTS[argv[0]](payload), argv
+    else:
+        assert out == "", argv
+        (line,) = err.splitlines()
+        assert set(json.loads(line)) == {"error", "message"}, (argv, line)
+    return code, err
+
+
+GENERATE_KINDS = ["simplex", "cube", "prism", "random-vertexcuts", "dodecahedron"]
+FUZZ_POLYTOPE_COMMANDS = [["validate"], ["recognize"], ["recognize", "--strict"],
+                          ["andreev"], ["andreev", "--strict"], ["flip-cert", "--depth", "2"],
+                          ["moment-angle"], ["euler"], ["fixed-sets"], ["filtration"]]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_contract_holds_on_mutated_inputs(tmp_path, capfd, seed):
+    # every command, in process, on mutated polytope and H-rep files and
+    # generator parameters; see assert_contract for what each run must show
+    rng = random.Random(seed)
+    bases = [cube(3), prism(), simplex(3), simplex(2), momang.vertex_cut(cube(3), 0)]
+    good = write_polytope(tmp_path, "good.json", prism())
+    poly, hrep = tmp_path / "mutated.json", tmp_path / "mutated.hrep"
+    codes = set()
+    for _ in range(250):
+        poly.write_text(mutated_polytope(rng, bases))
+        command, *extra = rng.choice(FUZZ_POLYTOPE_COMMANDS + [
+            ["vertex-cut", "--vertex", str(rng.randrange(-1, 12))],
+            ["collapse", "--facet", str(rng.randrange(-1, 8))],
+            ["isomorphic", good]])
+        codes.add(assert_contract(capfd, [command, str(poly), *extra])[0])
+        hrep.write_text(mutated_hrep(rng))
+        codes.add(assert_contract(capfd, [rng.choice(["quadrics", "verify-quadrics"]),
+                                          str(hrep)])[0])
+        codes.add(assert_contract(capfd, ["generate", rng.choice(GENERATE_KINDS),
+                                          str(rng.randrange(-2, 9)), "--seed",
+                                          str(rng.randrange(100))])[0])
+    assert {0, 2} <= codes
+
+
+@pytest.mark.parametrize("row", range(6))
+@pytest.mark.parametrize("scale", ["1e-310", "1e-320"])
+def test_rows_scaled_to_subnormal_are_refused(tmp_path, capfd, row, scale):
+    # a subnormal normal's relations overflow: the gradients read NaN and the
+    # SVD did not converge; the row is refused by name instead
+    rows = [list(r) for r in CUBE_ROWS]
+    rows[row] = [f"{v}e{scale[2:]}" for v in rows[row]]
+    path = tmp_path / "cube.hrep"
+    path.write_text("3 6\n" + "".join(" ".join(r) + "\n" for r in rows))
+    for command in ("quadrics", "verify-quadrics"):
+        code, err = assert_contract(capfd, [command, str(path)])
+        assert code == 2 and json.loads(err)["error"] == "ParseError", command
+        assert f"row {row} " in json.loads(err)["message"], command
+
+
+FAR_1E308 = {i: " ".join(f"{v}e308" for v in row) for i, row in enumerate(CUBE_ROWS)}
+
+
+@pytest.mark.parametrize("replaced, refused", [
+    ({5: "1e-320 0 -1 1"}, None),  # a ray-shot hit time overflows: never reached
+    ({0: "1e-10 0 0 1e300"}, 0),   # a plane ~1e310 away
+    ({1: "0 2.2e-308 2.2e-308 0"}, 1),  # length normal, entries subnormal: NaN vertices
+    ({2: "0 0 1e-244 0", 5: "0 0 -1e66 1e66"}, 2),  # relation 2 + 5 spans 1e310
+    (FAR_1E308, 0),                 # lengths summing past the float range
+], ids=["subnormal-entry", "far-plane", "subnormal-normal", "relation-span", "lengths-sum"])
+def test_extreme_entries_pinned(tmp_path, capfd, replaced, refused):
+    rows = [replaced.get(i, " ".join(r)) for i, r in enumerate(CUBE_ROWS)]
+    path = tmp_path / "cube.hrep"
+    path.write_text("3 6\n" + "".join(r + "\n" for r in rows))
+    for command in ("quadrics", "verify-quadrics"):
+        code, err = assert_contract(capfd, [command, str(path)])
+        if refused is None:
+            assert code == 0, (command, err)
+        else:
+            assert code == 2 and json.loads(err)["error"] == "ParseError", (command, err)
+            assert json.loads(err)["message"].startswith(f"row {refused} "), (command, err)

@@ -170,6 +170,8 @@ def test_refinement_matches_oracle(spheres):
     # family refined alone splits as it does in the oracle's joint runs
     families = [vertex_family(p) for _, p in polytopes()]
     families += [sphere_family(k) for k in spheres]
+    # mixed set sizes, where a label's set degree and total pair weight differ
+    families += [(5, [{0}, {4}, {0, 2}]), (6, [{0}, {1, 2}, {3, 4, 5}, {0, 3}])]
     colors = [_family(*fam)[3] for fam in families]
     for fam, col in zip(families, colors):
         assert partition(col) == partition(joint_refinement_oracle([fam])[0])
