@@ -39,7 +39,9 @@ from .polytope import validate_polytope
 # m = 43, n = 38), and sampling steps; a nondegeneracy sample takes one SVD
 # of its (m - n) x m gradients, ~m^2 (m - n) steps, plus numpy call overhead
 # worth ~20 000 steps (a second, rank SVD runs only for the samples the
-# first one's bounds leave uncertified).  Samples are taken in stacks of
+# first one's bounds leave uncertified).  Stacked point draws made a sample
+# cheaper than that allowance, which stays: a smaller one would admit
+# inputs the cap refuses.  Samples are taken in stacks of
 # _RANK_CHUNK, which bounds the stacked gradients' memory; ray shots are
 # taken in blocks of as many rows, and the walk expands blocks of
 # _RANK_CHUNK^2 / max(m, n^2) subsets, whose stacked slacks and n x n
@@ -515,17 +517,25 @@ def relation_matrix(h: HRep) -> QuadricSystem:
 
 
 def lift_point(h: HRep, x, signs) -> EmbeddedPoint:
-    """Lift a polytope point to the variety: y_k = sign_k sqrt(<a_k,x> + b_k)."""
+    """Lift a polytope point to the variety: y_k = sign_k sqrt(<a_k,x> + b_k).
+
+    Raises :class:`BadParameters` for signs other than a ±1 vector of length m
+    or a point other than a finite vector of length n, and
+    :class:`OutsidePolytope` for a point outside the region.
+    """
     signs = tuple(int(s) for s in signs)
     if len(signs) != h.m or any(s not in (-1, 1) for s in signs):
         raise BadParameters(f"signs must be a ±1 vector of length {h.m}")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (h.n,) or not np.isfinite(x).all():
+        raise BadParameters(f"the point must be a finite vector of length {h.n}")
     vals = h.values(x)
     dist = vals / h._frame.norms
     if dist.min() < -h._frame.thr:
         raise OutsidePolytope(f"inequality {dist.argmin()} violated by {-dist.min():g}")
     y = np.array(signs, dtype=float) * np.sqrt(np.clip(vals, 0.0, None))
     y.setflags(write=False)
-    return EmbeddedPoint(y=y, source=(np.asarray(x, dtype=float), signs))
+    return EmbeddedPoint(y=y, source=(x, signs))
 
 
 def quadric_gradient_rank(q: QuadricSystem, point) -> int:
@@ -535,8 +545,12 @@ def quadric_gradient_rank(q: QuadricSystem, point) -> int:
     rounding allowance from :func:`relation_matrix`.  The rank is decided, as
     in :func:`verify_nondegeneracy`, on the gradients H of
     ``QuadricSystem._unit_gamma``, which positive row scaling does not move.
+    A point other than a finite vector of length m raises
+    :class:`BadParameters`.
     """
     y = point.y if isinstance(point, EmbeddedPoint) else np.asarray(point, float)
+    if y.shape != (q.m,) or not np.isfinite(y).all():
+        raise BadParameters(f"the point must be a finite vector of length {q.m}")
     res = np.abs(q.residual(y))
     if (res > _TOL * (np.abs(q.gamma) @ (y * y) + np.abs(q.rhs)) + q.rounding).any():
         raise NotOnVariety(f"max residual {res.max():g}")
@@ -566,7 +580,15 @@ def verify_nondegeneracy(h: HRep, sample_count: int = 200,
     the global centroid, then fills up to ``sample_count`` (at least 0; a
     count below those points adds none) with seeded random points
     (alternating interior and facet points), lifted without a membership
-    test as convex combinations of vertices.  Ranks are decided on the
+    test as convex combinations of vertices.  For alpha = 1, numpy's
+    Dirichlet draws L standard exponentials and scales them by 1 / their sum
+    taken in order; a random point draws ``rng.standard_exponential(L)``
+    and scales it the same way, so its weights are the bits
+    ``rng.dirichlet(np.ones(L))`` gives from the same stream.  The draws
+    are made one point at a time, in point order, and turned into points by
+    one product per vertex set (all vertices, or facet i) whenever they hold
+    ``_RANK_CHUNK^2`` entries, so their memory does not grow with the
+    sample count.  Ranks are decided on the
     gradients H of ``QuadricSystem._unit_gamma``, unchanged by row
     scaling; ``min_margin`` reads the gradients G of
     :func:`relation_matrix`.  Samples go in chunks of ``_RANK_CHUNK``, with
@@ -592,13 +614,30 @@ def verify_nondegeneracy(h: HRep, sample_count: int = 200,
                 _SAMPLE_CAP)
     q = relation_matrix(h)
     rng = np.random.default_rng(seed)
-    pts = list(coords)
-    facet_members = [list(polytope.facet_vertices(i)) for i in range(h.m)]
-    pts += [coords[members].mean(axis=0) for members in facet_members]
-    pts.append(coords.mean(axis=0))
-    for k in range(sample_count - len(pts)):
-        members = facet_members[int(rng.integers(h.m))] if k % 2 else slice(None)
-        pts.append(rng.dirichlet(np.ones(len(coords[members]))) @ coords[members])
+    members = [[] for _ in range(h.m)]
+    for v, facets in enumerate(polytope.vertices):
+        for i in facets:
+            members[i].append(v)
+    sets = [coords, *(coords[vs] for vs in members)]  # all vertices, then facet i
+    fixed = len(coords) + h.m + 1
+    pts = np.empty((count, h.n))
+    pts[:fixed] = [*coords, *(c.mean(axis=0) for c in sets[1:]), coords.mean(axis=0)]
+    pending: dict[int, tuple[list, list]] = {}  # vertex set -> sample indices, draws
+    held = 0
+    for k in range(fixed, count):
+        j = 1 + int(rng.integers(h.m)) if (k - fixed) % 2 else 0
+        at, draws = pending.setdefault(j, ([], []))
+        at.append(k)
+        draws.append(rng.standard_exponential(len(sets[j])))
+        held += len(sets[j])
+        if held >= _RANK_CHUNK * _RANK_CHUNK or k == count - 1:
+            for j, (at, draws) in pending.items():
+                e = np.array(draws)
+                w = e * (1 / np.cumsum(e, axis=1)[:, -1:])  # the sum in order, as dirichlet's
+                # (K, 1, L) @ (L, n) runs the vector-matrix product of a lone
+                # draw once per point; a 2-D product is another kernel
+                pts[at] = (w[:, None, :] @ sets[j])[:, 0]
+            pending, held = {}, 0
 
     norms, rowmax = q.norms, q._rowmax
     with np.errstate(all="ignore"):  # H = D_r^-1 G D_c, see the docstring
@@ -606,7 +645,6 @@ def verify_nondegeneracy(h: HRep, sample_count: int = 200,
         high = math.sqrt(norms.max()) / rowmax.min()
     expected = h.m - h.n
     min_rank, min_margin, failures = expected, math.inf, []
-    pts = np.array(pts)
     for start in range(0, len(pts), _RANK_CHUNK):
         chunk = pts[start:start + _RANK_CHUNK]
         signs = 1 - 2 * rng.integers(0, 2, size=(len(chunk), h.m))

@@ -302,6 +302,14 @@ def test_lift_outside_raises():
         lift_point(simplex_hrep(3), [2, 2, 2], [1, 1, 1, 1])
 
 
+@pytest.mark.parametrize("x", [[0.5, 0.5], [0.5, math.nan, 0.5]])
+def test_lift_rejects_a_wrong_or_non_finite_point(x):
+    # a short point escaped as numpy's ValueError; NaN passed the membership
+    # test, whose comparisons are False, and lifted to an all-NaN y
+    with pytest.raises(BadParameters):
+        lift_point(cube_hrep(3), x, [1] * 6)
+
+
 def test_lift_square_recovery():
     # lifting then squaring recovers the affine values at the source point
     for name, h in all_hreps():
@@ -351,6 +359,14 @@ def test_gradient_rank_rejects_off_variety():
     q = relation_matrix(simplex_hrep(3))
     with pytest.raises(NotOnVariety):
         quadric_gradient_rank(q, np.array([1.0, 1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("y", [[0.5] * 3, [math.nan] * 4])
+def test_gradient_rank_rejects_a_wrong_or_non_finite_point(y):
+    # a short y escaped as numpy's ValueError; NaN passed the residual test
+    # and stopped in LAPACK's SVD
+    with pytest.raises(BadParameters):
+        quadric_gradient_rank(relation_matrix(simplex_hrep(3)), np.array(y))
 
 
 def test_nondegeneracy_reports():
@@ -705,8 +721,9 @@ def edge_walk_oracle(h):
     return polytope, np.array([found[v] for v in polytope.vertices])
 
 
-def looped_nondegeneracy(h, sample_count, seed):
-    """verify_nondegeneracy's report with two SVDs per sample, one at a time."""
+def looped_nondegeneracy(h, sample_count, seed, gradients=None):
+    """verify_nondegeneracy's report with two SVDs per sample, one at a time;
+    each sample's gradients 2 gamma y go to the list ``gradients`` if given."""
     q = relation_matrix(h)
     polytope, coords = brute_force_vertices(h)
     rng = np.random.default_rng(seed)
@@ -727,6 +744,8 @@ def looped_nondegeneracy(h, sample_count, seed):
         svals = np.linalg.svd(2.0 * unit_gamma * y, compute_uv=False)
         rank = int(np.sum(svals > hrep._TOL * max(1.0, svals[0])))
         svals = np.linalg.svd(2.0 * q.gamma * y, compute_uv=False)
+        if gradients is not None:
+            gradients.append(2.0 * q.gamma * y)
         min_margin = min(min_margin, float(svals[expected - 1]))
         min_rank = min(min_rank, rank)
         if rank < expected:
@@ -772,13 +791,38 @@ def test_layered_walk_equals_the_depth_first_walk():
     assert coords.tobytes() == expect.tobytes()
 
 
-@pytest.mark.parametrize("name", [n for n in WALKED if not n.startswith("octahedron")])
-def test_stacked_ranks_equal_the_looped_report(name):
-    h = make_hrep(*differential_input(name))
-    count = 2 * hrep._RANK_CHUNK + 17  # three chunks, the last one short
-    report = verify_nondegeneracy(h, sample_count=count, seed=7)
-    assert report.samples == count and isinstance(report.min_rank, int)
-    assert report == looped_nondegeneracy(h, count, 7)
+@pytest.mark.parametrize("name", [*(n for n in WALKED if not n.startswith("octahedron")),
+                                  "cube9"])
+def test_stacked_ranks_equal_the_looped_report(name, monkeypatch):
+    # three chunks, the last one short; cube9 has 512 vertices and facets of
+    # 256, so its 600 random points draw 230,400 entries, weighted in four
+    # blocks of _RANK_CHUNK^2; at _RANK_CHUNK = 2 every chunk and block holds
+    # one or two points
+    if name == "cube9":
+        h, count = cube_hrep(9), 512 + 18 + 1 + 600
+    else:
+        h, count = make_hrep(*differential_input(name)), 2 * hrep._RANK_CHUNK + 17
+    oracle = looped_nondegeneracy(h, count, 7)
+    for chunk in (hrep._RANK_CHUNK, 2):
+        monkeypatch.setattr(hrep, "_RANK_CHUNK", chunk)
+        report = verify_nondegeneracy(h, sample_count=count, seed=7)
+        assert report.samples == count and isinstance(report.min_rank, int)
+        assert report == oracle
+
+
+@pytest.mark.parametrize("h", [cube_hrep(9), dodecahedron_hrep()], ids=["cube9", "dodecahedron"])
+def test_stacked_points_equal_the_looped_points(h, monkeypatch):
+    # a report reads minima, which a point off by an ulp seldom moves; every
+    # sample's gradients 2 gamma y pin its point's bits (all of these samples
+    # are certified, so the one SVD per chunk is the only SVD)
+    expect = []
+    looped_nondegeneracy(h, 1131, 7, expect)
+    for chunk in (hrep._RANK_CHUNK, 2):
+        monkeypatch.setattr(hrep, "_RANK_CHUNK", chunk)
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            verify_nondegeneracy(h, sample_count=1131, seed=7)
+        stacks = np.concatenate([call.args[0] for call in svd.call_args_list])
+        assert stacks.tobytes() == np.array(expect).tobytes()
 
 
 def test_stacked_ranks_report_the_loops_failures(monkeypatch):
