@@ -577,8 +577,9 @@ def verify_nondegeneracy(h: HRep, sample_count: int = 200,
     """Sample the polytope, lift with random signs, check gradient ranks.
 
     Samples every vertex, the relative-interior centroid of every facet and
-    the global centroid, then fills up to ``sample_count`` (at least 0; a
-    count below those points adds none) with seeded random points
+    the global centroid, then fills up to ``sample_count`` (an int, not a
+    bool, >= 0, as is ``seed``, else ``BadParameters``; a count below those
+    points adds none) with seeded random points
     (alternating interior and facet points), lifted without a membership
     test as convex combinations of vertices.  For alpha = 1, numpy's
     Dirichlet draws L standard exponentials and scales them by 1 / their sum
@@ -604,10 +605,9 @@ def verify_nondegeneracy(h: HRep, sample_count: int = 200,
     fixes, is checked against ``_SAMPLE_CAP`` before the relations or any
     point are computed.
     """
-    if sample_count < 0:
-        raise BadParameters(f"sample_count must be >= 0, got {sample_count}")
-    if seed < 0:
-        raise BadParameters(f"seed must be >= 0, got {seed}")
+    for name, value in (("sample_count", sample_count), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise BadParameters(f"{name} must be an integer >= 0, got {value!r}")
     polytope, coords = enumerate_vertices(h)
     count = max(sample_count, polytope.vertex_count + h.m + 1)
     _check_work(f"{count} samples", count * (h.m * h.m * (h.m - h.n) + 20_000),

@@ -24,7 +24,10 @@ facet j.
 
 Nothing is listed per cell: the cells, cell ids, chamber signs, stage
 groups, stage pieces and edge records are read-only views whose lengths are
-closed forms and whose k-th object is computed on demand in O(m).
+closed forms and whose k-th object is computed on demand.  A cell, its id
+or an edge record costs a bisection over per-face offsets plus one masked
+shift per run of free bits in the face's facet mask, at most n + 1 runs;
+a face's run table is built on its first read, into one slot per face.
 Iterating a view builds its objects in turn, so it is capped by
 ``_OBJECT_CAP`` before the first; the components of a fixed set are built,
 under the same cap, on first read.
@@ -61,24 +64,26 @@ def _facet_stars(p: CombPolytope) -> list[int]:
     return star
 
 
-def _deposit(k: int, mask: int) -> int:
-    """The k-th submask of ``~mask`` in increasing order: k with a zero bit
-    inserted at every set bit of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        k = k & (low - 1) | (k & -low) << 1
-        mask ^= low
-    return k
+def _run_table(mask: int, width: int) -> tuple[tuple[int, int], ...]:
+    """The runs of zero bits of ``mask`` below bit ``width``, lowest first,
+    each as (its bits in rank space, the number of ``mask`` bits below it):
+    the k-th submask of the complement is ``(k & bits) << shift`` summed
+    over the runs, and its rank ``g >> shift & bits`` summed back."""
+    runs, free = [], ~mask & (1 << width) - 1
+    while free:
+        low = free & -free
+        run = free & ~(free + low)  # the carry clears the lowest run
+        shift = (mask & low - 1).bit_count()
+        runs.append((run >> shift, shift))
+        free ^= run
+    return tuple(runs)
 
 
-def _compact(g: int, mask: int) -> int:
-    """The rank of ``g`` (disjoint from ``mask``) among the submasks of
-    ``~mask``: the inverse of :func:`_deposit`, dropping the bits of
-    ``mask`` from the highest down."""
-    while mask:
-        high = 1 << mask.bit_length() - 1
-        g = g & (high - 1) | g >> 1 & -high
-        mask ^= high
+def _deposit(k: int, runs) -> int:
+    """The k-th submask of the complement a run table describes."""
+    g = 0
+    for bits, shift in runs:
+        g |= (k & bits) << shift
     return g
 
 
@@ -101,6 +106,8 @@ class _View(Sequence):
         return self._len
 
     def __getitem__(self, k):
+        if type(k) is int and 0 <= k < self._len:
+            return self._item(k)
         k = range(self._len)[k]  # an index in range, or a range for a slice
         if isinstance(k, range):
             return tuple(map(self._item, self._admit(k)))
@@ -141,7 +148,10 @@ class _CellIds(Mapping):
             raise KeyError(cell) from None
         if g & mask:
             raise KeyError(cell)
-        return z._starts[f] + _compact(g, mask)
+        k = z._starts[f]
+        for bits, shift in z._runs[f] or z._run_slot(f):
+            k += g >> shift & bits  # disjoint bits: adding is OR
+        return k
 
     def __iter__(self):
         return iter(self._z.cells)
@@ -169,14 +179,24 @@ class ChamberComplex:
         self._stars = stars
         self._starts = list(accumulate((_coset_count(self.m, mask) for mask in self.face_masks),
                                        initial=0))
+        self._runs = [None] * len(self.face_masks)  # run tables, filled on first read
         self.cells = _View("chamber cells", self._starts[-1], self._cell, lambda: (
             (f, g) for f, mask in enumerate(self.face_masks)
             for g in _submasks(_bits(~mask & (1 << self.m) - 1))))
         self.cell_ids = _CellIds(self)
 
+    def _run_slot(self, f: int):
+        runs = self._runs[f] = _run_table(self.face_masks[f], self.m)
+        return runs
+
     def _cell(self, k: int) -> tuple[int, int]:
-        f = bisect_right(self._starts, k) - 1
-        return f, _deposit(k - self._starts[f], self.face_masks[f])
+        starts = self._starts
+        f = bisect_right(starts, k) - 1
+        k -= starts[f]
+        g = 0
+        for bits, shift in self._runs[f] or self._run_slot(f):
+            g |= (k & bits) << shift
+        return f, g
 
     def canonical(self, face_index: int, g: int) -> tuple[int, int]:
         """The cell containing the copies of a face point indexed by ``g``."""
@@ -197,8 +217,9 @@ def build_chamber_complex(p: CombPolytope) -> ChamberComplex:
     The 2^m copies of a face glue along the cosets of the subgroup spanned
     by its facets, so its cells are the submasks of the complement of its
     facet mask, listed in increasing order: 2^(m-k) in codimension k.  No
-    cell is built here: ``cells[k]`` deposits the bits of k's rank within
-    its face into that complement, and ``cell_ids`` compacts them back.
+    cell or run table is built here: ``cells[k]`` deposits the bits of k's
+    rank within its face into that complement, run by run, and ``cell_ids``
+    compacts them back.
     Iterating ``cells`` or ``cell_ids`` over ``_OBJECT_CAP`` cells raises
     ``GuardExceeded`` before any is built; over ``sys.maxsize`` cells the
     call itself does.
@@ -258,8 +279,8 @@ def fixed_point_components(z: ChamberComplex, i: int) -> FixedPointSet:
     Components come in order of their first cell id, with their cells in
     id order.
     """
-    if not 0 <= i < z.m:
-        raise NoSuchFacet(f"facet {i} of {z.m}")
+    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < z.m:
+        raise NoSuchFacet(f"facet {i!r} of {z.m}")
     return FixedPointSet(z, i)
 
 
@@ -341,20 +362,39 @@ def classify_edge_types(stage: FiltrationStage) -> EdgeTypeSummary:
 def _edge_records(pairs: list[int], j: int) -> _View:
     """The stage-j edge records as a view: the boundary facet pairs (b >= j)
     in lattice order, each with its stage cells in increasing order."""
-    low = (1 << j) - 1
     kept = [pair for pair in pairs if pair >> j]
     starts = list(accumulate((_coset_count(j, pair) for pair in kept), initial=0))
+    tables = [None] * len(kept)
 
     def record(k: int) -> EdgeRecord:
         t = bisect_right(starts, k) - 1
         a, b = _bits(kept[t])
-        r = _deposit(k - starts[t], kept[t] & low)
+        runs = tables[t]
+        if runs is None:
+            runs = tables[t] = _run_table(kept[t], j)
+        r = _deposit(k - starts[t], runs)
         if a >= j:
             return EdgeRecord(facet_pair=(a, b), rep=r, kind="I", pieces=((a, r), (b, r)))
         return EdgeRecord(facet_pair=(a, b), rep=r, kind="II",
                           pieces=((b, r), (b, r | (1 << a))))
 
     return _View("filtration edge records", starts[-1], record)
+
+
+def _stage_cell_counts(lattice: FaceLattice) -> list[int]:
+    """Cells of stages 0..m by the doubling law, from one pass over the
+    faces: stage j + 1 is two copies of stage j less one copy of the
+    stage-j cells over the faces in facet j, 2^(j - c) over each such face
+    with c of its facets below j."""
+    m, n = lattice.polytope.facet_count, lattice.polytope.dim
+    through = [[0] * n for _ in range(m)]  # [j][c]: faces in facet j, c facets below it
+    for mask in lattice.masks:
+        for c, j in enumerate(_bits(mask)):
+            through[j][c] += 1
+    counts = [len(lattice.masks)]
+    for j, faces in enumerate(through):
+        counts.append(2 * counts[-1] - sum(x << j - c for c, x in enumerate(faces[:j + 1])))
+    return counts
 
 
 def _boundary_components(star: list[int], j: int) -> int:
@@ -385,7 +425,7 @@ def doubling_filtration(p: CombPolytope) -> list[FiltrationStage]:
     """
     m = p.facet_count
     star, pairs = _stars_pairs(p)
-    lattice = face_lattice(p)
+    cell_counts = _stage_cell_counts(face_lattice(p))
     stages = []
     for j, row in enumerate(_filtration_rows(m, star, pairs)):
         low = (1 << j) - 1
@@ -394,7 +434,7 @@ def doubling_filtration(p: CombPolytope) -> list[FiltrationStage]:
             facets=_View("filtration pieces", row["facets"],
                          lambda k, j=j, low=low: (j + (k >> j), k & low)),
             chamber_count=1 << j,
-            cell_count=sum(_coset_count(j, mask) for mask in lattice.masks),
+            cell_count=cell_counts[j],
             boundary_components=row["boundary_components"],
             edge_types=EdgeTypeSummary(
                 records=_edge_records(pairs, j),

@@ -26,6 +26,29 @@ def edge_cut_simplex():
     return validate_polytope(3, verts)
 
 
+def deposit_oracle(k, mask):
+    """The k-th submask of ``~mask`` in increasing order, one mask bit at a
+    time: k with a zero bit inserted at every set bit of ``mask``, lowest
+    first."""
+    while mask:
+        low = mask & -mask
+        k = k & (low - 1) | (k & -low) << 1
+        mask ^= low
+    return k
+
+
+def compact_oracle(g, mask):
+    """The rank of ``g`` (disjoint from ``mask``) among the submasks of
+    ``~mask``, one mask bit at a time: the inverse of
+    :func:`deposit_oracle`, dropping the bits of ``mask`` from the highest
+    down."""
+    while mask:
+        high = 1 << mask.bit_length() - 1
+        g = g & (high - 1) | g >> 1 & -high
+        mask ^= high
+    return g
+
+
 def face_lattice_oracle(p):
     """The faces of ``p`` as frozenset-keyed :class:`Face` records: every
     subset of every vertex's facet set, with the vertices holding it, by

@@ -385,6 +385,24 @@ def test_nondegeneracy_sample_count_bounds():
         verify_nondegeneracy(cube_hrep(3), sample_count=-1)
 
 
+def test_nondegeneracy_refuses_arguments_that_are_not_ints(monkeypatch):
+    # refused at entry, before the vertex walk: a float count or seed
+    # escaped as TypeError, and True passed as 1
+    def past_the_check(h):
+        raise LookupError
+
+    monkeypatch.setattr(hrep, "enumerate_vertices", past_the_check)
+    h = cube_hrep(3)
+    for bad in (20.5, 20.0, "20", None, True, np.int64(20), -1):
+        with pytest.raises(BadParameters, match="sample_count"):
+            verify_nondegeneracy(h, bad)
+    for bad in (1.5, "1", None, True, False, np.int64(1), -1):
+        with pytest.raises(BadParameters, match="seed"):
+            verify_nondegeneracy(h, 20, bad)
+    with pytest.raises(LookupError):
+        verify_nondegeneracy(h, 20, 1)
+
+
 def test_sampling_cap_checked_before_any_point(monkeypatch):
     # the predicted work is checked after the vertex walk, which fixes the
     # point count, and before the relations or any sample point are

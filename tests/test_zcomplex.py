@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import momang.polytope as polytope
@@ -32,7 +33,14 @@ from momang import (
 from momang.errors import GuardExceeded, NoSuchFacet
 from momang.polytope import CombPolytope, _bits, _submasks
 from momang.zcomplex import _cell_counts, _chamber_counts
-from conftest import cover_pairs, cut_cube, face_lattice_oracle
+from conftest import (
+    compact_oracle,
+    cover_pairs,
+    cut_cube,
+    deposit_oracle,
+    face_lattice_oracle,
+    polar_cyclic,
+)
 
 
 def zcomplex_corpus():
@@ -150,6 +158,7 @@ def test_object_cap_from_closed_forms(monkeypatch):
     z = build_chamber_complex(q)
     stage = doubling_filtration(q)[2]
     reads = [(len(z.cells), lambda: len(tuple(z.cells))),
+             (len(z.cells), lambda: len(z.cells[:])),
              (len(z.cells), lambda: len(dict(z.cell_ids))),
              (1 << z.m, lambda: len(list(orientability(z)[1]))),
              (len(stage.subgroup), lambda: len(tuple(stage.subgroup))),
@@ -161,7 +170,7 @@ def test_object_cap_from_closed_forms(monkeypatch):
     for count, read in reads:
         monkeypatch.setattr(zcomplex, "_OBJECT_CAP", count - 1)
         with monkeypatch.context() as patch:
-            for name in ("_submasks", "_deposit", "_parity_sign"):
+            for name in ("_submasks", "_run_table", "_deposit", "_parity_sign"):
                 patch.setattr(zcomplex, name, unreachable)
             with pytest.raises(GuardExceeded):
                 read()
@@ -315,6 +324,14 @@ def test_fixed_sets_counts():
     assert fixed_point_components(z, 4).count == 2
     with pytest.raises(NoSuchFacet):
         fixed_point_components(z, 9)
+
+
+def test_fixed_sets_refuse_a_facet_that_is_not_an_int():
+    # floats, strings and bools were compared with 0 and m, or passed as 0/1
+    z = build_chamber_complex(prism())
+    for i in (-1, 5, 1.5, 1.0, "1", None, True, False, np.int64(1)):
+        with pytest.raises(NoSuchFacet):
+            fixed_point_components(z, i)
 
 
 def test_fixed_sets_formula():
@@ -913,3 +930,100 @@ def test_views_match_materialising_oracles():
             check_view(st.subgroup, tuple(range(1 << st.j)))
             check_view(st.facets, materialised_stage_facets(m, st.j))
             check_view(st.edge_types.records, materialised_records(z, st.j))
+
+
+# ---------------------------------------------------------------------------
+# oracles: the bit-at-a-time deposit and compact that the run tables replaced
+
+
+def run_table_inputs():
+    return [("cube3", cube(3)), ("cube4", cube(4)), ("cube5", cube(5)),
+            ("prism", prism()), ("dodecahedron", dodecahedron())] + [
+        (f"rvc{k}_{seed}", random_vertexcuts(k, seed)) for k, seed in ((3, 1), (6, 2), (8, 5))]
+
+
+def test_random_access_matches_bit_loop_oracles():
+    for name, p in run_table_inputs():
+        z = build_chamber_complex(p)
+        assert z._runs == [None] * len(z.face_masks), name  # one empty slot per face
+        k = 0
+        for f, mask in enumerate(z.face_masks):
+            for r in range(1 << z.m - mask.bit_count()):
+                g = deposit_oracle(r, mask)
+                assert compact_oracle(g, mask) == r
+                assert z.cells[k] == (f, g), (name, k)
+                assert z.cell_ids[(f, g)] == k, (name, k)
+                k += 1
+        assert k == len(z.cells), name
+        assert None not in z._runs and len(z._runs) == len(z.face_masks), name
+
+
+def test_run_tables_are_filled_per_face_read():
+    z = build_chamber_complex(dodecahedron())
+    top = z.lattice.face_index(())
+    vertex = len(z.face_masks) - 1
+    assert z.cells[z._starts[vertex]] == (vertex, 0)
+    assert z.cell_ids[(top, 5)] == 5
+    assert [f for f, runs in enumerate(z._runs) if runs is not None] == [top, vertex]
+    assert z._runs[top] == (((1 << 12) - 1, 0),)
+    # a vertex's three facets split the twelve free bits into at most four runs
+    assert 1 <= len(z._runs[vertex]) <= 4
+
+
+def test_edge_records_match_bit_loop_oracle():
+    for name, p in run_table_inputs():
+        pairs = [mask for mask in face_lattice(p).masks if mask.bit_count() == 2]
+        for st in doubling_filtration(p):
+            j = st.j
+            low = (1 << j) - 1
+            want = []
+            for mask in pairs:
+                a, b = _bits(mask)
+                if b < j:
+                    continue
+                for r in range(1 << j - (mask & low).bit_count()):
+                    rep = deposit_oracle(r, mask & low)
+                    pieces = ((a, rep), (b, rep)) if a >= j else ((b, rep), (b, rep | 1 << a))
+                    want.append(EdgeRecord((a, b), rep, "I" if a >= j else "II", pieces))
+            records = st.edge_types.records
+            assert len(records) == len(want), (name, j)
+            assert all(records[k] == rec for k, rec in enumerate(want)), (name, j)
+
+
+def test_random_access_keys_off_the_fast_path(monkeypatch):
+    # only an in-range plain int skips range indexing; every other key reads
+    # as before
+    z = build_chamber_complex(cube(3))
+    stage = doubling_filtration(cube(3))[2]
+    for view in (z.cells, orientability(z)[1], stage.subgroup, stage.facets,
+                 stage.edge_types.records):
+        n = len(view)
+        assert view[-1] == view[n - 1] and view[-n] == view[0]
+        assert view[True] == view[1] and view[False] == view[0]
+        assert view[np.int64(3)] == view[3] == view[np.int64(3 - n)]
+        for k in (n, -n - 1, np.int64(n), 1 << 70):
+            with pytest.raises(IndexError):
+                view[k]
+        for k in (1.0, "1", None, (1,)):
+            with pytest.raises(TypeError):
+                view[k]
+        assert view[1:4] == (view[1], view[2], view[3])
+        monkeypatch.setattr(zcomplex, "_OBJECT_CAP", 2)
+        with pytest.raises(GuardExceeded):
+            view[1:4]
+        assert view[1:3] == (view[1], view[2])
+        monkeypatch.undo()
+
+
+def stage_cell_count_oracle(masks, j):
+    """Stage-j cells: 2^(j - c) per face, c its facets below j."""
+    return sum(1 << j - (mask & (1 << j) - 1).bit_count() for mask in masks)
+
+
+def test_stage_cell_counts_match_the_per_face_sum():
+    for name, p in run_table_inputs() + [
+            ("simplex1", simplex(1)), ("simplex4", simplex(4)),
+            ("polar_cyclic7_4", polar_cyclic(7, 4)), ("rvc40", random_vertexcuts(40, 0))]:
+        masks = face_lattice(p).masks
+        assert [st.cell_count for st in doubling_filtration(p)] == \
+            [stage_cell_count_oracle(masks, j) for j in range(p.facet_count + 1)], name
