@@ -4,7 +4,8 @@ The combinatorial generators build facet-vertex incidences directly; the
 dodecahedron's is the fixed incidence that vertex enumeration of
 :func:`dodecahedron_hrep` yields.  The ``*_hrep`` generators give
 half-space presentations and are the only ones that load :mod:`momang.hrep`
-(and with it numpy).
+(and with it numpy).  Dimensions and cut counts are ``int``s that are not
+``bool``s, else :class:`BadParameters`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import random
 from typing import TYPE_CHECKING
 
-from .errors import BadParameters, _check_work
+from .errors import BadParameters, _check_int, _check_work
 from .polytope import _WORK_CAP, CombPolytope, _cut, validate_polytope
 
 if TYPE_CHECKING:
@@ -24,8 +25,7 @@ if TYPE_CHECKING:
 
 def simplex(n: int) -> CombPolytope:
     """The n-simplex: n+1 facets, one vertex per n-subset."""
-    if n < 1:
-        raise BadParameters(f"simplex dimension must be >= 1, got {n}")
+    _check_int("simplex dimension", n, 1)
     _check_work(f"simplex({n}) validation", (n + 1) * n * n, _WORK_CAP)
     verts = list(itertools.combinations(range(n + 1), n))
     return validate_polytope(n, verts)
@@ -33,8 +33,7 @@ def simplex(n: int) -> CombPolytope:
 
 def cube(n: int) -> CombPolytope:
     """The n-cube: facet i is {x_i = 0}, facet n+i is {x_i = 1}."""
-    if n < 1:
-        raise BadParameters(f"cube dimension must be >= 1, got {n}")
+    _check_int("cube dimension", n, 1)
     # 2^n alone exceeds the cap past its bit length, so the shift stops there
     _check_work(f"cube({n}) validation", n * n << min(n, _WORK_CAP.bit_length()), _WORK_CAP)
     verts = []
@@ -63,8 +62,7 @@ def simplex_hrep(n: int) -> HRep:
     """x_i >= 0 and x_1 + ... + x_n <= 1, in that row order."""
     from .hrep import make_hrep
 
-    if n < 1:
-        raise BadParameters(f"simplex dimension must be >= 1, got {n}")
+    _check_int("simplex dimension", n, 1)
     rows = [[1.0 if j == i else 0.0 for j in range(n)] for i in range(n)]
     rows.append([-1.0] * n)
     return make_hrep(rows, [0.0] * n + [1.0])
@@ -74,8 +72,7 @@ def cube_hrep(n: int) -> HRep:
     """[0, 1]^n with rows x_i >= 0 first, then 1 - x_i >= 0."""
     from .hrep import make_hrep
 
-    if n < 1:
-        raise BadParameters(f"cube dimension must be >= 1, got {n}")
+    _check_int("cube dimension", n, 1)
     rows = [[1.0 if j == i else 0.0 for j in range(n)] for i in range(n)]
     rows += [[-1.0 if j == i else 0.0 for j in range(n)] for i in range(n)]
     return make_hrep(rows, [0.0] * n + [1.0] * n)
@@ -112,8 +109,7 @@ def random_vertexcuts(k: int, seed: int) -> CombPolytope:
     so each draw indexes the vertices as :func:`vertex_cut` would; cut s
     adds facet 4 + s, and the result is validated once.
     """
-    if k < 0:
-        raise BadParameters(f"cut count must be >= 0, got {k}")
+    _check_int("cut count", k, 0)
     _check_work(f"random_vertexcuts({k}) validation", (4 + 2 * k) * 9, _WORK_CAP)
     rng = random.Random(seed)
     verts = list(itertools.combinations(range(4), 3))

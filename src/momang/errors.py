@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and its one size-cap check."""
+"""Exception types shared across the package, its one size-cap check and
+its one integer-argument check."""
 
 
 class MomangError(Exception):
@@ -22,6 +23,19 @@ def _check_work(what: str, work: int, cap: int):
     from its input, exceeds ``cap``.  Every cap is a module constant."""
     if work > cap:
         raise GuardExceeded(f"{what}: predicted {work} exceeds the cap {cap}")
+
+
+def _check_int(what: str, value, low: int, stop: int | None = None, error=BadParameters):
+    """The one integer-argument check: ``value`` must be an ``int`` that is
+    not a ``bool``, else :class:`BadParameters`; outside ``low <= value <
+    stop`` (no upper end when ``stop`` is ``None``) it raises ``error``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadParameters(f"{what} must be an integer, got {value!r}")
+    if stop is None:
+        if value < low:
+            raise error(f"{what} must be >= {low}, got {value}")
+    elif not low <= value < stop:
+        raise error(f"{what} {value} of {stop}")
 
 
 # -- polytope validation -----------------------------------------------------

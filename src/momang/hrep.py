@@ -30,6 +30,7 @@ from .errors import (
     RankDeficient,
     RedundantHalfspace,
     Unbounded,
+    _check_int,
     _check_work,
 )
 from .polytope import validate_polytope
@@ -67,8 +68,9 @@ class HRep:
     b: np.ndarray          # length m offsets
 
     def values(self, x) -> np.ndarray:
-        """The m affine forms <a_i, x> + b_i at a point."""
-        return self.A.T @ np.asarray(x, dtype=float) + self.b
+        """The m affine forms <a_i, x> + b_i at a point, which must be a
+        finite vector of length n (else :class:`BadParameters`)."""
+        return self.A.T @ _finite_vector(x, self.n) + self.b
 
     @cached_property
     def _frame(self) -> _Frame:
@@ -118,6 +120,18 @@ class _Frame:
     thr: float             # the one length threshold
 
 
+def _finite_vector(x, length: int) -> np.ndarray:
+    """``x`` as a float vector, or :class:`BadParameters` unless it is a
+    finite vector of ``length`` entries."""
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        x = None
+    if x is None or x.shape != (length,) or not np.isfinite(x).all():
+        raise BadParameters(f"the point must be a finite vector of length {length}")
+    return x
+
+
 def _numeric_rank(matrix):
     """Singular values above 1e-9, relative to the largest once it passes 1;
     of a stack of matrices, one rank per matrix."""
@@ -136,7 +150,9 @@ class QuadricSystem:
     rounding: np.ndarray | float = 0.0  # per equation, see relation_matrix
 
     def residual(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
+        """The m - n equations' residuals at a point, which must be a finite
+        vector of length m (else :class:`BadParameters`)."""
+        y = _finite_vector(y, self.m)
         return self.gamma @ (y * y) - self.rhs
 
     @cached_property
@@ -520,16 +536,14 @@ def lift_point(h: HRep, x, signs) -> EmbeddedPoint:
     """Lift a polytope point to the variety: y_k = sign_k sqrt(<a_k,x> + b_k).
 
     Raises :class:`BadParameters` for signs other than a ±1 vector of length m
-    or a point other than a finite vector of length n, and
-    :class:`OutsidePolytope` for a point outside the region.
+    or, through :meth:`HRep.values`, a point other than a finite vector of
+    length n, and :class:`OutsidePolytope` for a point outside the region.
     """
     signs = tuple(int(s) for s in signs)
     if len(signs) != h.m or any(s not in (-1, 1) for s in signs):
         raise BadParameters(f"signs must be a ±1 vector of length {h.m}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (h.n,) or not np.isfinite(x).all():
-        raise BadParameters(f"the point must be a finite vector of length {h.n}")
     vals = h.values(x)
+    x = np.asarray(x, dtype=float)
     dist = vals / h._frame.norms
     if dist.min() < -h._frame.thr:
         raise OutsidePolytope(f"inequality {dist.argmin()} violated by {-dist.min():g}")
@@ -546,12 +560,11 @@ def quadric_gradient_rank(q: QuadricSystem, point) -> int:
     in :func:`verify_nondegeneracy`, on the gradients H of
     ``QuadricSystem._unit_gamma``, which positive row scaling does not move.
     A point other than a finite vector of length m raises
-    :class:`BadParameters`.
+    :class:`BadParameters`, through :meth:`QuadricSystem.residual`.
     """
-    y = point.y if isinstance(point, EmbeddedPoint) else np.asarray(point, float)
-    if y.shape != (q.m,) or not np.isfinite(y).all():
-        raise BadParameters(f"the point must be a finite vector of length {q.m}")
+    y = point.y if isinstance(point, EmbeddedPoint) else point
     res = np.abs(q.residual(y))
+    y = np.asarray(y, dtype=float)
     if (res > _TOL * (np.abs(q.gamma) @ (y * y) + np.abs(q.rhs)) + q.rounding).any():
         raise NotOnVariety(f"max residual {res.max():g}")
     return int(_numeric_rank(2.0 * q._unit_gamma * y))
@@ -605,9 +618,8 @@ def verify_nondegeneracy(h: HRep, sample_count: int = 200,
     fixes, is checked against ``_SAMPLE_CAP`` before the relations or any
     point are computed.
     """
-    for name, value in (("sample_count", sample_count), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise BadParameters(f"{name} must be an integer >= 0, got {value!r}")
+    _check_int("sample_count", sample_count, 0)
+    _check_int("seed", seed, 0)
     polytope, coords = enumerate_vertices(h)
     count = max(sample_count, polytope.vertex_count + h.m + 1)
     _check_work(f"{count} samples", count * (h.m * h.m * (h.m - h.n) + 20_000),

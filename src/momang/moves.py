@@ -25,19 +25,21 @@ from .errors import (
     NoSuchFacet,
     NoSuchVertex,
     NotAFace,
+    NotSimple,
     NotSimplexFacet,
+    _check_int,
     _check_work,
 )
 from .polytope import (
     CombPolytope,
     SimplicialSphere,
     _cut,
+    _derived,
     _family,
     _family_isomorphism,
     _pair_sets,
     dual_sphere,
     is_simplex,
-    validate_polytope,
 )
 
 # Flips the certificate search may produce, pruned ones included.
@@ -98,17 +100,23 @@ def vertex_cut(p: CombPolytope, vertex_index: int) -> CombPolytope:
 
     The new facet gets index ``m``; the vertex's n facets each keep n-1 of
     the n new vertices.  Facet count grows by one, vertex count by n-1.
+    A non-int or bool index raises :class:`BadParameters`, one out of range
+    :class:`NoSuchVertex`.  The result is not re-validated: on the dual
+    sphere the cut stacks a facet, which keeps a sphere a sphere.  A
+    segment would lose a facet, so n = 1 raises :class:`DimensionUnsupported`.
     """
-    if not 0 <= vertex_index < p.vertex_count:
-        raise NoSuchVertex(f"vertex {vertex_index} of {p.vertex_count}")
+    _check_int("vertex", vertex_index, 0, p.vertex_count, NoSuchVertex)
+    if p.dim < 2:
+        raise DimensionUnsupported(f"vertex cuts need dim >= 2, got {p.dim}")
     verts = [v for i, v in enumerate(p.vertices) if i != vertex_index]
-    return validate_polytope(p.dim, verts + _cut(p.vertices[vertex_index], p.facet_count))
+    return _derived(p.dim, p.facet_count + 1,
+                    verts + _cut(p.vertices[vertex_index], p.facet_count))
 
 
 def _collapse_error(p: CombPolytope, facet_index: int):
-    """The error :func:`simplex_facet_collapse` raises for this facet, or ``None``."""
-    if not 0 <= facet_index < p.facet_count:
-        return NoSuchFacet(f"facet {facet_index} of {p.facet_count}")
+    """The error :func:`simplex_facet_collapse` raises for this facet, or
+    ``None``; an index that is not a facet raises at once."""
+    _check_int("facet", facet_index, 0, p.facet_count, NoSuchFacet)
     n = p.dim
     on = p.facet_vertices(facet_index)
     if len(on) != n:
@@ -128,7 +136,10 @@ def _collapse_error(p: CombPolytope, facet_index: int):
 
 def collapse_admissible(p: CombPolytope, facet_index: int) -> bool:
     """Whether :func:`simplex_facet_collapse` accepts this facet."""
-    return _collapse_error(p, facet_index) is None
+    try:
+        return _collapse_error(p, facet_index) is None
+    except (BadParameters, NoSuchFacet):
+        return False
 
 
 def simplex_facet_collapse(p: CombPolytope, facet_index: int) -> CombPolytope:
@@ -138,6 +149,10 @@ def simplex_facet_collapse(p: CombPolytope, facet_index: int) -> CombPolytope:
     exactly n neighbours, and those neighbours do not already meet at a
     vertex of ``p``.  The merged vertex lies in the n facets that surrounded
     the collapsed one; facet indices above the removed facet shift down.
+    A non-int or bool index raises :class:`BadParameters`, one out of range
+    :class:`NoSuchFacet`.  The result is not re-validated: on the dual
+    sphere the collapse swaps a vertex star, the cone over the boundary of
+    the simplex on its n neighbours, for that simplex, not yet a face.
     """
     err = _collapse_error(p, facet_index)
     if err is not None:
@@ -145,8 +160,8 @@ def simplex_facet_collapse(p: CombPolytope, facet_index: int) -> CombPolytope:
     on = [v for v in p.vertices if facet_index in v]
     verts = [v for v in p.vertices if facet_index not in v]
     verts.append(set().union(*on) - {facet_index})
-    return validate_polytope(p.dim, [[f if f < facet_index else f - 1 for f in v]
-                                     for v in verts])
+    return _derived(p.dim, p.facet_count - 1,
+                    [[f if f < facet_index else f - 1 for f in v] for v in verts])
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +175,10 @@ def recognize_vertexcut_reducible(p: CombPolytope) -> ReductionTrace:
     are deterministic.  Returns a trace with ``reducible=True`` and
     ``end`` the tetrahedron, or ``reducible=False`` with the stuck polytope.
 
-    The run peels triangles off the start's facet graph in its original
-    labels and validates only ``end``.  That repeats the collapses exactly:
+    The run peels triangles off the start's facet graph, copied from
+    ``p``'s cached pair table, in its original labels, and builds ``end``
+    without validation.  That repeats the collapses exactly, so ``end`` is
+    what the validated collapses would give:
 
     * a collapse changes no adjacency between surviving facets, because the
       triangle's three neighbours already meet pairwise;
@@ -173,7 +190,7 @@ def recognize_vertexcut_reducible(p: CombPolytope) -> ReductionTrace:
     """
     if p.dim != 3:
         raise DimensionUnsupported(f"recognition needs dim 3, got {p.dim}")
-    nbrs = [set(row) for row in _pair_sets(p.facet_count, p.vertices)]
+    nbrs = [set(row) for row in p._pairs]
     alive = list(range(p.facet_count))
     steps: list[int] = []
     merged: list[set] = []
@@ -190,7 +207,7 @@ def recognize_vertexcut_reducible(p: CombPolytope) -> ReductionTrace:
     label = {f: r for r, f in enumerate(alive)}
     verts = [[label[f] for f in v] for v in itertools.chain(p.vertices, merged)
              if all(f in label for f in v)]
-    end = validate_polytope(3, verts, None if steps else p.facet_labels)
+    end = _derived(3, len(alive), verts, None if steps else p.facet_labels)
     counts = range(p.facet_count - 1, len(alive) - 1, -1)
     return ReductionTrace(len(alive) == 4, tuple(steps), tuple(counts), p, end)
 
@@ -198,19 +215,27 @@ def recognize_vertexcut_reducible(p: CombPolytope) -> ReductionTrace:
 def rebuild_by_cuts(trace: ReductionTrace) -> CombPolytope:
     """Replay a trace backwards as vertex cuts starting from ``trace.end``.
 
-    Peels the start's facet graph along the steps as recognition does: each
-    collapsed facet merged into the vertex of its start neighbours that
-    outlive it.  Those vertices are cut back in reverse order on one vertex
-    set, fresh facets numbered on from ``trace.end``'s, and the result is
-    validated once; for a reducible trace it is isomorphic to ``trace.start``.
+    Peels the start's facet graph, copied from its cached pair table, along
+    the steps as recognition does: each collapsed facet merged into the
+    vertex of its start neighbours that outlive it.  Those vertices are cut
+    back in reverse order on one vertex set, fresh facets numbered on from
+    ``trace.end``'s; for a reducible trace the result is isomorphic to
+    ``trace.start``.  The result is not re-validated, since every cut is a
+    vertex cut of a valid polytope.  A forged trace is refused instead:
+    :class:`NotSimple` for an ``end`` of another dimension than ``start``,
+    :class:`BadParameters` for a step that is not an ``int`` or is a
+    ``bool``, :class:`NoSuchFacet`, :class:`NotSimplexFacet` or
+    :class:`IsSimplex` for a step that names no collapsible facet, and
+    :class:`NoSuchVertex` when ``end`` lacks a vertex to cut.
     """
     n = trace.start.dim
-    nbrs = [set(row) for row in _pair_sets(trace.start.facet_count, trace.start.vertices)]
+    if trace.end.dim != n:
+        raise NotSimple(f"trace end has dim {trace.end.dim}, its start dim {n}")
+    nbrs = [set(row) for row in trace.start._pairs]
     alive = list(range(trace.start.facet_count))
     collapsed = []
     for s in trace.steps:
-        if not 0 <= s < len(alive):
-            raise NoSuchFacet(f"facet {s} of {len(alive)}")
+        _check_int("facet", s, 0, len(alive), NoSuchFacet)
         f = alive[s]
         if len(nbrs[f]) != n:
             raise NotSimplexFacet(f"facet {s} is adjacent to {len(nbrs[f])} facets, expected {n}")
@@ -230,7 +255,8 @@ def rebuild_by_cuts(trace: ReductionTrace) -> CombPolytope:
         verts.remove(v)
         verts.update(_cut(v, fresh))
         label[f] = fresh
-    return validate_polytope(n, verts, None if collapsed else trace.end.facet_labels)
+    return _derived(n, trace.end.facet_count + len(collapsed), verts,
+                    None if collapsed else trace.end.facet_labels)
 
 
 def trace_to_json(trace: ReductionTrace) -> dict:
@@ -300,13 +326,14 @@ def prismatic_circuits(p: CombPolytope, k: int) -> list[PrismaticCircuit]:
     closes the cycle; ``path[1] < path[-1]`` fixes the direction.  Cycles
     whose k consecutive intersection edges share no vertex are kept, sorted
     by facet set.  Raises :class:`GuardExceeded` once more than
-    ``_PATH_CAP`` paths have been walked.
+    ``_PATH_CAP`` paths have been walked, and :class:`BadParameters` for a
+    ``k`` that is not an ``int`` >= 3 or is a ``bool``.  The walk reads
+    ``p``'s cached pair table.
     """
     if p.dim != 3:
         raise DimensionUnsupported(f"prismatic circuits need dim 3, got {p.dim}")
-    if k < 3:
-        raise BadParameters(f"circuit length must be >= 3, got {k}")
-    pairs = _pair_sets(p.facet_count, p.vertices)
+    _check_int("circuit length", k, 3)
+    pairs = p._pairs
     nbrs = [set(row) for row in pairs]
 
     out = []
@@ -375,7 +402,9 @@ def psc_flip_certificate(p: CombPolytope, depth: int):
     to isomorphism.  Returns the move list on success and ``None`` when no
     sequence exists within ``depth`` levels; exhausting the search bound is
     not a proof of impossibility.  Raises :class:`GuardExceeded` once more
-    than ``_STATE_CAP`` states (flips produced) have been generated.
+    than ``_STATE_CAP`` states (flips produced) have been generated, and
+    :class:`BadParameters` for a ``depth`` that is not an ``int`` >= 0 or is
+    a ``bool``.
 
     States that cannot reach the target are not expanded.  A flip at a face
     sigma with at least 3 vertices deletes no vertex and no edge: every old
@@ -400,8 +429,7 @@ def psc_flip_certificate(p: CombPolytope, depth: int):
     if n < 3:
         raise DimensionUnsupported(
             f"codimension >= 3 flips need dim >= 3, got {n}")
-    if depth < 0:
-        raise BadParameters(f"depth must be >= 0, got {depth}")
+    _check_int("depth", depth, 0)
     shape, bound = _sphere_family(dual_sphere(p))
     target = _family(*shape)
     seen: dict = {}

@@ -58,6 +58,13 @@ class CombPolytope:
         """Indices of the vertices lying on facet ``i``."""
         return tuple(v for v, fs in enumerate(self.vertices) if i in fs)
 
+    @cached_property
+    def _pairs(self) -> list[dict]:
+        """The :func:`_pair_sets` table of the facets over the vertices, built
+        on first read and kept for the polytope's lifetime.  Read-only:
+        callers that peel the graph copy rows into fresh sets."""
+        return _pair_sets(self.facet_count, self.vertices)
+
     def __repr__(self):
         return (f"CombPolytope(dim={self.dim}, facets={self.facet_count}, "
                 f"vertices={self.vertex_count})")
@@ -235,6 +242,15 @@ def validate_polytope(dim, incidence, facet_labels=None) -> CombPolytope:
                 "2m = V + 4: the facets do not tile a sphere by single cycles")
 
     return CombPolytope(dim=n, facet_count=m, vertices=verts, facet_labels=labels)
+
+
+def _derived(dim, facet_count, incidence, facet_labels=None) -> CombPolytope:
+    """A polytope that a move derives from a validated one, valid by
+    construction: the incidence is only sorted, the facet count is taken as
+    given, and :func:`validate_polytope` does not run."""
+    return CombPolytope(dim=dim, facet_count=facet_count,
+                        vertices=tuple(sorted(tuple(sorted(v)) for v in incidence)),
+                        facet_labels=facet_labels)
 
 
 def _reach_count(adjacency, start):
@@ -463,8 +479,8 @@ def combinatorial_isomorphic(p: CombPolytope, q: CombPolytope):
     of ``q`` matching facet ``i`` of ``p``; it is re-verified against the
     incidence before being returned.
     """
-    mapping = _family_isomorphism(_family(p.facet_count, p.vertices),
-                                  _family(q.facet_count, q.vertices))
+    mapping = _family_isomorphism(_family(p.facet_count, p.vertices, p._pairs),
+                                  _family(q.facet_count, q.vertices, q._pairs))
     if mapping is None:
         return None
     perm = [mapping[i] for i in range(p.facet_count)]

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 
-from .errors import NoSuchFacet, _check_work
+from .errors import BadParameters, NoSuchFacet, _check_work
 from .polytope import _WORK_CAP, CombPolytope, FaceLattice, _bits, _submasks, face_lattice
 
 
@@ -199,16 +199,20 @@ class ChamberComplex:
         return f, g
 
     def canonical(self, face_index: int, g: int) -> tuple[int, int]:
-        """The cell containing the copies of a face point indexed by ``g``."""
-        return face_index, g & ~self.face_masks[face_index]
+        """The cell containing the copies of a face point indexed by ``g``;
+        a ``g`` outside [0, 2^m) raises :class:`BadParameters`."""
+        return self.translate(g, (face_index, 0))
 
     def chambers(self) -> range:
         return range(1 << self.m)
 
     def translate(self, g: int, cell: tuple[int, int]) -> tuple[int, int]:
-        """Action of group element ``g`` on a cell."""
+        """Action of group element ``g`` on a cell; a ``g`` outside [0, 2^m)
+        raises :class:`BadParameters`."""
+        if g < 0 or g >> self.m:
+            raise BadParameters(f"group element {g} is outside [0, 2^{self.m})")
         face_index, rep = cell
-        return self.canonical(face_index, rep ^ g)
+        return face_index, (rep ^ g) & ~self.face_masks[face_index]
 
 
 def build_chamber_complex(p: CombPolytope) -> ChamberComplex:

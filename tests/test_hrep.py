@@ -302,12 +302,29 @@ def test_lift_outside_raises():
         lift_point(simplex_hrep(3), [2, 2, 2], [1, 1, 1, 1])
 
 
-@pytest.mark.parametrize("x", [[0.5, 0.5], [0.5, math.nan, 0.5]])
+def bad_points(n):
+    """Points that are not finite vectors of length n: short, NaN, infinite,
+    ragged, a string, None and a row matrix."""
+    return [[0.5] * (n - 1), [math.nan] + [0.5] * (n - 1), [0.5] * (n - 1) + [math.inf],
+            [[0.5], [0.5, 0.5]], "abc", None, [[0.5] * n]]
+
+
+@pytest.mark.parametrize("x", bad_points(3))
 def test_lift_rejects_a_wrong_or_non_finite_point(x):
     # a short point escaped as numpy's ValueError; NaN passed the membership
     # test, whose comparisons are False, and lifted to an all-NaN y
     with pytest.raises(BadParameters):
         lift_point(cube_hrep(3), x, [1] * 6)
+
+
+@pytest.mark.parametrize("i", range(len(bad_points(3))))
+def test_values_and_residual_refuse_a_wrong_or_non_finite_point(i):
+    # a short point escaped as numpy's ValueError, and NaN gave NaN values
+    h = cube_hrep(3)
+    with pytest.raises(BadParameters, match="finite vector of length 3"):
+        h.values(bad_points(3)[i])
+    with pytest.raises(BadParameters, match="finite vector of length 6"):
+        relation_matrix(h).residual(bad_points(6)[i])
 
 
 def test_lift_square_recovery():
@@ -361,12 +378,12 @@ def test_gradient_rank_rejects_off_variety():
         quadric_gradient_rank(q, np.array([1.0, 1.0, 0.0, 0.0]))
 
 
-@pytest.mark.parametrize("y", [[0.5] * 3, [math.nan] * 4])
+@pytest.mark.parametrize("y", bad_points(4))
 def test_gradient_rank_rejects_a_wrong_or_non_finite_point(y):
     # a short y escaped as numpy's ValueError; NaN passed the residual test
     # and stopped in LAPACK's SVD
     with pytest.raises(BadParameters):
-        quadric_gradient_rank(relation_matrix(simplex_hrep(3)), np.array(y))
+        quadric_gradient_rank(relation_matrix(simplex_hrep(3)), y)
 
 
 def test_nondegeneracy_reports():

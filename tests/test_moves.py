@@ -41,6 +41,7 @@ from momang.errors import (
     NoSuchFacet,
     NoSuchVertex,
     NotAFace,
+    NotSimple,
     NotSimplexFacet,
 )
 from momang.moves import (
@@ -49,8 +50,19 @@ from momang.moves import (
     ReductionTrace,
     _candidate_faces,
 )
-from momang.polytope import validate_polytope, validate_sphere
-from conftest import cut_cube, cut_prism, family_isomorphism_oracle, joint_refinement_oracle
+from momang.polytope import (
+    polytope_from_json,
+    polytope_to_json,
+    validate_polytope,
+    validate_sphere,
+)
+from conftest import (
+    corpus_3d,
+    cut_cube,
+    cut_prism,
+    family_isomorphism_oracle,
+    joint_refinement_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +326,43 @@ def test_cut_bad_vertex():
         vertex_cut(simplex(3), 99)
 
 
+ARGUMENTS_THAT_ARE_NOT_INTS = [1.0, 3.5, True, False, "1", None]
+
+
+@pytest.mark.parametrize("value", ARGUMENTS_THAT_ARE_NOT_INTS, ids=repr)
+@pytest.mark.parametrize("call", [
+    lambda x: vertex_cut(cube(3), x),
+    lambda x: simplex_facet_collapse(prism(), x),
+    lambda x: prismatic_circuits(cube(3), x),
+    lambda x: psc_flip_certificate(prism(), x),
+], ids=["vertex_cut", "collapse", "prismatic_circuits", "psc_flip_certificate"])
+def test_move_arguments_must_be_ints(call, value):
+    # a float escaped as TypeError, 3.5 circuits returned [] and True read as 1
+    with pytest.raises(BadParameters, match="must be an integer"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", ARGUMENTS_THAT_ARE_NOT_INTS, ids=repr)
+def test_collapse_admissible_refuses_what_collapse_refuses(value):
+    assert collapse_admissible(prism(), value) is False
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: vertex_cut(cube(3), 8), NoSuchVertex, "vertex 8 of 8"),
+    (lambda: vertex_cut(cube(3), -1), NoSuchVertex, "vertex -1 of 8"),
+    (lambda: simplex_facet_collapse(prism(), 5), NoSuchFacet, "facet 5 of 5"),
+    (lambda: simplex_facet_collapse(prism(), -1), NoSuchFacet, "facet -1 of 5"),
+    (lambda: prismatic_circuits(cube(3), 2), BadParameters, "circuit length must be >= 3, got 2"),
+    (lambda: psc_flip_certificate(prism(), -1), BadParameters, "depth must be >= 0, got -1"),
+], ids=["cut-past-end", "cut-negative", "collapse-past-end", "collapse-negative",
+        "circuit-length-2", "depth-negative"])
+def test_move_arguments_out_of_range(call, error, message):
+    with pytest.raises(MomangError) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_cut_count_deltas(corpus):
     for name, p in corpus:
         for v in range(p.vertex_count):
@@ -491,30 +540,107 @@ def test_rebuild_matches_oracle_in_dim_4():
 
 
 def test_validation_once_per_call(monkeypatch):
+    # the moves build their results by construction; only the generators,
+    # which take outside parameters, validate, once per call
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return validate_polytope(*args, **kwargs)
 
-    inputs = [random_vertexcuts(12, 0), seeded_cuts(dodecahedron(), 3, 3), simplex(3)]
-    monkeypatch.setattr(moves, "validate_polytope", counting)
-    monkeypatch.setattr(corpus, "validate_polytope", counting)
+    inputs = [random_vertexcuts(12, 0), seeded_cuts(dodecahedron(), 3, 3), simplex(3),
+              prism(), cube(4)]
+    for module in (polytope, moves, corpus):
+        monkeypatch.setattr(module, "validate_polytope", counting, raising=False)
     for p in inputs:
         calls.clear()
-        tr = recognize_vertexcut_reducible(p)
-        assert len(calls) == 1
-        rebuild_by_cuts(tr)
-        assert len(calls) == 2
+        if p.dim == 3:
+            rebuild_by_cuts(recognize_vertexcut_reducible(p))
+        vertex_cut(p, 0)
+        for f in range(p.facet_count):
+            if collapse_admissible(p, f):
+                simplex_facet_collapse(p, f)
+        assert calls == []
     for k in (0, 1, 12, 200):
         calls.clear()
         random_vertexcuts(k, 0)
         assert len(calls) == 1
 
 
+def validation_oracle_inputs():
+    inputs = corpus_3d()
+    inputs += [(f"rvc{k}-{s}", random_vertexcuts(k, s)) for k in (0, 1, 12, 200) for s in (0, 1)]
+    return inputs
+
+
+def revalidated(out):
+    return validate_polytope(out.dim, out.vertices, out.facet_labels)
+
+
+@pytest.mark.parametrize("p", [pytest.param(p, id=name) for name, p in validation_oracle_inputs()])
+def test_moves_build_what_validation_accepts(p):
+    tr = recognize_vertexcut_reducible(p)
+    assert tr.end == revalidated(tr.end)
+    rebuilt = rebuild_by_cuts(tr)
+    assert rebuilt == revalidated(rebuilt)
+    for v in range(p.vertex_count):
+        cut = vertex_cut(p, v)
+        assert cut == revalidated(cut), v
+    for f in range(p.facet_count):
+        if collapse_admissible(p, f):
+            back = simplex_facet_collapse(p, f)
+            assert back == revalidated(back), f
+
+
+def test_moves_build_what_validation_accepts_off_dim_3():
+    hexagon = validate_polytope(2, [(i, (i + 1) % 6) for i in range(6)])
+    for p in (hexagon, cube(4), vertex_cut(cube(4), 0), simplex(4), simplex(2)):
+        for v in range(p.vertex_count):
+            cut = vertex_cut(p, v)
+            assert cut == revalidated(cut), (p, v)
+            back = simplex_facet_collapse(cut, p.facet_count)
+            assert back == revalidated(back) == p, (p, v)
+        for f in range(p.facet_count):
+            if collapse_admissible(p, f):
+                back = simplex_facet_collapse(p, f)
+                assert back == revalidated(back), (p, f)
+
+
+@pytest.mark.parametrize("p", [simplex(1), cube(1)], ids=["simplex1", "cube1"])
+def test_cut_refuses_a_segment(p):
+    # the cut endpoint's facet would lie on no vertex
+    with pytest.raises(DimensionUnsupported, match="dim >= 2"):
+        vertex_cut(p, 0)
+
+
+def test_pair_table_is_cached_and_never_mutated(monkeypatch):
+    built = []
+
+    def counting(num_labels, sets):
+        built.append(num_labels)
+        return pair_sets(num_labels, sets)
+
+    pair_sets = polytope._pair_sets
+    monkeypatch.setattr(polytope, "_pair_sets", counting)
+    for name, p in validation_oracle_inputs():
+        # the recognize benchmark job, on a fresh parse of the input
+        p = polytope_from_json(polytope_to_json(p))
+        built.clear()
+        table = p._pairs
+        tr = recognize_vertexcut_reducible(p)
+        if tr.reducible:
+            assert combinatorial_isomorphic(rebuild_by_cuts(tr), p) is not None, name
+        for k in (3, 4):
+            prismatic_circuits(p, k)
+        assert p._pairs is table, name
+        assert table == pair_sets(p.facet_count, p.vertices), name
+        # one table for p, one for the rebuilt polytope
+        assert len(built) == 1 + tr.reducible, name
+
+
 @pytest.mark.parametrize("k,seed", [(0, 0), (1, 0), (12, 5), (50, 1), (200, 0), (200, 3)])
 def test_random_vertexcuts_matches_per_cut_oracle(k, seed):
-    # the old generator: cut the tetrahedron k times, validating every cut
+    # the old generator: cut the tetrahedron k times through vertex_cut
     assert random_vertexcuts(k, seed) == seeded_cuts(simplex(3), k, seed)
 
 
@@ -534,6 +660,13 @@ FORGED_TRACES = [
      NotSimplexFacet, "facet 0 is adjacent to 6 facets, expected 4"),
     ("end-lacks-merged-vertex", _forged(cut_cube, end=cut_prism()), NoSuchVertex,
      "trace end has no vertex"),
+    ("step-bool", _forged(prism, steps=(True,)), BadParameters, "facet must be an integer"),
+    ("step-float", _forged(prism, steps=(3.0,)), BadParameters, "facet must be an integer"),
+    # only the rebuild's own check refuses these now that its result is not validated
+    ("end-of-other-dimension", _forged(prism, end=cube(4)), NotSimple,
+     "trace end has dim 4, its start dim 3"),
+    ("end-of-other-dimension-no-steps", _forged(lambda: simplex(3), end=simplex(4)), NotSimple,
+     "trace end has dim 4, its start dim 3"),
 ]
 
 

@@ -27,7 +27,9 @@ from momang import (
     validate_sphere,
     vertex_cut,
 )
+from momang.corpus import cube_hrep, simplex_hrep
 from momang.errors import (
+    BadParameters,
     DuplicateVertex,
     GuardExceeded,
     InvalidSphere,
@@ -46,6 +48,28 @@ from conftest import (
 )
 
 SIMPLEX3_VERTS = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
+
+GENERATORS = {"simplex": simplex, "cube": cube, "simplex_hrep": simplex_hrep,
+              "cube_hrep": cube_hrep, "random_vertexcuts": lambda k: random_vertexcuts(k, 0)}
+
+
+@pytest.mark.parametrize("value", [3.0, True, "3", None], ids=repr)
+@pytest.mark.parametrize("name", GENERATORS)
+def test_generators_refuse_arguments_that_are_not_ints(name, value):
+    # cube(3.0) escaped as TypeError, and cube(True) returned the 1-cube
+    with pytest.raises(BadParameters, match="must be an integer"):
+        GENERATORS[name](value)
+
+
+@pytest.mark.parametrize("name,value,message", [
+    ("simplex", 0, "simplex dimension must be >= 1, got 0"),
+    ("cube_hrep", -2, "cube dimension must be >= 1, got -2"),
+    ("random_vertexcuts", -1, "cut count must be >= 0, got -1"),
+])
+def test_generators_refuse_arguments_out_of_range(name, value, message):
+    with pytest.raises(BadParameters) as info:
+        GENERATORS[name](value)
+    assert str(info.value) == message
 
 
 def triangles_dual(triangles):

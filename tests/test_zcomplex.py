@@ -30,7 +30,7 @@ from momang import (
     validate_polytope,
     vertex_cut,
 )
-from momang.errors import GuardExceeded, NoSuchFacet
+from momang.errors import BadParameters, GuardExceeded, NoSuchFacet
 from momang.polytope import CombPolytope, _bits, _submasks
 from momang.zcomplex import _cell_counts, _chamber_counts
 from conftest import (
@@ -306,6 +306,23 @@ def test_group_action_on_cells():
                 both = z.translate(g1 ^ g2, cell)
                 assert once == both, name
                 assert once in z.cell_ids, name
+
+
+@pytest.mark.parametrize("g", [-1, 1 << 6, 1 << 40, -(1 << 40)])
+def test_group_elements_outside_the_group_are_refused(g):
+    # translate(1 << 40, (0, 0)) returned (0, 1 << 40), which is no cell
+    z = build_chamber_complex(cube(3))
+    with pytest.raises(BadParameters, match=r"outside \[0, 2\^6\)"):
+        z.translate(g, (0, 0))
+    with pytest.raises(BadParameters, match=r"outside \[0, 2\^6\)"):
+        z.canonical(0, g)
+
+
+def test_canonical_is_the_translate_of_the_face_cell():
+    z = build_chamber_complex(cube(3))
+    for f, mask in enumerate(z.face_masks):
+        for g in z.chambers():
+            assert z.canonical(f, g) == z.translate(g, (f, 0)) == (f, g & ~mask)
 
 
 # ---------------------------------------------------------------------------
