@@ -16,9 +16,13 @@ constant checked against the work predicted from the input; no option sets one).
 
 Each command imports the modules it runs, in its branch of
 :func:`dispatch`; only :mod:`momang.errors` and :mod:`momang.polytope`, which
-decode and encode polytopes, load with the CLI.  So ``validate`` loads no
-other module, and only the H-rep commands (``quadrics``,
-``verify-quadrics``) load :mod:`momang.hrep` and, with it, numpy.
+decode and encode polytopes, load with the CLI.  So ``validate`` and
+``isomorphic`` load no other module, ``generate`` loads
+:mod:`momang.corpus`, the move commands :mod:`momang.moves`, the chamber
+commands :mod:`momang.zcomplex`, and only the H-rep commands
+(``quadrics``, ``verify-quadrics``) load :mod:`momang.hrep` and, with it,
+numpy.  The package's records are plain classes, so no command loads
+``dataclasses``, and only numpy loads ``inspect``.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, its one size-cap check and
-its one integer-argument check."""
+"""Exception types shared across the package, its one size-cap check, its
+one integer-argument check and the base of its frozen records."""
 
 
 class MomangError(Exception):
@@ -36,6 +36,49 @@ def _check_int(what: str, value, low: int, stop: int | None = None, error=BadPar
             raise error(f"{what} must be >= {low}, got {value}")
     elif not low <= value < stop:
         raise error(f"{what} {value} of {stop}")
+
+
+class _Record:
+    """Base of the package's frozen records.
+
+    ``_fields`` names a record's fields in order, and ``repr`` shows them,
+    less the names in ``_hidden``.  ``==`` holds between records of one
+    class whose ``_key()`` tuples, the fields' values in that order, are
+    equal, and ``hash`` hashes that tuple.  Each record writes out its
+    ``_key`` and its ``__init__``, which sets the fields with
+    ``object.__setattr__``: generated methods would need an ``exec`` per
+    class, and a generic one runs slower.  A record declared with
+    ``eq=False`` has no ``_key`` and compares and hashes by identity.
+    Assignment and deletion raise ``AttributeError``.  Instances keep a
+    ``__dict__``, so ``functools.cached_property`` works on them.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, eq=True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._fields if name not in self._hidden)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # -- polytope validation -----------------------------------------------------

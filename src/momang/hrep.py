@@ -15,7 +15,6 @@ payload numbers are still computed from the input's A and b.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,6 +31,7 @@ from .errors import (
     Unbounded,
     _check_int,
     _check_work,
+    _Record,
 )
 from .polytope import validate_polytope
 
@@ -58,14 +58,18 @@ _RANK_CHUNK = 256
 _TOL = 1e-9  # the one tolerance of every accept/reject decision, see HRep._frame
 
 
-@dataclass(frozen=True, eq=False)
-class HRep:
-    """Validated bounded full-dimensional presentation with m half-spaces."""
+class HRep(_Record, eq=False):
+    """Validated bounded full-dimensional presentation with m half-spaces:
+    ``A`` is n x m, its column i the inward normal a_i, and ``b`` holds the
+    m offsets."""
 
-    n: int
-    m: int
-    A: np.ndarray          # n x m, column i is the inward normal a_i
-    b: np.ndarray          # length m offsets
+    _fields = ("n", "m", "A", "b")
+
+    def __init__(self, n: int, m: int, A: np.ndarray, b: np.ndarray):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "b", b)
 
     def values(self, x) -> np.ndarray:
         """The m affine forms <a_i, x> + b_i at a point, which must be a
@@ -110,14 +114,26 @@ class HRep:
         """``enumerate_vertices``' result, walked once per presentation."""
         return _walk_vertices(self)
 
+    @cached_property
+    def _relations(self) -> QuadricSystem:
+        """``relation_matrix``' result, reduced once per presentation."""
+        return _reduce_relations(self)
 
-@dataclass(frozen=True, eq=False)
-class _Frame:
-    norms: np.ndarray      # |a_i|
-    U: np.ndarray          # m x n unit rows
-    c: np.ndarray          # offsets c' seen from the recentring point
-    rounding: float        # length lost to rounding in <a_i, x> + b_i, over |a_i|
-    thr: float             # the one length threshold
+
+class _Frame(_Record, eq=False):
+    """``norms`` |a_i|, ``U`` the m x n unit rows, ``c`` the offsets c' seen
+    from the recentring point, ``rounding`` the length lost to rounding in
+    <a_i, x> + b_i, over |a_i|, and ``thr`` the one length threshold."""
+
+    _fields = ("norms", "U", "c", "rounding", "thr")
+
+    def __init__(self, norms: np.ndarray, U: np.ndarray, c: np.ndarray, rounding: float,
+                 thr: float):
+        object.__setattr__(self, "norms", norms)
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "rounding", rounding)
+        object.__setattr__(self, "thr", thr)
 
 
 def _finite_vector(x, length: int) -> np.ndarray:
@@ -139,15 +155,21 @@ def _numeric_rank(matrix):
     return np.sum(svals > _TOL * np.maximum(1.0, svals[..., :1]), axis=-1)
 
 
-@dataclass(frozen=True, eq=False)
-class QuadricSystem:
-    """Coefficients of the m - n equations sum_k gamma_jk y_k^2 = rhs_j."""
+class QuadricSystem(_Record, eq=False):
+    """Coefficients of the m - n equations sum_k gamma_jk y_k^2 = rhs_j:
+    ``gamma`` is (m - n) x m, of full row rank, with gamma @ A^t = 0;
+    ``norms`` are the frame's row lengths |a_k| (see ``HRep._norms``) and
+    ``rounding`` the allowance per equation (see :func:`relation_matrix`)."""
 
-    m: int
-    gamma: np.ndarray      # (m - n) x m, full row rank, gamma @ A^t = 0
-    rhs: np.ndarray
-    norms: np.ndarray      # the frame's row lengths |a_k|, see HRep._norms
-    rounding: np.ndarray | float = 0.0  # per equation, see relation_matrix
+    _fields = ("m", "gamma", "rhs", "norms", "rounding")
+
+    def __init__(self, m: int, gamma: np.ndarray, rhs: np.ndarray, norms: np.ndarray,
+                 rounding: np.ndarray | float = 0.0):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "norms", norms)
+        object.__setattr__(self, "rounding", rounding)
 
     def residual(self, y) -> np.ndarray:
         """The m - n equations' residuals at a point, which must be a finite
@@ -173,12 +195,14 @@ class QuadricSystem:
         return self.gamma * np.sqrt(self.norms) / self._rowmax[:, None]
 
 
-@dataclass(frozen=True, eq=False)
-class EmbeddedPoint:
+class EmbeddedPoint(_Record, eq=False):
     """A point of the quadric variety, optionally with its polytope source."""
 
-    y: np.ndarray
-    source: tuple[np.ndarray, tuple[int, ...]] | None = None
+    _fields = ("y", "source")
+
+    def __init__(self, y: np.ndarray, source: tuple[np.ndarray, tuple[int, ...]] | None = None):
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "source", source)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +267,14 @@ def make_hrep(rows, offsets) -> HRep:
     redundancy LP, in ascending order, after their predicted work is checked
     against ``_LP_CAP`` too.  The first redundant row raises.  So does,
     before any LP, the first row whose numbers the float frame cannot hold,
-    as a :class:`ParseError` naming it.
+    as a :class:`ParseError` naming it, and first of all rows or offsets
+    that numpy cannot read as float arrays.
     """
-    arows = np.asarray(rows, dtype=float)
-    b = np.asarray(offsets, dtype=float)
+    try:
+        arows = np.asarray(rows, dtype=float)
+        b = np.asarray(offsets, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"normals and offsets must be arrays of numbers: {e}") from e
     if arows.ndim != 2 or b.ndim != 1 or arows.shape[0] != b.shape[0]:
         raise ParseError("need an m x n matrix of normals and m offsets")
     m, n = arows.shape
@@ -485,7 +513,8 @@ def _walk_vertices(h: HRep):
 
 
 def relation_matrix(h: HRep) -> QuadricSystem:
-    """Null-space basis of the normals, in row-reduced canonical form.
+    """Null-space basis of the normals, in row-reduced canonical form,
+    reduced once per presentation and cached (``HRep._relations``).
 
     Row reduction of A identifies pivot columns; each free column yields one
     relation with unit coefficient there.  Rows are rescaled so their
@@ -495,6 +524,11 @@ def relation_matrix(h: HRep) -> QuadricSystem:
     <a_k, x> + b_k sum terms as far out as the region lies, and far out
     (a 1e9 translation) that rounding exceeds 1e-9 times what is left.
     """
+    return h._relations
+
+
+def _reduce_relations(h: HRep) -> QuadricSystem:
+    """The row reduction behind :func:`relation_matrix`."""
     n, m, norms = h.n, h.m, h._frame.norms
     R = np.array(h.A, dtype=float)
     pivots: list[int] = []
@@ -570,15 +604,22 @@ def quadric_gradient_rank(q: QuadricSystem, point) -> int:
     return int(_numeric_rank(2.0 * q._unit_gamma * y))
 
 
-@dataclass(frozen=True)
-class NondegeneracyReport:
-    """Observed gradient ranks over a deterministic sample of lifted points."""
+class NondegeneracyReport(_Record):
+    """Observed gradient ranks over a deterministic sample of lifted points;
+    ``failures`` holds (sample index, observed rank) pairs."""
 
-    expected_rank: int
-    min_rank: int
-    min_margin: float
-    samples: int
-    failures: tuple[tuple[int, int], ...]   # (sample index, observed rank)
+    _fields = ("expected_rank", "min_rank", "min_margin", "samples", "failures")
+
+    def __init__(self, expected_rank: int, min_rank: int, min_margin: float, samples: int,
+                 failures: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "expected_rank", expected_rank)
+        object.__setattr__(self, "min_rank", min_rank)
+        object.__setattr__(self, "min_margin", min_margin)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "failures", failures)
+
+    def _key(self):
+        return self.expected_rank, self.min_rank, self.min_margin, self.samples, self.failures
 
     @property
     def passed(self) -> bool:
@@ -624,7 +665,7 @@ def verify_nondegeneracy(h: HRep, sample_count: int = 200,
     count = max(sample_count, polytope.vertex_count + h.m + 1)
     _check_work(f"{count} samples", count * (h.m * h.m * (h.m - h.n) + 20_000),
                 _SAMPLE_CAP)
-    q = relation_matrix(h)
+    q = relation_matrix(h)  # the cached relations, see HRep._relations
     rng = np.random.default_rng(seed)
     members = [[] for _ in range(h.m)]
     for v, facets in enumerate(polytope.vertices):

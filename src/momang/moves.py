@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import (
     BadParameters,
@@ -29,6 +28,7 @@ from .errors import (
     NotSimplexFacet,
     _check_int,
     _check_work,
+    _Record,
 )
 from .polytope import (
     CombPolytope,
@@ -48,8 +48,7 @@ _STATE_CAP = 100_000
 _PATH_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class FlipMove:
+class FlipMove(_Record):
     """A flip recorded on the dual sphere.
 
     ``target`` is the flipped face as a set of dual vertices, i.e. facet
@@ -59,13 +58,18 @@ class FlipMove:
     ``"general"`` otherwise.
     """
 
-    kind: str
-    target: tuple[int, ...]
-    codim: int
+    _fields = ("kind", "target", "codim")
+
+    def __init__(self, kind: str, target: tuple[int, ...], codim: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "codim", codim)
+
+    def _key(self):
+        return self.kind, self.target, self.codim
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(_Record):
     """Replayable record of greedy simplex-facet collapses.
 
     ``steps[k]`` is the collapsed facet index in the polytope existing at
@@ -75,20 +79,32 @@ class ReductionTrace:
     false, ``end`` is the stuck polytope the greedy run halted at.
     """
 
-    reducible: bool
-    steps: tuple[int, ...]
-    facet_counts: tuple[int, ...]
-    start: CombPolytope
-    end: CombPolytope
+    _fields = ("reducible", "steps", "facet_counts", "start", "end")
+
+    def __init__(self, reducible: bool, steps: tuple[int, ...], facet_counts: tuple[int, ...],
+                 start: CombPolytope, end: CombPolytope):
+        object.__setattr__(self, "reducible", reducible)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "facet_counts", facet_counts)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+
+    def _key(self):
+        return self.reducible, self.steps, self.facet_counts, self.start, self.end
 
 
-@dataclass(frozen=True)
-class PrismaticCircuit:
+class PrismaticCircuit(_Record):
     """A cycle of facets, consecutive ones adjacent, others not, whose
     consecutive intersection edges are pairwise disjoint."""
 
-    facets: tuple[int, ...]
-    edges: tuple[tuple[int, ...], ...]
+    _fields = ("facets", "edges")
+
+    def __init__(self, facets: tuple[int, ...], edges: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "facets", facets)
+        object.__setattr__(self, "edges", edges)
+
+    def _key(self):
+        return self.facets, self.edges
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
+    BadParameters,
     DuplicateVertex,
     InvalidPolytope,
     InvalidSphere,
@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
     UnusedFacet,
     _check_work,
+    _Record,
 )
 
 # Cap on predicted enumeration work, checked before anything is listed: the
@@ -37,18 +38,41 @@ _FACES_CAP = 5 * 10 ** 6  # FaceLattice.faces' V * 2^n memberships, ~130 B each:
 
 _REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte, bits reversed
 
-@dataclass(frozen=True)
-class CombPolytope:
+class CombPolytope(_Record):
     """A simple n-polytope: every vertex lies in exactly ``dim`` facets.
 
     ``vertices`` is a lexicographically sorted tuple of sorted facet-index
     tuples, so equal polytopes compare equal regardless of input order.
+    The constructor runs :func:`validate_polytope` on the incidence, with
+    its errors, and raises :class:`ParseError` when ``facet_count`` is not
+    the number of facets the incidence uses.
     """
 
-    dim: int
-    facet_count: int
-    vertices: tuple[tuple[int, ...], ...]
-    facet_labels: tuple[str, ...] | None = None
+    _fields = ("dim", "facet_count", "vertices", "facet_labels")
+
+    def __init__(self, dim: int, facet_count: int, vertices: tuple[tuple[int, ...], ...],
+                 facet_labels: tuple[str, ...] | None = None):
+        p = validate_polytope(dim, vertices, facet_labels)
+        if p.facet_count != facet_count:
+            raise ParseError(f"facet_count is {facet_count!r}, the incidence uses "
+                             f"{p.facet_count} facets")
+        for name in self._fields:
+            object.__setattr__(self, name, getattr(p, name))
+
+    def _key(self):
+        return self.dim, self.facet_count, self.vertices, self.facet_labels
+
+    @classmethod
+    def _trusted(cls, dim, facet_count, vertices, facet_labels=None) -> CombPolytope:
+        """A polytope from fields already valid and sorted; nothing is
+        checked.  :func:`validate_polytope` and :func:`_derived` build every
+        polytope through here."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "dim", dim)
+        object.__setattr__(p, "facet_count", facet_count)
+        object.__setattr__(p, "vertices", vertices)
+        object.__setattr__(p, "facet_labels", facet_labels)
+        return p
 
     @property
     def vertex_count(self) -> int:
@@ -70,13 +94,18 @@ class CombPolytope:
                 f"vertices={self.vertex_count})")
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(_Record):
     """A face recorded by the facets containing it; ``dim = n - len(facets)``."""
 
-    facets: frozenset[int]
-    dim: int
-    vertices: tuple[int, ...]
+    _fields = ("facets", "dim", "vertices")
+
+    def __init__(self, facets: frozenset[int], dim: int, vertices: tuple[int, ...]):
+        object.__setattr__(self, "facets", facets)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "vertices", vertices)
+
+    def _key(self):
+        return self.facets, self.dim, self.vertices
 
 
 class FaceLattice:
@@ -118,8 +147,7 @@ class FaceLattice:
         return tuple(counts[d] for d in range(n))
 
 
-@dataclass(frozen=True)
-class SimplicialSphere:
+class SimplicialSphere(_Record):
     """A pure simplicial complex whose facets have ``dim + 1`` vertices.
 
     Used for boundaries of dual simplicial polytopes; vertex labels are
@@ -127,8 +155,14 @@ class SimplicialSphere:
     by stacking moves).
     """
 
-    dim: int
-    facets: tuple[frozenset[int], ...]
+    _fields = ("dim", "facets")
+
+    def __init__(self, dim: int, facets: tuple[frozenset[int], ...]):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "facets", facets)
+
+    def _key(self):
+        return self.dim, self.facets
 
     @property
     def vertex_labels(self) -> tuple[int, ...]:
@@ -241,16 +275,16 @@ def validate_polytope(dim, incidence, facet_labels=None) -> CombPolytope:
                 f"{m} facets and {len(verts)} vertices break Euler's relation "
                 "2m = V + 4: the facets do not tile a sphere by single cycles")
 
-    return CombPolytope(dim=n, facet_count=m, vertices=verts, facet_labels=labels)
+    return CombPolytope._trusted(n, m, verts, labels)
 
 
 def _derived(dim, facet_count, incidence, facet_labels=None) -> CombPolytope:
     """A polytope that a move derives from a validated one, valid by
     construction: the incidence is only sorted, the facet count is taken as
     given, and :func:`validate_polytope` does not run."""
-    return CombPolytope(dim=dim, facet_count=facet_count,
-                        vertices=tuple(sorted(tuple(sorted(v)) for v in incidence)),
-                        facet_labels=facet_labels)
+    return CombPolytope._trusted(dim, facet_count,
+                                 tuple(sorted(tuple(sorted(v)) for v in incidence)),
+                                 facet_labels)
 
 
 def _reach_count(adjacency, start):
@@ -337,7 +371,8 @@ def validate_sphere(facets) -> SimplicialSphere:
     relation 2m = V + 4, which is chi = 2.  For larger facets chi is read
     from the nonzero masks of that polytope's :func:`face_lattice`, under
     its cap; :class:`GuardExceeded` passes through, every other defect is
-    :class:`InvalidSphere`.
+    :class:`InvalidSphere`.  Facets that are not collections of hashable,
+    mutually comparable labels raise :class:`BadParameters`.
 
     In dimension two vertex links need no check of their own.  Once every
     edge lies in two triangles, each vertex link is 2-regular, so a disjoint
@@ -345,8 +380,12 @@ def validate_sphere(facets) -> SimplicialSphere:
     gives a connected closed surface S with chi(S) = chi(K) + sum(c_v - 1),
     and chi(S) <= 2, so chi(K) = 2 forces every link to be a single cycle.
     """
-    raw = [frozenset(f) for f in facets]
-    fs = sorted(set(raw), key=sorted)
+    try:
+        raw = [frozenset(f) for f in facets]
+        fs = sorted(set(raw), key=sorted)
+        labels = sorted(set().union(*fs))
+    except TypeError as e:
+        raise BadParameters(f"facets must be collections of comparable labels: {e}") from e
     if len(fs) != len(raw):
         raise InvalidSphere("duplicate facets")
     if not fs:
@@ -355,7 +394,7 @@ def validate_sphere(facets) -> SimplicialSphere:
     if any(len(f) != n for f in fs):
         raise InvalidSphere("facets of mixed dimension")
 
-    label = {x: i for i, x in enumerate(sorted(set().union(*fs)))}
+    label = {x: i for i, x in enumerate(labels)}
     try:
         dual = validate_polytope(n, [[label[x] for x in f] for f in fs])
     except (InvalidPolytope, ParseError) as e:

@@ -38,11 +38,10 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 
-from .errors import BadParameters, NoSuchFacet, _check_work
+from .errors import BadParameters, NoSuchFacet, _check_work, _Record
 from .polytope import _WORK_CAP, CombPolytope, FaceLattice, _bits, _submasks, face_lattice
 
 
@@ -306,8 +305,7 @@ def orientability(z: ChamberComplex):
 # doubling filtration
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
+class EdgeRecord(_Record):
     """A boundary codimension-two cell of a filtration stage.
 
     ``facet_pair`` is the codimension-two face of the base polytope the cell
@@ -316,34 +314,56 @@ class EdgeRecord:
     they project to the same facet and differ by one doubled generator.
     """
 
-    facet_pair: tuple[int, int]
-    rep: int
-    kind: str
-    pieces: tuple[tuple[int, int], tuple[int, int]]
+    _fields = ("facet_pair", "rep", "kind", "pieces")
+
+    def __init__(self, facet_pair: tuple[int, int], rep: int, kind: str,
+                 pieces: tuple[tuple[int, int], tuple[int, int]]):
+        object.__setattr__(self, "facet_pair", facet_pair)
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "pieces", pieces)
+
+    def _key(self):
+        return self.facet_pair, self.rep, self.kind, self.pieces
 
 
-@dataclass(frozen=True)
-class EdgeTypeSummary:
-    records: Sequence[EdgeRecord]
-    type1: int
-    type2: int
+class EdgeTypeSummary(_Record):
+    _fields = ("records", "type1", "type2")
+
+    def __init__(self, records: Sequence[EdgeRecord], type1: int, type2: int):
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "type1", type1)
+        object.__setattr__(self, "type2", type2)
+
+    def _key(self):
+        return self.records, self.type1, self.type2
 
 
-@dataclass(frozen=True)
-class FiltrationStage:
+class FiltrationStage(_Record):
     """Stage j of the doubling filtration: 2^j chambers, boundary made of
     one piece per (facet >= j, group element below 2^j).  ``subgroup`` and
     ``facets`` are views in increasing order (pieces by facet, then by
-    group element)."""
+    group element).  ``repr`` leaves out ``edge_types``."""
 
-    base: CombPolytope
-    j: int
-    subgroup: Sequence[int]
-    facets: Sequence[tuple[int, int]]
-    chamber_count: int
-    cell_count: int
-    boundary_components: int
-    edge_types: EdgeTypeSummary = field(repr=False)
+    _fields = ("base", "j", "subgroup", "facets", "chamber_count", "cell_count",
+               "boundary_components", "edge_types")
+    _hidden = ("edge_types",)
+
+    def __init__(self, base: CombPolytope, j: int, subgroup: Sequence[int],
+                 facets: Sequence[tuple[int, int]], chamber_count: int, cell_count: int,
+                 boundary_components: int, edge_types: EdgeTypeSummary):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "subgroup", subgroup)
+        object.__setattr__(self, "facets", facets)
+        object.__setattr__(self, "chamber_count", chamber_count)
+        object.__setattr__(self, "cell_count", cell_count)
+        object.__setattr__(self, "boundary_components", boundary_components)
+        object.__setattr__(self, "edge_types", edge_types)
+
+    def _key(self):
+        return (self.base, self.j, self.subgroup, self.facets, self.chamber_count,
+                self.cell_count, self.boundary_components, self.edge_types)
 
 
 def _coset_count(j: int, mask: int) -> int:

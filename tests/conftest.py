@@ -1,6 +1,10 @@
+import dataclasses
 import itertools
 from collections import Counter, defaultdict
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
 
 from momang import cube, dodecahedron, prism, random_vertexcuts, simplex, vertex_cut
@@ -232,3 +236,141 @@ def corpus():
 @pytest.fixture(scope="session")
 def small_corpus():
     return corpus_small()
+
+
+# ---------------------------------------------------------------------------
+# the records as the frozen dataclasses they were declared as: parity oracles
+# for the hand-written classes' __init__, repr, == and hash.  They are made
+# in a function, so that their names do not shadow the package's; each
+# takes its bare name as qualified name, which its repr prints.
+
+
+def _dataclass_records():
+    @dataclass(frozen=True)
+    class CombPolytope:
+        dim: int
+        facet_count: int
+        vertices: tuple[tuple[int, ...], ...]
+        facet_labels: tuple[str, ...] | None = None
+
+        def __repr__(self):
+            return (f"CombPolytope(dim={self.dim}, facets={self.facet_count}, "
+                    f"vertices={len(self.vertices)})")
+
+    @dataclass(frozen=True)
+    class Face:
+        facets: frozenset[int]
+        dim: int
+        vertices: tuple[int, ...]
+
+    @dataclass(frozen=True)
+    class SimplicialSphere:
+        dim: int
+        facets: tuple[frozenset[int], ...]
+
+    @dataclass(frozen=True)
+    class FlipMove:
+        kind: str
+        target: tuple[int, ...]
+        codim: int
+
+    @dataclass(frozen=True)
+    class ReductionTrace:
+        reducible: bool
+        steps: tuple[int, ...]
+        facet_counts: tuple[int, ...]
+        start: CombPolytope
+        end: CombPolytope
+
+    @dataclass(frozen=True)
+    class PrismaticCircuit:
+        facets: tuple[int, ...]
+        edges: tuple[tuple[int, ...], ...]
+
+    @dataclass(frozen=True)
+    class EdgeRecord:
+        facet_pair: tuple[int, int]
+        rep: int
+        kind: str
+        pieces: tuple[tuple[int, int], tuple[int, int]]
+
+    @dataclass(frozen=True)
+    class EdgeTypeSummary:
+        records: Sequence[EdgeRecord]
+        type1: int
+        type2: int
+
+    @dataclass(frozen=True)
+    class FiltrationStage:
+        base: CombPolytope
+        j: int
+        subgroup: Sequence[int]
+        facets: Sequence[tuple[int, int]]
+        chamber_count: int
+        cell_count: int
+        boundary_components: int
+        edge_types: EdgeTypeSummary = field(repr=False)
+
+    @dataclass(frozen=True, eq=False)
+    class HRep:
+        n: int
+        m: int
+        A: np.ndarray
+        b: np.ndarray
+
+    @dataclass(frozen=True, eq=False)
+    class _Frame:
+        norms: np.ndarray
+        U: np.ndarray
+        c: np.ndarray
+        rounding: float
+        thr: float
+
+    @dataclass(frozen=True, eq=False)
+    class QuadricSystem:
+        m: int
+        gamma: np.ndarray
+        rhs: np.ndarray
+        norms: np.ndarray
+        rounding: np.ndarray | float = 0.0
+
+    @dataclass(frozen=True, eq=False)
+    class EmbeddedPoint:
+        y: np.ndarray
+        source: tuple[np.ndarray, tuple[int, ...]] | None = None
+
+    @dataclass(frozen=True)
+    class NondegeneracyReport:
+        expected_rank: int
+        min_rank: int
+        min_margin: float
+        samples: int
+        failures: tuple[tuple[int, int], ...]
+
+    records = {cls.__name__: cls for cls in (
+        CombPolytope, Face, SimplicialSphere, FlipMove, ReductionTrace, PrismaticCircuit,
+        EdgeRecord, EdgeTypeSummary, FiltrationStage, HRep, _Frame, QuadricSystem,
+        EmbeddedPoint, NondegeneracyReport)}
+    for name, cls in records.items():
+        cls.__qualname__ = name
+    return records
+
+
+DATACLASS_RECORDS = _dataclass_records()
+
+
+def dataclass_oracle(record, made=None):
+    """``record`` rebuilt as its old dataclass, records in its fields too.
+    Pass one dict as ``made`` across calls, so that a record met twice is
+    rebuilt once and identity comparisons carry over."""
+    made = {} if made is None else made
+    if id(record) not in made:
+        cls = DATACLASS_RECORDS[type(record).__name__]
+        values = {}
+        for f in dataclasses.fields(cls):
+            value = getattr(record, f.name)
+            if type(value).__name__ in DATACLASS_RECORDS:
+                value = dataclass_oracle(value, made)
+            values[f.name] = value
+        made[id(record)] = (record, cls(**values))  # the record pins its id
+    return made[id(record)][1]

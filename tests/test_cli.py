@@ -500,7 +500,8 @@ from momang.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps({"code": code, "modules": sorted(
-    name for name in sys.modules if name.startswith("momang."))}))
+    name for name in sys.modules if name.startswith("momang.")),
+    "stdlib": [name for name in ("dataclasses", "inspect") if name in sys.modules]}))
 """
 
 COMMAND_MODULES = {
@@ -523,7 +524,8 @@ COMMAND_MODULES = {
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     # one fresh interpreter per command: the CLI brings errors and polytope,
-    # and each command's branch imports the one module it runs
+    # and each command's branch imports the one module it runs.  No command
+    # loads dataclasses; only numpy, under the H-rep commands, loads inspect.
     write_polytope(tmp_path, "cube.json", cube(3))
     write_polytope(tmp_path, "prism.json", prism())
     write_polytope(tmp_path, "cut.json", momang.vertex_cut(cube(3), 0))
@@ -533,7 +535,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
                               capture_output=True, text=True, env=fresh_env(), cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == {"code": 0, "modules": sorted(
-            f"momang.{name}" for name in ("cli", "errors", "polytope", *extra))}, argv
+            f"momang.{name}" for name in ("cli", "errors", "polytope", *extra)),
+            "stdlib": ["inspect"] if "hrep" in extra else []}, argv
 
 
 PUBLIC_NAMES_SCRIPT = """

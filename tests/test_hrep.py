@@ -111,6 +111,14 @@ def test_zero_normal_is_a_parse_error():
             make_hrep(rows, [0, 0, 0, 1, offset])
 
 
+@pytest.mark.parametrize("rows,offsets", [("ab", "cd"), ([[1, 2], [3]], [1, 2]),
+                                          ([[1j, 0], [0, 1], [-1, -1]], [0, 0, 1]),
+                                          ([[1, 0], [0, 1], [-1, -1]], ["x", 0, 1])])
+def test_make_hrep_refuses_non_numbers(rows, offsets):
+    with pytest.raises(ParseError, match="must be arrays of numbers"):
+        make_hrep(rows, offsets)
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-170, 1e-160, 1e160, 1e200, 1e300])
 def test_extreme_row_magnitudes(tmp_path, capsys, scale):
     # the squares in |a| under- or overflow at these scales of the cube's
@@ -243,6 +251,17 @@ def test_prism_relation_matrix():
     assert np.allclose(sorted(map(tuple, q.gamma)),
                        [(0, 0, 0, 1, 1), (1, 1, 1, 0, 0)])
     assert np.allclose(q.rhs, [1, 1])
+
+
+def test_relations_reduced_once_per_presentation(monkeypatch):
+    # verify_nondegeneracy reads the relations relation_matrix cached
+    calls = []
+    reduce = hrep._reduce_relations
+    monkeypatch.setattr(hrep, "_reduce_relations", lambda h: calls.append(h) or reduce(h))
+    h = cube_hrep(3)
+    q = relation_matrix(h)
+    assert verify_nondegeneracy(h, 20).passed
+    assert relation_matrix(h) is q and calls == [h]
 
 
 def test_relation_matrix_properties():

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import time
@@ -645,7 +644,8 @@ def test_random_vertexcuts_matches_per_cut_oracle(k, seed):
 
 
 def _forged(make, **changes):
-    return lambda: dataclasses.replace(recognize_vertexcut_reducible(make()), **changes)
+    # the trace's fields are its whole __dict__: it caches no property
+    return lambda: ReductionTrace(**{**vars(recognize_vertexcut_reducible(make())), **changes})
 
 
 FORGED_TRACES = [

@@ -9,6 +9,7 @@ import pytest
 
 import momang.polytope as polytope
 from momang import (
+    CombPolytope,
     SimplicialSphere,
     bistellar_flip,
     combinatorial_isomorphic,
@@ -487,6 +488,14 @@ def test_dual_redualization(corpus):
         assert combinatorial_isomorphic(back, p) is not None, name
 
 
+@pytest.mark.parametrize("facets", [None, 3, [1, 2], [[[0], [1], [2]]], [{0, "a", 1}],
+                                    [{0, 1, 2}, {"a", "b", "c"}]])
+def test_validate_sphere_refuses_unusable_facets(facets):
+    with pytest.raises(BadParameters):
+        validate_sphere(facets)
+
+
+
 def test_validate_sphere_rejects_open_disk():
     with pytest.raises(InvalidSphere):
         validate_sphere([(0, 1, 2), (0, 1, 3)])
@@ -768,3 +777,35 @@ def test_labels_roundtrip():
     p = validate_polytope(3, SIMPLEX3_VERTS, facet_labels=labels)
     assert p.facet_labels == tuple(labels)
     assert polytope_to_json(p)["facet_labels"] == labels
+
+
+def test_constructor_validates_the_incidence():
+    # the three vertices of a tetrahedron less one: cutting one gave a
+    # 5-facet polytope that validation refuses
+    with pytest.raises(NotPolytopal):
+        vertex_cut(CombPolytope(dim=3, facet_count=5,
+                                vertices=((0, 1, 2), (0, 1, 3), (0, 2, 3))), 0)
+
+
+@pytest.mark.parametrize("dim,vertices,error", [
+    (3, [(0, 1), (0, 2, 3)], NotSimple),
+    (3, [(0, 1, 2), (2, 1, 0), (0, 1, 3), (0, 2, 3), (1, 2, 3)], DuplicateVertex),
+    (3, [(0, 1, 2), (0, 1, 4), (0, 2, 4), (1, 2, 4)], UnusedFacet),
+    (3, [(0, 1, "x")], ParseError),
+    (0, [()], ParseError),
+])
+def test_constructor_raises_what_validation_raises(dim, vertices, error):
+    with pytest.raises(error) as direct:
+        validate_polytope(dim, vertices)
+    with pytest.raises(error) as built:
+        CombPolytope(dim, 4, vertices)
+    assert str(built.value) == str(direct.value)
+
+
+def test_constructor_checks_the_facet_count_and_sorts():
+    verts = simplex(3).vertices
+    with pytest.raises(ParseError, match="facet_count is 5, the incidence uses 4 facets"):
+        CombPolytope(dim=3, facet_count=5, vertices=verts)
+    p = CombPolytope(3, 4, [tuple(reversed(v)) for v in reversed(verts)], ["a", "b", "c", "d"])
+    assert p == validate_polytope(3, verts, ["a", "b", "c", "d"])
+    assert p.facet_labels == ("a", "b", "c", "d")

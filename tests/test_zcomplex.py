@@ -250,7 +250,7 @@ def test_chamber_counts_refuse_without_the_pair_table(monkeypatch):
     n = 14
     verts = sorted(tuple(sorted(i if bit == 0 else n + i for i, bit in enumerate(corner)))
                    for corner in itertools.product((0, 1), repeat=n))
-    p = CombPolytope(dim=n, facet_count=2 * n, vertices=tuple(verts))
+    p = CombPolytope._trusted(n, 2 * n, tuple(verts))  # the constructor would validate
     monkeypatch.setattr(polytope, "_pair_sets", unreachable)
     for call in (complex_summary, build_chamber_complex, doubling_filtration):
         with pytest.raises(GuardExceeded, match="face-lattice subset words"):
