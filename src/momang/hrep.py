@@ -37,12 +37,13 @@ from .polytope import validate_polytope
 
 # Caps: vertex walk steps, the upper-bound-theorem vertex count times m n
 # (for m <= 54 the former cap of 10^6 n-subsets admitted at most 1.24e8, at
-# m = 43, n = 38), and sampling steps; a nondegeneracy sample takes one SVD
-# of its (m - n) x m gradients, ~m^2 (m - n) steps, plus numpy call overhead
-# worth ~20 000 steps (a second, rank SVD runs only for the samples the
-# first one's bounds leave uncertified).  Stacked point draws made a sample
-# cheaper than that allowance, which stays: a smaller one would admit
-# inputs the cap refuses.  Samples are taken in stacks of
+# m = 43, n = 38), and sampling steps; a nondegeneracy sample takes at most
+# one SVD of its (m - n) x m gradients, ~m^2 (m - n) steps, plus numpy call
+# overhead worth ~20 000 steps (a second, rank SVD runs only for the samples
+# left uncertified, and the vertex bounds spare most samples the first).
+# Stacked point draws made a sample cheaper than that allowance, which
+# stays: a smaller one would admit inputs the cap refuses.  Samples are
+# taken in stacks of
 # _RANK_CHUNK, which bounds the stacked gradients' memory; ray shots are
 # taken in blocks of as many rows, and the walk expands blocks of
 # _RANK_CHUNK^2 / max(m, n^2) subsets, whose stacked slacks and n x n
@@ -633,31 +634,50 @@ def verify_nondegeneracy(h: HRep, sample_count: int = 200,
     Samples every vertex, the relative-interior centroid of every facet and
     the global centroid, then fills up to ``sample_count`` (an int, not a
     bool, >= 0, as is ``seed``, else ``BadParameters``; a count below those
-    points adds none) with seeded random points
-    (alternating interior and facet points), lifted without a membership
-    test as convex combinations of vertices.  For alpha = 1, numpy's
-    Dirichlet draws L standard exponentials and scales them by 1 / their sum
-    taken in order; a random point draws ``rng.standard_exponential(L)``
-    and scales it the same way, so its weights are the bits
-    ``rng.dirichlet(np.ones(L))`` gives from the same stream.  The draws
-    are made one point at a time, in point order, and turned into points by
-    one product per vertex set (all vertices, or facet i) whenever they hold
-    ``_RANK_CHUNK^2`` entries, so their memory does not grow with the
-    sample count.  Ranks are decided on the
-    gradients H of ``QuadricSystem._unit_gamma``, unchanged by row
-    scaling; ``min_margin`` reads the gradients G of
+    points adds none) with seeded random points (see :func:`_sample_points`).
+    Ranks are decided on the gradients H of ``QuadricSystem._unit_gamma``,
+    unchanged by row scaling; ``min_margin`` reads the gradients G of
     :func:`relation_matrix`.  Samples go in chunks of ``_RANK_CHUNK``, with
-    the signs drawn per chunk from the same stream, and each chunk takes
-    one stacked SVD of G.  Since H = D_r^-1 G D_c with D_r the rows' largest
-    |gamma_jk a_k| and D_c = diag(sqrt|a_k|), sigma_{m-n}(H) is at least
-    sigma_{m-n}(G) sqrt(min|a_k|) / max D_r and sigma_1(H) at most
+    the signs drawn per chunk from the same stream, and each chunk takes one
+    stacked SVD of G over the samples that need it, whose bits are those of
+    a call on each sample alone.  Since H = D_r^-1 G D_c with D_r the rows'
+    largest |gamma_jk a_k| and D_c = diag(sqrt|a_k|), sigma_{m-n}(H) is at
+    least sigma_{m-n}(G) sqrt(min|a_k|) / max D_r and sigma_1(H) at most
     sigma_1(G) sqrt(max|a_k|) / min D_r; a sample whose lower bound exceeds
     twice 1e-9 max(1, upper bound), far above SVD rounding, has full rank.
     Only the samples left uncertified, including any whose bounds over- or
-    underflow, take the rank SVD of H.  Failures are reported, not raised;
-    the sampling work, predicted from the point count the vertex walk
-    fixes, is checked against ``_SAMPLE_CAP`` before the relations or any
-    point are computed.
+    underflow, take the rank SVD of H.
+
+    Most samples need no SVD of G either.  G G^t = 4 gamma diag(s) gamma^t
+    with s = A^t x + b, which is affine in the point and ignores the signs,
+    so lambda_min(G G^t) = sigma_{m-n}(G)^2 is concave and lambda_max =
+    sigma_1(G)^2 convex on the polytope (Lewis & Overton, Acta Numerica 5,
+    1996): at x = sum_v w_v v with w >= 0 they lie above sum_v w_v
+    lambda_min(v) and below sum_v w_v lambda_max(v).  The vertex values
+    come from one stacked ``eigvalsh`` (:func:`_vertex_bounds`), and the
+    product per vertex set that builds a point also sums its bounds.  Both
+    are widened by:
+
+    - the lifted slacks' rounding: the sample's and its vertices' slacks,
+      the point's sum and its weights' sum (which need not be 1) move the
+      combination by at most d_k = 16 (n + V) eps (sum_i |A_ik| max_v |v_i|
+      + |b_k|), so the Gram matrix by at most ||4 gamma diag(d) gamma^t||;
+    - the backward errors of the vertex eigenvalues (see there) and of the
+      sample's SVD, 4 m^2 eps sigma_1, a generous multiple of LAPACK's
+      m eps sigma_1;
+    - the rounding of the weighted sums, (2 V + 8) eps of their size.
+
+    A sample, vertex or not, whose widened lower bound on its computed
+    sigma_{m-n}(G) lies strictly above an upper bound on some vertex's
+    cannot hold ``min_margin`` and takes no SVD of G; it counts as certified
+    when its widened bounds pass the test above, and takes the rank SVD of
+    H otherwise.  Every other sample, among them the one that holds the
+    minimum, joins the chunk's SVD of G, as does any sample whose bounds are
+    not finite, so ``min_margin`` keeps its bits.  Where the Gram matrix
+    does not vary, as on a cube (4 I), no sample can be ruled out and no
+    bound is computed.  Failures are reported, not raised; the sampling
+    work, predicted from the point count the vertex walk fixes, is checked
+    against ``_SAMPLE_CAP`` before the relations or any point are computed.
     """
     _check_int("sample_count", sample_count, 0)
     _check_int("seed", seed, 0)
@@ -666,15 +686,133 @@ def verify_nondegeneracy(h: HRep, sample_count: int = 200,
     _check_work(f"{count} samples", count * (h.m * h.m * (h.m - h.n) + 20_000),
                 _SAMPLE_CAP)
     q = relation_matrix(h)  # the cached relations, see HRep._relations
+    eps = np.finfo(float).eps
+    err = 4 * h.m * h.m * eps  # an SVD's backward error over sigma_1
+    bounds = _vertex_bounds(h, q, coords, err)
     rng = np.random.default_rng(seed)
+    pts, sums = _sample_points(h, polytope, coords, count, rng,
+                               None if bounds is None else bounds[3])
+
+    norms, rowmax = q.norms, q._rowmax
+    with np.errstate(all="ignore"):  # H = D_r^-1 G D_c, see the docstring
+        low = math.sqrt(norms.min()) / rowmax.max()
+        high = math.sqrt(norms.max()) / rowmax.min()
+
+    def certified(least, most):  # sigma_{m-n}(G) >= least and sigma_1(G) <= most
+        with np.errstate(all="ignore"):
+            upper = most * high
+            return np.isfinite(upper) & (least * low > 2 * _TOL * np.maximum(1.0, upper))
+
+    skip = sure = np.zeros(count, dtype=bool)
+    if bounds is not None:
+        t, cap, shift, _ = bounds
+        rho = (2 * len(coords) + 8) * eps
+        with np.errstate(all="ignore"):  # NaN and inf bounds pass no test
+            lo = np.sqrt((1 - rho) * sums[:, 0] - shift)  # sigma_{m-n}(G) / t, at least
+            hi = np.sqrt((1 + rho) * sums[:, 1] + shift)  # sigma_1(G) / t, at most
+            above = (1 - rho) * lo - err * hi  # its computed sigma_{m-n}(G) / t, at least
+            skip = np.isfinite(above) & (above > cap) & np.isfinite(t * hi)
+            sure = certified(t * lo, t * hi)
+    expected = h.m - h.n
+    min_rank, min_margin, failures = expected, math.inf, []
+    for start in range(0, count, _RANK_CHUNK):
+        chunk = pts[start:start + _RANK_CHUNK]
+        y = _lifted(h, chunk, 1 - 2 * rng.integers(0, 2, size=(len(chunk), h.m)))
+        todo, unsure = ~skip[start:start + len(chunk)], ~sure[start:start + len(chunk)]
+        if todo.any():
+            svals = np.linalg.svd(2.0 * q.gamma * (y if todo.all() else y[todo]),
+                                  compute_uv=False)
+            min_margin = min(min_margin, float(svals[:, expected - 1].min()))
+            unsure[todo] = ~certified(svals[:, expected - 1], svals[:, 0])
+        ranks = np.full(len(chunk), expected)
+        if unsure.any():
+            ranks[unsure] = _numeric_rank(2.0 * q._unit_gamma * y[unsure])
+        min_rank = min(min_rank, int(ranks.min()))
+        failures += [(start + i, int(r)) for i, r in enumerate(ranks) if r < expected]
+    return NondegeneracyReport(expected_rank=expected, min_rank=min_rank,
+                               min_margin=min_margin, samples=count,
+                               failures=tuple(failures))
+
+
+def _lifted(h: HRep, pts: np.ndarray, signs) -> np.ndarray:
+    """The lifts y_k = sign_k sqrt(<a_k, x> + b_k) of a stack of points, as a
+    (K, 1, m) stack; the affine forms take the bits of :meth:`HRep.values`."""
+    values = (h.A.T @ pts[..., None])[..., 0] + h.b  # h.values' bits; pts @ A is not
+    return (signs * np.sqrt(np.clip(values, 0.0, None)))[:, None, :]
+
+
+def _vertex_bounds(h: HRep, q: QuadricSystem, coords: np.ndarray, err: float):
+    """The vertex side of :func:`verify_nondegeneracy`'s bounds, or None
+    where the Gram matrix does not vary.
+
+    That is where its linear part gamma diag(A_i) gamma^t, coordinate i,
+    vanishes within the rounding of its m terms.  Otherwise returns ``(t,
+    cap, shift, gram)``.  t is the largest entry of the unsigned vertex
+    gradients G, which are divided by it before the Gram matrices are
+    formed, so nothing near 1e+-200 over- or underflows.  gram holds per
+    vertex a lower bound on lambda_min and an upper bound on lambda_max of
+    G G^t / t^2: the stacked ``eigvalsh`` of the normalised Gram matrices,
+    whose entries are at most m, is off by at most 16 m^3 eps from its
+    entries' rounding, the products' and its own backward error.  shift
+    bounds ||4 gamma diag(d) gamma^t|| / t^2 the same way, from the rounding
+    allowance d of the docstring there, and cap every vertex's computed
+    sigma_{m-n}(G) / t, with ``err`` its SVD's backward error over
+    sigma_1.  Gradients that are not finite, or all zero, give None too.
+    """
+    eps, m, V = np.finfo(float).eps, h.m, len(coords)
+    gamma = q.gamma
+    with np.errstate(all="ignore"):
+        linear = (gamma * h.A[:, None, :]) @ gamma.T
+        size = (np.abs(gamma) * np.abs(h.A)[:, None, :]) @ np.abs(gamma).T
+        if (np.abs(linear) <= 4 * m * eps * size).all():
+            return None
+        d = 16 * (h.n + V) * eps * (np.abs(h.A).T @ np.abs(coords).max(axis=0)
+                                    + np.abs(h.b))
+        G = 2.0 * gamma * np.vstack([_lifted(h, coords, 1.0), np.sqrt(d)[None, None]])
+        t = float(np.abs(G[:V]).max())
+        if t == 0 or not np.isfinite(G).all():
+            return None
+        G /= t
+    try:
+        lam = np.linalg.eigvalsh(G @ G.transpose(0, 2, 1))
+    except np.linalg.LinAlgError:  # no convergence: the samples take their SVDs
+        return None
+    off = 16 * m ** 3 * eps
+    gram = np.column_stack([np.maximum(lam[:V, 0] - off, 0.0), lam[:V, -1] + off])
+    with np.errstate(invalid="ignore"):  # a NaN cap rules out no sample
+        cap = float((np.sqrt(lam[:V, 0] + off) + err * np.sqrt(gram[:, 1])).min())
+    return t, cap, float(lam[V, -1] + off), gram
+
+
+def _sample_points(h: HRep, polytope, coords: np.ndarray, count: int, rng, gram):
+    """The ``count`` points of :func:`verify_nondegeneracy` in order and,
+    given the V x 2 vertex bounds ``gram``, each point's weighted sums of
+    them, else None.
+
+    The vertices, the facet centroids and the global centroid come first;
+    the random points alternate interior and facet points, lifted without a
+    membership test as convex combinations of vertices.  For alpha = 1,
+    numpy's Dirichlet draws L standard exponentials and scales them by 1 /
+    their sum taken in order; a random point draws
+    ``rng.standard_exponential(L)`` and scales it the same way, so its
+    weights are the bits ``rng.dirichlet(np.ones(L))`` gives from the same
+    stream.  The draws are made one point at a time, in point order, and
+    turned into points, and sums, by one product per vertex set (all
+    vertices, or facet i) whenever they hold ``_RANK_CHUNK^2`` entries, so
+    their memory does not grow with the sample count.
+    """
     members = [[] for _ in range(h.m)]
     for v, facets in enumerate(polytope.vertices):
         for i in facets:
             members[i].append(v)
     sets = [coords, *(coords[vs] for vs in members)]  # all vertices, then facet i
     fixed = len(coords) + h.m + 1
-    pts = np.empty((count, h.n))
+    pts, sums = np.empty((count, h.n)), None
     pts[:fixed] = [*coords, *(c.mean(axis=0) for c in sets[1:]), coords.mean(axis=0)]
+    if gram is not None:
+        grams = [gram, *(gram[vs] for vs in members)]
+        sums = np.empty((count, 2))
+        sums[:fixed] = [*gram, *(g.mean(axis=0) for g in grams[1:]), gram.mean(axis=0)]
     pending: dict[int, tuple[list, list]] = {}  # vertex set -> sample indices, draws
     held = 0
     for k in range(fixed, count):
@@ -690,33 +828,10 @@ def verify_nondegeneracy(h: HRep, sample_count: int = 200,
                 # (K, 1, L) @ (L, n) runs the vector-matrix product of a lone
                 # draw once per point; a 2-D product is another kernel
                 pts[at] = (w[:, None, :] @ sets[j])[:, 0]
+                if gram is not None:
+                    sums[at] = w @ grams[j]
             pending, held = {}, 0
-
-    norms, rowmax = q.norms, q._rowmax
-    with np.errstate(all="ignore"):  # H = D_r^-1 G D_c, see the docstring
-        low = math.sqrt(norms.min()) / rowmax.max()
-        high = math.sqrt(norms.max()) / rowmax.min()
-    expected = h.m - h.n
-    min_rank, min_margin, failures = expected, math.inf, []
-    for start in range(0, len(pts), _RANK_CHUNK):
-        chunk = pts[start:start + _RANK_CHUNK]
-        signs = 1 - 2 * rng.integers(0, 2, size=(len(chunk), h.m))
-        values = (h.A.T @ chunk[..., None])[..., 0] + h.b  # h.values' bits; chunk @ A is not
-        y = (signs * np.sqrt(np.clip(values, 0.0, None)))[:, None, :]
-        svals = np.linalg.svd(2.0 * q.gamma * y, compute_uv=False)
-        min_margin = min(min_margin, float(svals[:, expected - 1].min()))
-        with np.errstate(all="ignore"):
-            upper = svals[:, 0] * high
-            sure = np.isfinite(upper) & (svals[:, expected - 1] * low
-                                         > 2 * _TOL * np.maximum(1.0, upper))
-        ranks = np.full(len(chunk), expected)
-        if not sure.all():
-            ranks[~sure] = _numeric_rank(2.0 * q._unit_gamma * y[~sure])
-        min_rank = min(min_rank, int(ranks.min()))
-        failures += [(start + i, int(r)) for i, r in enumerate(ranks) if r < expected]
-    return NondegeneracyReport(expected_rank=expected, min_rank=min_rank,
-                               min_margin=min_margin, samples=len(pts),
-                               failures=tuple(failures))
+    return pts, sums
 
 
 def quadrics_to_json(q: QuadricSystem) -> dict:

@@ -362,7 +362,7 @@ def prismatic_circuits(p: CombPolytope, k: int) -> list[PrismaticCircuit]:
             _check_work("prismatic circuit paths", walked, _PATH_CAP)
             end = path[-1]
             last = len(path) == k - 1
-            grown = blocked | nbrs[end] | {end}
+            grown = None if last else blocked | nbrs[end] | {end}  # the closing step reads none
             for x in nbrs[end]:
                 if x <= s or x in blocked or (x in nbrs[s]) != last:
                     continue

@@ -23,6 +23,7 @@ from .errors import (
     NotSimple,
     ParseError,
     UnusedFacet,
+    _check_int,
     _check_work,
     _Record,
 )
@@ -201,8 +202,10 @@ def validate_polytope(dim, incidence, facet_labels=None) -> CombPolytope:
 
     ``incidence`` is an iterable of vertex facet-index collections.  Raises
     :class:`NotSimple`, :class:`DuplicateVertex`, :class:`UnusedFacet` or
-    :class:`NotPolytopal` on defects; index/shape problems raise
-    :class:`ParseError`.
+    :class:`NotPolytopal` on defects; index/shape problems, a ``dim`` below
+    1, and an incidence, vertex or label list that is not iterable raise
+    :class:`ParseError`, and a ``dim`` that is not an int (or is a bool)
+    :class:`BadParameters`.
 
     For ``dim == 3`` the counts must obey Euler's relation ``2m = V + 4``;
     after the ridge and connectivity checks that is exact.  Facet boundaries
@@ -214,10 +217,12 @@ def validate_polytope(dim, incidence, facet_labels=None) -> CombPolytope:
     pseudo-sphere are checked; genuine polytopality is then the caller's
     responsibility.
     """
-    n = int(dim)
-    if n < 1:
-        raise ParseError(f"dimension must be >= 1, got {dim}")
-    raw = [tuple(v) for v in incidence]
+    _check_int("dim", dim, 1, error=ParseError)
+    n = dim
+    try:
+        raw = [tuple(v) for v in incidence]
+    except TypeError as e:
+        raise ParseError(f"incidence must be an iterable of vertex facet sets: {e}") from e
     if not raw:
         raise ParseError("empty vertex list")
     for v in raw:
@@ -245,7 +250,10 @@ def validate_polytope(dim, incidence, facet_labels=None) -> CombPolytope:
         if i not in used:
             raise UnusedFacet(f"facet {i} appears in no vertex")
     if facet_labels is not None:
-        labels = tuple(str(x) for x in facet_labels)
+        try:
+            labels = tuple(str(x) for x in facet_labels)
+        except TypeError as e:
+            raise ParseError(f"facet labels must be an iterable: {e}") from e
         if len(labels) != m:
             raise ParseError(f"expected {m} facet labels, got {len(labels)}")
     else:

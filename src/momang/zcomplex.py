@@ -41,7 +41,7 @@ from collections.abc import Mapping, Sequence
 from functools import cached_property
 from itertools import accumulate
 
-from .errors import BadParameters, NoSuchFacet, _check_work, _Record
+from .errors import BadParameters, NoSuchFacet, _check_int, _check_work, _Record
 from .polytope import _WORK_CAP, CombPolytope, FaceLattice, _bits, _submasks, face_lattice
 
 
@@ -280,10 +280,10 @@ def fixed_point_components(z: ChamberComplex, i: int) -> FixedPointSet:
     Those faces are cover-connected through the face {i}, so their cells
     glue along the cosets of the star of i: one component per coset.
     Components come in order of their first cell id, with their cells in
-    id order.
+    id order.  A facet that is not an int (or is a bool) raises
+    :class:`BadParameters`, one outside ``range(z.m)`` :class:`NoSuchFacet`.
     """
-    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < z.m:
-        raise NoSuchFacet(f"facet {i!r} of {z.m}")
+    _check_int("facet", i, 0, z.m, error=NoSuchFacet)
     return FixedPointSet(z, i)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 from collections import Counter, defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -7,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
+import momang.hrep as hrep
 from momang import cube, dodecahedron, prism, random_vertexcuts, simplex, vertex_cut
 from momang.polytope import Face, validate_polytope
 
@@ -226,6 +228,65 @@ def corpus_3d():
 def corpus_small():
     """Sub-corpus with few facets, cheap enough for exhaustive oracles."""
     return [(name, p) for name, p in corpus_3d() if p.facet_count <= 9]
+
+
+def stacked_nondegeneracy_oracle(h, sample_count, seed):
+    """verify_nondegeneracy as it was before the vertex bounds: the same
+    points, draws and signs, and one stacked SVD of G per chunk over every
+    sample, whose singular values certify the ranks they can; the rest take
+    the rank SVD of H.  Reads ``hrep._TOL`` and ``hrep._RANK_CHUNK`` when
+    called."""
+    polytope, coords = hrep.enumerate_vertices(h)
+    count = max(sample_count, polytope.vertex_count + h.m + 1)
+    q = hrep.relation_matrix(h)
+    rng = np.random.default_rng(seed)
+    members = [[] for _ in range(h.m)]
+    for v, facets in enumerate(polytope.vertices):
+        for i in facets:
+            members[i].append(v)
+    sets = [coords, *(coords[vs] for vs in members)]
+    fixed = len(coords) + h.m + 1
+    pts = np.empty((count, h.n))
+    pts[:fixed] = [*coords, *(c.mean(axis=0) for c in sets[1:]), coords.mean(axis=0)]
+    pending, held, chunk = {}, 0, hrep._RANK_CHUNK
+    for k in range(fixed, count):
+        j = 1 + int(rng.integers(h.m)) if (k - fixed) % 2 else 0
+        at, draws = pending.setdefault(j, ([], []))
+        at.append(k)
+        draws.append(rng.standard_exponential(len(sets[j])))
+        held += len(sets[j])
+        if held >= chunk * chunk or k == count - 1:
+            for j, (at, draws) in pending.items():
+                e = np.array(draws)
+                w = e * (1 / np.cumsum(e, axis=1)[:, -1:])
+                pts[at] = (w[:, None, :] @ sets[j])[:, 0]
+            pending, held = {}, 0
+
+    norms, rowmax, tol = q.norms, q._rowmax, hrep._TOL
+    with np.errstate(all="ignore"):
+        low = math.sqrt(norms.min()) / rowmax.max()
+        high = math.sqrt(norms.max()) / rowmax.min()
+    expected = h.m - h.n
+    min_rank, min_margin, failures = expected, math.inf, []
+    for start in range(0, len(pts), chunk):
+        block = pts[start:start + chunk]
+        signs = 1 - 2 * rng.integers(0, 2, size=(len(block), h.m))
+        values = (h.A.T @ block[..., None])[..., 0] + h.b
+        y = (signs * np.sqrt(np.clip(values, 0.0, None)))[:, None, :]
+        svals = np.linalg.svd(2.0 * q.gamma * y, compute_uv=False)
+        min_margin = min(min_margin, float(svals[:, expected - 1].min()))
+        with np.errstate(all="ignore"):
+            upper = svals[:, 0] * high
+            sure = np.isfinite(upper) & (svals[:, expected - 1] * low
+                                         > 2 * tol * np.maximum(1.0, upper))
+        ranks = np.full(len(block), expected)
+        if not sure.all():
+            ranks[~sure] = hrep._numeric_rank(2.0 * q._unit_gamma * y[~sure])
+        min_rank = min(min_rank, int(ranks.min()))
+        failures += [(start + i, int(r)) for i, r in enumerate(ranks) if r < expected]
+    return hrep.NondegeneracyReport(expected_rank=expected, min_rank=min_rank,
+                                    min_margin=min_margin, samples=len(pts),
+                                    failures=tuple(failures))
 
 
 @pytest.fixture(scope="session")

@@ -31,6 +31,7 @@ from momang.corpus import (
     simplex_hrep,
 )
 import momang.hrep as hrep
+from conftest import stacked_nondegeneracy_oracle
 from momang.hrep import HRep, _simplex
 from momang.polytope import validate_polytope
 from momang.errors import (
@@ -577,7 +578,8 @@ def test_verdicts_invariant_under_translation_scaling_permutation(name, data):
     p, _ = enumerate_vertices(h)
     q, _ = enumerate_vertices(moved)
     assert sorted(tuple(sorted(perm[f] for f in v)) for v in q.vertices) == list(p.vertices)
-    assert verify_nondegeneracy(moved, sample_count=40, seed=1).passed
+    report = verify_nondegeneracy(moved, sample_count=40, seed=1)
+    assert report.passed and report == stacked_nondegeneracy_oracle(moved, 40, 1)
     assert vertex_ranks(moved, perm.__getitem__) == vertex_ranks(h)
     scaled = make_hrep(*transformed(h.A.T, h.b, ([0.0] * h.n, 0, *transform[2:])))
     assert vertex_ranks(scaled, perm.__getitem__) == vertex_ranks(h)
@@ -864,19 +866,34 @@ def test_stacked_ranks_equal_the_looped_report(name, monkeypatch):
         assert report == oracle
 
 
+def recording_lifts(monkeypatch):
+    """Wrap ``hrep._lifted``; the list returned receives (signs, lifts) per call."""
+    lifted, seen = hrep._lifted, []
+
+    def recording(h, pts, signs):
+        seen.append((signs, lifted(h, pts, signs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(hrep, "_lifted", recording)
+    return seen
+
+
 @pytest.mark.parametrize("h", [cube_hrep(9), dodecahedron_hrep()], ids=["cube9", "dodecahedron"])
 def test_stacked_points_equal_the_looped_points(h, monkeypatch):
     # a report reads minima, which a point off by an ulp seldom moves; every
-    # sample's gradients 2 gamma y pin its point's bits (all of these samples
-    # are certified, so the one SVD per chunk is the only SVD)
+    # sample's gradients 2 gamma y pin its point's bits.  They are read off
+    # the signed lifts, which every sample passes through whether or not its
+    # bounds spare it the SVD of G; the unsigned vertex lifts of the bounds
+    # (none on the cube, whose Gram matrix is constant) are left out
     expect = []
     looped_nondegeneracy(h, 1131, 7, expect)
+    q, seen = relation_matrix(h), recording_lifts(monkeypatch)
     for chunk in (hrep._RANK_CHUNK, 2):
         monkeypatch.setattr(hrep, "_RANK_CHUNK", chunk)
-        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
-            verify_nondegeneracy(h, sample_count=1131, seed=7)
-        stacks = np.concatenate([call.args[0] for call in svd.call_args_list])
-        assert stacks.tobytes() == np.array(expect).tobytes()
+        seen.clear()
+        verify_nondegeneracy(h, sample_count=1131, seed=7)
+        ys = np.concatenate([y for signs, y in seen if not np.isscalar(signs)])
+        assert (2.0 * q.gamma * ys).tobytes() == np.array(expect).tobytes()
 
 
 def test_stacked_ranks_report_the_loops_failures(monkeypatch):
@@ -911,6 +928,74 @@ def test_certified_samples_skip_the_rank_svd(monkeypatch):
     for name, h in hreps:
         assert verify_nondegeneracy(h, sample_count=300, seed=5).passed, name
     assert ranked == []
+
+
+def cube_with_a_scaled_row(scale):
+    """The cube with its row 0 0 -1 1 scaled by ``scale``."""
+    rows, offsets = cube_hrep(3).A.T.copy(), cube_hrep(3).b.copy()
+    rows[5], offsets[5] = rows[5] * scale, offsets[5] * scale
+    return make_hrep(rows, offsets)
+
+
+BOUNDED = {**{name: (lambda name=name: dict(all_hreps())[name]) for name, _ in all_hreps()},
+           **{f"cube{n}": (lambda n=n: cube_hrep(n)) for n in range(4, 10)},
+           **{f"{name}+1e9": (lambda name=name: make_hrep(*differential_input(f"{name}+1e9")))
+              for name in METAMORPHIC_CORPUS},
+           "cube3*1e200": lambda: cube_with_a_scaled_row(1e200),
+           "cube3*1e-200": lambda: cube_with_a_scaled_row(1e-200),
+           "tangent3x30": lambda: parse_hrep(fibonacci_tangent_hrep(30))}
+
+
+@pytest.mark.parametrize("name", BOUNDED)
+def test_bounded_report_equals_the_stacked_oracle(name, monkeypatch):
+    # the vertex bounds spare samples SVDs, never a bit of the report.  On
+    # products of simplices (cubes, the simplex, the prism) the Gram matrix
+    # is constant, every sample ties and no bound is computed; on 1e9
+    # translations the slacks' rounding widens the bounds, and at 1e+-200
+    # they are computed but certify no rank
+    h = BOUNDED[name]()
+    count = max(2 * hrep._RANK_CHUNK + 17, enumerate_vertices(h)[0].vertex_count + h.m + 1)
+    constant = name.startswith(("cube", "simplex3", "prism")) and "*" not in name
+    assert (hrep._vertex_bounds(h, relation_matrix(h), enumerate_vertices(h)[1], 0.0)
+            is None) == constant
+    for chunk in (hrep._RANK_CHUNK, 2):
+        monkeypatch.setattr(hrep, "_RANK_CHUNK", chunk)
+        assert verify_nondegeneracy(h, count, 7) == stacked_nondegeneracy_oracle(h, count, 7)
+
+
+def test_bounded_failures_equal_the_stacked_oracle(monkeypatch):
+    # at tolerance 0.2 many samples fail their rank test; the presentations
+    # are validated, walked and reduced at 1e-9 first
+    made = [h for _, h in all_hreps()] + [parse_hrep(fibonacci_tangent_hrep(18))]
+    for h in made:
+        enumerate_vertices(h), relation_matrix(h)
+    monkeypatch.setattr(hrep, "_TOL", 0.2)
+    failed = 0
+    for h in made:
+        report = verify_nondegeneracy(h, sample_count=600, seed=3)
+        assert report == stacked_nondegeneracy_oracle(h, 600, 3)
+        failed += len(report.failures)
+    assert failed > 200
+
+
+def test_dodecahedron_sends_its_least_vertices_alone_to_the_svd(monkeypatch):
+    # vertices 12, 15, 18 and 19 tie for the least sigma_9 of G, which
+    # min_margin reads; the bounds rule out every other sample, the other 16
+    # vertices too, and certify their ranks, so the one SVD of G takes those
+    # four rows and no rank SVD runs
+    h = dodecahedron_hrep()
+    q, (_, coords) = relation_matrix(h), enumerate_vertices(h)
+    least = np.linalg.svd(2.0 * q.gamma * hrep._lifted(h, coords, 1.0), compute_uv=False)[:, -1]
+    rows = np.flatnonzero(least < least.min() * (1 + 1e-12))
+    assert rows.tolist() == [12, 15, 18, 19]
+    seen = recording_lifts(monkeypatch)
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        report = verify_nondegeneracy(h, sample_count=1131, seed=7)
+    (stack,) = [call.args[0] for call in svd.call_args_list]
+    ys = np.concatenate([y for signs, y in seen if not np.isscalar(signs)])
+    assert len(ys) == 1131
+    assert stack.tobytes() == (2.0 * q.gamma * ys[rows]).tobytes()
+    assert report == stacked_nondegeneracy_oracle(h, 1131, 7)
 
 
 def test_numeric_rank_of_a_stack_equals_each_rank():

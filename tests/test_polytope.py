@@ -802,6 +802,25 @@ def test_constructor_raises_what_validation_raises(dim, vertices, error):
     assert str(built.value) == str(direct.value)
 
 
+@pytest.mark.parametrize("args,error", [
+    ((3, SIMPLEX3_VERTS, 5), ParseError),     # scalar labels: TypeError
+    ((3, None), ParseError),                  # no incidence: TypeError
+    ((3, [[0, 1, 2], 5]), ParseError),        # a vertex that is no collection: TypeError
+    (("x", SIMPLEX3_VERTS), BadParameters),   # ValueError
+    ((3.5, SIMPLEX3_VERTS), BadParameters),   # read as dim 3
+    ((True, [(0,), (1,)]), BadParameters),    # read as dim 1
+])
+def test_validation_refuses_unusable_arguments(args, error):
+    # each escaped as the error in its comment, or passed, in the library;
+    # the wire path refuses them before validation
+    dim, vertices, *labels = args
+    with pytest.raises(error) as direct:
+        validate_polytope(*args)
+    with pytest.raises(error) as built:
+        CombPolytope(dim, 4, vertices, *labels)
+    assert str(built.value) == str(direct.value)
+
+
 def test_constructor_checks_the_facet_count_and_sorts():
     verts = simplex(3).vertices
     with pytest.raises(ParseError, match="facet_count is 5, the incidence uses 4 facets"):

@@ -344,10 +344,14 @@ def test_fixed_sets_counts():
 
 
 def test_fixed_sets_refuse_a_facet_that_is_not_an_int():
-    # floats, strings and bools were compared with 0 and m, or passed as 0/1
+    # floats, strings and bools were compared with 0 and m, or passed as 0/1;
+    # they are unusable arguments, an int out of range names no facet
     z = build_chamber_complex(prism())
-    for i in (-1, 5, 1.5, 1.0, "1", None, True, False, np.int64(1)):
-        with pytest.raises(NoSuchFacet):
+    for i in (-1, 5):
+        with pytest.raises(NoSuchFacet, match=f"facet {i} of 5"):
+            fixed_point_components(z, i)
+    for i in (1.5, 1.0, "1", None, True, False, np.int64(1)):
+        with pytest.raises(BadParameters, match="facet must be an integer"):
             fixed_point_components(z, i)
 
 
