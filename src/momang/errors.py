@@ -44,11 +44,14 @@ class _Record:
     ``_fields`` names a record's fields in order, and ``repr`` shows them,
     less the names in ``_hidden``.  ``==`` holds between records of one
     class whose ``_key()`` tuples, the fields' values in that order, are
-    equal, and ``hash`` hashes that tuple.  Each record writes out its
-    ``_key`` and its ``__init__``, which sets the fields with
-    ``object.__setattr__``: generated methods would need an ``exec`` per
-    class, and a generic one runs slower.  A record declared with
+    equal, and ``hash`` hashes that tuple.  A record declared with
     ``eq=False`` has no ``_key`` and compares and hashes by identity.
+
+    When a record class is made, one ``exec`` compiles its ``__init__``,
+    which takes the fields as arguments and sets each with
+    ``object.__setattr__``, and its ``_key``; the code is what writing them
+    out would give.  A field's default is the class attribute of its name,
+    as in a dataclass.  A method the class writes itself is kept.
     Assignment and deletion raise ``AttributeError``.  Instances keep a
     ``__dict__``, so ``functools.cached_property`` works on them.
     """
@@ -60,6 +63,18 @@ class _Record:
         super().__init_subclass__(**kwargs)
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+        own, names = vars(cls), cls._fields
+        params = ", ".join(f"{n}=_defaults[{n!r}]" if n in own else n for n in names)
+        source = (f"def __init__(self, {params}):\n"
+                  + "".join(f"    object.__setattr__(self, {n!r}, {n})\n" for n in names))
+        if eq:
+            source += f"def _key(self):\n    return ({''.join(f'self.{n}, ' for n in names)})\n"
+        namespace = {"__name__": cls.__module__, "_defaults": own}
+        exec(source, namespace)
+        for method in ("__init__", "_key"):
+            if method in namespace and method not in own:
+                namespace[method].__qualname__ = f"{cls.__qualname__}.{method}"
+                setattr(cls, method, namespace[method])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -66,12 +66,6 @@ class HRep(_Record, eq=False):
 
     _fields = ("n", "m", "A", "b")
 
-    def __init__(self, n: int, m: int, A: np.ndarray, b: np.ndarray):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-
     def values(self, x) -> np.ndarray:
         """The m affine forms <a_i, x> + b_i at a point, which must be a
         finite vector of length n (else :class:`BadParameters`)."""
@@ -128,14 +122,6 @@ class _Frame(_Record, eq=False):
 
     _fields = ("norms", "U", "c", "rounding", "thr")
 
-    def __init__(self, norms: np.ndarray, U: np.ndarray, c: np.ndarray, rounding: float,
-                 thr: float):
-        object.__setattr__(self, "norms", norms)
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "rounding", rounding)
-        object.__setattr__(self, "thr", thr)
-
 
 def _finite_vector(x, length: int) -> np.ndarray:
     """``x`` as a float vector, or :class:`BadParameters` unless it is a
@@ -163,14 +149,7 @@ class QuadricSystem(_Record, eq=False):
     ``rounding`` the allowance per equation (see :func:`relation_matrix`)."""
 
     _fields = ("m", "gamma", "rhs", "norms", "rounding")
-
-    def __init__(self, m: int, gamma: np.ndarray, rhs: np.ndarray, norms: np.ndarray,
-                 rounding: np.ndarray | float = 0.0):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "norms", norms)
-        object.__setattr__(self, "rounding", rounding)
+    rounding = 0.0
 
     def residual(self, y) -> np.ndarray:
         """The m - n equations' residuals at a point, which must be a finite
@@ -200,10 +179,7 @@ class EmbeddedPoint(_Record, eq=False):
     """A point of the quadric variety, optionally with its polytope source."""
 
     _fields = ("y", "source")
-
-    def __init__(self, y: np.ndarray, source: tuple[np.ndarray, tuple[int, ...]] | None = None):
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "source", source)
+    source = None
 
 
 # ---------------------------------------------------------------------------
@@ -610,17 +586,6 @@ class NondegeneracyReport(_Record):
     ``failures`` holds (sample index, observed rank) pairs."""
 
     _fields = ("expected_rank", "min_rank", "min_margin", "samples", "failures")
-
-    def __init__(self, expected_rank: int, min_rank: int, min_margin: float, samples: int,
-                 failures: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "expected_rank", expected_rank)
-        object.__setattr__(self, "min_rank", min_rank)
-        object.__setattr__(self, "min_margin", min_margin)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "failures", failures)
-
-    def _key(self):
-        return self.expected_rank, self.min_rank, self.min_margin, self.samples, self.failures
 
     @property
     def passed(self) -> bool:

@@ -60,14 +60,6 @@ class FlipMove(_Record):
 
     _fields = ("kind", "target", "codim")
 
-    def __init__(self, kind: str, target: tuple[int, ...], codim: int):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "codim", codim)
-
-    def _key(self):
-        return self.kind, self.target, self.codim
-
 
 class ReductionTrace(_Record):
     """Replayable record of greedy simplex-facet collapses.
@@ -81,30 +73,12 @@ class ReductionTrace(_Record):
 
     _fields = ("reducible", "steps", "facet_counts", "start", "end")
 
-    def __init__(self, reducible: bool, steps: tuple[int, ...], facet_counts: tuple[int, ...],
-                 start: CombPolytope, end: CombPolytope):
-        object.__setattr__(self, "reducible", reducible)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "facet_counts", facet_counts)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-
-    def _key(self):
-        return self.reducible, self.steps, self.facet_counts, self.start, self.end
-
 
 class PrismaticCircuit(_Record):
     """A cycle of facets, consecutive ones adjacent, others not, whose
     consecutive intersection edges are pairwise disjoint."""
 
     _fields = ("facets", "edges")
-
-    def __init__(self, facets: tuple[int, ...], edges: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "facets", facets)
-        object.__setattr__(self, "edges", edges)
-
-    def _key(self):
-        return self.facets, self.edges
 
 
 # ---------------------------------------------------------------------------

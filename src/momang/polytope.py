@@ -46,22 +46,21 @@ class CombPolytope(_Record):
     tuples, so equal polytopes compare equal regardless of input order.
     The constructor runs :func:`validate_polytope` on the incidence, with
     its errors, and raises :class:`ParseError` when ``facet_count`` is not
-    the number of facets the incidence uses.
+    the number of facets the incidence uses, :class:`BadParameters` when it
+    is not an int (or is a bool).
     """
 
     _fields = ("dim", "facet_count", "vertices", "facet_labels")
 
     def __init__(self, dim: int, facet_count: int, vertices: tuple[tuple[int, ...], ...],
                  facet_labels: tuple[str, ...] | None = None):
+        _check_int("facet_count", facet_count, 1, error=ParseError)
         p = validate_polytope(dim, vertices, facet_labels)
         if p.facet_count != facet_count:
             raise ParseError(f"facet_count is {facet_count!r}, the incidence uses "
                              f"{p.facet_count} facets")
         for name in self._fields:
             object.__setattr__(self, name, getattr(p, name))
-
-    def _key(self):
-        return self.dim, self.facet_count, self.vertices, self.facet_labels
 
     @classmethod
     def _trusted(cls, dim, facet_count, vertices, facet_labels=None) -> CombPolytope:
@@ -99,14 +98,6 @@ class Face(_Record):
     """A face recorded by the facets containing it; ``dim = n - len(facets)``."""
 
     _fields = ("facets", "dim", "vertices")
-
-    def __init__(self, facets: frozenset[int], dim: int, vertices: tuple[int, ...]):
-        object.__setattr__(self, "facets", facets)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "vertices", vertices)
-
-    def _key(self):
-        return self.facets, self.dim, self.vertices
 
 
 class FaceLattice:
@@ -158,13 +149,6 @@ class SimplicialSphere(_Record):
 
     _fields = ("dim", "facets")
 
-    def __init__(self, dim: int, facets: tuple[frozenset[int], ...]):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "facets", facets)
-
-    def _key(self):
-        return self.dim, self.facets
-
     @property
     def vertex_labels(self) -> tuple[int, ...]:
         return tuple(sorted(set().union(*self.facets)))
@@ -203,9 +187,9 @@ def validate_polytope(dim, incidence, facet_labels=None) -> CombPolytope:
     ``incidence`` is an iterable of vertex facet-index collections.  Raises
     :class:`NotSimple`, :class:`DuplicateVertex`, :class:`UnusedFacet` or
     :class:`NotPolytopal` on defects; index/shape problems, a ``dim`` below
-    1, and an incidence, vertex or label list that is not iterable raise
-    :class:`ParseError`, and a ``dim`` that is not an int (or is a bool)
-    :class:`BadParameters`.
+    1, an incidence, vertex or label list that is not iterable, and labels
+    given as one ``str`` or ``bytes`` raise :class:`ParseError`, and a
+    ``dim`` that is not an int (or is a bool) :class:`BadParameters`.
 
     For ``dim == 3`` the counts must obey Euler's relation ``2m = V + 4``;
     after the ridge and connectivity checks that is exact.  Facet boundaries
@@ -249,6 +233,8 @@ def validate_polytope(dim, incidence, facet_labels=None) -> CombPolytope:
     for i in range(m):
         if i not in used:
             raise UnusedFacet(f"facet {i} appears in no vertex")
+    if isinstance(facet_labels, (str, bytes)):
+        raise ParseError(f"facet labels must be a collection of labels, got {facet_labels!r}")
     if facet_labels is not None:
         try:
             labels = tuple(str(x) for x in facet_labels)

@@ -316,27 +316,9 @@ class EdgeRecord(_Record):
 
     _fields = ("facet_pair", "rep", "kind", "pieces")
 
-    def __init__(self, facet_pair: tuple[int, int], rep: int, kind: str,
-                 pieces: tuple[tuple[int, int], tuple[int, int]]):
-        object.__setattr__(self, "facet_pair", facet_pair)
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "pieces", pieces)
-
-    def _key(self):
-        return self.facet_pair, self.rep, self.kind, self.pieces
-
 
 class EdgeTypeSummary(_Record):
     _fields = ("records", "type1", "type2")
-
-    def __init__(self, records: Sequence[EdgeRecord], type1: int, type2: int):
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "type1", type1)
-        object.__setattr__(self, "type2", type2)
-
-    def _key(self):
-        return self.records, self.type1, self.type2
 
 
 class FiltrationStage(_Record):
@@ -348,22 +330,6 @@ class FiltrationStage(_Record):
     _fields = ("base", "j", "subgroup", "facets", "chamber_count", "cell_count",
                "boundary_components", "edge_types")
     _hidden = ("edge_types",)
-
-    def __init__(self, base: CombPolytope, j: int, subgroup: Sequence[int],
-                 facets: Sequence[tuple[int, int]], chamber_count: int, cell_count: int,
-                 boundary_components: int, edge_types: EdgeTypeSummary):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "subgroup", subgroup)
-        object.__setattr__(self, "facets", facets)
-        object.__setattr__(self, "chamber_count", chamber_count)
-        object.__setattr__(self, "cell_count", cell_count)
-        object.__setattr__(self, "boundary_components", boundary_components)
-        object.__setattr__(self, "edge_types", edge_types)
-
-    def _key(self):
-        return (self.base, self.j, self.subgroup, self.facets, self.chamber_count,
-                self.cell_count, self.boundary_components, self.edge_types)
 
 
 def _coset_count(j: int, mask: int) -> int:

@@ -301,9 +301,10 @@ def small_corpus():
 
 # ---------------------------------------------------------------------------
 # the records as the frozen dataclasses they were declared as: parity oracles
-# for the hand-written classes' __init__, repr, == and hash.  They are made
+# for the package's record classes' __init__, repr, == and hash.  They are made
 # in a function, so that their names do not shadow the package's; each
-# takes its bare name as qualified name, which its repr prints.
+# takes its bare name as qualified name, which its repr and its __init__'s
+# argument errors print.
 
 
 def _dataclass_records():
@@ -414,6 +415,7 @@ def _dataclass_records():
         EmbeddedPoint, NondegeneracyReport)}
     for name, cls in records.items():
         cls.__qualname__ = name
+        cls.__init__.__qualname__ = f"{name}.__init__"
     return records
 
 

@@ -809,6 +809,8 @@ def test_constructor_raises_what_validation_raises(dim, vertices, error):
     (("x", SIMPLEX3_VERTS), BadParameters),   # ValueError
     ((3.5, SIMPLEX3_VERTS), BadParameters),   # read as dim 3
     ((True, [(0,), (1,)]), BadParameters),    # read as dim 1
+    ((3, SIMPLEX3_VERTS, "abcd"), ParseError),  # one label per character
+    ((3, SIMPLEX3_VERTS, b"abcd"), ParseError),  # one label per byte value
 ])
 def test_validation_refuses_unusable_arguments(args, error):
     # each escaped as the error in its comment, or passed, in the library;
@@ -825,6 +827,11 @@ def test_constructor_checks_the_facet_count_and_sorts():
     verts = simplex(3).vertices
     with pytest.raises(ParseError, match="facet_count is 5, the incidence uses 4 facets"):
         CombPolytope(dim=3, facet_count=5, vertices=verts)
+    for count in (4.0, True, "4", None):
+        with pytest.raises(BadParameters, match="facet_count must be an integer"):
+            CombPolytope(3, count, verts)
+    with pytest.raises(ParseError, match="facet_count must be >= 1, got 0"):
+        CombPolytope(3, 0, verts)
     p = CombPolytope(3, 4, [tuple(reversed(v)) for v in reversed(verts)], ["a", "b", "c", "d"])
     assert p == validate_polytope(3, verts, ["a", "b", "c", "d"])
     assert p.facet_labels == ("a", "b", "c", "d")

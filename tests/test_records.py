@@ -1,4 +1,5 @@
-"""The hand-written frozen records against the dataclasses they replace.
+"""The package's frozen records, their methods generated by ``errors._Record``,
+against the dataclasses they replace.
 
 Every record the package builds is compared with its ``conftest``
 dataclass oracle: equal ``repr``, ``==`` between every two records of one
@@ -129,6 +130,23 @@ def test_init_takes_the_dataclass_arguments():
     assert type(q)(q.m, q.gamma, q.rhs, q.norms).rounding == 0.0
     assert type(lift_point(h, np.full(3, 0.5), [1] * 6))(y=q.rhs).source is None
     assert CombPolytope(3, 4, simplex(3).vertices).facet_labels is None
+
+    # missing arguments, an extra positional one and an unknown keyword are
+    # refused with the oracle's TypeError message, qualified name included
+    def refusal(cls, *args, **kwargs):
+        with pytest.raises(TypeError) as refused:
+            cls(*args, **kwargs)
+        return str(refused.value)
+
+    for record in {type(r): r for r in RECORDS}.values():
+        oracle = DATACLASS_RECORDS[type(record).__name__]
+        values = [getattr(record, name) for name in record._fields]
+        required = sum(f.default is dataclasses.MISSING for f in dataclasses.fields(oracle))
+        for args, kwargs in [(values[:required - 1], {}), ((), {}), (values + [None], {}),
+                             (values, {"extra": None})]:
+            assert refusal(type(record), *args, **kwargs) == refusal(oracle, *args, **kwargs)
+    assert refusal(Face, frozenset({0}), 2) == (
+        "Face.__init__() missing 1 required positional argument: 'vertices'")
 
 
 def test_cached_properties_still_work():
