@@ -359,8 +359,10 @@ def parse_hrep(text: str) -> HRep:
     :class:`RedundantHalfspace` for the first row that does not bound a
     facet, and :class:`GuardExceeded` when the span and radius LPs, or the
     redundancy LPs left after the ray shots, would pass ``_LP_CAP`` (see
-    :func:`make_hrep`).
+    :func:`make_hrep`).  Text that is not a ``str`` raises :class:`ParseError`.
     """
+    if not isinstance(text, str):
+        raise ParseError(f"half-space text must be a str, got {type(text).__name__}")
     lines = [ln for ln in (s.strip() for s in text.splitlines())
              if ln and not ln.startswith("#")]
     if not lines:
@@ -550,8 +552,13 @@ def lift_point(h: HRep, x, signs) -> EmbeddedPoint:
     or, through :meth:`HRep.values`, a point other than a finite vector of
     length n, and :class:`OutsidePolytope` for a point outside the region.
     """
-    signs = tuple(int(s) for s in signs)
-    if len(signs) != h.m or any(s not in (-1, 1) for s in signs):
+    try:
+        signs = tuple(signs)
+        ok = len(signs) == h.m and all(s == 1 or s == -1 for s in signs)
+        signs = tuple(map(int, signs)) if ok else None
+    except (TypeError, ValueError):
+        signs = None
+    if signs is None:
         raise BadParameters(f"signs must be a ±1 vector of length {h.m}")
     vals = h.values(x)
     x = np.asarray(x, dtype=float)

@@ -38,7 +38,6 @@ from .polytope import (
     _family,
     _family_isomorphism,
     _pair_sets,
-    dual_sphere,
     is_simplex,
 )
 
@@ -273,9 +272,13 @@ def bistellar_flip(k: SimplicialSphere, face) -> SimplicialSphere:
     ``k`` must be a validated sphere (:func:`validate_sphere` checks outside
     data).  The result is not re-checked: a move that passes the link checks
     below replaces a ball (the star) by another ball with the same boundary,
-    so a sphere stays a sphere.
+    so a sphere stays a sphere.  A face that is not a collection of hashable
+    labels raises :class:`BadParameters`.
     """
-    sigma = frozenset(face)
+    try:
+        sigma = frozenset(face)
+    except TypeError as e:
+        raise BadParameters(f"a face must be a collection of labels, got {face!r}") from e
     if not sigma:
         raise NotAFace("empty face")
     n = k.dim + 1
@@ -367,18 +370,21 @@ def _pairwise_disjoint(edges) -> bool:
 
 
 def _sphere_family(k: SimplicialSphere):
-    """The sphere's facets on its vertices renumbered 0..V-1, as the
-    arguments ``(num_labels, sets, pair table)`` of :func:`_family`, and the
-    1-skeleton degrees, largest first, read off the pair table."""
-    labels = k.vertex_labels
-    pos = {x: i for i, x in enumerate(labels)}
-    sets = [frozenset(pos[x] for x in f) for f in k.facets]
-    pairs = _pair_sets(len(labels), sets)
-    return (len(labels), sets, pairs), tuple(sorted(map(len, pairs), reverse=True))
+    """The sphere's facets as the arguments ``(num_labels, sets, pair table)``
+    of :func:`_family`, and the 1-skeleton degrees, largest first, read off
+    the pair table.  The labels are kept, so they must be ``0..V-1``, as on
+    every sphere the flip search builds: the start is labelled ``0..n``, a
+    flip at a facet adds the apex ``max + 1``, and one at a face of
+    ``3..n-1`` vertices adds no vertex and deletes none."""
+    num = k.vertex_count
+    pairs = _pair_sets(num, k.facets)
+    return (num, k.facets, pairs), tuple(sorted(map(len, pairs), reverse=True))
 
 
 def simplex_boundary_sphere(n: int) -> SimplicialSphere:
-    """The boundary of the n-simplex: all n-subsets of n+1 vertices."""
+    """The boundary of the n-simplex: all n-subsets of n+1 vertices.  An n
+    that is not an int >= 1, or is a bool, raises :class:`BadParameters`."""
+    _check_int("n", n, 1)
     facets = tuple(frozenset(c)
                    for c in itertools.combinations(range(n + 1), n))
     return SimplicialSphere(dim=n - 1, facets=facets)
@@ -400,18 +406,20 @@ def psc_flip_certificate(p: CombPolytope, depth: int):
     sigma with at least 3 vertices deletes no vertex and no edge: every old
     star edge lies in some new facet (sigma - u) | comp, and a vertex is
     only added, when sigma is a facet.  So 1-skeleton degrees never drop
-    along a sequence, and a state can reach ``dual_sphere(p)`` only if its
-    descending degree sequence is no longer than the target's and entrywise
-    at most it.  That condition passes to every ancestor, so the surviving
-    states are closed under taking parents; degree sequences are
+    along a sequence, and a state can reach the dual sphere of ``p`` only if
+    its descending degree sequence is no longer than the target's and
+    entrywise at most it.  That condition passes to every ancestor, so the
+    surviving states are closed under taking parents; degree sequences are
     isomorphism invariants, so a pruned state is isomorphic only to pruned
     states.  The BFS order, the first representative of every class and
     the returned certificate are therefore those of the unpruned search.
 
-    The degree sequence, an isomorphism invariant, also keys the dedup
-    buckets and gates the target match: isomorphic states share a bucket,
-    so a state is still registered exactly when no registered state is
-    isomorphic to it.  Each state's pair table is built once, for its
+    The target is ``p``'s own vertex family on its facets ``0..m-1``, with
+    its cached pair table: the dual sphere's facets, in the same order.  The
+    degree sequence, an isomorphism invariant, keys the dedup buckets, and
+    the target heads its own: a state's first isomorphic twin is the target
+    exactly when the state matches it, and a state with no twin is
+    registered and expanded.  Each state's pair table is built once, for its
     degrees and every isomorphism test it enters; its colours are refined
     once too, and only when it survives the prune.
     """
@@ -420,26 +428,22 @@ def psc_flip_certificate(p: CombPolytope, depth: int):
         raise DimensionUnsupported(
             f"codimension >= 3 flips need dim >= 3, got {n}")
     _check_int("depth", depth, 0)
-    shape, bound = _sphere_family(dual_sphere(p))
-    target = _family(*shape)
-    seen: dict = {}
+    bound = tuple(sorted(map(len, p._pairs), reverse=True))
+    target = _family(p.facet_count, p.vertices, p._pairs)
+    seen = {bound: [target]}
 
-    def matches(family, degrees):
-        return degrees == bound and _family_isomorphism(family, target) is not None
-
-    def register(family, degrees) -> bool:
+    def twin(shape, degrees):
+        family = _family(*shape)  # colours only for the states kept
         bucket = seen.setdefault(degrees, [])
-        if any(_family_isomorphism(family, other) is not None for other in bucket):
-            return False
-        bucket.append(family)
-        return True
+        found = next((other for other in bucket
+                      if _family_isomorphism(family, other) is not None), None)
+        if found is None:
+            bucket.append(family)
+        return found
 
     start = simplex_boundary_sphere(n)
-    shape, degrees = _sphere_family(start)
-    family = _family(*shape)
-    if matches(family, degrees):
+    if twin(*_sphere_family(start)) is target:
         return []
-    register(family, degrees)
     frontier = deque([(start, [])])
     generated = 1
     for _ in range(depth):
@@ -457,13 +461,13 @@ def psc_flip_certificate(p: CombPolytope, depth: int):
                 if len(degrees) > len(bound) or any(
                         d > b for d, b in zip(degrees, bound)):
                     continue
-                family = _family(*shape)  # colours only for the states kept
                 kind = "vertex" if len(sigma) == n else "general"
                 move = FlipMove(kind=kind, target=tuple(sorted(sigma)),
                                 codim=len(sigma))
-                if matches(family, degrees):
+                found = twin(shape, degrees)
+                if found is target:
                     return path + [move]
-                if register(family, degrees):
+                if found is None:
                     next_frontier.append((new, path + [move]))
         frontier = next_frontier
         if not frontier:
@@ -487,8 +491,11 @@ def certificate_to_json(moves) -> dict:
 
 
 def replay_flip_certificate(n: int, moves) -> SimplicialSphere:
-    """Apply a certificate to the n-simplex boundary and return the result."""
+    """Apply a certificate to the n-simplex boundary and return the result.
+    A move that is not a :class:`FlipMove` raises :class:`BadParameters`."""
     state = simplex_boundary_sphere(n)
     for mv in moves:
+        if not isinstance(mv, FlipMove):
+            raise BadParameters(f"a certificate move must be a FlipMove, got {mv!r}")
         state = bistellar_flip(state, mv.target)
     return state

@@ -445,15 +445,11 @@ def _refine(pairs):
     return colors
 
 
-def _family(num_labels, sets, pairs=None):
-    """A set family on labels ``0..num_labels-1`` as the record
-    ``(num_labels, sets, pair table, colours)`` that
-    :func:`_family_isomorphism` takes; colours are refined once, here.  A
-    caller that built the sets' :func:`_pair_sets` table already passes it."""
-    sets = [frozenset(s) for s in sets]
-    if pairs is None:
-        pairs = _pair_sets(num_labels, sets)
-    return num_labels, sets, pairs, _refine(pairs)
+def _family(num_labels, sets, pairs):
+    """A set family on labels ``0..num_labels-1``, with its :func:`_pair_sets`
+    table, as the record ``(num_labels, sets, pair table, colours)`` that
+    :func:`_family_isomorphism` takes; colours are refined once, here."""
+    return num_labels, [frozenset(s) for s in sets], pairs, _refine(pairs)
 
 
 def _family_isomorphism(fam_a, fam_b):
@@ -509,18 +505,12 @@ def combinatorial_isomorphic(p: CombPolytope, q: CombPolytope):
     """Facet bijection inducing a vertex bijection, or ``None``.
 
     The bijection is returned as a list ``perm`` with ``perm[i]`` the facet
-    of ``q`` matching facet ``i`` of ``p``; it is re-verified against the
-    incidence before being returned.
+    of ``q`` matching facet ``i`` of ``p``; the search returns it only once
+    the mapped vertex family equals ``q``'s.
     """
     mapping = _family_isomorphism(_family(p.facet_count, p.vertices, p._pairs),
                                   _family(q.facet_count, q.vertices, q._pairs))
-    if mapping is None:
-        return None
-    perm = [mapping[i] for i in range(p.facet_count)]
-    image = {tuple(sorted(perm[f] for f in v)) for v in p.vertices}
-    if image != set(q.vertices):
-        raise AssertionError("isomorphism search returned an invalid bijection")
-    return perm
+    return None if mapping is None else [mapping[i] for i in range(p.facet_count)]
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +555,4 @@ def polytope_from_json(data) -> CombPolytope:
             raise ParseError(f"vertex {v} is not strictly increasing")
         if any(f < 0 or f >= data["facets"] for f in v):
             raise ParseError(f"facet index out of range in {v}")
-    p = validate_polytope(data["dim"], verts, labels)
-    if p.facet_count != data["facets"]:
-        raise ParseError(
-            f"header says {data['facets']} facets, incidence uses {p.facet_count}")
-    return p
+    return CombPolytope(data["dim"], data["facets"], verts, labels)

@@ -199,19 +199,33 @@ class ChamberComplex:
 
     def canonical(self, face_index: int, g: int) -> tuple[int, int]:
         """The cell containing the copies of a face point indexed by ``g``;
-        a ``g`` outside [0, 2^m) raises :class:`BadParameters`."""
+        arguments are refused as :meth:`translate` refuses them."""
         return self.translate(g, (face_index, 0))
 
     def chambers(self) -> range:
         return range(1 << self.m)
 
     def translate(self, g: int, cell: tuple[int, int]) -> tuple[int, int]:
-        """Action of group element ``g`` on a cell; a ``g`` outside [0, 2^m)
-        raises :class:`BadParameters`."""
-        if g < 0 or g >> self.m:
-            raise BadParameters(f"group element {g} is outside [0, 2^{self.m})")
-        face_index, rep = cell
-        return face_index, (rep ^ g) & ~self.face_masks[face_index]
+        """Action of group element ``g`` on a cell ``(face index,
+        representative)``.  Raises :class:`BadParameters` unless ``g`` and
+        the representative lie in [0, 2^m), the face index in
+        ``range(len(face_masks))``, and all three are of type ``int``, which
+        a bool is not."""
+        m = self.m
+        try:
+            f, rep = cell
+            # of two ints, (g | rep) >> m is 0 exactly when both lie in [0, 2^m)
+            if (type(g) is int and type(f) is int and type(rep) is int
+                    and f >= 0 and not (g | rep) >> m):
+                return f, (rep ^ g) & ~self.face_masks[f]
+        except (TypeError, ValueError, IndexError):
+            pass
+        if type(g) is not int:
+            raise BadParameters(f"group element must be an integer, got {g!r}")
+        if g < 0 or g >> m:
+            raise BadParameters(f"group element {g} is outside [0, 2^{m})")
+        raise BadParameters(f"a cell is a pair of a face index below {len(self.face_masks)} "
+                            f"and a representative in [0, 2^{m}), got {cell!r}")
 
 
 def build_chamber_complex(p: CombPolytope) -> ChamberComplex:

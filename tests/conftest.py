@@ -1,7 +1,7 @@
 import dataclasses
 import itertools
 import math
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -9,8 +9,17 @@ import numpy as np
 import pytest
 
 import momang.hrep as hrep
+import momang.moves as moves
 from momang import cube, dodecahedron, prism, random_vertexcuts, simplex, vertex_cut
-from momang.polytope import Face, validate_polytope
+from momang.errors import DimensionUnsupported, LinkNotStandard, _check_int, _check_work
+from momang.polytope import (
+    Face,
+    _family,
+    _family_isomorphism,
+    _pair_sets,
+    dual_sphere,
+    validate_polytope,
+)
 
 
 def cut_cube():
@@ -437,3 +446,75 @@ def dataclass_oracle(record, made=None):
             values[f.name] = value
         made[id(record)] = (record, cls(**values))  # the record pins its id
     return made[id(record)][1]
+
+
+def _relabelled_sphere_family(k):
+    """The sphere's facets on its vertices renumbered 0..V-1, as the
+    arguments ``(num_labels, sets, pair table)`` of ``_family``, and the
+    1-skeleton degrees, largest first, read off the pair table."""
+    labels = k.vertex_labels
+    pos = {x: i for i, x in enumerate(labels)}
+    sets = [frozenset(pos[x] for x in f) for f in k.facets]
+    pairs = _pair_sets(len(labels), sets)
+    return (len(labels), sets, pairs), tuple(sorted(map(len, pairs), reverse=True))
+
+
+def flip_certificate_oracle(p, depth):
+    """``psc_flip_certificate`` as it was while it renumbered every state's
+    labels and built the target from ``dual_sphere(p)`` and a pair table of
+    its own, matching the target and registering states in two lookups.  It
+    reads the state cap, the flip and the candidate faces from ``moves``."""
+    n = p.dim
+    if n < 3:
+        raise DimensionUnsupported(
+            f"codimension >= 3 flips need dim >= 3, got {n}")
+    _check_int("depth", depth, 0)
+    shape, bound = _relabelled_sphere_family(dual_sphere(p))
+    target = _family(*shape)
+    seen: dict = {}
+
+    def matches(family, degrees):
+        return degrees == bound and _family_isomorphism(family, target) is not None
+
+    def register(family, degrees) -> bool:
+        bucket = seen.setdefault(degrees, [])
+        if any(_family_isomorphism(family, other) is not None for other in bucket):
+            return False
+        bucket.append(family)
+        return True
+
+    start = moves.simplex_boundary_sphere(n)
+    shape, degrees = _relabelled_sphere_family(start)
+    family = _family(*shape)
+    if matches(family, degrees):
+        return []
+    register(family, degrees)
+    frontier = deque([(start, [])])
+    generated = 1
+    for _ in range(depth):
+        next_frontier = deque()
+        while frontier:
+            state, path = frontier.popleft()
+            for sigma in moves._candidate_faces(state, n):
+                try:
+                    new = moves.bistellar_flip(state, sigma)
+                except LinkNotStandard:
+                    continue
+                generated += 1
+                _check_work("flip search states", generated, moves._STATE_CAP)
+                shape, degrees = _relabelled_sphere_family(new)
+                if len(degrees) > len(bound) or any(
+                        d > b for d, b in zip(degrees, bound)):
+                    continue
+                family = _family(*shape)
+                kind = "vertex" if len(sigma) == n else "general"
+                move = moves.FlipMove(kind=kind, target=tuple(sorted(sigma)),
+                                      codim=len(sigma))
+                if matches(family, degrees):
+                    return path + [move]
+                if register(family, degrees):
+                    next_frontier.append((new, path + [move]))
+        frontier = next_frontier
+        if not frontier:
+            break
+    return None

@@ -999,7 +999,7 @@ def test_flip_search_refines_each_family_once(monkeypatch):
         refined.append(len(pairs))
         return refine(pairs)
 
-    def counting_family(num_labels, sets, pairs=None):
+    def counting_family(num_labels, sets, pairs):
         records.append(num_labels)
         return family(num_labels, sets, pairs)
 

@@ -17,6 +17,7 @@ import pytest
 import momang.moves as moves
 from momang import (
     cube,
+    dodecahedron,
     dual_sphere,
     face_lattice,
     prism,
@@ -27,13 +28,19 @@ from momang import (
     vertex_cut,
 )
 from momang.moves import _sphere_family
+from momang.errors import GuardExceeded
 from momang.polytope import (
     _family,
     _family_isomorphism,
     _pair_sets,
 )
 from momang.zcomplex import _facet_stars
-from conftest import corpus_3d, family_isomorphism_oracle, joint_refinement_oracle
+from conftest import (
+    corpus_3d,
+    family_isomorphism_oracle,
+    flip_certificate_oracle,
+    joint_refinement_oracle,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +126,12 @@ def spheres():
     return [dual_sphere(p) for _, p in polytopes()] + states
 
 
+def family_record(num, sets):
+    """The ``_family`` record of a ``(num_labels, sets)`` family, with the
+    family's pair table."""
+    return _family(num, sets, _pair_sets(num, sets))
+
+
 def vertex_family(p):
     return p.facet_count, [frozenset(v) for v in p.vertices]
 
@@ -172,7 +185,7 @@ def test_refinement_matches_oracle(spheres):
     families += [sphere_family(k) for k in spheres]
     # mixed set sizes, where a label's set degree and total pair weight differ
     families += [(5, [{0}, {4}, {0, 2}]), (6, [{0}, {1, 2}, {3, 4, 5}, {0, 3}])]
-    colors = [_family(*fam)[3] for fam in families]
+    colors = [family_record(*fam)[3] for fam in families]
     for fam, col in zip(families, colors):
         assert partition(col) == partition(joint_refinement_oracle([fam])[0])
     # jointly only under the isomorphism search's precondition: equal set
@@ -201,7 +214,7 @@ def test_refinement_separates_classes_by_pair_weights():
     # the weights, which no corpus polytope or flip state needs
     family = (8, cycle([0, 1, 2, 3], [3, 1, 3, 1]) + cycle([4, 5, 6, 7], [2, 2, 2, 2]))
     classes = [[0, 1, 2, 3], [4, 5, 6, 7]]
-    assert partition(_family(*family)[3]) == classes
+    assert partition(family_record(*family)[3]) == classes
     assert partition(joint_refinement_oracle([family])[0]) == classes
 
 
@@ -210,7 +223,7 @@ def test_isomorphisms_carry_colours():
     for i, (_, p) in enumerate(polytopes()):
         q = relabelled(p, i)
         mapping = family_isomorphism_oracle(*vertex_family(p), *vertex_family(q))
-        col_p, col_q = _family(*vertex_family(p))[3], _family(*vertex_family(q))[3]
+        col_p, col_q = family_record(*vertex_family(p))[3], family_record(*vertex_family(q))[3]
         assert [col_q[mapping[a]] for a in range(p.facet_count)] == col_p
 
 
@@ -218,7 +231,7 @@ def test_colour_mismatch_rejects_before_the_search():
     # the cube and the twice-cut tetrahedron both have 6 facets and 8
     # vertices; their stored colours differ, so no pair row is read
     (num, sets, _, colors_a), (_, sets_b, _, colors_b) = (
-        _family(*vertex_family(p)) for p in (cube(3), random_vertexcuts(2, 0)))
+        family_record(*vertex_family(p)) for p in (cube(3), random_vertexcuts(2, 0)))
     assert sorted(colors_a) != sorted(colors_b)
     unread = [None] * num
     assert _family_isomorphism((num, sets, unread, colors_a),
@@ -230,7 +243,7 @@ def test_colour_mismatch_rejects_before_the_search():
 def test_isomorphism_matches_recursive_oracle(k, seed):
     p = random_vertexcuts(k, seed)
     q = relabelled(p, seed + 7)
-    new = _family_isomorphism(_family(*vertex_family(p)), _family(*vertex_family(q)))
+    new = _family_isomorphism(family_record(*vertex_family(p)), family_record(*vertex_family(q)))
     old = family_isomorphism_oracle(*vertex_family(p), *vertex_family(q))
     assert new is not None
     assert list(new.items()) == list(old.items())
@@ -241,9 +254,43 @@ def test_isomorphism_matches_oracle_on_corpus_and_spheres(spheres):
     families += [vertex_family(relabelled(p, i)) for i, (_, p) in enumerate(polytopes())]
     families += [sphere_family(k) for k in spheres]
     for fa, fb in itertools.product(families[::3], families[1::4]):
-        assert _family_isomorphism(_family(*fa), _family(*fb)) == \
+        assert _family_isomorphism(family_record(*fa), family_record(*fb)) == \
             family_isomorphism_oracle(*fa, *fb)
     for fam in families:
-        assert _family_isomorphism(_family(*fam), _family(*fam)) == \
+        assert _family_isomorphism(family_record(*fam), family_record(*fam)) == \
             family_isomorphism_oracle(*fam, *fam)
 
+
+
+def flip_inputs():
+    cut_cube = vertex_cut(cube(3), 0)
+    return [("prism", prism()), ("cube3", cube(3)), ("cube4", cube(4)),
+            ("dodecahedron", dodecahedron()), ("simplex3", simplex(3)), ("simplex4", simplex(4))] + [
+        (f"rvc{k}-{s}", random_vertexcuts(k, s)) for k in range(8) for s in range(3)] + [
+        ("cut_cube", cut_cube), ("cut_cube_twice", vertex_cut(cut_cube, 0)),
+        ("cut_cube4", vertex_cut(cube(4), 0))]
+
+
+def flip_outcome(search, p, depth):
+    try:
+        return search(p, depth)
+    except GuardExceeded:
+        return GuardExceeded
+
+
+@pytest.mark.parametrize("p", [p for _, p in flip_inputs()], ids=[n for n, _ in flip_inputs()])
+def test_flip_search_on_own_labels_matches_relabelling_oracle(p, monkeypatch):
+    # the target is p's own family and pair table, the states keep their
+    # labels and one registry holds both: certificates, Nones and refusals
+    # are the relabelling search's at every depth, under the cap and over it
+    deepest = p.facet_count - p.dim
+    for cap in (50, moves._STATE_CAP):
+        monkeypatch.setattr(moves, "_STATE_CAP", cap)
+        for depth in range(deepest + 1):
+            assert flip_outcome(psc_flip_certificate, p, depth) == \
+                flip_outcome(flip_certificate_oracle, p, depth), (cap, depth)
+    monkeypatch.undo()
+    # so the labels kept are the ones the oracle's renumbering gave
+    states = [moves.simplex_boundary_sphere(p.dim)] + flip_states(p, deepest, monkeypatch)
+    for k in states:
+        assert k.vertex_labels == tuple(range(k.vertex_count)), k

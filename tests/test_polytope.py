@@ -765,10 +765,13 @@ def test_json_rejects_bad_input():
     with pytest.raises(ParseError):
         polytope_from_json(bad)
     bad = dict(good, vertices=[[0, 1, 9]] + good["vertices"][1:])
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="facet index out of range"):
         polytope_from_json(bad)
+    # the range check runs before the constructor, which compares the count
+    with pytest.raises(ParseError, match="facet index out of range"):
+        polytope_from_json(dict(good, facets=3))
     bad = dict(good, facets=9)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="facet_count is 9, the incidence uses 4 facets"):
         polytope_from_json(bad)
 
 
