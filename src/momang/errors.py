@@ -174,10 +174,6 @@ class NotSimplexFacet(MomangError):
     """The facet is not a combinatorial simplex, so it cannot be collapsed."""
 
 
-class CollapseInadmissible(MomangError):
-    """Collapsing the facet would not produce a simple polytope."""
-
-
 class IsSimplex(MomangError):
     """The polytope already is a simplex; nothing left to collapse."""
 

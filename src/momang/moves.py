@@ -17,7 +17,6 @@ from collections import deque
 
 from .errors import (
     BadParameters,
-    CollapseInadmissible,
     DimensionUnsupported,
     IsSimplex,
     LinkNotStandard,
@@ -104,22 +103,20 @@ def vertex_cut(p: CombPolytope, vertex_index: int) -> CombPolytope:
 
 def _collapse_error(p: CombPolytope, facet_index: int):
     """The error :func:`simplex_facet_collapse` raises for this facet, or
-    ``None``; an index that is not a facet raises at once."""
+    ``None``; an index that is not a facet raises at once.
+
+    Two tests decide it: the facet has n vertices, and ``p`` is not the
+    simplex.  On the dual sphere the facet is a vertex in n facets, so its
+    link is the boundary of the simplex on its n neighbours (see
+    :func:`bistellar_flip`).  Were that simplex a facet too, the dual would
+    close up into the simplex boundary, which the second test refuses."""
     _check_int("facet", facet_index, 0, p.facet_count, NoSuchFacet)
-    n = p.dim
     on = p.facet_vertices(facet_index)
-    if len(on) != n:
+    if len(on) != p.dim:
         return NotSimplexFacet(
-            f"facet {facet_index} has {len(on)} vertices, expected {n}")
+            f"facet {facet_index} has {len(on)} vertices, expected {p.dim}")
     if is_simplex(p):
         return IsSimplex("polytope is already the simplex")
-    neighbors = set().union(*(p.vertices[i] for i in on)) - {facet_index}
-    if len(neighbors) != n:
-        return CollapseInadmissible(
-            f"facet {facet_index} is adjacent to {len(neighbors)} facets, expected {n}")
-    if tuple(sorted(neighbors)) in set(p.vertices):
-        return CollapseInadmissible(
-            f"the facets around facet {facet_index} already meet at a vertex")
     return None
 
 
@@ -134,10 +131,9 @@ def collapse_admissible(p: CombPolytope, facet_index: int) -> bool:
 def simplex_facet_collapse(p: CombPolytope, facet_index: int) -> CombPolytope:
     """Undo a vertex cut: merge a simplex facet's vertices into one.
 
-    Admissible when the facet has exactly n vertices, its dual vertex has
-    exactly n neighbours, and those neighbours do not already meet at a
-    vertex of ``p``.  The merged vertex lies in the n facets that surrounded
-    the collapsed one; facet indices above the removed facet shift down.
+    Admissible when the facet has exactly n vertices and ``p`` is not the
+    simplex.  The merged vertex lies in the n facets that surrounded the
+    collapsed one; facet indices above the removed facet shift down.
     A non-int or bool index raises :class:`BadParameters`, one out of range
     :class:`NoSuchFacet`.  The result is not re-validated: on the dual
     sphere the collapse swaps a vertex star, the cone over the boundary of
@@ -172,8 +168,6 @@ def recognize_vertexcut_reducible(p: CombPolytope) -> ReductionTrace:
     * a collapse changes no adjacency between surviving facets, because the
       triangle's three neighbours already meet pairwise;
     * on a simple 3-polytope a facet with three neighbours is a triangle;
-    * its neighbours can already meet at a vertex only in the tetrahedron,
-      so that test cannot fire while more than four facets survive;
     * relabelling is monotone, so the lowest admissible current index is
       the rank among the survivors of the lowest admissible original label.
     """
@@ -270,10 +264,14 @@ def bistellar_flip(k: SimplicialSphere, face) -> SimplicialSphere:
     and the move stacks a new apex onto it.
 
     ``k`` must be a validated sphere (:func:`validate_sphere` checks outside
-    data).  The result is not re-checked: a move that passes the link checks
-    below replaces a ball (the star) by another ball with the same boundary,
-    so a sphere stays a sphere.  A face that is not a collection of hashable
-    labels raises :class:`BadParameters`.
+    data).  Then the star count decides the link: the link of a face with
+    ``s`` vertices is a closed pseudomanifold with facets of size ``n - s``,
+    and with ``n + 1 - s`` of them, the fewest it can have, every two share
+    a ridge, so it is the boundary of the simplex on their union.  The
+    result is not re-checked: a move that passes the link checks replaces a
+    ball (the star) by another ball with the same boundary, so a sphere
+    stays a sphere.  A face that is not a collection of hashable labels
+    raises :class:`BadParameters`.
     """
     try:
         sigma = frozenset(face)
@@ -288,17 +286,12 @@ def bistellar_flip(k: SimplicialSphere, face) -> SimplicialSphere:
         raise NotAFace(f"{tuple(sorted(sigma))} is not a face")
 
     if len(sigma) == n:
-        apex = max(max(t) for t in facets) + 1
-        new = (facets - {sigma}) | {(sigma - {u}) | {apex} for u in sigma}
+        new = (facets - {sigma}) | {(sigma - {u}) | {k._apex} for u in sigma}
     else:
+        if len(star) != n + 1 - len(sigma):
+            raise LinkNotStandard(
+                f"link of {tuple(sorted(sigma))} is not a simplex boundary")
         comp = frozenset().union(*(t - sigma for t in star))
-        expected = n + 1 - len(sigma)
-        if len(comp) != expected or len(star) != expected:
-            raise LinkNotStandard(
-                f"link of {tuple(sorted(sigma))} is not a simplex boundary")
-        if {t - sigma for t in star} != {comp - {x} for x in comp}:
-            raise LinkNotStandard(
-                f"link of {tuple(sorted(sigma))} is not a simplex boundary")
         if any(comp <= t for t in facets):
             raise LinkNotStandard(
                 f"complementary simplex {tuple(sorted(comp))} is already a face")
@@ -318,10 +311,14 @@ def prismatic_circuits(p: CombPolytope, k: int) -> list[PrismaticCircuit]:
     end and no earlier interior facet, and meets ``s`` exactly when it
     closes the cycle; ``path[1] < path[-1]`` fixes the direction.  Cycles
     whose k consecutive intersection edges share no vertex are kept, sorted
-    by facet set.  Raises :class:`GuardExceeded` once more than
-    ``_PATH_CAP`` paths have been walked, and :class:`BadParameters` for a
-    ``k`` that is not an ``int`` >= 3 or is a ``bool``.  The walk reads
-    ``p``'s cached pair table.
+    by facet set.  For k >= 4 that is every chordless cycle: two edges
+    meeting at a vertex would put it in three cycle facets, not all
+    consecutive, though a vertex's three facets are pairwise adjacent.  A
+    triangle's edges meet exactly when its three facets share a vertex, so
+    its first two edges decide it.  Raises :class:`GuardExceeded` once more
+    than ``_PATH_CAP`` paths have been walked, and :class:`BadParameters`
+    for a ``k`` that is not an ``int`` >= 3 or is a ``bool``.  The walk
+    reads ``p``'s cached pair table.
     """
     if p.dim != 3:
         raise DimensionUnsupported(f"prismatic circuits need dim 3, got {p.dim}")
@@ -347,22 +344,12 @@ def prismatic_circuits(p: CombPolytope, k: int) -> list[PrismaticCircuit]:
                     stack.append((path + (x,), grown))
                 elif path[1] < x:
                     cycle = path + (x,)
-                    edges = [tuple(pairs[a][b])
-                             for a, b in zip(cycle, cycle[1:] + cycle[:1])]
-                    if _pairwise_disjoint(edges):
-                        out.append(PrismaticCircuit(facets=cycle, edges=tuple(edges)))
+                    edges = tuple(tuple(pairs[a][b])
+                                  for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+                    if k > 3 or set(edges[0]).isdisjoint(edges[1]):
+                        out.append(PrismaticCircuit(facets=cycle, edges=edges))
     out.sort(key=lambda c: sorted(c.facets))
     return out
-
-
-def _pairwise_disjoint(edges) -> bool:
-    seen = set()
-    for e in edges:
-        for v in e:
-            if v in seen:
-                return False
-            seen.add(v)
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +479,13 @@ def certificate_to_json(moves) -> dict:
 
 def replay_flip_certificate(n: int, moves) -> SimplicialSphere:
     """Apply a certificate to the n-simplex boundary and return the result.
-    A move that is not a :class:`FlipMove` raises :class:`BadParameters`."""
+    A move list that is not iterable, or a move that is not a
+    :class:`FlipMove`, raises :class:`BadParameters`."""
     state = simplex_boundary_sphere(n)
+    try:
+        moves = iter(moves)
+    except TypeError as e:
+        raise BadParameters(f"a certificate must be a list of moves, got {moves!r}") from e
     for mv in moves:
         if not isinstance(mv, FlipMove):
             raise BadParameters(f"a certificate move must be a FlipMove, got {mv!r}")

@@ -11,9 +11,19 @@ import pytest
 import momang.hrep as hrep
 import momang.moves as moves
 from momang import cube, dodecahedron, prism, random_vertexcuts, simplex, vertex_cut
-from momang.errors import DimensionUnsupported, LinkNotStandard, _check_int, _check_work
+from momang.errors import (
+    BadParameters,
+    DimensionUnsupported,
+    LinkNotStandard,
+    NoSuchFacet,
+    NotAFace,
+    _check_int,
+    _check_work,
+)
+from momang.moves import PrismaticCircuit
 from momang.polytope import (
     Face,
+    SimplicialSphere,
     _family,
     _family_isomorphism,
     _pair_sets,
@@ -518,3 +528,126 @@ def flip_certificate_oracle(p, depth):
         if not frontier:
             break
     return None
+
+
+# ---------------------------------------------------------------------------
+# the moves' checks as they were before each was cut to what validated input
+# needs: every test they made, in the order they made it
+
+
+def is_simplex_oracle(p):
+    """True when the n-subsets of n + 1 facets are exactly the vertices."""
+    n = p.dim
+    if p.facet_count != n + 1 or p.vertex_count != n + 1:
+        return False
+    expected = {tuple(c) for c in itertools.combinations(range(n + 1), n)}
+    return set(p.vertices) == expected
+
+
+def collapse_error_oracle(p, facet_index):
+    """The name of the error ``simplex_facet_collapse`` raised for this
+    facet, or ``None``, after all four tests: n vertices, not the simplex,
+    n neighbours, and neighbours that do not already meet at a vertex.  The
+    last two raised ``CollapseInadmissible``."""
+    _check_int("facet", facet_index, 0, p.facet_count, NoSuchFacet)
+    n = p.dim
+    on = p.facet_vertices(facet_index)
+    if len(on) != n:
+        return "NotSimplexFacet"
+    if is_simplex_oracle(p):
+        return "IsSimplex"
+    neighbors = set().union(*(p.vertices[i] for i in on)) - {facet_index}
+    if len(neighbors) != n:
+        return "CollapseInadmissible"
+    if tuple(sorted(neighbors)) in set(p.vertices):
+        return "CollapseInadmissible"
+    return None
+
+
+def bistellar_flip_oracle(k, face):
+    """``bistellar_flip`` with the whole link test: the link's vertices and
+    the star count are both n + 1 - |face|, and the link is every face of
+    the complementary simplex but one; the apex is found by a scan of every
+    facet."""
+    try:
+        sigma = frozenset(face)
+    except TypeError as e:
+        raise BadParameters(f"a face must be a collection of labels, got {face!r}") from e
+    if not sigma:
+        raise NotAFace("empty face")
+    n = k.dim + 1
+    facets = set(k.facets)
+    star = [t for t in facets if sigma <= t]
+    if not star:
+        raise NotAFace(f"{tuple(sorted(sigma))} is not a face")
+    if len(sigma) == n:
+        apex = max(max(t) for t in facets) + 1
+        new = (facets - {sigma}) | {(sigma - {u}) | {apex} for u in sigma}
+    else:
+        comp = frozenset().union(*(t - sigma for t in star))
+        expected = n + 1 - len(sigma)
+        if len(comp) != expected or len(star) != expected:
+            raise LinkNotStandard(
+                f"link of {tuple(sorted(sigma))} is not a simplex boundary")
+        if {t - sigma for t in star} != {comp - {x} for x in comp}:
+            raise LinkNotStandard(
+                f"link of {tuple(sorted(sigma))} is not a simplex boundary")
+        if any(comp <= t for t in facets):
+            raise LinkNotStandard(
+                f"complementary simplex {tuple(sorted(comp))} is already a face")
+        new = (facets - set(star)) | {(sigma - {u}) | comp for u in sigma}
+    return SimplicialSphere(dim=k.dim, facets=tuple(sorted(new, key=sorted)))
+
+
+def pairwise_disjoint_oracle(edges) -> bool:
+    seen = set()
+    for e in edges:
+        for v in e:
+            if v in seen:
+                return False
+            seen.add(v)
+    return True
+
+
+def prismatic_walk_oracle(p, k):
+    """``prismatic_circuits``' walk over chordless k-cycles, keeping those
+    whose k edges :func:`pairwise_disjoint_oracle` passes, with no path cap."""
+    if p.dim != 3:
+        raise DimensionUnsupported(f"prismatic circuits need dim 3, got {p.dim}")
+    pairs = p._pairs
+    nbrs = [set(row) for row in pairs]
+    out = []
+    for s in range(p.facet_count):
+        stack = [((s, x), set()) for x in nbrs[s] if x > s]
+        while stack:
+            path, blocked = stack.pop()
+            end = path[-1]
+            last = len(path) == k - 1
+            for x in nbrs[end]:
+                if x <= s or x in blocked or (x in nbrs[s]) != last:
+                    continue
+                if not last:
+                    stack.append((path + (x,), blocked | nbrs[end] | {end}))
+                elif path[1] < x:
+                    cycle = path + (x,)
+                    edges = [tuple(pairs[a][b])
+                             for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+                    if pairwise_disjoint_oracle(edges):
+                        out.append(PrismaticCircuit(facets=cycle, edges=tuple(edges)))
+    out.sort(key=lambda c: sorted(c.facets))
+    return out
+
+
+def move_rule_polytopes():
+    """Polytopes of dimension 2..6 for the collapse and link oracles: the
+    simplex, the cube and polars of cyclic polytopes, each also cut at its
+    first vertex, at its last, and at its first twice."""
+    out = []
+    for n in range(2, 7):
+        bases = [(f"simplex{n}", simplex(n)), (f"cube{n}", cube(n))]
+        bases += [(f"polar_cyclic{m}_{n}", polar_cyclic(m, n)) for m in range(n + 2, n + 5)]
+        for name, p in bases:
+            out += [(name, p), (f"{name}-cut0", vertex_cut(p, 0)),
+                    (f"{name}-cut-last", vertex_cut(p, p.vertex_count - 1)),
+                    (f"{name}-cut0-twice", vertex_cut(vertex_cut(p, 0), 0))]
+    return out

@@ -45,6 +45,8 @@ REFUSED = [
     ("simplex-negative", lambda: simplex_boundary_sphere(-1), BadParameters),
     ("simplex-zero", lambda: simplex_boundary_sphere(0), BadParameters),
     ("replay-float", lambda: replay_flip_certificate(2.5, []), BadParameters),
+    ("replay-none-moves", lambda: replay_flip_certificate(3, None), BadParameters),
+    ("replay-int-moves", lambda: replay_flip_certificate(3, 5), BadParameters),
     ("replay-int-move", lambda: replay_flip_certificate(3, [1]), BadParameters),
     ("replay-tuple-move", lambda: replay_flip_certificate(3, [("vertex", (0, 1, 2), 3)]),
      BadParameters),

@@ -56,11 +56,16 @@ from momang.polytope import (
     validate_sphere,
 )
 from conftest import (
+    bistellar_flip_oracle,
+    collapse_error_oracle,
     corpus_3d,
     cut_cube,
     cut_prism,
     family_isomorphism_oracle,
+    is_simplex_oracle,
     joint_refinement_oracle,
+    move_rule_polytopes,
+    prismatic_walk_oracle,
 )
 
 
@@ -418,6 +423,19 @@ def test_collapse_admissible_iff_collapse_succeeds(corpus):
             assert collapse_admissible(p, f) == accepted, (name, f)
 
 
+def test_collapse_rule_matches_the_four_test_oracle():
+    # on validated input the neighbour count and the neighbours-meet test
+    # never fire, and n + 1 facets make the simplex
+    inputs = move_rule_polytopes() + corpus_3d()
+    inputs += [(f"rvc{k}-{s}", random_vertexcuts(k, s)) for k in (4, 12, 40) for s in (0, 1)]
+    for name, p in inputs:
+        assert is_simplex(p) == is_simplex_oracle(p), name
+        for f in range(p.facet_count):
+            err = moves._collapse_error(p, f)
+            assert (None if err is None else type(err).__name__) == \
+                collapse_error_oracle(p, f), (name, f)
+
+
 def test_roundtrip_cut_then_collapse(corpus):
     # collapsing the fresh facet undoes the cut exactly (canonical ordering)
     for name, p in corpus:
@@ -728,6 +746,41 @@ def test_flip_not_a_face():
         bistellar_flip(octa, (0, 1, 5))
 
 
+def _flip_or_error(flip, k, face):
+    try:
+        return flip(k, face)
+    except MomangError as e:
+        return type(e), str(e)
+
+
+def rule_spheres():
+    """The dual spheres of the oracle polytopes of dimension 3..6, and each
+    after a flip at its first facet, which adds the apex."""
+    spheres = [(name, dual_sphere(p)) for name, p in move_rule_polytopes() if p.dim >= 3]
+    return spheres + [(f"{name}-stacked", bistellar_flip(k, k.facets[0])) for name, k in spheres]
+
+
+def test_link_rule_matches_the_whole_link_oracle():
+    # on a validated sphere the star count alone decides the link, at every
+    # face of 1..n vertices, refusals and their messages included
+    for name, k in rule_spheres():
+        n = k.dim + 1
+        faces = {c for t in k.facets for s in range(1, n + 1)
+                 for c in itertools.combinations(sorted(t), s)}
+        for face in sorted(faces):
+            assert _flip_or_error(bistellar_flip, k, face) == \
+                _flip_or_error(bistellar_flip_oracle, k, face), (name, face)
+
+
+def test_facet_flip_reads_the_apex_once_per_sphere():
+    k = validate_sphere([(0, 5, 7), (0, 5, 9), (0, 7, 9), (5, 7, 9)])
+    assert "_apex" not in vars(k)
+    stacked = [bistellar_flip(k, t) for t in k.facets]
+    assert vars(k)["_apex"] == 10
+    assert stacked == [bistellar_flip_oracle(k, t) for t in k.facets]
+    assert all(s.vertex_labels == (0, 5, 7, 9, 10) for s in stacked)
+
+
 def test_flip_general_move_dim4():
     # stack the 4-simplex boundary, then trade star of a triangle for the
     # complementary edge (a 2-3 style move one dimension up) and undo it
@@ -782,7 +835,11 @@ def test_prismatic_circuits_match_oracle(corpus):
     inputs += [(f"cube-cut{c}", seeded_cuts(cube(3), c, c)) for c in (2, 4, 6)]
     for name, p in inputs:
         for k in range(3, 7):
-            assert prismatic_circuits(p, k) == prismatic_oracle(p, k), (name, k)
+            found = prismatic_circuits(p, k)
+            assert found == prismatic_oracle(p, k), (name, k)
+            # no two edges of a chordless cycle of four or more facets meet,
+            # and a triangle's first two edges meet exactly when all three do
+            assert found == prismatic_walk_oracle(p, k), (name, k)
 
 
 def test_prismatic_circuits_revalidate(corpus):

@@ -261,6 +261,27 @@ def test_isomorphism_matches_oracle_on_corpus_and_spheres(spheres):
             family_isomorphism_oracle(*fam, *fam)
 
 
+# the triangular prism's graph and K3,3 are 3-regular on 6 labels with unit
+# pair weights, so refinement splits neither and the search runs dry; one
+# triangle and its three edges give every label pair weight 2 in both
+EQUAL_COLOURS_NOT_ISOMORPHIC = [
+    ("prism-graph-vs-k33",
+     (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]),
+     (6, [(a, b) for a in range(3) for b in range(3, 6)])),
+    ("triangle-vs-its-edges", (3, [(0, 1, 2)]), (3, [(0, 1), (1, 2), (0, 2)])),
+]
+
+
+@pytest.mark.parametrize("fa,fb", [c[1:] for c in EQUAL_COLOURS_NOT_ISOMORPHIC],
+                         ids=[c[0] for c in EQUAL_COLOURS_NOT_ISOMORPHIC])
+def test_isomorphism_refuses_families_the_colours_do_not_tell_apart(fa, fb):
+    rec_a, rec_b = family_record(*fa), family_record(*fb)
+    assert sorted(rec_a[3]) == sorted(rec_b[3])
+    assert _family_isomorphism(rec_a, rec_b) is None
+    assert _family_isomorphism(rec_b, rec_a) is None
+    assert family_isomorphism_oracle(*fa, *fb) is None
+
+
 
 def flip_inputs():
     cut_cube = vertex_cut(cube(3), 0)
