@@ -271,14 +271,10 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(payload, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-    except GuardExceeded as e:
-        print(json.dumps({"error": type(e).__name__, "message": str(e)}),
-              file=sys.stderr)
-        return EXIT_GUARD
     except (MomangError, OSError) as e:
         print(json.dumps({"error": type(e).__name__, "message": str(e)}),
               file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_GUARD if isinstance(e, GuardExceeded) else EXIT_INPUT
     if args.format == "json":
         print(json.dumps({"command": args.command, "inputs": inputs, "flags": flags,
                           "payload": payload, "elapsed_ms": round(elapsed, 3),

@@ -1,11 +1,12 @@
 """Generators for the standard test polytopes.
 
-The combinatorial generators build facet-vertex incidences directly; the
-dodecahedron's is the fixed incidence that vertex enumeration of
-:func:`dodecahedron_hrep` yields.  The ``*_hrep`` generators give
-half-space presentations and are the only ones that load :mod:`momang.hrep`
-(and with it numpy).  Dimensions and cut counts are ``int``s that are not
-``bool``s, else :class:`BadParameters`.
+The combinatorial generators build facet-vertex incidences valid by
+construction and, like the moves, skip validation; the dodecahedron's is
+the fixed incidence that vertex enumeration of :func:`dodecahedron_hrep`
+yields.  The ``*_hrep`` generators give half-space presentations and are
+the only ones that load :mod:`momang.hrep` (and with it numpy).  Dimensions
+and cut counts are ``int``s that are not ``bool``s, else
+:class:`BadParameters`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import random
 from typing import TYPE_CHECKING
 
 from .errors import BadParameters, _check_int, _check_work
-from .polytope import _WORK_CAP, CombPolytope, _cut, validate_polytope
+from .polytope import _WORK_CAP, CombPolytope, _cut, _derived
 
 if TYPE_CHECKING:
     from .hrep import HRep
@@ -26,28 +27,27 @@ if TYPE_CHECKING:
 def simplex(n: int) -> CombPolytope:
     """The n-simplex: n+1 facets, one vertex per n-subset."""
     _check_int("simplex dimension", n, 1)
-    _check_work(f"simplex({n}) validation", (n + 1) * n * n, _WORK_CAP)
-    verts = list(itertools.combinations(range(n + 1), n))
-    return validate_polytope(n, verts)
+    _check_work(f"simplex({n}) size", (n + 1) * n * n, _WORK_CAP)
+    return _derived(n, n + 1, itertools.combinations(range(n + 1), n))
 
 
 def cube(n: int) -> CombPolytope:
     """The n-cube: facet i is {x_i = 0}, facet n+i is {x_i = 1}."""
     _check_int("cube dimension", n, 1)
     # 2^n alone exceeds the cap past its bit length, so the shift stops there
-    _check_work(f"cube({n}) validation", n * n << min(n, _WORK_CAP.bit_length()), _WORK_CAP)
+    _check_work(f"cube({n}) size", n * n << min(n, _WORK_CAP.bit_length()), _WORK_CAP)
     verts = []
     for corner in itertools.product((0, 1), repeat=n):
         verts.append(tuple(sorted(i if bit == 0 else n + i
                                   for i, bit in enumerate(corner))))
-    return validate_polytope(n, verts)
+    return _derived(n, 2 * n, verts)
 
 
 def prism() -> CombPolytope:
     """The triangular prism: three quadrilaterals 0..2, two triangles 3, 4."""
     verts = [(0, 1, 3), (1, 2, 3), (0, 2, 3),
              (0, 1, 4), (1, 2, 4), (0, 2, 4)]
-    return validate_polytope(3, verts)
+    return _derived(3, 5, verts)
 
 
 def prism_hrep() -> HRep:
@@ -94,7 +94,7 @@ def dodecahedron_hrep() -> HRep:
 def dodecahedron() -> CombPolytope:
     """Combinatorial dodecahedron: 12 pentagons, 20 vertices, labelled as
     in the vertex enumeration of :func:`dodecahedron_hrep`."""
-    return validate_polytope(3, [
+    return _derived(3, 12, [
         (0, 1, 2), (0, 1, 7), (0, 2, 6), (0, 5, 6), (0, 5, 7),
         (1, 2, 8), (1, 3, 7), (1, 3, 8), (2, 4, 6), (2, 4, 8),
         (3, 7, 11), (3, 8, 9), (3, 9, 11), (4, 6, 10), (4, 8, 9),
@@ -107,16 +107,16 @@ def random_vertexcuts(k: int, seed: int) -> CombPolytope:
     Every output is reducible back to the tetrahedron by construction.  The
     cuts run on one sorted vertex list, the order a validated polytope keeps,
     so each draw indexes the vertices as :func:`vertex_cut` would; cut s
-    adds facet 4 + s, and the result is validated once.
+    adds facet 4 + s.
     """
     _check_int("cut count", k, 0)
-    _check_work(f"random_vertexcuts({k}) validation", (4 + 2 * k) * 9, _WORK_CAP)
+    _check_work(f"random_vertexcuts({k}) size", (4 + 2 * k) * 9, _WORK_CAP)
     rng = random.Random(seed)
     verts = list(itertools.combinations(range(4), 3))
     for step in range(k):
         for w in _cut(verts.pop(rng.randrange(len(verts))), 4 + step):
             bisect.insort(verts, w)
-    return validate_polytope(3, verts)
+    return _derived(3, 4 + k, verts)
 
 
 def generate(kind: str, param: int | None = None, seed: int = 0) -> CombPolytope:

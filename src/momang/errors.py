@@ -51,9 +51,11 @@ class _Record:
     which takes the fields as arguments and sets each with
     ``object.__setattr__``, and its ``_key``; the code is what writing them
     out would give.  A field's default is the class attribute of its name,
-    as in a dataclass.  A method the class writes itself is kept.
-    Assignment and deletion raise ``AttributeError``.  Instances keep a
-    ``__dict__``, so ``functools.cached_property`` works on them.
+    as in a dataclass.  A method the class writes itself is kept; one that
+    writes its own ``__init__``, a validating constructor for outside data,
+    gets the generated one as the classmethod ``_trusted``, which checks
+    nothing.  Assignment and deletion raise ``AttributeError``.  Instances
+    keep a ``__dict__``, so ``functools.cached_property`` works on them.
     """
 
     _fields: tuple[str, ...] = ()
@@ -65,16 +67,20 @@ class _Record:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
         own, names = vars(cls), cls._fields
         params = ", ".join(f"{n}=_defaults[{n!r}]" if n in own else n for n in names)
-        source = (f"def __init__(self, {params}):\n"
-                  + "".join(f"    object.__setattr__(self, {n!r}, {n})\n" for n in names))
+        sets = "".join(f"    object.__setattr__(self, {n!r}, {n})\n" for n in names)
+        source = f"def __init__(self, {params}):\n{sets}"
+        if "__init__" in own:
+            source += (f"def _trusted(cls, {params}):\n    self = object.__new__(cls)\n"
+                       f"{sets}    return self\n")
         if eq:
             source += f"def _key(self):\n    return ({''.join(f'self.{n}, ' for n in names)})\n"
         namespace = {"__name__": cls.__module__, "_defaults": own}
         exec(source, namespace)
-        for method in ("__init__", "_key"):
+        for method in ("__init__", "_key", "_trusted"):
             if method in namespace and method not in own:
-                namespace[method].__qualname__ = f"{cls.__qualname__}.{method}"
-                setattr(cls, method, namespace[method])
+                fn = namespace[method]
+                fn.__qualname__ = f"{cls.__qualname__}.{method}"
+                setattr(cls, method, classmethod(fn) if method == "_trusted" else fn)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -296,7 +296,7 @@ def bistellar_flip(k: SimplicialSphere, face) -> SimplicialSphere:
             raise LinkNotStandard(
                 f"complementary simplex {tuple(sorted(comp))} is already a face")
         new = (facets - set(star)) | {(sigma - {u}) | comp for u in sigma}
-    return SimplicialSphere(dim=k.dim, facets=tuple(sorted(new, key=sorted)))
+    return SimplicialSphere._trusted(k.dim, tuple(sorted(new, key=sorted)))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +374,7 @@ def simplex_boundary_sphere(n: int) -> SimplicialSphere:
     _check_int("n", n, 1)
     facets = tuple(frozenset(c)
                    for c in itertools.combinations(range(n + 1), n))
-    return SimplicialSphere(dim=n - 1, facets=facets)
+    return SimplicialSphere._trusted(n - 1, facets)
 
 
 def psc_flip_certificate(p: CombPolytope, depth: int):

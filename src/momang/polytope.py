@@ -30,9 +30,8 @@ from .errors import (
 
 # Cap on predicted enumeration work, checked before anything is listed: the
 # face lattice's V * 2^n subsets, in 64-bit words of their m-bit masks, the
-# V * n^2 validation steps of generated simplices, cubes and cut tetrahedra,
-# and the chamber counts' m + 1 rows over the m facets and the
-# codimension-two faces.
+# V * n^2 size of generated simplices, cubes and cut tetrahedra, and the
+# chamber counts' m + 1 rows over the m facets and the codimension-two faces.
 _WORK_CAP = 10 ** 7
 
 _FACES_CAP = 5 * 10 ** 6  # FaceLattice.faces' V * 2^n memberships, ~130 B each: < 1 GB
@@ -47,10 +46,11 @@ class CombPolytope(_Record):
     The constructor runs :func:`validate_polytope` on the incidence, with
     its errors, and raises :class:`ParseError` when ``facet_count`` is not
     the number of facets the incidence uses, :class:`BadParameters` when it
-    is not an int (or is a bool).
+    is not an int (or is a bool).  What the package builds skips these checks.
     """
 
     _fields = ("dim", "facet_count", "vertices", "facet_labels")
+    facet_labels = None
 
     def __init__(self, dim: int, facet_count: int, vertices: tuple[tuple[int, ...], ...],
                  facet_labels: tuple[str, ...] | None = None):
@@ -61,18 +61,6 @@ class CombPolytope(_Record):
                              f"{p.facet_count} facets")
         for name in self._fields:
             object.__setattr__(self, name, getattr(p, name))
-
-    @classmethod
-    def _trusted(cls, dim, facet_count, vertices, facet_labels=None) -> CombPolytope:
-        """A polytope from fields already valid and sorted; nothing is
-        checked.  :func:`validate_polytope` and :func:`_derived` build every
-        polytope through here."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "dim", dim)
-        object.__setattr__(p, "facet_count", facet_count)
-        object.__setattr__(p, "vertices", vertices)
-        object.__setattr__(p, "facet_labels", facet_labels)
-        return p
 
     @property
     def vertex_count(self) -> int:
@@ -100,7 +88,7 @@ class Face(_Record):
     _fields = ("facets", "dim", "vertices")
 
 
-class FaceLattice:
+class FaceLattice(_Record, eq=False):
     """All faces of a simple polytope, keyed by facet bitmask.
 
     ``masks`` holds one bitmask per face (bit i set when facet i contains
@@ -110,9 +98,8 @@ class FaceLattice:
     memberships it raises :class:`GuardExceeded` before any is built.
     """
 
-    def __init__(self, polytope: CombPolytope, masks):
-        self.polytope = polytope
-        self.masks = tuple(masks)
+    _fields = ("polytope", "masks")
+    _hidden = ("masks",)
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
@@ -144,10 +131,22 @@ class SimplicialSphere(_Record):
 
     Used for boundaries of dual simplicial polytopes; vertex labels are
     arbitrary ints (facet indices of the primal polytope, or labels created
-    by stacking moves).
+    by stacking moves).  The constructor runs :func:`validate_sphere`, with
+    its errors, keeps its sorted frozensets, and raises :class:`InvalidSphere`
+    when their dimension is not ``dim``.  What the package builds skips these
+    checks.
     """
 
     _fields = ("dim", "facets")
+
+    def __init__(self, dim: int, facets):
+        _check_int("dim", dim, 0)
+        k = validate_sphere(facets)
+        if k.dim != dim:
+            raise InvalidSphere(f"facets of {k.dim + 1} vertices make a {k.dim}-sphere, "
+                                f"not a {dim}-sphere")
+        for name in self._fields:
+            object.__setattr__(self, name, getattr(k, name))
 
     @property
     def vertex_labels(self) -> tuple[int, ...]:
@@ -343,18 +342,17 @@ def face_lattice(p: CombPolytope) -> FaceLattice:
     # Within a bit count, sorted facet tuples put the mask holding the lowest
     # differing bit first: facet f is bit 8 width - 1 - f of the reversed int.
     width = -(-p.facet_count // 8)
-    return FaceLattice(p, sorted(masks, key=lambda s: (s.bit_count(), -int.from_bytes(
-        s.to_bytes(width, "big").translate(_REV8), "little"))))
+    return FaceLattice(p, tuple(sorted(masks, key=lambda s: (s.bit_count(), -int.from_bytes(
+        s.to_bytes(width, "big").translate(_REV8), "little")))))
 
 
 def dual_sphere(p: CombPolytope) -> SimplicialSphere:
     """Boundary of the dual simplicial polytope.
 
     One sphere vertex per facet of ``p``; one top simplex per vertex of ``p``
-    (its containing facets).
+    (its containing facets), already in sorted order as ``p.vertices`` is.
     """
-    facets = tuple(sorted((frozenset(v) for v in p.vertices), key=sorted))
-    return SimplicialSphere(dim=p.dim - 1, facets=facets)
+    return SimplicialSphere._trusted(p.dim - 1, tuple(map(frozenset, p.vertices)))
 
 
 def validate_sphere(facets) -> SimplicialSphere:
@@ -367,10 +365,11 @@ def validate_sphere(facets) -> SimplicialSphere:
 
     The facets, with the vertex labels renumbered 0..V-1 in sorted order,
     are the vertices of the dual pseudo-polytope, so :func:`validate_polytope`
-    runs the ridge and connectivity checks, and for triangles Euler's
-    relation 2m = V + 4, which is chi = 2.  For larger facets chi is read
-    from the nonzero masks of that polytope's :func:`face_lattice`, under
-    its cap; :class:`GuardExceeded` passes through, every other defect is
+    refuses repeated and mixed-size facets and runs the ridge and
+    connectivity checks, and for triangles Euler's relation 2m = V + 4,
+    which is chi = 2.  For larger facets chi is read from the nonzero masks
+    of that polytope's :func:`face_lattice`, under its cap;
+    :class:`GuardExceeded` passes through, every other defect is
     :class:`InvalidSphere`.  Facets that are not collections of hashable,
     mutually comparable labels raise :class:`BadParameters`.
 
@@ -381,18 +380,13 @@ def validate_sphere(facets) -> SimplicialSphere:
     and chi(S) <= 2, so chi(K) = 2 forces every link to be a single cycle.
     """
     try:
-        raw = [frozenset(f) for f in facets]
-        fs = sorted(set(raw), key=sorted)
+        fs = sorted(map(frozenset, facets), key=sorted)
         labels = sorted(set().union(*fs))
     except TypeError as e:
         raise BadParameters(f"facets must be collections of comparable labels: {e}") from e
-    if len(fs) != len(raw):
-        raise InvalidSphere("duplicate facets")
     if not fs:
         raise InvalidSphere("no facets")
     n = len(fs[0])
-    if any(len(f) != n for f in fs):
-        raise InvalidSphere("facets of mixed dimension")
 
     label = {x: i for i, x in enumerate(labels)}
     try:
@@ -403,7 +397,7 @@ def validate_sphere(facets) -> SimplicialSphere:
         euler = sum((-1) ** (mask.bit_count() - 1) for mask in face_lattice(dual).masks if mask)
         if euler != 1 + (-1) ** (n - 1):
             raise InvalidSphere(f"Euler characteristic {euler} is not spherical")
-    return SimplicialSphere(dim=n - 1, facets=tuple(fs))
+    return SimplicialSphere._trusted(n - 1, tuple(fs))
 
 
 def is_simplex(p: CombPolytope) -> bool:

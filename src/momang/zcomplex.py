@@ -257,7 +257,7 @@ def connected_components(z: ChamberComplex) -> int:
     return 1
 
 
-class FixedPointSet:
+class FixedPointSet(_Record, eq=False):
     """Components of the subcomplex over one facet (fixed set of its
     generator under the group action).
 
@@ -266,13 +266,8 @@ class FixedPointSet:
     ``GuardExceeded`` before any is built.
     """
 
-    def __init__(self, z: ChamberComplex, facet: int):
-        self._z = z
-        self.facet = facet
-        self.count = _coset_count(z.m, z._stars[facet])
-
-    def __repr__(self) -> str:
-        return f"FixedPointSet(facet={self.facet}, count={self.count})"
+    _fields = ("_z", "facet", "count")
+    _hidden = ("_z",)
 
     @cached_property
     def components(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -298,7 +293,7 @@ def fixed_point_components(z: ChamberComplex, i: int) -> FixedPointSet:
     :class:`BadParameters`, one outside ``range(z.m)`` :class:`NoSuchFacet`.
     """
     _check_int("facet", i, 0, z.m, error=NoSuchFacet)
-    return FixedPointSet(z, i)
+    return FixedPointSet(z, i, _coset_count(z.m, z._stars[i]))
 
 
 def _parity_sign(g: int) -> int:

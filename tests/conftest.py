@@ -349,6 +349,17 @@ def _dataclass_records():
         dim: int
         facets: tuple[frozenset[int], ...]
 
+    @dataclass(frozen=True, eq=False)
+    class FaceLattice:
+        polytope: CombPolytope
+        masks: tuple[int, ...] = field(repr=False)
+
+    @dataclass(frozen=True, eq=False)
+    class FixedPointSet:
+        _z: object = field(repr=False)
+        facet: int
+        count: int
+
     @dataclass(frozen=True)
     class FlipMove:
         kind: str
@@ -429,9 +440,9 @@ def _dataclass_records():
         failures: tuple[tuple[int, int], ...]
 
     records = {cls.__name__: cls for cls in (
-        CombPolytope, Face, SimplicialSphere, FlipMove, ReductionTrace, PrismaticCircuit,
-        EdgeRecord, EdgeTypeSummary, FiltrationStage, HRep, _Frame, QuadricSystem,
-        EmbeddedPoint, NondegeneracyReport)}
+        CombPolytope, Face, FaceLattice, SimplicialSphere, FlipMove, ReductionTrace,
+        PrismaticCircuit, FixedPointSet, EdgeRecord, EdgeTypeSummary, FiltrationStage,
+        HRep, _Frame, QuadricSystem, EmbeddedPoint, NondegeneracyReport)}
     for name, cls in records.items():
         cls.__qualname__ = name
         cls.__init__.__qualname__ = f"{name}.__init__"

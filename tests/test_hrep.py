@@ -120,6 +120,13 @@ def test_make_hrep_refuses_non_numbers(rows, offsets):
         make_hrep(rows, offsets)
 
 
+def test_make_hrep_refuses_misshapen_and_empty_arrays():
+    with pytest.raises(ParseError, match="need an m x n matrix of normals and m offsets"):
+        make_hrep([1, 2], [0, 0])
+    with pytest.raises(ParseError, match="empty presentation"):
+        make_hrep(np.zeros((0, 3)), [])
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-170, 1e-160, 1e160, 1e200, 1e300])
 def test_extreme_row_magnitudes(tmp_path, capsys, scale):
     # the squares in |a| under- or overflow at these scales of the cube's
@@ -720,6 +727,16 @@ def test_simplex_statuses():
     M = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
     assert _simplex(M, np.array([1.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0])) \
         == ("optimal", 2.0, [1, 4, 2])
+
+
+def test_simplex_drives_zero_level_artificials_out():
+    # with r = 0 phase I pivots column 0 in and leaves the second row's
+    # artificial basic at level zero; the drive-out pivots column 1 in for it
+    M, r, cost = np.array([[1.0, 1.0], [1.0, -1.0]]), np.zeros(2), np.zeros(2)
+    status, value, basis = _simplex(M, r, cost)
+    assert (status, value, basis) == ("optimal", 0.0, [0, 1])
+    res = linprog(cost, A_eq=M, b_eq=r, bounds=[(0, None)], **HIGHS)
+    assert LINPROG_STATUS[res.status] == status and abs(value - res.fun) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -557,8 +557,9 @@ def test_rebuild_matches_oracle_in_dim_4():
 
 
 def test_validation_once_per_call(monkeypatch):
-    # the moves build their results by construction; only the generators,
-    # which take outside parameters, validate, once per call
+    # the moves and the generators build their results by construction and
+    # never validate; test_generators_build_what_validation_accepts in
+    # test_polytope.py checks the generators' outputs against validation
     calls = []
 
     def counting(*args, **kwargs):
@@ -578,10 +579,14 @@ def test_validation_once_per_call(monkeypatch):
             if collapse_admissible(p, f):
                 simplex_facet_collapse(p, f)
         assert calls == []
+    calls.clear()
     for k in (0, 1, 12, 200):
-        calls.clear()
         random_vertexcuts(k, 0)
-        assert len(calls) == 1
+        simplex(k + 1)
+        cube(k % 11 + 1)
+    prism()
+    dodecahedron()
+    assert calls == []
 
 
 def validation_oracle_inputs():
@@ -744,6 +749,8 @@ def test_flip_not_a_face():
         bistellar_flip(octa, (0, 5))
     with pytest.raises(NotAFace):
         bistellar_flip(octa, (0, 1, 5))
+    with pytest.raises(NotAFace, match="empty face"):
+        bistellar_flip(simplex_boundary_sphere(3), ())
 
 
 def _flip_or_error(flip, k, face):

@@ -28,7 +28,7 @@ from momang import (
     validate_sphere,
     vertex_cut,
 )
-from momang.corpus import cube_hrep, simplex_hrep
+from momang.corpus import cube_hrep, generate, simplex_hrep
 from momang.errors import (
     BadParameters,
     DuplicateVertex,
@@ -44,6 +44,7 @@ from conftest import (
     cover_pairs,
     edge_cut_simplex,
     face_lattice_oracle,
+    move_rule_polytopes,
     polar_cyclic,
     ridge_table_oracle,
 )
@@ -71,6 +72,33 @@ def test_generators_refuse_arguments_out_of_range(name, value, message):
     with pytest.raises(BadParameters) as info:
         GENERATORS[name](value)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("args,message", [
+    (("simplex",), "simplex needs a dimension parameter"),
+    (("random-vertexcuts",), "random-vertexcuts needs a cut count"),
+    (("torus", 3), "unknown kind 'torus'"),
+], ids=["simplex", "random-vertexcuts", "torus"])
+def test_generate_refuses_missing_parameters_and_unknown_kinds(args, message):
+    with pytest.raises(BadParameters) as info:
+        generate(*args)
+    assert str(info.value) == message
+
+
+def generator_ladder():
+    out = [(f"simplex{n}", simplex(n)) for n in range(1, 10)]
+    out += [(f"cube{n}", cube(n)) for n in range(1, 12)]
+    out += [("prism", prism()), ("dodecahedron", dodecahedron())]
+    return out + [(f"rvc{k}-{s}", random_vertexcuts(k, s))
+                  for k in (0, 1, 2, 5, 40, 400) for s in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("name,p", generator_ladder())
+def test_generators_build_what_validation_accepts(name, p):
+    # the generators skip validation; what they build by construction is
+    # what validating their incidence gives, vertex order included
+    q = validate_polytope(p.dim, p.vertices)
+    assert p == q and p.vertices == q.vertices and p.facet_labels is None
 
 
 def triangles_dual(triangles):
@@ -258,6 +286,13 @@ def test_validate_simplex_and_cube():
     assert p.facet_count == 4 and p.vertex_count == 4
     c = cube(3)
     assert c.facet_count == 6 and c.vertex_count == 8
+
+
+def test_validate_refuses_negative_indices_and_miscounted_labels():
+    with pytest.raises(ParseError, match="negative facet index"):
+        validate_polytope(3, [(0, 1, -1)])
+    with pytest.raises(ParseError, match="expected 4 facet labels, got 2"):
+        validate_polytope(3, simplex(3).vertices, ["a", "b"])
 
 
 def test_validate_not_simple():
@@ -481,6 +516,37 @@ def test_dual_prism():
     validate_sphere(d.facets)
 
 
+def test_dual_sphere_is_sorted_as_the_constructor_sorts(corpus):
+    # dual_sphere skips the sort: the polytope's sorted vertices already give
+    # its frozensets in sorted-label order
+    polytopes = corpus + move_rule_polytopes()
+    for name, p in polytopes:
+        d = dual_sphere(p)
+        assert d.facets == tuple(sorted(map(frozenset, p.vertices), key=sorted)), name
+        assert d.dim == p.dim - 1 and d == SimplicialSphere(p.dim - 1, p.vertices), name
+
+
+def test_sphere_constructor_validates():
+    # a disk: a flip at (0,) once gave a 4-vertex facet in a 2-complex
+    disk = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (1, 2, 5)]
+    with pytest.raises(InvalidSphere, match=r"facet set \(0, 1\) shared by 1 vertices"):
+        SimplicialSphere(dim=2, facets=disk)
+    tetrahedron = list(itertools.combinations(range(4), 3))
+    with pytest.raises(InvalidSphere, match="make a 2-sphere, not a 3-sphere"):
+        SimplicialSphere(3, tetrahedron)
+    for dim in ("2", 2.0, True, None):
+        with pytest.raises(BadParameters, match="dim must be an integer"):
+            SimplicialSphere(dim, tetrahedron)
+    with pytest.raises(BadParameters, match="dim must be >= 0"):
+        SimplicialSphere(-1, tetrahedron)
+    with pytest.raises(InvalidSphere):
+        SimplicialSphere(1, [])
+    k = SimplicialSphere(2, [(3, 2, 1), [2, 0, 3], (1, 0, 3), {0, 1, 2}])
+    assert k == simplex_boundary_sphere(3) == validate_sphere(tetrahedron)
+    assert k.facets == tuple(map(frozenset, tetrahedron))
+    assert SimplicialSphere(0, [(5,), (7,)]).facets == (frozenset({5}), frozenset({7}))
+
+
 def test_dual_redualization(corpus):
     for name, p in corpus:
         d = dual_sphere(p)
@@ -499,6 +565,18 @@ def test_validate_sphere_refuses_unusable_facets(facets):
 def test_validate_sphere_rejects_open_disk():
     with pytest.raises(InvalidSphere):
         validate_sphere([(0, 1, 2), (0, 1, 3)])
+
+
+def test_validate_sphere_leaves_repeated_and_mixed_facets_to_the_dual():
+    # the dual polytope's validation refuses a repeated facet as a duplicate
+    # vertex and a facet of another size as a vertex that is not simple
+    tetrahedron = list(itertools.combinations(range(4), 3))
+    with pytest.raises(InvalidSphere, match="no facets"):
+        validate_sphere([])
+    with pytest.raises(InvalidSphere, match="dual polytope: vertex .* listed twice"):
+        validate_sphere(tetrahedron + [(2, 1, 0)])
+    with pytest.raises(InvalidSphere, match="dual polytope: vertex .* lies in 4 facets"):
+        validate_sphere(tetrahedron + [(0, 1, 2, 4)])
 
 
 def link_defect(facets):

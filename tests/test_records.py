@@ -4,7 +4,9 @@ against the dataclasses they replace.
 Every record the package builds is compared with its ``conftest``
 dataclass oracle: equal ``repr``, ``==`` between every two records of one
 class as between their oracles, equal ``hash`` where the class compares by
-value, and assignment and deletion refused.
+value, and assignment and deletion refused.  ``FaceLattice`` and
+``FixedPointSet`` were plain classes; their oracles are the dataclasses
+that give their old ``repr`` and identity equality.
 """
 
 import copy
@@ -20,12 +22,15 @@ from conftest import DATACLASS_RECORDS, cut_cube, dataclass_oracle
 from momang import (
     CombPolytope,
     Face,
+    SimplicialSphere,
     bistellar_flip,
+    build_chamber_complex,
     cube,
     dodecahedron,
     doubling_filtration,
     dual_sphere,
     face_lattice,
+    fixed_point_components,
     lift_point,
     make_hrep,
     prism,
@@ -44,14 +49,16 @@ from momang.corpus import cube_hrep, prism_hrep
 
 
 def _records():
-    """Records of all 14 classes, from the corpus, the moves, the chamber
+    """Records of all 16 classes, from the corpus, the moves, the chamber
     complex and the H-rep code, several per class."""
     polytopes = [simplex(3), prism(), cube(3), cube(4), dodecahedron(), cut_cube(),
                  random_vertexcuts(5, 7),
                  validate_polytope(3, simplex(3).vertices, ["a", "b", "c", "d"])]
     out = list(polytopes)
     for p in polytopes[:3]:
-        out += face_lattice(p).faces
+        lattice = face_lattice(p)
+        out += [lattice, *lattice.faces]
+        out += [fixed_point_components(build_chamber_complex(p), i) for i in (0, 1)]
     for p in polytopes[:4]:
         out.append(dual_sphere(p))
     out += [simplex_boundary_sphere(3), bistellar_flip(simplex_boundary_sphere(3), (0, 1, 2))]
@@ -154,3 +161,24 @@ def test_cached_properties_still_work():
     assert p._pairs is p._pairs
     h = cube_hrep(3)
     assert h._frame is h._frame and relation_matrix(h) is relation_matrix(h)
+
+
+def test_own_constructors_get_the_generated_trusted_path():
+    # a record that writes its own validating __init__ gets the generated
+    # field setter as the classmethod _trusted, with the same defaults; the
+    # others get nothing new
+    owners = {CombPolytope, SimplicialSphere}
+    for cls in {type(r) for r in RECORDS}:
+        assert ("_trusted" in vars(cls)) == (cls in owners), cls.__name__
+    for record in RECORDS:
+        if type(record) in owners:
+            twin = type(record)._trusted(*(getattr(record, n) for n in record._fields))
+            assert type(twin) is type(record) and twin == record and repr(twin) == repr(record)
+    assert CombPolytope._trusted.__qualname__ == "CombPolytope._trusted"
+    assert list(inspect.signature(CombPolytope._trusted).parameters) == [
+        "dim", "facet_count", "vertices", "facet_labels"]
+    # it checks nothing: three vertices of a tetrahedron pass as a polytope
+    p = CombPolytope._trusted(3, 4, ((0, 1, 2), (0, 1, 3), (0, 2, 3)))
+    assert p.facet_labels is None and p.vertex_count == 3
+    with pytest.raises(AttributeError, match="cannot assign to field 'dim'"):
+        p.dim = 2
