@@ -51,11 +51,10 @@ class _Record:
     which takes the fields as arguments and sets each with
     ``object.__setattr__``, and its ``_key``; the code is what writing them
     out would give.  A field's default is the class attribute of its name,
-    as in a dataclass.  A method the class writes itself is kept; one that
-    writes its own ``__init__``, a validating constructor for outside data,
-    gets the generated one as the classmethod ``_trusted``, which checks
-    nothing.  Assignment and deletion raise ``AttributeError``.  Instances
-    keep a ``__dict__``, so ``functools.cached_property`` works on them.
+    as in a dataclass.  A method the class writes itself is kept; a written
+    ``__init__`` (a validating constructor) leaves the generated one as the
+    unchecked classmethod ``_trusted``.  Assignment and deletion raise
+    ``AttributeError``; instances keep a ``__dict__`` for ``cached_property``.
     """
 
     _fields: tuple[str, ...] = ()

@@ -96,6 +96,7 @@ class FaceLattice(_Record, eq=False):
     ``masks[0] == 0`` is the whole polytope.  ``faces`` lists the matching
     :class:`Face` records, built on first read; over ``_FACES_CAP`` vertex
     memberships it raises :class:`GuardExceeded` before any is built.
+    The constructor checks nothing: only :func:`face_lattice` builds one.
     """
 
     _fields = ("polytope", "masks")
@@ -133,8 +134,7 @@ class SimplicialSphere(_Record):
     arbitrary ints (facet indices of the primal polytope, or labels created
     by stacking moves).  The constructor runs :func:`validate_sphere`, with
     its errors, keeps its sorted frozensets, and raises :class:`InvalidSphere`
-    when their dimension is not ``dim``.  What the package builds skips these
-    checks.
+    when their dimension is not ``dim``; what the package builds skips it.
     """
 
     _fields = ("dim", "facets")
@@ -278,8 +278,8 @@ def validate_polytope(dim, incidence, facet_labels=None) -> CombPolytope:
 
 
 def _derived(dim, facet_count, incidence, facet_labels=None) -> CombPolytope:
-    """A polytope that a move derives from a validated one, valid by
-    construction: the incidence is only sorted, the facet count is taken as
+    """A polytope valid by construction, a move's result or a generator's
+    incidence: the incidence is only sorted, the facet count is taken as
     given, and :func:`validate_polytope` does not run."""
     return CombPolytope._trusted(dim, facet_count,
                                  tuple(sorted(tuple(sorted(v)) for v in incidence)),

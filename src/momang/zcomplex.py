@@ -263,7 +263,8 @@ class FixedPointSet(_Record, eq=False):
 
     ``count`` is the closed form 2^(m - |star|); ``components``, tuples of
     cells, is built on first read, and over ``_OBJECT_CAP`` cells raises
-    ``GuardExceeded`` before any is built.
+    ``GuardExceeded`` before any is built.  The constructor checks nothing:
+    only :func:`fixed_point_components` builds one.
     """
 
     _fields = ("_z", "facet", "count")

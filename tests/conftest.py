@@ -607,7 +607,7 @@ def bistellar_flip_oracle(k, face):
             raise LinkNotStandard(
                 f"complementary simplex {tuple(sorted(comp))} is already a face")
         new = (facets - set(star)) | {(sigma - {u}) | comp for u in sigma}
-    return SimplicialSphere(dim=k.dim, facets=tuple(sorted(new, key=sorted)))
+    return SimplicialSphere._trusted(k.dim, tuple(sorted(new, key=sorted)))
 
 
 def pairwise_disjoint_oracle(edges) -> bool:

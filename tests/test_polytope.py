@@ -673,7 +673,7 @@ def validate_sphere_oracle(facets) -> SimplicialSphere:
     euler = sum((-1) ** (len(s) - 1) for s in all_faces)
     if euler != 1 + (-1) ** (n - 1):
         raise InvalidSphere(f"Euler characteristic {euler} is not spherical")
-    return SimplicialSphere(dim=n - 1, facets=tuple(fs))
+    return SimplicialSphere._trusted(n - 1, tuple(fs))
 
 
 def suspension(facets):

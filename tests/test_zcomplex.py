@@ -31,7 +31,7 @@ from momang import (
     vertex_cut,
 )
 from momang.errors import BadParameters, GuardExceeded, NoSuchFacet
-from momang.polytope import CombPolytope, _bits, _submasks
+from momang.polytope import _bits, _submasks
 from momang.zcomplex import _cell_counts, _chamber_counts
 from conftest import (
     compact_oracle,
@@ -247,10 +247,7 @@ def test_chamber_counts_refuse_without_the_pair_table(monkeypatch):
     def unreachable(*args):
         raise AssertionError("facet-pair table built before the face-lattice cap")
 
-    n = 14
-    verts = sorted(tuple(sorted(i if bit == 0 else n + i for i, bit in enumerate(corner)))
-                   for corner in itertools.product((0, 1), repeat=n))
-    p = CombPolytope._trusted(n, 2 * n, tuple(verts))  # the constructor would validate
+    p = cube(14)
     monkeypatch.setattr(polytope, "_pair_sets", unreachable)
     for call in (complex_summary, build_chamber_complex, doubling_filtration):
         with pytest.raises(GuardExceeded, match="face-lattice subset words"):
