@@ -107,11 +107,15 @@ def random_vertexcuts(k: int, seed: int) -> CombPolytope:
     Every output is reducible back to the tetrahedron by construction.  The
     cuts run on one sorted vertex list, the order a validated polytope keeps,
     so each draw indexes the vertices as :func:`vertex_cut` would; cut s
-    adds facet 4 + s.
+    adds facet 4 + s.  A seed that ``random.Random`` cannot take (not an
+    int, float, str, bytes, bytearray or None) raises :class:`BadParameters`.
     """
     _check_int("cut count", k, 0)
     _check_work(f"random_vertexcuts({k}) size", (4 + 2 * k) * 9, _WORK_CAP)
-    rng = random.Random(seed)
+    try:
+        rng = random.Random(seed)
+    except TypeError as e:
+        raise BadParameters(f"unusable seed {seed!r}: {e}") from e
     verts = list(itertools.combinations(range(4), 3))
     for step in range(k):
         for w in _cut(verts.pop(rng.randrange(len(verts))), 4 + step):

@@ -62,9 +62,29 @@ _TOL = 1e-9  # the one tolerance of every accept/reject decision, see HRep._fram
 class HRep(_Record, eq=False):
     """Validated bounded full-dimensional presentation with m half-spaces:
     ``A`` is n x m, its column i the inward normal a_i, and ``b`` holds the
-    m offsets."""
+    m offsets.
+
+    The constructor runs :func:`make_hrep` on the columns of ``A`` and on
+    ``b``, with its errors, keeps its read-only copies, and raises
+    :class:`ParseError` when ``A`` is not n x m or ``n`` or ``m`` is below 1,
+    :class:`BadParameters` when either is not an int (or is a bool).  What the
+    package builds skips these checks.
+    """
 
     _fields = ("n", "m", "A", "b")
+
+    def __init__(self, n: int, m: int, A, b):
+        _check_int("n", n, 1, error=ParseError)
+        _check_int("m", m, 1, error=ParseError)
+        try:
+            rows = np.asarray(A, dtype=float).T
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ParseError(f"normals must be an array of numbers: {e}") from e
+        if rows.shape != (m, n):
+            raise ParseError(f"normals of shape {rows.T.shape}, not {n} x {m}")
+        h = make_hrep(rows, b)
+        for name in self._fields:
+            object.__setattr__(self, name, getattr(h, name))
 
     def values(self, x) -> np.ndarray:
         """The m affine forms <a_i, x> + b_i at a point, which must be a
@@ -128,7 +148,7 @@ def _finite_vector(x, length: int) -> np.ndarray:
     finite vector of ``length`` entries."""
     try:
         x = np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         x = None
     if x is None or x.shape != (length,) or not np.isfinite(x).all():
         raise BadParameters(f"the point must be a finite vector of length {length}")
@@ -250,7 +270,7 @@ def make_hrep(rows, offsets) -> HRep:
     try:
         arows = np.asarray(rows, dtype=float)
         b = np.asarray(offsets, dtype=float)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"normals and offsets must be arrays of numbers: {e}") from e
     if arows.ndim != 2 or b.ndim != 1 or arows.shape[0] != b.shape[0]:
         raise ParseError("need an m x n matrix of normals and m offsets")
@@ -265,7 +285,7 @@ def make_hrep(rows, offsets) -> HRep:
     A, b = arows.T.copy(), b.copy()
     A.setflags(write=False)
     b.setflags(write=False)
-    h = HRep(n=n, m=m, A=A, b=b)
+    h = HRep._trusted(n, m, A, b)
     # rows the float frame cannot hold: subnormal entries alone solve to NaN
     # coordinates, and a relation's coefficients are ratios of lengths and
     # its terms sum up to the lengths' sum

@@ -30,6 +30,7 @@ from .errors import (
     _Record,
 )
 from .polytope import (
+    _WORK_CAP,
     CombPolytope,
     SimplicialSphere,
     _cut,
@@ -370,8 +371,11 @@ def _sphere_family(k: SimplicialSphere):
 
 def simplex_boundary_sphere(n: int) -> SimplicialSphere:
     """The boundary of the n-simplex: all n-subsets of n+1 vertices.  An n
-    that is not an int >= 1, or is a bool, raises :class:`BadParameters`."""
+    that is not an int >= 1, or is a bool, raises :class:`BadParameters`;
+    facets times labels, (n + 1) n, over ``_WORK_CAP`` (n >= 3162; ~0.6 s
+    and ~410 MB at the edge) raise :class:`GuardExceeded` first."""
     _check_int("n", n, 1)
+    _check_work(f"simplex_boundary_sphere({n}) size", (n + 1) * n, _WORK_CAP)
     facets = tuple(frozenset(c)
                    for c in itertools.combinations(range(n + 1), n))
     return SimplicialSphere._trusted(n - 1, facets)

@@ -160,22 +160,24 @@ class _CellIds(Mapping):
 
 
 class ChamberComplex:
-    """Cell model of the glued manifold, built by :func:`build_chamber_complex`.
+    """Cell model of the glued manifold over ``base``; see
+    :func:`build_chamber_complex`.
 
-    ``cells`` is a sequence view of ``(face_index, representative)`` pairs,
-    face by face in lattice order and by increasing representative within a
-    face; ``cell_ids`` maps each cell back to its index.
+    The constructor works out the facet stars, the face lattice and the cell
+    counts from ``base``, under their caps.  ``cells`` is a sequence view of
+    ``(face_index, representative)`` pairs, face by face in lattice order and
+    by increasing representative within a face; ``cell_ids`` maps each cell
+    back to its index.
     """
 
-    def __init__(self, base: CombPolytope, lattice: FaceLattice,
-                 stars: list[int], cells_by_dim):
+    def __init__(self, base: CombPolytope):
+        self._stars, _ = _stars_pairs(base)
         self.base = base
-        self.lattice = lattice
+        self.lattice = lattice = face_lattice(base)
         self.m = base.facet_count
         self.n = base.dim
-        self.cells_by_dim = cells_by_dim
+        self.cells_by_dim = tuple(_cell_counts(lattice)[0])
         self.face_masks = lattice.masks
-        self._stars = stars
         self._starts = list(accumulate((_coset_count(self.m, mask) for mask in self.face_masks),
                                        initial=0))
         self._runs = [None] * len(self.face_masks)  # run tables, filled on first read
@@ -241,9 +243,7 @@ def build_chamber_complex(p: CombPolytope) -> ChamberComplex:
     ``GuardExceeded`` before any is built; over ``sys.maxsize`` cells the
     call itself does.
     """
-    stars, _ = _stars_pairs(p)
-    lattice = face_lattice(p)
-    return ChamberComplex(p, lattice, stars, tuple(_cell_counts(lattice)[0]))
+    return ChamberComplex(p)
 
 
 def euler_characteristic(z: ChamberComplex) -> int:

@@ -286,7 +286,7 @@ def test_quadrics_commands_on_moved_presentations(tmp_path, capsys, name, shift,
         factors = np.resize(scales, h.m)
         rows, offsets = rows * factors[:, None], offsets * factors
     src = tmp_path / "moved.hrep"
-    src.write_text(hrep_to_text(HRep(n=h.n, m=h.m, A=rows.T, b=offsets)))
+    src.write_text(hrep_to_text(HRep._trusted(n=h.n, m=h.m, A=rows.T, b=offsets)))
     for argv in (["quadrics"], ["verify-quadrics", "--samples", "60"]):
         code, report, err = run(capsys, argv[0], str(src), *argv[1:])
         assert code == 0, err

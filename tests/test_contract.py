@@ -1,29 +1,40 @@
 """The library contract on arguments a call cannot use.
 
 Every public call returns its result or raises a ``MomangError`` subclass.
-Each call below escaped as a ``TypeError``, ``ValueError``, ``IndexError`` or
-``AttributeError``, or returned a value that is no answer, except the sign 0,
-which was refused already and must stay refused under the new sign check.
+Each call below escaped as a ``TypeError``, ``ValueError``, ``IndexError``,
+``AttributeError`` or ``OverflowError``, or returned a value that is no
+answer, except the sign 0, which was refused already and must stay refused
+under the new sign check.  The H-rep calls are fuzzed on one adversarial pool.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from momang import (
+    HRep,
     bistellar_flip,
     build_chamber_complex,
     cube,
+    enumerate_vertices,
     lift_point,
+    make_hrep,
     parse_hrep,
+    quadric_gradient_rank,
+    random_vertexcuts,
+    relation_matrix,
     replay_flip_certificate,
     simplex_boundary_sphere,
+    verify_nondegeneracy,
 )
 from momang.corpus import cube_hrep
-from momang.errors import BadParameters, ParseError
+from momang.errors import BadParameters, GuardExceeded, MomangError, ParseError
 
 CUBE = build_chamber_complex(cube(3))  # m = 6, 27 faces
 TETRAHEDRON = simplex_boundary_sphere(3)
 CENTRE = [0.5] * 3
+CUBE_H = cube_hrep(3)
 
 REFUSED = [
     # zcomplex: group elements, representatives and face indices
@@ -44,6 +55,9 @@ REFUSED = [
     ("simplex-float", lambda: simplex_boundary_sphere(2.5), BadParameters),
     ("simplex-negative", lambda: simplex_boundary_sphere(-1), BadParameters),
     ("simplex-zero", lambda: simplex_boundary_sphere(0), BadParameters),
+    ("simplex-1e30", lambda: simplex_boundary_sphere(10 ** 30), GuardExceeded),
+    ("simplex-past-cap", lambda: simplex_boundary_sphere(3162), GuardExceeded),
+    ("replay-1e30", lambda: replay_flip_certificate(10 ** 30, []), GuardExceeded),
     ("replay-float", lambda: replay_flip_certificate(2.5, []), BadParameters),
     ("replay-none-moves", lambda: replay_flip_certificate(3, None), BadParameters),
     ("replay-int-moves", lambda: replay_flip_certificate(3, 5), BadParameters),
@@ -64,6 +78,17 @@ REFUSED = [
      BadParameters),
     ("parse-none", lambda: parse_hrep(None), ParseError),
     ("parse-bytes", lambda: parse_hrep(b"3 6"), ParseError),
+    ("hrep-string-normals", lambda: HRep(2, 3, "ab", None), ParseError),
+    ("hrep-zero-normals", lambda: HRep(3, 6, np.zeros((3, 6)), np.zeros(6)), ParseError),
+    ("hrep-transposed", lambda: HRep(3, 6, CUBE_H.A.T, CUBE_H.b), ParseError),
+    ("hrep-shape-not-n-m", lambda: HRep(2, 6, CUBE_H.A, CUBE_H.b), ParseError),
+    ("hrep-short-offsets", lambda: HRep(3, 6, CUBE_H.A, CUBE_H.b[:5]), ParseError),
+    ("hrep-bool-n", lambda: HRep(True, 6, CUBE_H.A, CUBE_H.b), BadParameters),
+    ("hrep-zero-m", lambda: HRep(3, 0, CUBE_H.A, CUBE_H.b), ParseError),
+    # corpus: seeds random.Random cannot take
+    ("cuts-list-seed", lambda: random_vertexcuts(3, [0]), BadParameters),
+    ("cuts-object-seed", lambda: random_vertexcuts(3, object()), BadParameters),
+    ("cuts-dict-seed", lambda: random_vertexcuts(3, {}), BadParameters),
 ]
 
 
@@ -83,3 +108,49 @@ def test_the_refusals_keep_what_was_accepted():
     assert all(type(s) is int for s in point.source[1])
     assert [tuple(sorted(f)) for f in replay_flip_certificate(3, []).facets] == \
         [tuple(sorted(f)) for f in TETRAHEDRON.facets]
+    cuts = random_vertexcuts(3, 0)
+    for seed in (-1, 0.5, "seed", b"seed", bytearray(b"seed"), None, 10 ** 30):
+        assert random_vertexcuts(3, seed).facet_count == 7
+    assert random_vertexcuts(3, 0) == cuts
+
+
+# bools, floats, NaN, infinities, a negative, huge ints, None, text, bytes, an
+# empty and a ragged list, arrays of the wrong shape, and an opaque object
+POOL = [True, 1.5, math.nan, math.inf, -math.inf, -1, 10 ** 30, 10 ** 400, None, "ab", b"ab",
+        [], [[1, 2], [3]], np.zeros((2, 2)), np.zeros(7), object()]
+
+
+def put_to_work(h):
+    """An H-rep's relations, vertices and a few samples, which read every field."""
+    return relation_matrix(h), enumerate_vertices(h), verify_nondegeneracy(h, 10)
+
+
+HREP_CALLS = {
+    "HRep-n": lambda x: put_to_work(HRep(x, 6, CUBE_H.A, CUBE_H.b)),
+    "HRep-m": lambda x: put_to_work(HRep(3, x, CUBE_H.A, CUBE_H.b)),
+    "HRep-A": lambda x: put_to_work(HRep(3, 6, x, CUBE_H.b)),
+    "HRep-b": lambda x: put_to_work(HRep(3, 6, CUBE_H.A, x)),
+    "make_hrep-rows": lambda x: make_hrep(x, CUBE_H.b),
+    "make_hrep-offsets": lambda x: make_hrep(CUBE_H.A.T, x),
+    "parse_hrep": parse_hrep,
+    "values": CUBE_H.values,
+    "residual": lambda x: relation_matrix(CUBE_H).residual(x),
+    "lift_point-point": lambda x: lift_point(CUBE_H, x, [1] * 6),
+    "lift_point-signs": lambda x: lift_point(CUBE_H, CENTRE, x),
+    "quadric_gradient_rank": lambda x: quadric_gradient_rank(relation_matrix(CUBE_H), x),
+    "verify_nondegeneracy-count": lambda x: verify_nondegeneracy(CUBE_H, x),
+    "verify_nondegeneracy-seed": lambda x: verify_nondegeneracy(CUBE_H, 10, seed=x),
+}
+
+
+@pytest.mark.parametrize("call", HREP_CALLS.values(), ids=HREP_CALLS)
+def test_hrep_calls_raise_only_momang_errors_on_the_pool(call):
+    escaped = []
+    for value in POOL:
+        try:
+            call(value)
+        except MomangError:
+            pass
+        except Exception as e:  # any other escape breaks the contract
+            escaped.append((value, type(e).__name__, str(e)))
+    assert not escaped

@@ -197,10 +197,10 @@ def test_enumeration_cap_admits_every_shape_the_subset_cap_admitted(monkeypatch)
     shapes = [(m, n) for m in range(2, 55) for n in range(1, m) if math.comb(m, n) <= 10 ** 6]
     for m, n in [*shapes, (200, 3)]:
         with pytest.raises(LookupError):
-            enumerate_vertices(HRep(n, m, np.ones((n, m)), np.zeros(m)))
+            enumerate_vertices(HRep._trusted(n, m, np.ones((n, m)), np.zeros(m)))
     # m = 55, n = 51 was admitted (C(55, 4) = 341,055 subsets) and is not
     with pytest.raises(GuardExceeded):
-        enumerate_vertices(HRep(51, 55, np.ones((51, 55)), np.zeros(55)))
+        enumerate_vertices(HRep._trusted(51, 55, np.ones((51, 55)), np.zeros(55)))
 
 
 def test_octahedron_not_simple_presentation():
@@ -646,7 +646,7 @@ def frame_lps(rows, offsets):
     the radius and redundancy checks its optimum is minus the dual's."""
     rows, offsets = np.asarray(rows, float), np.asarray(offsets, float)
     m, n = rows.shape
-    f = HRep(n=n, m=m, A=rows.T, b=offsets)._frame
+    f = HRep._trusted(n=n, m=m, A=rows.T, b=offsets)._frame
     free = [(None, None)]
     lps = [("span", (f.U.T, -f.U.T @ np.ones(m), np.zeros(m)),
             dict(c=np.zeros(m), A_eq=f.U.T, b_eq=np.zeros(n), bounds=[(1, None)])),
@@ -915,10 +915,11 @@ def test_stacked_points_equal_the_looped_points(h, monkeypatch):
 
 def test_stacked_ranks_report_the_loops_failures(monkeypatch):
     # at tolerance 0.2 small singular values count as zero: ranks fail in
-    # every chunk; the presentation is validated at 1e-9 first
+    # every chunk; the presentation is validated at 1e-9 first, and
+    # _trusted keeps the door from validating it again at 0.2
     g = dodecahedron_hrep()
     monkeypatch.setattr(hrep, "_TOL", 0.2)
-    h = HRep(g.n, g.m, g.A, g.b)
+    h = HRep._trusted(g.n, g.m, g.A, g.b)
     report = verify_nondegeneracy(h, sample_count=600, seed=3)
     assert len(report.failures) > 200 and report.failures[-1][0] > 2 * hrep._RANK_CHUNK
     assert report == looped_nondegeneracy(h, 600, 3)
@@ -1154,7 +1155,7 @@ def test_ray_shots_match_the_all_rows_loop(name, simplex_calls):
     # the LP fallback ran on the uncertified rows, in order, up to the first
     # redundant one; every certified row is irredundant by its LP
     rows, offsets = np.asarray(rows, float), np.asarray(offsets, float)
-    h = HRep(n=rows.shape[1], m=rows.shape[0], A=rows.T, b=offsets)
+    h = HRep._trusted(n=rows.shape[1], m=rows.shape[0], A=rows.T, b=offsets)
     certified = looped_ray_shots(h)
     uncertified = [i for i, ok in enumerate(certified) if not ok]
     if expected[0] is RedundantHalfspace:
@@ -1167,6 +1168,22 @@ def test_ray_shots_match_the_all_rows_loop(name, simplex_calls):
         assert len(simplex_calls) == 2 and all(certified)
     if base in LP_ONLY:
         assert certified.count(False) == 1
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_the_constructor_accepts_what_make_hrep_accepts(name):
+    # HRep(n, m, A, b) runs make_hrep on A's columns, with its errors, and
+    # keeps its bit-equal read-only copies, not the caller's arrays
+    rows, offsets = differential_input(name)
+    A = np.array(rows, dtype=float).T
+    m, n = len(rows), len(rows[0])
+    expected = verdict(make_hrep, rows, offsets)
+    assert verdict(HRep, n, m, A, offsets) == expected
+    if isinstance(expected[0], bytes):
+        h = HRep(n, m, A, offsets)
+        assert h.A is not A and not h.A.flags.writeable and not h.b.flags.writeable
+        A[:] = 0
+        assert h.A.tobytes() == expected[0] and repr(h) == repr(make_hrep(rows, offsets))
 
 
 @pytest.mark.parametrize("name", [*REJECTED, *LP_ONLY])

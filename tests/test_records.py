@@ -22,6 +22,7 @@ from conftest import DATACLASS_RECORDS, cut_cube, dataclass_oracle
 from momang import (
     CombPolytope,
     Face,
+    HRep,
     SimplicialSphere,
     bistellar_flip,
     build_chamber_complex,
@@ -167,13 +168,15 @@ def test_own_constructors_get_the_generated_trusted_path():
     # a record that writes its own validating __init__ gets the generated
     # field setter as the classmethod _trusted, with the same defaults; the
     # others get nothing new
-    owners = {CombPolytope, SimplicialSphere}
+    owners = {CombPolytope, SimplicialSphere, HRep}
     for cls in {type(r) for r in RECORDS}:
         assert ("_trusted" in vars(cls)) == (cls in owners), cls.__name__
     for record in RECORDS:
         if type(record) in owners:
             twin = type(record)._trusted(*(getattr(record, n) for n in record._fields))
-            assert type(twin) is type(record) and twin == record and repr(twin) == repr(record)
+            same = all(getattr(twin, n) is getattr(record, n) for n in record._fields)
+            assert type(twin) is type(record) and repr(twin) == repr(record) and same
+            assert (twin == record) == (type(record).__eq__ is not object.__eq__)
     assert CombPolytope._trusted.__qualname__ == "CombPolytope._trusted"
     assert list(inspect.signature(CombPolytope._trusted).parameters) == [
         "dim", "facet_count", "vertices", "facet_labels"]
