@@ -224,9 +224,9 @@ def dispatch(args, sources: list) -> tuple[dict, int]:
         payload = {"fixed_sets": _fixed_set_rows(_stars_pairs(p)[0])}
 
     elif cmd == "filtration":
-        from .zcomplex import _chamber_counts
+        from .zcomplex import _stage_rows, _stars_pairs
 
-        payload = {"filtration": _chamber_counts(p)["filtration"]}
+        payload = {"filtration": _stage_rows(*_stars_pairs(p))}
 
     elif cmd == "quadrics":
         from .hrep import parse_hrep, quadrics_to_json, relation_matrix

@@ -1,5 +1,5 @@
 """Exception types shared across the package, its one size-cap check, its
-one integer-argument check and the base of its frozen records."""
+integer- and record-argument checks and the base of its frozen records."""
 
 
 class MomangError(Exception):
@@ -36,6 +36,13 @@ def _check_int(what: str, value, low: int, stop: int | None = None, error=BadPar
             raise error(f"{what} must be >= {low}, got {value}")
     elif not low <= value < stop:
         raise error(f"{what} {value} of {stop}")
+
+
+def _check_type(what: str, value, cls):
+    """The one record-argument check: ``value`` must be a ``cls``, else
+    :class:`BadParameters`."""
+    if not isinstance(value, cls):
+        raise BadParameters(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
 
 
 class _Record:

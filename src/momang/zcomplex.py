@@ -41,7 +41,7 @@ from collections.abc import Mapping, Sequence
 from functools import cached_property
 from itertools import accumulate
 
-from .errors import BadParameters, NoSuchFacet, _check_int, _check_work, _Record
+from .errors import BadParameters, NoSuchFacet, _check_int, _check_type, _check_work, _Record
 from .polytope import _WORK_CAP, CombPolytope, FaceLattice, _bits, _submasks, face_lattice
 
 
@@ -248,12 +248,14 @@ def build_chamber_complex(p: CombPolytope) -> ChamberComplex:
 
 def euler_characteristic(z: ChamberComplex) -> int:
     """Alternating sum of cell counts."""
+    _check_type("complex", z, ChamberComplex)
     return sum((-1) ** d * c for d, c in enumerate(z.cells_by_dim))
 
 
 def connected_components(z: ChamberComplex) -> int:
     """Always one: chamber ``g`` meets ``g ^ (1 << i)`` across facet ``i``,
     so the chamber graph is the m-cube, which is connected."""
+    _check_type("complex", z, ChamberComplex)
     return 1
 
 
@@ -293,6 +295,7 @@ def fixed_point_components(z: ChamberComplex, i: int) -> FixedPointSet:
     id order.  A facet that is not an int (or is a bool) raises
     :class:`BadParameters`, one outside ``range(z.m)`` :class:`NoSuchFacet`.
     """
+    _check_type("complex", z, ChamberComplex)
     _check_int("facet", i, 0, z.m, error=NoSuchFacet)
     return FixedPointSet(z, i, _coset_count(z.m, z._stars[i]))
 
@@ -308,6 +311,7 @@ def orientability(z: ChamberComplex):
     the parity orientation is always consistent.  Returns the verdict
     together with a view of the sign of each chamber.
     """
+    _check_type("complex", z, ChamberComplex)
     return True, _View("chamber signs", 1 << z.m, _parity_sign)
 
 
@@ -356,6 +360,7 @@ def classify_edge_types(stage: FiltrationStage) -> EdgeTypeSummary:
     If a < j they are (b, r) and (b, r ^ bit_a): the same base facet on both
     sides of the doubled generator a, Type-II.
     """
+    _check_type("stage", stage, FiltrationStage)
     return stage.edge_types
 
 
@@ -423,17 +428,16 @@ def doubling_filtration(p: CombPolytope) -> list[FiltrationStage]:
     iterating a view over ``_OBJECT_CAP`` objects raises ``GuardExceeded``
     before the first; over ``sys.maxsize`` the call itself does.
     """
-    m = p.facet_count
     star, pairs = _stars_pairs(p)
     cell_counts = _stage_cell_counts(face_lattice(p))
     stages = []
-    for j, row in enumerate(_filtration_rows(m, star, pairs)):
+    for j, row in enumerate(_stage_rows(star, pairs)):
         low = (1 << j) - 1
         stages.append(FiltrationStage(
             base=p, j=j, subgroup=_View("stage group elements", 1 << j, int),
             facets=_View("filtration pieces", row["facets"],
                          lambda k, j=j, low=low: (j + (k >> j), k & low)),
-            chamber_count=1 << j,
+            chamber_count=row["chambers"],
             cell_count=cell_counts[j],
             boundary_components=row["boundary_components"],
             edge_types=EdgeTypeSummary(
@@ -460,6 +464,7 @@ def _stars_pairs(p: CombPolytope) -> tuple[list[int], list[int]]:
     """The facet stars and the codimension-two faces (the facet pairs in a
     star, in lattice order), with the count rows' work capped (see
     ``_WORK_CAP``): a caller that needs the face lattice builds it after."""
+    _check_type("polytope", p, CombPolytope)
     m = p.facet_count
     star = _facet_stars(p)
     pairs = [1 << a | 1 << b for a, s in enumerate(star) for b in _bits(s) if b > a]
@@ -467,17 +472,29 @@ def _stars_pairs(p: CombPolytope) -> tuple[list[int], list[int]]:
     return star, pairs
 
 
-def _filtration_rows(m: int, star: list[int], pairs: list[int]):
-    """Per stage j, in turn, its piece, chamber, boundary-component and
-    edge-type counts (edge types: see :func:`classify_edge_types`)."""
-    for j in range(m + 1):
-        low = (1 << j) - 1
-        yield {
-            "j": j, "facets": (m - j) << j, "chambers": 1 << j,
-            "boundary_components": _boundary_components(star, j),
-            "type1_edges": sum(not pair & low for pair in pairs) << j,
-            "type2_edges": sum(bool(pair & low and pair >> j)
-                               for pair in pairs) << j >> 1}
+def _filtration_rows(m: int, pairs: list[int]):
+    """Per stage j, in turn, its piece and edge-type counts (edge types: see
+    :func:`classify_edge_types`).  One pass over the codimension-two faces
+    F_a, F_b (a < b) counts them by a and by b; with A(j) and B(j) those
+    with a < j and with b < j, Type-I are (E - A(j)) << j and Type-II
+    (A(j) - B(j)) << j >> 1."""
+    a_at, b_at = [0] * (m + 1), [0] * (m + 1)  # [k]: faces with a, b = k - 1
+    for pair in pairs:
+        a_at[(pair & -pair).bit_length()] += 1
+        b_at[pair.bit_length()] += 1
+    for j, a_below, b_below in zip(range(m + 1), accumulate(a_at), accumulate(b_at)):
+        yield {"j": j, "facets": (m - j) << j,
+               "type1_edges": (len(pairs) - a_below) << j,
+               "type2_edges": (a_below - b_below) << j >> 1}
+
+
+def _stage_rows(star: list[int], pairs: list[int]) -> list[dict]:
+    """The filtration rows with each stage's chamber and boundary-component
+    counts: the ``filtration`` command's rows and the stage fields of
+    :func:`doubling_filtration`."""
+    return [{**row, "chambers": 1 << row["j"],
+             "boundary_components": _boundary_components(star, row["j"])}
+            for row in _filtration_rows(len(star), pairs)]
 
 
 def _fixed_set_rows(star: list[int]) -> list[dict]:
@@ -485,28 +502,15 @@ def _fixed_set_rows(star: list[int]) -> list[dict]:
     return [{"facet": i, "components": _coset_count(len(star), s)} for i, s in enumerate(star)]
 
 
-def _chamber_counts(p: CombPolytope) -> dict:
-    """Every row the chamber commands report, from the facet stars and the
-    codimension-two faces alone, the rows' work capped first: the
-    ``fixed-sets`` and ``filtration`` commands build no face lattice, and
-    no cell, piece or record is built."""
-    m = p.facet_count
-    star, pairs = _stars_pairs(p)
-    return {
-        "m": m,
-        "components": 1,
-        "orientable": True,
-        "fixed_sets": _fixed_set_rows(star),
-        "filtration": list(_filtration_rows(m, star, pairs)),
-    }
-
-
 def complex_summary(p: CombPolytope) -> dict:
     """Everything the moment-angle report needs, as one JSON-ready dict:
-    the chamber rows, then the cell counts from the face lattice."""
-    summary = _chamber_counts(p)
-    summary["cells_by_dim"], summary["euler"] = _cell_counts(face_lattice(p))
-    summary["filtration"] = [
-        {key: row[key] for key in ("j", "facets", "type1_edges", "type2_edges")}
-        for row in summary["filtration"]]
-    return summary
+    rows from the facet stars and the codimension-two faces, their work
+    capped first, then the cell counts from the face lattice.  No cell,
+    piece or record is built."""
+    star, pairs = _stars_pairs(p)
+    m = len(star)
+    cells_by_dim, euler = _cell_counts(face_lattice(p))
+    return {"m": m, "components": 1, "orientable": True,
+            "fixed_sets": _fixed_set_rows(star),
+            "filtration": list(_filtration_rows(m, pairs)),
+            "cells_by_dim": cells_by_dim, "euler": euler}

@@ -15,14 +15,13 @@ import pytest
 
 import momang
 import momang.cli
-from momang import (cube, polytope_from_json, polytope_to_json, prism, random_vertexcuts,
-                    simplex)
+from momang import (complex_summary, cube, polytope_from_json, polytope_to_json, prism,
+                    random_vertexcuts, simplex)
 from momang.cli import main
 from momang.corpus import cube_hrep, dodecahedron_hrep, prism_hrep, simplex_hrep
 from momang.hrep import HRep, hrep_to_text
 from momang.moves import ReductionTrace, rebuild_by_cuts
 from momang.polytope import validate_polytope
-from momang.zcomplex import _chamber_counts
 
 
 def run(capsys, *argv):
@@ -161,7 +160,7 @@ def test_row_commands_build_no_face_lattice(tmp_path, monkeypatch, capsys):
 def test_fixed_sets_builds_no_filtration_row(tmp_path, monkeypatch, capsys):
     p = random_vertexcuts(40, 0)
     src = write_polytope(tmp_path, "rvc40.json", p)
-    expected = _chamber_counts(p)["fixed_sets"]
+    expected = complex_summary(p)["fixed_sets"]
 
     def unreachable(*args):
         raise AssertionError("fixed-sets built a filtration row")

@@ -3,8 +3,8 @@
 Every public call returns its result or raises a ``MomangError`` subclass.
 Each call below escaped as a ``TypeError``, ``ValueError``, ``IndexError``,
 ``AttributeError`` or ``OverflowError``, or returned a value that is no
-answer, except the sign 0, which was refused already and must stay refused
-under the new sign check.  The H-rep calls are fuzzed on one adversarial pool.
+answer (``connected_components(None)`` returned 1), except the sign 0, which
+was refused already and must stay refused under the new sign check.  The H-rep calls are fuzzed on one adversarial pool.
 """
 
 import math
@@ -16,10 +16,17 @@ from momang import (
     HRep,
     bistellar_flip,
     build_chamber_complex,
+    classify_edge_types,
+    complex_summary,
+    connected_components,
     cube,
+    doubling_filtration,
     enumerate_vertices,
+    euler_characteristic,
+    fixed_point_components,
     lift_point,
     make_hrep,
+    orientability,
     parse_hrep,
     quadric_gradient_rank,
     random_vertexcuts,
@@ -32,6 +39,7 @@ from momang.corpus import cube_hrep
 from momang.errors import BadParameters, GuardExceeded, MomangError, ParseError
 
 CUBE = build_chamber_complex(cube(3))  # m = 6, 27 faces
+STAGE = doubling_filtration(cube(3))[2]
 TETRAHEDRON = simplex_boundary_sphere(3)
 CENTRE = [0.5] * 3
 CUBE_H = cube_hrep(3)
@@ -51,6 +59,23 @@ REFUSED = [
     ("translate-float-rep", lambda: CUBE.translate(0, (0, 1.0)), BadParameters),
     ("canonical-face-past-end", lambda: CUBE.canonical(999, 1), BadParameters),
     ("canonical-float", lambda: CUBE.canonical(0, 1.5), BadParameters),
+    # zcomplex: None or another record where a polytope, complex or stage belongs
+    ("build-none", lambda: build_chamber_complex(None), BadParameters),
+    ("build-sphere", lambda: build_chamber_complex(TETRAHEDRON), BadParameters),
+    ("filtration-none", lambda: doubling_filtration(None), BadParameters),
+    ("filtration-complex", lambda: doubling_filtration(CUBE), BadParameters),
+    ("summary-none", lambda: complex_summary(None), BadParameters),
+    ("summary-sphere", lambda: complex_summary(TETRAHEDRON), BadParameters),
+    ("euler-none", lambda: euler_characteristic(None), BadParameters),
+    ("euler-polytope", lambda: euler_characteristic(cube(3)), BadParameters),
+    ("components-none", lambda: connected_components(None), BadParameters),
+    ("components-stage", lambda: connected_components(STAGE), BadParameters),
+    ("orientability-none", lambda: orientability(None), BadParameters),
+    ("orientability-sphere", lambda: orientability(TETRAHEDRON), BadParameters),
+    ("edge-types-none", lambda: classify_edge_types(None), BadParameters),
+    ("edge-types-complex", lambda: classify_edge_types(CUBE), BadParameters),
+    ("fixed-set-none", lambda: fixed_point_components(None, 0), BadParameters),
+    ("fixed-set-polytope", lambda: fixed_point_components(cube(3), 0), BadParameters),
     # moves: the simplex dimension, certificate moves and flipped faces
     ("simplex-float", lambda: simplex_boundary_sphere(2.5), BadParameters),
     ("simplex-negative", lambda: simplex_boundary_sphere(-1), BadParameters),
@@ -106,6 +131,9 @@ def test_the_refusals_keep_what_was_accepted():
     point = lift_point(cube_hrep(3), CENTRE, np.array([1.0, -1.0] * 3))
     assert point.source[1] == (1, -1) * 3
     assert all(type(s) is int for s in point.source[1])
+    assert classify_edge_types(STAGE).type1 == STAGE.edge_types.type1
+    assert (euler_characteristic(CUBE), connected_components(CUBE)) == (0, 1)
+    assert orientability(CUBE)[0] and fixed_point_components(CUBE, 0).count == 2
     assert [tuple(sorted(f)) for f in replay_flip_certificate(3, []).facets] == \
         [tuple(sorted(f)) for f in TETRAHEDRON.facets]
     cuts = random_vertexcuts(3, 0)

@@ -538,9 +538,11 @@ REJECTED = {
 @st.composite
 def transforms(draw, m, n):
     """(unit direction, log10 of the shift, log10 row scales, permutation);
-    scales stop at 1e+-150, as at 1e300 the 1e9 shift's offsets overflow."""
+    shifts stop at 1e13, inside the range README states, radius / (8(n + 1)
+    eps): ~7e13 for the unit cube, whose 1e14 shift raises EmptyInterior.
+    Scales stop at 1e+-150, as at 1e300 the shifted offsets overflow."""
     direction = draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n))
-    return (direction, draw(st.integers(0, 9)),
+    return (direction, draw(st.integers(0, 13)),
             draw(st.lists(st.integers(-150, 150), min_size=m, max_size=m)),
             draw(st.permutations(range(m))))
 

@@ -32,7 +32,7 @@ from momang import (
 )
 from momang.errors import BadParameters, GuardExceeded, NoSuchFacet
 from momang.polytope import _bits, _submasks
-from momang.zcomplex import _cell_counts, _chamber_counts
+from momang.zcomplex import _cell_counts, _filtration_rows, _stage_rows, _stars_pairs
 from conftest import (
     compact_oracle,
     cover_pairs,
@@ -192,15 +192,14 @@ def test_views_of_a_complex_over_the_cap(monkeypatch):
     p = random_vertexcuts(16, 0)
     monkeypatch.setattr(zcomplex, "_submasks", unreachable)
     z = build_chamber_complex(p)
-    counts = _chamber_counts(p)
-    cells_by_dim = complex_summary(p)["cells_by_dim"]
-    assert z.m == 20 and len(z.cells) == sum(cells_by_dim) > zcomplex._OBJECT_CAP
+    summary = complex_summary(p)
+    assert z.m == 20 and len(z.cells) == sum(summary["cells_by_dim"]) > zcomplex._OBJECT_CAP
     assert len(z.cell_ids) == len(z.cells)
     assert len(orientability(z)[1]) == 1 << 20
-    for row in counts["fixed_sets"]:
+    for row in summary["fixed_sets"]:
         assert fixed_point_components(z, row["facet"]).count == row["components"]
     stages = doubling_filtration(p)
-    for st, row in zip(stages, counts["filtration"], strict=True):
+    for st, row in zip(stages, _stage_rows(*_stars_pairs(p)), strict=True):
         assert len(st.subgroup) == row["chambers"] == st.chamber_count
         assert len(st.facets) == row["facets"]
         assert len(st.edge_types.records) == row["type1_edges"] + row["type2_edges"]
@@ -266,9 +265,11 @@ def test_counts_cap_from_closed_forms(monkeypatch):
     monkeypatch.setattr(zcomplex, "_WORK_CAP", predicted)
     assert complex_summary(p)["m"] == 44
     monkeypatch.setattr(zcomplex, "_WORK_CAP", predicted - 1)
-    monkeypatch.setattr(zcomplex, "_boundary_components", unreachable)
-    with pytest.raises(GuardExceeded):
-        complex_summary(p)
+    for name in ("_filtration_rows", "_fixed_set_rows", "_boundary_components"):
+        monkeypatch.setattr(zcomplex, name, unreachable)
+    for call in (complex_summary, build_chamber_complex, doubling_filtration):
+        with pytest.raises(GuardExceeded):
+            call(p)
 
 
 def test_counts_cap_refuses_before_the_face_lattice(monkeypatch):
@@ -774,6 +775,49 @@ def oracle_filtration_rows(p):
             for st in doubling_filtration(p)]
 
 
+def oracle_scanned_rows(p):
+    """Per stage j, the edge types from a scan of every codimension-two
+    face F_a, F_b: Type-I when a >= j, Type-II when a < j <= b, the
+    per-stage scan that the running counts replaced."""
+    m = p.facet_count
+    pairs = [1 << a | 1 << b for a, b in edge_pairs(p)]
+    rows = []
+    for j in range(m + 1):
+        low = (1 << j) - 1
+        rows.append({"j": j, "facets": (m - j) << j,
+                     "type1_edges": sum(not pair & low for pair in pairs) << j,
+                     "type2_edges": sum(bool(pair & low and pair >> j)
+                                        for pair in pairs) << j >> 1})
+    return rows
+
+
+def test_running_counts_match_the_scan():
+    ladder = [(f"rvc{k}_{seed}", random_vertexcuts(k, seed))
+              for k in (0, 1, 2, 5, 20, 60, 200) for seed in (0, 1)]
+    ladder += [(f"cube{n}", cube(n)) for n in range(2, 9)]
+    ladder += [(f"simplex{n}", simplex(n)) for n in range(2, 7)]
+    ladder += [("cut_cube5", vertex_cut(cube(5), 0)), ("dodecahedron", dodecahedron())]
+    for name, p in ladder:
+        star, pairs = _stars_pairs(p)
+        rows = list(_filtration_rows(p.facet_count, pairs))
+        assert rows == oracle_scanned_rows(p), name
+        assert [{key: row[key] for key in rows[0]}
+                for row in _stage_rows(star, pairs)] == rows, name
+
+
+def test_summary_counts_no_stage_boundary(monkeypatch):
+    # complex_summary reports no boundary components, so it counts none
+    def unreachable(*args):
+        raise AssertionError("complex_summary counted a stage boundary")
+
+    p = random_vertexcuts(40, 0)
+    expected = complex_summary(p)
+    monkeypatch.setattr(zcomplex, "_boundary_components", unreachable)
+    assert complex_summary(p) == expected
+    with pytest.raises(AssertionError, match="stage boundary"):
+        doubling_filtration(p)
+
+
 def oracle_face_spans(lattice, keep):
     """Facet spans of the cover-connected components of the faces whose
     mask passes ``keep`` (a set closed under taking subfaces)."""
@@ -800,7 +844,7 @@ def count_inputs():
 def test_counts_match_materialised_oracle():
     for name, p in count_inputs():
         assert complex_summary(p) == oracle_summary(p), name
-        assert _chamber_counts(p)["filtration"] == oracle_filtration_rows(p), name
+        assert _stage_rows(*_stars_pairs(p)) == oracle_filtration_rows(p), name
 
 
 def test_stars_and_boundaries_match_lattice_union_find():
@@ -809,12 +853,11 @@ def test_stars_and_boundaries_match_lattice_union_find():
                                      ("rvc40", random_vertexcuts(40, 0))]:
         m = p.facet_count
         lattice = face_lattice(p)
-        counts = _chamber_counts(p)
-        for i, row in enumerate(counts["fixed_sets"]):
+        for i, row in enumerate(complex_summary(p)["fixed_sets"]):
             spans = oracle_face_spans(lattice, lambda mask: mask >> i & 1)
             assert len(spans) == 1, (name, i)
             assert row["components"] == 1 << (m - spans[0].bit_count()), (name, i)
-        for row in counts["filtration"]:
+        for row in _stage_rows(*_stars_pairs(p)):
             j = row["j"]
             spans = oracle_face_spans(lattice, lambda mask: mask >> j)
             split += len(spans) > 1
