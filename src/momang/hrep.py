@@ -30,6 +30,7 @@ from .errors import (
     RedundantHalfspace,
     Unbounded,
     _check_int,
+    _check_type,
     _check_work,
     _Record,
 )
@@ -523,6 +524,7 @@ def relation_matrix(h: HRep) -> QuadricSystem:
     <a_k, x> + b_k sum terms as far out as the region lies, and far out
     (a 1e9 translation) that rounding exceeds 1e-9 times what is left.
     """
+    _check_type("presentation", h, HRep)
     return h._relations
 
 
@@ -671,6 +673,7 @@ def verify_nondegeneracy(h: HRep, sample_count: int = 200,
     work, predicted from the point count the vertex walk fixes, is checked
     against ``_SAMPLE_CAP`` before the relations or any point are computed.
     """
+    _check_type("presentation", h, HRep)
     _check_int("sample_count", sample_count, 0)
     _check_int("seed", seed, 0)
     polytope, coords = enumerate_vertices(h)

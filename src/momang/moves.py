@@ -26,6 +26,7 @@ from .errors import (
     NotSimple,
     NotSimplexFacet,
     _check_int,
+    _check_type,
     _check_work,
     _Record,
 )
@@ -94,6 +95,7 @@ def vertex_cut(p: CombPolytope, vertex_index: int) -> CombPolytope:
     sphere the cut stacks a facet, which keeps a sphere a sphere.  A
     segment would lose a facet, so n = 1 raises :class:`DimensionUnsupported`.
     """
+    _check_type("polytope", p, CombPolytope)
     _check_int("vertex", vertex_index, 0, p.vertex_count, NoSuchVertex)
     if p.dim < 2:
         raise DimensionUnsupported(f"vertex cuts need dim >= 2, got {p.dim}")
@@ -172,6 +174,7 @@ def recognize_vertexcut_reducible(p: CombPolytope) -> ReductionTrace:
     * relabelling is monotone, so the lowest admissible current index is
       the rank among the survivors of the lowest admissible original label.
     """
+    _check_type("polytope", p, CombPolytope)
     if p.dim != 3:
         raise DimensionUnsupported(f"recognition needs dim 3, got {p.dim}")
     nbrs = [set(row) for row in p._pairs]
@@ -212,6 +215,9 @@ def rebuild_by_cuts(trace: ReductionTrace) -> CombPolytope:
     :class:`IsSimplex` for a step that names no collapsible facet, and
     :class:`NoSuchVertex` when ``end`` lacks a vertex to cut.
     """
+    _check_type("trace", trace, ReductionTrace)
+    _check_type("trace start", trace.start, CombPolytope)
+    _check_type("trace end", trace.end, CombPolytope)
     n = trace.start.dim
     if trace.end.dim != n:
         raise NotSimple(f"trace end has dim {trace.end.dim}, its start dim {n}")
@@ -272,8 +278,10 @@ def bistellar_flip(k: SimplicialSphere, face) -> SimplicialSphere:
     result is not re-checked: a move that passes the link checks replaces a
     ball (the star) by another ball with the same boundary, so a sphere
     stays a sphere.  A face that is not a collection of hashable labels
-    raises :class:`BadParameters`.
+    raises :class:`BadParameters`, as does a ``k`` that is not a
+    :class:`SimplicialSphere`.
     """
+    _check_type("sphere", k, SimplicialSphere)
     try:
         sigma = frozenset(face)
     except TypeError as e:
@@ -321,6 +329,7 @@ def prismatic_circuits(p: CombPolytope, k: int) -> list[PrismaticCircuit]:
     for a ``k`` that is not an ``int`` >= 3 or is a ``bool``.  The walk
     reads ``p``'s cached pair table.
     """
+    _check_type("polytope", p, CombPolytope)
     if p.dim != 3:
         raise DimensionUnsupported(f"prismatic circuits need dim 3, got {p.dim}")
     _check_int("circuit length", k, 3)
@@ -381,6 +390,12 @@ def simplex_boundary_sphere(n: int) -> SimplicialSphere:
     return SimplicialSphere._trusted(n - 1, facets)
 
 
+def _g_vector(n: int, f0: int, f1: int) -> tuple[int, int]:
+    """g1 = f0 - n - 1 and g2 = f1 - n f0 + C(n + 1, 2) of a simplicial
+    (n - 1)-sphere with f0 vertices and f1 edges."""
+    return f0 - n - 1, f1 - n * f0 + n * (n + 1) // 2
+
+
 def psc_flip_certificate(p: CombPolytope, depth: int):
     """Search for a flip sequence of codimension >= 3 reaching ``p``.
 
@@ -389,9 +404,29 @@ def psc_flip_certificate(p: CombPolytope, depth: int):
     to isomorphism.  Returns the move list on success and ``None`` when no
     sequence exists within ``depth`` levels; exhausting the search bound is
     not a proof of impossibility.  Raises :class:`GuardExceeded` once more
-    than ``_STATE_CAP`` states (flips produced) have been generated, and
-    :class:`BadParameters` for a ``depth`` that is not an ``int`` >= 0 or is
-    a ``bool``.
+    than ``_STATE_CAP`` states (flips produced) have been generated,
+    :class:`BadParameters` for a ``p`` that is not a :class:`CombPolytope`
+    or a ``depth`` that is not an ``int`` >= 0 or is a ``bool``.
+
+    The g-vector bounds the length: g1 = f0 - n - 1 and g2 = f1 - n f0 +
+    C(n + 1, 2) of a sphere with f0 vertices and f1 edges (for the target,
+    the dual sphere of ``p``: its m facets and adjacent facet pairs).  A
+    flip at a face sigma with link the boundary of tau adds a vertex and n
+    edges when |sigma| = n (g1 + 1), the one edge tau when |sigma| = n - 1
+    (g2 + 1), and neither when |sigma| <= n - 2.  So g1 and g2 never fall
+    along a sequence, each move raises g1 + g2 by at most 1 (exactly 1 at
+    n = 3 and n = 4), and a certificate has at least g1(p) + g2(p) moves.
+    Two cases are answered before any flip:
+
+    * ``depth < g1(p) + g2(p)`` returns ``None``;
+    * at n = 3 every candidate face is a facet, so every move is a stacking
+      and the states reached are the stacked 2-spheres, the duals of the
+      vertex-cut polytopes: a ``p`` that
+      :func:`recognize_vertexcut_reducible` calls irreducible returns
+      ``None`` at every depth.
+
+    Otherwise the search runs: only it can tell which certificate, the
+    first in its order, is returned.
 
     States that cannot reach the target are not expanded.  A flip at a face
     sigma with at least 3 vertices deletes no vertex and no edge: every old
@@ -399,10 +434,14 @@ def psc_flip_certificate(p: CombPolytope, depth: int):
     only added, when sigma is a facet.  So 1-skeleton degrees never drop
     along a sequence, and a state can reach the dual sphere of ``p`` only if
     its descending degree sequence is no longer than the target's and
-    entrywise at most it.  That condition passes to every ancestor, so the
-    surviving states are closed under taking parents; degree sequences are
-    isomorphism invariants, so a pruned state is isomorphic only to pruned
-    states.  The BFS order, the first representative of every class and
+    entrywise at most it.  By the g-vector count it also needs a g2 no
+    larger than the target's, and a deficit, the target's g1 + g2 less its
+    own, no larger than the depth left.  These conditions pass to every
+    ancestor (the deficit falls by at most 1 per move), so the surviving
+    states are closed under taking parents; they are isomorphism
+    invariants, and a state that fails them fails them again at any later
+    level, so a pruned state is isomorphic only to pruned states its level
+    or later.  The BFS order, the first representative of every class and
     the returned certificate are therefore those of the unpruned search.
 
     The target is ``p``'s own vertex family on its facets ``0..m-1``, with
@@ -411,15 +450,28 @@ def psc_flip_certificate(p: CombPolytope, depth: int):
     the target heads its own: a state's first isomorphic twin is the target
     exactly when the state matches it, and a state with no twin is
     registered and expanded.  Each state's pair table is built once, for its
-    degrees and every isomorphism test it enters; its colours are refined
-    once too, and only when it survives the prune.
+    degrees, its g-vector and every isomorphism test it enters; its colours
+    are refined once too, and only when it survives the prune.
     """
+    _check_type("polytope", p, CombPolytope)
     n = p.dim
     if n < 3:
         raise DimensionUnsupported(
             f"codimension >= 3 flips need dim >= 3, got {n}")
     _check_int("depth", depth, 0)
+    if depth < sum(_g_vector(n, p.facet_count, sum(map(len, p._pairs)) // 2)):
+        return None
+    if n == 3 and not recognize_vertexcut_reducible(p).reducible:
+        return None
+    return _flip_search(p, depth)
+
+
+def _flip_search(p: CombPolytope, depth: int):
+    """The breadth-first search of :func:`psc_flip_certificate`, pruned by
+    degrees and by the g-vector, for a ``p`` of dimension >= 3."""
+    n = p.dim
     bound = tuple(sorted(map(len, p._pairs), reverse=True))
+    top1, top2 = _g_vector(n, len(bound), sum(bound) // 2)
     target = _family(p.facet_count, p.vertices, p._pairs)
     seen = {bound: [target]}
 
@@ -437,7 +489,7 @@ def psc_flip_certificate(p: CombPolytope, depth: int):
         return []
     frontier = deque([(start, [])])
     generated = 1
-    for _ in range(depth):
+    for left in range(depth - 1, -1, -1):  # the depth left below this level's children
         next_frontier = deque()
         while frontier:
             state, path = frontier.popleft()
@@ -451,6 +503,9 @@ def psc_flip_certificate(p: CombPolytope, depth: int):
                 shape, degrees = _sphere_family(new)
                 if len(degrees) > len(bound) or any(
                         d > b for d, b in zip(degrees, bound)):
+                    continue
+                g1, g2 = _g_vector(n, len(degrees), sum(degrees) // 2)
+                if g2 > top2 or top1 + top2 - g1 - g2 > left:
                     continue
                 kind = "vertex" if len(sigma) == n else "general"
                 move = FlipMove(kind=kind, target=tuple(sorted(sigma)),

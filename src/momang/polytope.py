@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
     UnusedFacet,
     _check_int,
+    _check_type,
     _check_work,
     _Record,
 )
@@ -334,6 +335,7 @@ def face_lattice(p: CombPolytope) -> FaceLattice:
     Raises :class:`GuardExceeded` before the walk when its V * 2^n subsets,
     counted in 64-bit words of mask, exceed ``_WORK_CAP``.
     """
+    _check_type("polytope", p, CombPolytope)
     words = -(-p.facet_count // 64)
     _check_work("face-lattice subset words", (p.vertex_count << p.dim) * words, _WORK_CAP)
     masks = set()
@@ -506,6 +508,8 @@ def combinatorial_isomorphic(p: CombPolytope, q: CombPolytope):
     of ``q`` matching facet ``i`` of ``p``; the search returns it only once
     the mapped vertex family equals ``q``'s.
     """
+    _check_type("polytope", p, CombPolytope)
+    _check_type("polytope", q, CombPolytope)
     mapping = _family_isomorphism(_family(p.facet_count, p.vertices, p._pairs),
                                   _family(q.facet_count, q.vertices, q._pairs))
     return None if mapping is None else [mapping[i] for i in range(p.facet_count)]

@@ -402,20 +402,34 @@ def _stage_cell_counts(lattice: FaceLattice) -> list[int]:
     return counts
 
 
-def _boundary_components(star: list[int], j: int) -> int:
-    """Components of the stage-j boundary.  Its faces (those meeting a
-    facet >= j) cover-connect along the components C of the facet graph on
-    the facets >= j; the cells over C glue along the union of C's stars."""
-    left, total = ((1 << len(star)) - 1) >> j << j, 0  # unreached facets >= j
-    while left:
-        span = todo = left & -left
-        while todo:
-            x = todo.bit_length() - 1
-            left ^= 1 << x
-            span |= star[x]
-            todo = span & left
-        total += _coset_count(j, span)
-    return total
+def _boundary_counts(star: list[int]) -> list[int]:
+    """Components of the stage-j boundary for j = 0..m, in one pass.
+
+    The stage-j boundary's faces (those meeting a facet >= j) cover-connect
+    along the components C of the facet graph on the facets >= j, and the
+    cells over C glue along the union of C's stars: C adds
+    2^(j - |span C below j|).  Going down from j = m, where the boundary is
+    empty, facet j joins, in one union-find, the components holding a
+    neighbour above it.  Every other component's span misses bit j, else
+    it would hold a neighbour of j, so its term halves exactly: the running
+    total loses the merged terms, halves and gains the new component's."""
+    m = len(star)
+    parent, span = list(range(m)), list(star)
+    total, counts = 0, [0]
+    for j in range(m - 1, -1, -1):
+        roots = set()
+        for x in _bits(star[j] >> j + 1):
+            x += j + 1
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            roots.add(x)
+        total -= sum(_coset_count(j + 1, span[r]) for r in roots)
+        for r in roots:
+            parent[r] = j
+            span[j] |= span[r]
+        total = (total >> 1) + _coset_count(j, span[j])
+        counts.append(total)
+    return counts[::-1]
 
 
 def doubling_filtration(p: CombPolytope) -> list[FiltrationStage]:
@@ -423,7 +437,7 @@ def doubling_filtration(p: CombPolytope) -> list[FiltrationStage]:
 
     Stage j keeps the first j generators: a face's stage cells are the
     cosets of its facet span in that group; for the boundary see
-    :func:`_boundary_components`.  Each stage's group, pieces and edge
+    :func:`_boundary_counts`.  Each stage's group, pieces and edge
     records are views: no piece or record is built until one is read, and
     iterating a view over ``_OBJECT_CAP`` objects raises ``GuardExceeded``
     before the first; over ``sys.maxsize`` the call itself does.
@@ -492,9 +506,8 @@ def _stage_rows(star: list[int], pairs: list[int]) -> list[dict]:
     """The filtration rows with each stage's chamber and boundary-component
     counts: the ``filtration`` command's rows and the stage fields of
     :func:`doubling_filtration`."""
-    return [{**row, "chambers": 1 << row["j"],
-             "boundary_components": _boundary_components(star, row["j"])}
-            for row in _filtration_rows(len(star), pairs)]
+    return [{**row, "chambers": 1 << row["j"], "boundary_components": count}
+            for row, count in zip(_filtration_rows(len(star), pairs), _boundary_counts(star))]
 
 
 def _fixed_set_rows(star: list[int]) -> list[dict]:

@@ -14,6 +14,7 @@ from momang import cube, dodecahedron, prism, random_vertexcuts, simplex, vertex
 from momang.errors import (
     BadParameters,
     DimensionUnsupported,
+    GuardExceeded,
     LinkNotStandard,
     NoSuchFacet,
     NotAFace,
@@ -539,6 +540,33 @@ def flip_certificate_oracle(p, depth):
         if not frontier:
             break
     return None
+
+
+def g_sum_oracle(p) -> int:
+    """g1 + g2 of the dual sphere of ``p``, from its 1-skeleton: f0 - n - 1
+    plus f1 - n f0 + C(n + 1, 2)."""
+    k, n = dual_sphere(p), p.dim
+    f0 = k.vertex_count
+    f1 = len({e for f in k.facets for e in itertools.combinations(sorted(f), 2)})
+    return f0 - n - 1 + f1 - n * f0 + math.comb(n + 1, 2)
+
+
+def _stacked_oracle(p) -> bool:
+    """Some order of simplex-facet collapses takes ``p`` to the simplex."""
+    return is_simplex_oracle(p) or any(
+        moves.collapse_admissible(p, f) and _stacked_oracle(moves.simplex_facet_collapse(p, f))
+        for f in range(p.facet_count))
+
+
+def flip_outcomes_agree(got, want, p, depth) -> bool:
+    """The flip search's outcome ``got`` is the oracle's ``want``, or a
+    ``None`` where the oracle was refused (``want`` is ``GuardExceeded``)
+    and no certificate exists: depth below g1 + g2, or n = 3 and ``p`` not
+    stacked."""
+    if got == want:
+        return True
+    return want is GuardExceeded and got is None and (
+        depth < g_sum_oracle(p) or (p.dim == 3 and not _stacked_oracle(p)))
 
 
 # ---------------------------------------------------------------------------

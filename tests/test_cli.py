@@ -165,7 +165,7 @@ def test_fixed_sets_builds_no_filtration_row(tmp_path, monkeypatch, capsys):
     def unreachable(*args):
         raise AssertionError("fixed-sets built a filtration row")
 
-    monkeypatch.setattr("momang.zcomplex._boundary_components", unreachable)
+    monkeypatch.setattr("momang.zcomplex._boundary_counts", unreachable)
     code, report, err = run(capsys, "fixed-sets", src)
     assert code == 0, err
     assert report["payload"]["fixed_sets"] == expected

@@ -14,26 +14,34 @@ import pytest
 
 from momang import (
     HRep,
+    ReductionTrace,
     bistellar_flip,
     build_chamber_complex,
     classify_edge_types,
+    combinatorial_isomorphic,
     complex_summary,
     connected_components,
     cube,
     doubling_filtration,
     enumerate_vertices,
     euler_characteristic,
+    face_lattice,
     fixed_point_components,
     lift_point,
     make_hrep,
     orientability,
     parse_hrep,
+    prismatic_circuits,
+    psc_flip_certificate,
     quadric_gradient_rank,
     random_vertexcuts,
+    rebuild_by_cuts,
+    recognize_vertexcut_reducible,
     relation_matrix,
     replay_flip_certificate,
     simplex_boundary_sphere,
     verify_nondegeneracy,
+    vertex_cut,
 )
 from momang.corpus import cube_hrep
 from momang.errors import BadParameters, GuardExceeded, MomangError, ParseError
@@ -76,6 +84,32 @@ REFUSED = [
     ("edge-types-complex", lambda: classify_edge_types(CUBE), BadParameters),
     ("fixed-set-none", lambda: fixed_point_components(None, 0), BadParameters),
     ("fixed-set-polytope", lambda: fixed_point_components(cube(3), 0), BadParameters),
+    # moves, polytope, hrep: None or another record where a polytope, sphere,
+    # trace or presentation belongs
+    ("recognize-none", lambda: recognize_vertexcut_reducible(None), BadParameters),
+    ("recognize-sphere", lambda: recognize_vertexcut_reducible(TETRAHEDRON), BadParameters),
+    ("cut-none", lambda: vertex_cut(None, 0), BadParameters),
+    ("cut-sphere", lambda: vertex_cut(TETRAHEDRON, 0), BadParameters),
+    ("flip-none", lambda: bistellar_flip(None, (0, 1, 2)), BadParameters),
+    ("flip-polytope", lambda: bistellar_flip(cube(3), (0, 1, 2)), BadParameters),
+    ("circuits-none", lambda: prismatic_circuits(None, 4), BadParameters),
+    ("circuits-sphere", lambda: prismatic_circuits(TETRAHEDRON, 4), BadParameters),
+    ("certificate-none", lambda: psc_flip_certificate(None, 3), BadParameters),
+    ("certificate-sphere", lambda: psc_flip_certificate(TETRAHEDRON, 3), BadParameters),
+    ("rebuild-none", lambda: rebuild_by_cuts(None), BadParameters),
+    ("rebuild-polytope", lambda: rebuild_by_cuts(cube(3)), BadParameters),
+    ("rebuild-no-start", lambda: rebuild_by_cuts(ReductionTrace(True, (), (), None, cube(3))),
+     BadParameters),
+    ("rebuild-sphere-end", lambda: rebuild_by_cuts(ReductionTrace(True, (), (), cube(3), TETRAHEDRON)),
+     BadParameters),
+    ("lattice-none", lambda: face_lattice(None), BadParameters),
+    ("lattice-sphere", lambda: face_lattice(TETRAHEDRON), BadParameters),
+    ("isomorphic-none", lambda: combinatorial_isomorphic(cube(3), None), BadParameters),
+    ("isomorphic-sphere", lambda: combinatorial_isomorphic(TETRAHEDRON, cube(3)), BadParameters),
+    ("relations-none", lambda: relation_matrix(None), BadParameters),
+    ("relations-polytope", lambda: relation_matrix(cube(3)), BadParameters),
+    ("nondegeneracy-none", lambda: verify_nondegeneracy(None), BadParameters),
+    ("nondegeneracy-polytope", lambda: verify_nondegeneracy(cube(3)), BadParameters),
     # moves: the simplex dimension, certificate moves and flipped faces
     ("simplex-float", lambda: simplex_boundary_sphere(2.5), BadParameters),
     ("simplex-negative", lambda: simplex_boundary_sphere(-1), BadParameters),

@@ -62,6 +62,9 @@ from conftest import (
     cut_cube,
     cut_prism,
     family_isomorphism_oracle,
+    flip_certificate_oracle,
+    flip_outcomes_agree,
+    g_sum_oracle,
     is_simplex_oracle,
     joint_refinement_oracle,
     move_rule_polytopes,
@@ -984,10 +987,61 @@ FLIP_ORACLE_CASES = [
 @pytest.mark.parametrize("make,depth,cap", [c[1:] for c in FLIP_ORACLE_CASES],
                          ids=[c[0] for c in FLIP_ORACLE_CASES])
 def test_flip_search_matches_unpruned_oracle(monkeypatch, make, depth, cap):
+    # the oracle's refusal may only become a None that needs no search
     p = make()
     monkeypatch.setattr(moves, "_STATE_CAP", cap)
-    assert _flip_outcome(psc_flip_certificate, p, depth) == \
-        _flip_outcome(flip_oracle, p, depth, cap)
+    assert flip_outcomes_agree(_flip_outcome(psc_flip_certificate, p, depth),
+                               _flip_outcome(flip_oracle, p, depth, cap), p, depth)
+
+
+def g_bound_targets():
+    cut_simplex4 = [simplex(4)]
+    for _ in range(3):
+        cut_simplex4.append(vertex_cut(cut_simplex4[-1], 0))
+    return [(f"simplex4-cut{c}", p) for c, p in enumerate(cut_simplex4)] + [
+        ("cube4", cube(4))] + [
+        (f"rvc{k}-{s}", random_vertexcuts(k, s)) for k in range(8) for s in range(2)] + [
+        ("cut-cube", vertex_cut(cube(3), 0)), ("cube", cube(3)), ("dodecahedron", dodecahedron())]
+
+
+@pytest.mark.parametrize("p", [p for _, p in g_bound_targets()],
+                         ids=[name for name, _ in g_bound_targets()])
+def test_g_bound_matches_unpruned_oracle(p):
+    # below g1 + g2 moves no certificate exists; at and above it the early
+    # answers and the g-vector prune keep the degree-pruned search's
+    # outcome, and the unpruned search's where its 400 states reach one
+    # (at m <= 10: past that, 1000 states took 13-15 s and reached none)
+    g = g_sum_oracle(p)
+    for depth in (g - 1, g, g + 1):
+        if depth < 0:
+            continue
+        got = psc_flip_certificate(p, depth)
+        assert got == flip_certificate_oracle(p, depth), depth
+        if p.facet_count <= 10:
+            want = _flip_outcome(flip_oracle, p, depth, 400)
+            assert want is GuardExceeded or got == want, depth
+        if depth < g:
+            assert got is None, depth
+        elif got is not None:
+            assert len(got) == g
+            assert _spheres_isomorphic(replay_flip_certificate(p.dim, got), dual_sphere(p))
+
+
+def test_early_answers_build_no_sphere(monkeypatch):
+    # below the bound, and for a 3-polytope that is not a vertex-cut one,
+    # the answer comes before the start sphere; random_vertexcuts(12, 0) at
+    # depth 11 used to exhaust the state cap
+    def unreachable(n):
+        raise AssertionError("the flip search built its start sphere")
+
+    monkeypatch.setattr(moves, "simplex_boundary_sphere", unreachable)
+    assert psc_flip_certificate(random_vertexcuts(12, 0), 11) is None
+    assert psc_flip_certificate(random_vertexcuts(10, 0), 9) is None
+    assert psc_flip_certificate(cube(4), 4) is None
+    for p in (cube(3), vertex_cut(cube(3), 0), dodecahedron()):
+        assert psc_flip_certificate(p, 40) is None
+    with pytest.raises(AssertionError, match="start sphere"):
+        psc_flip_certificate(random_vertexcuts(12, 0), 12)
 
 
 def _skeleton(k):
@@ -999,10 +1053,18 @@ def _skeleton(k):
     return nbrs
 
 
+def _g_vector(nbrs, n):
+    """g1 and g2 of a sphere with facets of size n, from its 1-skeleton."""
+    f0, f1 = len(nbrs), sum(map(len, nbrs.values())) // 2
+    return f0 - n - 1, f1 - n * f0 + n * (n + 1) // 2
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_flips_never_lower_degrees(n):
     # the degree prune in psc_flip_certificate rests on this: the faces it
-    # flips (codimension >= 3) delete no vertex and no edge
+    # flips (codimension >= 3) delete no vertex and no edge; its g-vector
+    # bound on this: g1 and g2 never fall, and g1 + g2 rises by at most 1,
+    # by exactly 1 at n = 3 and n = 4
     for seed in range(3):
         rng = random.Random(seed)
         state = simplex_boundary_sphere(n)
@@ -1021,6 +1083,9 @@ def test_flips_never_lower_degrees(n):
             before, after = _skeleton(state), _skeleton(new)
             assert set(before) <= set(after)
             assert all(before[x] <= after[x] for x in before)
+            (b1, b2), (a1, a2) = _g_vector(before, n), _g_vector(after, n)
+            assert a1 >= b1 and a2 >= b2
+            assert a1 + a2 - b1 - b2 == 1 if n <= 4 else a1 + a2 <= b1 + b2 + 1
             kinds.add(len(sigma))
             state = new
         assert min(kinds) >= 3
@@ -1029,11 +1094,25 @@ def test_flips_never_lower_degrees(n):
 def test_pruned_search_generates_few_states(monkeypatch):
     # with the degree prune the cut cube's search dies out after 19 flips,
     # at any depth; the unpruned search needs 133 at depth 5 alone
+    # (the search itself: the public call answers this target without one)
     monkeypatch.setattr(moves, "_STATE_CAP", 19)
-    assert psc_flip_certificate(vertex_cut(cube(3), 0), depth=8) is None
+    assert moves._flip_search(vertex_cut(cube(3), 0), depth=8) is None
     monkeypatch.setattr(moves, "_STATE_CAP", 18)
     with pytest.raises(GuardExceeded):
-        psc_flip_certificate(vertex_cut(cube(3), 0), depth=8)
+        moves._flip_search(vertex_cut(cube(3), 0), depth=8)
+
+
+def test_g_prune_generates_fewer_states(monkeypatch):
+    # at n = 4 a flip at a 3-vertex face raises g2, and no state past the
+    # target's g2 = 2 can reach it: cube(4)'s search at depth 6 ends after
+    # 101 flips, where the degree prune alone makes 115
+    monkeypatch.setattr(moves, "_STATE_CAP", 102)
+    assert psc_flip_certificate(cube(4), 6) is None
+    with pytest.raises(GuardExceeded):
+        flip_certificate_oracle(cube(4), 6)
+    monkeypatch.setattr(moves, "_STATE_CAP", 101)
+    with pytest.raises(GuardExceeded):
+        psc_flip_certificate(cube(4), 6)
 
 
 def test_flip_search_builds_one_pair_table_per_state(monkeypatch):
@@ -1048,7 +1127,7 @@ def test_flip_search_builds_one_pair_table_per_state(monkeypatch):
 
     monkeypatch.setattr(polytope, "_pair_sets", counting)
     monkeypatch.setattr(moves, "_pair_sets", counting)
-    assert psc_flip_certificate(vertex_cut(cube(3), 0), depth=5) is None
+    assert moves._flip_search(vertex_cut(cube(3), 0), depth=5) is None
     assert len(built) == 20
 
 

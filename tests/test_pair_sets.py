@@ -39,6 +39,7 @@ from conftest import (
     corpus_3d,
     family_isomorphism_oracle,
     flip_certificate_oracle,
+    flip_outcomes_agree,
     joint_refinement_oracle,
 )
 
@@ -102,8 +103,10 @@ def polytopes():
         ("rvc12-0", random_vertexcuts(12, 0)), ("rvc50-1", random_vertexcuts(50, 1))]
 
 
-def flip_states(p, depth, monkeypatch):
-    """Every sphere the flip search for ``p`` generates within ``depth``."""
+def flip_states(p, depth, monkeypatch, search=None):
+    """Every sphere the flip search for ``p`` generates within ``depth``:
+    the breadth-first search itself, which the public call skips where it
+    answers early, or ``search``."""
     states = []
     flip = moves.bistellar_flip
 
@@ -113,7 +116,7 @@ def flip_states(p, depth, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(moves, "bistellar_flip", recording)
-        psc_flip_certificate(p, depth=depth)
+        (search or moves._flip_search)(p, depth)
     return states
 
 
@@ -122,7 +125,8 @@ def spheres():
     with pytest.MonkeyPatch.context() as monkeypatch:
         states = flip_states(vertex_cut(cube(3), 0), 5, monkeypatch)
         assert len(states) == 18  # the pruned search's flips, start excluded
-        states += flip_states(cube(4), 2, monkeypatch)
+        # the search without the g-vector prune, which keeps 5 of these 17
+        states += flip_states(cube(4), 2, monkeypatch, flip_certificate_oracle)
     return [dual_sphere(p) for _, p in polytopes()] + states
 
 
@@ -303,13 +307,15 @@ def flip_outcome(search, p, depth):
 def test_flip_search_on_own_labels_matches_relabelling_oracle(p, monkeypatch):
     # the target is p's own family and pair table, the states keep their
     # labels and one registry holds both: certificates, Nones and refusals
-    # are the relabelling search's at every depth, under the cap and over it
+    # are the relabelling search's at every depth, under the cap and over
+    # it, but that a refusal may be a None where no certificate exists
     deepest = p.facet_count - p.dim
     for cap in (50, moves._STATE_CAP):
         monkeypatch.setattr(moves, "_STATE_CAP", cap)
         for depth in range(deepest + 1):
-            assert flip_outcome(psc_flip_certificate, p, depth) == \
-                flip_outcome(flip_certificate_oracle, p, depth), (cap, depth)
+            assert flip_outcomes_agree(flip_outcome(psc_flip_certificate, p, depth),
+                                       flip_outcome(flip_certificate_oracle, p, depth),
+                                       p, depth), (cap, depth)
     monkeypatch.undo()
     # so the labels kept are the ones the oracle's renumbering gave
     states = [moves.simplex_boundary_sphere(p.dim)] + flip_states(p, deepest, monkeypatch)

@@ -265,7 +265,7 @@ def test_counts_cap_from_closed_forms(monkeypatch):
     monkeypatch.setattr(zcomplex, "_WORK_CAP", predicted)
     assert complex_summary(p)["m"] == 44
     monkeypatch.setattr(zcomplex, "_WORK_CAP", predicted - 1)
-    for name in ("_filtration_rows", "_fixed_set_rows", "_boundary_components"):
+    for name in ("_filtration_rows", "_fixed_set_rows", "_boundary_counts"):
         monkeypatch.setattr(zcomplex, name, unreachable)
     for call in (complex_summary, build_chamber_complex, doubling_filtration):
         with pytest.raises(GuardExceeded):
@@ -791,18 +791,45 @@ def oracle_scanned_rows(p):
     return rows
 
 
-def test_running_counts_match_the_scan():
+def row_ladder():
     ladder = [(f"rvc{k}_{seed}", random_vertexcuts(k, seed))
               for k in (0, 1, 2, 5, 20, 60, 200) for seed in (0, 1)]
     ladder += [(f"cube{n}", cube(n)) for n in range(2, 9)]
     ladder += [(f"simplex{n}", simplex(n)) for n in range(2, 7)]
-    ladder += [("cut_cube5", vertex_cut(cube(5), 0)), ("dodecahedron", dodecahedron())]
-    for name, p in ladder:
+    return ladder + [("cut_cube5", vertex_cut(cube(5), 0)), ("dodecahedron", dodecahedron())]
+
+
+def test_running_counts_match_the_scan():
+    for name, p in row_ladder():
         star, pairs = _stars_pairs(p)
         rows = list(_filtration_rows(p.facet_count, pairs))
         assert rows == oracle_scanned_rows(p), name
         assert [{key: row[key] for key in rows[0]}
                 for row in _stage_rows(star, pairs)] == rows, name
+
+
+def boundary_walk_oracle(star, j):
+    """Components of the stage-j boundary, walked afresh: each component C
+    of the facet graph on the facets >= j, grown from its lowest unreached
+    facet through the stars, adds 2^(j - |span C below j|)."""
+    left, total = ((1 << len(star)) - 1) >> j << j, 0  # unreached facets >= j
+    while left:
+        span = todo = left & -left
+        while todo:
+            x = todo.bit_length() - 1
+            left ^= 1 << x
+            span |= star[x]
+            todo = span & left
+        total += 1 << (j - (span & ((1 << j) - 1)).bit_count())
+    return total
+
+
+def test_one_pass_boundaries_match_the_per_stage_walk():
+    inputs = count_inputs() + row_ladder() + [("rvc1577", random_vertexcuts(1577, 0))]
+    for name, p in inputs:
+        star, pairs = _stars_pairs(p)
+        assert [row["boundary_components"] for row in _stage_rows(star, pairs)] == \
+            [boundary_walk_oracle(star, j) for j in range(len(star) + 1)], name
 
 
 def test_summary_counts_no_stage_boundary(monkeypatch):
@@ -812,7 +839,7 @@ def test_summary_counts_no_stage_boundary(monkeypatch):
 
     p = random_vertexcuts(40, 0)
     expected = complex_summary(p)
-    monkeypatch.setattr(zcomplex, "_boundary_components", unreachable)
+    monkeypatch.setattr(zcomplex, "_boundary_counts", unreachable)
     assert complex_summary(p) == expected
     with pytest.raises(AssertionError, match="stage boundary"):
         doubling_filtration(p)
