@@ -44,8 +44,12 @@ from .polytope import (
 
 # Flips the certificate search may produce, pruned ones included.
 _STATE_CAP = 100_000
-# Paths the prismatic-circuit walk may take off its stack: ~4 s at the cap.
+# Paths the prismatic-circuit walk (k >= 5) may take off its stack: ~4 s at the cap.
 _PATH_CAP = 1_000_000
+# The 3- and 4-circuit listing's predicted work in scan steps, ~3.5 s and
+# ~430 MB at the cap, and the steps that forming one circuit costs.
+_CYCLE_CAP = 4_000_000
+_CYCLE_COST = 4
 
 
 class FlipMove(_Record):
@@ -315,24 +319,29 @@ def bistellar_flip(k: SimplicialSphere, face) -> SimplicialSphere:
 def prismatic_circuits(p: CombPolytope, k: int) -> list[PrismaticCircuit]:
     """All prismatic k-circuits, one per cyclic order up to rotation/reflection.
 
-    Walks the chordless k-cycles of the facet graph from their smallest
-    facet ``s``: each step adds a facet above ``s`` that meets the path's
-    end and no earlier interior facet, and meets ``s`` exactly when it
-    closes the cycle; ``path[1] < path[-1]`` fixes the direction.  Cycles
-    whose k consecutive intersection edges share no vertex are kept, sorted
-    by facet set.  For k >= 4 that is every chordless cycle: two edges
-    meeting at a vertex would put it in three cycle facets, not all
+    A circuit is a chordless k-cycle of the facet graph, started at its
+    smallest facet ``s`` and turned so that ``facets[1] < facets[-1]``,
+    whose k consecutive intersection edges share no vertex; the list is
+    sorted by facet set.  For k >= 4 that is every chordless cycle: two
+    edges meeting at a vertex would put it in three cycle facets, not all
     consecutive, though a vertex's three facets are pairwise adjacent.  A
     triangle's edges meet exactly when its three facets share a vertex, so
-    its first two edges decide it.  Raises :class:`GuardExceeded` once more
-    than ``_PATH_CAP`` paths have been walked, and :class:`BadParameters`
-    for a ``k`` that is not an ``int`` >= 3 or is a ``bool``.  The walk
-    reads ``p``'s cached pair table.
+    its first two edges decide it.  Raises :class:`BadParameters` for a
+    ``k`` that is not an ``int`` >= 3 or is a ``bool``.
+
+    k = 3 and 4 are listed by :func:`_short_circuits`, with its own cap.
+    Larger k walk the chordless paths from ``s``, on ``p``'s cached pair
+    table: each step adds a facet above ``s`` that meets the path's end and
+    no earlier interior facet, and meets ``s`` exactly when it closes the
+    cycle.  The walk raises :class:`GuardExceeded` once more than
+    ``_PATH_CAP`` paths have been walked.
     """
     _check_type("polytope", p, CombPolytope)
     if p.dim != 3:
         raise DimensionUnsupported(f"prismatic circuits need dim 3, got {p.dim}")
     _check_int("circuit length", k, 3)
+    if k <= 4:
+        return _short_circuits(p, k)
     pairs = p._pairs
     nbrs = [set(row) for row in pairs]
 
@@ -356,10 +365,85 @@ def prismatic_circuits(p: CombPolytope, k: int) -> list[PrismaticCircuit]:
                     cycle = path + (x,)
                     edges = tuple(tuple(pairs[a][b])
                                   for a, b in zip(cycle, cycle[1:] + cycle[:1]))
-                    if k > 3 or set(edges[0]).isdisjoint(edges[1]):
-                        out.append(PrismaticCircuit(facets=cycle, edges=edges))
+                    out.append(PrismaticCircuit(facets=cycle, edges=edges))
     out.sort(key=lambda c: sorted(c.facets))
     return out
+
+
+def _short_circuits(p: CombPolytope, k: int) -> list[PrismaticCircuit]:
+    """The prismatic 3- or 4-circuits of :func:`prismatic_circuits`, by Chiba
+    and Nishizeki's listing (*SIAM J. Comput.* 14, 1985).
+
+    Facets are visited by falling degree and deleted once visited.  A visit
+    to ``u`` scans the live neighbours of its live neighbours.  A scanned
+    ``w`` adjacent to ``u`` closes a triangle; one that is not, reached
+    through two middles or more, closes a 4-cycle through ``u`` and ``w``
+    with each pair of its middles that are not adjacent.  So each cycle is
+    met once, from the first of its facets to be visited.
+
+    Two counts that relabelling cannot change cap the work.  The scan reads
+    each edge from its end visited first, in at most as many steps as the
+    smaller end degree, so in at most 2aE = 6E steps on a facet graph of
+    arboricity a <= 3 (it is planar); that is checked before the scan.
+    After it, the steps and ``_CYCLE_COST`` steps per circuit, triangles
+    found or 4-cycles counted from their middles, must stay within
+    ``_CYCLE_CAP`` before any 4-cycle is formed or any record built.
+    Either check raises :class:`GuardExceeded`.
+    """
+    pairs = p._pairs
+    degree = [len(row) for row in pairs]
+    steps = 3 * sum(degree)
+    _check_work(f"prismatic {k}-circuit scan steps", steps, _CYCLE_CAP)
+    live = [set(row) for row in pairs]
+    found = []
+    circuits = 0
+    for u in sorted(range(p.facet_count), key=degree.__getitem__, reverse=True):
+        near = live[u]
+        if k == 3:
+            row = pairs[u]
+            found += [tuple(sorted((u, v, w))) for v in near for w in live[v] & near
+                      if v < w and set(row[v]).isdisjoint(row[w])]
+        else:
+            shut = near | {u}
+            twice = {}
+            for v in near:
+                for w in live[v] - shut:
+                    twice[w] = w in twice
+            for w, met in twice.items():
+                if met:
+                    mids = near & live[w]
+                    # the pairs of middles less the adjacent ones
+                    chordless = len(mids) * (len(mids) - 1) // 2 - sum(
+                        len(live[x] & mids) for x in mids) // 2
+                    if chordless:
+                        found.append((u, w, mids))
+                        circuits += chordless
+        for v in near:
+            live[v].discard(u)
+    if k == 3:
+        circuits = len(found)
+    _check_work(f"prismatic {k}-circuit work", steps + _CYCLE_COST * circuits, _CYCLE_CAP)
+
+    if k == 3:
+        found.sort()
+        return [PrismaticCircuit(c, (tuple(pairs[c[0]][c[1]]), tuple(pairs[c[1]][c[2]]),
+                                     tuple(pairs[c[2]][c[0]]))) for c in found]
+    cycles = []
+    for u, w, mids in found:
+        # the ring u, x, w, y and its edges, each from the facet before it
+        side = {x: (tuple(pairs[u][x]), tuple(pairs[x][w])) for x in mids}
+        for x in mids:
+            for y in mids - pairs[x].keys():
+                if x < y:
+                    ring = (u, x, w, y)
+                    edges = side[x] + side[y][::-1]
+                    s = ring.index(min(ring))
+                    ring, edges = ring[s:] + ring[:s], edges[s:] + edges[:s]
+                    if ring[1] > ring[3]:
+                        ring, edges = (ring[0], ring[3], ring[2], ring[1]), edges[::-1]
+                    cycles.append((sorted(ring), ring, edges))
+    cycles.sort()
+    return [PrismaticCircuit(ring, edges) for _, ring, edges in cycles]
 
 
 # ---------------------------------------------------------------------------

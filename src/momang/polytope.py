@@ -78,6 +78,21 @@ class CombPolytope(_Record):
         callers that peel the graph copy rows into fresh sets."""
         return _pair_sets(self.facet_count, self.vertices)
 
+    @cached_property
+    def _face_masks(self) -> tuple[int, ...]:
+        """The :class:`FaceLattice` masks, in its order, built on first read
+        and kept for the polytope's lifetime.  Only :func:`face_lattice`
+        reads them, after its work guard; the lattice it returns points
+        back at the polytope, so the polytope keeps the masks, not it."""
+        masks = set()
+        for fs in self.vertices:
+            masks.update(_submasks(fs))
+        # Within a bit count, sorted facet tuples put the mask holding the lowest
+        # differing bit first: facet f is bit 8 width - 1 - f of the reversed int.
+        width = -(-self.facet_count // 8)
+        return tuple(sorted(masks, key=lambda s: (s.bit_count(), -int.from_bytes(
+            s.to_bytes(width, "big").translate(_REV8), "little"))))
+
     def __repr__(self):
         return (f"CombPolytope(dim={self.dim}, facets={self.facet_count}, "
                 f"vertices={self.vertex_count})")
@@ -333,19 +348,13 @@ def face_lattice(p: CombPolytope) -> FaceLattice:
     facet set of a face, so the faces are the submasks of the vertices'
     facet masks.  The empty set is the top face (the polytope itself).
     Raises :class:`GuardExceeded` before the walk when its V * 2^n subsets,
-    counted in 64-bit words of mask, exceed ``_WORK_CAP``.
+    counted in 64-bit words of mask, exceed ``_WORK_CAP``.  The walk runs
+    once per polytope: its sorted masks are cached on ``p``.
     """
     _check_type("polytope", p, CombPolytope)
     words = -(-p.facet_count // 64)
     _check_work("face-lattice subset words", (p.vertex_count << p.dim) * words, _WORK_CAP)
-    masks = set()
-    for fs in p.vertices:
-        masks.update(_submasks(fs))
-    # Within a bit count, sorted facet tuples put the mask holding the lowest
-    # differing bit first: facet f is bit 8 width - 1 - f of the reversed int.
-    width = -(-p.facet_count // 8)
-    return FaceLattice(p, tuple(sorted(masks, key=lambda s: (s.bit_count(), -int.from_bytes(
-        s.to_bytes(width, "big").translate(_REV8), "little")))))
+    return FaceLattice(p, p._face_masks)
 
 
 def dual_sphere(p: CombPolytope) -> SimplicialSphere:
@@ -432,16 +441,20 @@ def _refine(pairs):
     A label starts with its total pair weight, the weight of a pair being
     the number of sets holding both; each round hashes its colour with the
     sorted (partner colour, weight) pairs around it.  Rounds stop when one
-    splits no class, or after one per label.  A colour depends only on the
-    structure and the round, so isomorphic families get equal colours.
+    splits no class, or once every class is a single label, which no
+    further round can split.  A colour depends only on the structure and
+    the round, and so does the round it stops at, so isomorphic families
+    get equal colours.
     """
     colors = [sum(map(len, row.values())) for row in pairs]
-    for _ in pairs:
-        classes = len(set(colors))
+    classes = len(set(colors))
+    while classes < len(pairs):
         colors = [hash((c, tuple(sorted([(colors[b], len(ids)) for b, ids in row.items()]))))
                   for c, row in zip(colors, pairs)]
-        if len(set(colors)) == classes:
+        split = len(set(colors))
+        if split == classes:
             break
+        classes = split
     return colors
 
 
@@ -455,9 +468,11 @@ def _family(num_labels, sets, pairs):
 def _family_isomorphism(fam_a, fam_b):
     """Label bijection carrying one family record onto the other, or ``None``.
 
-    The records' colours narrow the candidates, then a depth-first search on
-    a stack of candidate iterators finds a bijection; the result is verified
-    by direct comparison of the mapped family before being returned.  b may
+    The records' colours narrow the candidates.  Where every colour class
+    is a single label they allow one map, which is checked and returned
+    without search.  Otherwise a depth-first search on a stack of candidate
+    iterators finds a bijection.  Either way the result is verified by
+    direct comparison of the mapped family before being returned.  b may
     take a when a's mapped partners go to b's partners with equal counts.
     """
     (num_a, sets_a, pairs_a, colors_a), (num_b, sets_b, pairs_b, colors_b) = fam_a, fam_b
@@ -470,6 +485,12 @@ def _family_isomorphism(fam_a, fam_b):
     by_color = defaultdict(list)
     for b in range(num_b):
         by_color[colors_b[b]].append(b)
+    def carries(mapping):
+        return Counter(frozenset(mapping[x] for x in s) for s in sets_a) == target
+
+    if len(by_color) == num_b:  # discrete colours allow one map, the search's first
+        mapping = {a: by_color[c][0] for a, c in enumerate(colors_a)}
+        return mapping if carries(mapping) else None
     order = sorted(range(num_a), key=lambda a: (len(by_color[colors_a[a]]), a))
 
     mapping: dict[int, int] = {}
@@ -484,7 +505,7 @@ def _family_isomorphism(fam_a, fam_b):
     while True:
         if len(mapping) < num_a:
             stack.append(candidates(order[len(mapping)]))
-        elif Counter(frozenset(mapping[x] for x in s) for s in sets_a) == target:
+        elif carries(mapping):
             return mapping
         # advance the deepest iterator, backtracking past exhausted ones
         while stack:

@@ -231,6 +231,76 @@ def family_isomorphism_oracle(num_a, sets_a, num_b, sets_b):
     return None
 
 
+def refine_oracle(pairs, rounds=None):
+    """Colour refinement that stops only at a round splitting no class, as
+    ``polytope._refine`` did before it stopped at a discrete colouring, or
+    after ``rounds`` rounds.  Returns the colours and the rounds run."""
+    colors = [sum(map(len, row.values())) for row in pairs]
+    done = 0
+    for _ in pairs:
+        if done == rounds:
+            break
+        classes = len(set(colors))
+        colors = [hash((c, tuple(sorted([(colors[b], len(ids)) for b, ids in row.items()]))))
+                  for c, row in zip(colors, pairs)]
+        done += 1
+        if len(set(colors)) == classes:
+            break
+    return colors, done
+
+
+def search_isomorphism_oracle(fam_a, fam_b):
+    """``polytope._family_isomorphism`` without its shortcut for discrete
+    colours: the depth-first search on a stack of candidate iterators, in
+    the order (class size, label), runs on every pair of family records."""
+    (num_a, sets_a, pairs_a, colors_a), (num_b, sets_b, pairs_b, colors_b) = fam_a, fam_b
+    if sorted(colors_a) != sorted(colors_b):
+        return None
+    if sorted(map(len, sets_a)) != sorted(map(len, sets_b)):
+        return None
+    target = Counter(sets_b)
+    by_color = defaultdict(list)
+    for b in range(num_b):
+        by_color[colors_b[b]].append(b)
+    order = sorted(range(num_a), key=lambda a: (len(by_color[colors_a[a]]), a))
+    mapping: dict[int, int] = {}
+    used = set()
+
+    def candidates(a):
+        mapped = [(mapping[x], len(ids)) for x, ids in pairs_a[a].items() if x in mapping]
+        return (b for b in by_color[colors_a[a]] if b not in used
+                and all(len(pairs_b[b].get(y, ())) == w for y, w in mapped))
+
+    stack = []
+    while True:
+        if len(mapping) < num_a:
+            stack.append(candidates(order[len(mapping)]))
+        elif Counter(frozenset(mapping[x] for x in s) for s in sets_a) == target:
+            return mapping
+        while stack:
+            a = order[len(stack) - 1]
+            if a in mapping:
+                used.discard(mapping.pop(a))
+            b = next(stack[-1], None)
+            if b is not None:
+                mapping[a] = b
+                used.add(b)
+                break
+            stack.pop()
+        else:
+            return None
+
+
+def cut_gon_prism(k, caps_last=False):
+    """The k-gon prism cut at its first vertex.  Facet 0 is the bottom, 1
+    the top and 2..k+1 the sides, or, ``caps_last``, the sides are 0..k-1
+    and the caps k and k + 1; either way the cut removes the vertex of the
+    bottom and the first two sides, and the new triangle is facet k + 2."""
+    bottom, top, first = (k, k + 1, 0) if caps_last else (0, 1, 2)
+    verts = [(cap, first + i, first + (i + 1) % k) for i in range(k) for cap in (bottom, top)]
+    return vertex_cut(validate_polytope(3, verts), 0)
+
+
 def corpus_3d():
     """The simple 3-polytopes the property tests loop over."""
     return [

@@ -205,8 +205,8 @@ HREP_CALLS = {
 }
 
 
-@pytest.mark.parametrize("call", HREP_CALLS.values(), ids=HREP_CALLS)
-def test_hrep_calls_raise_only_momang_errors_on_the_pool(call):
+def escapes(call):
+    """The pool values on which ``call`` raised anything but a ``MomangError``."""
     escaped = []
     for value in POOL:
         try:
@@ -215,4 +215,23 @@ def test_hrep_calls_raise_only_momang_errors_on_the_pool(call):
             pass
         except Exception as e:  # any other escape breaks the contract
             escaped.append((value, type(e).__name__, str(e)))
-    assert not escaped
+    return escaped
+
+
+@pytest.mark.parametrize("call", HREP_CALLS.values(), ids=HREP_CALLS)
+def test_hrep_calls_raise_only_momang_errors_on_the_pool(call):
+    assert not escapes(call)
+
+
+# the circuit listing and the isomorphism test, with every pool value as
+# the circuit length or as either polytope
+COMBINATORIAL_CALLS = {
+    "prismatic_circuits-k": lambda x: prismatic_circuits(cube(3), x),
+    "combinatorial_isomorphic-p": lambda x: combinatorial_isomorphic(x, cube(3)),
+    "combinatorial_isomorphic-q": lambda x: combinatorial_isomorphic(cube(3), x),
+}
+
+
+@pytest.mark.parametrize("call", COMBINATORIAL_CALLS.values(), ids=COMBINATORIAL_CALLS)
+def test_combinatorial_calls_raise_only_momang_errors_on_the_pool(call):
+    assert not escapes(call)

@@ -60,6 +60,7 @@ from conftest import (
     collapse_error_oracle,
     corpus_3d,
     cut_cube,
+    cut_gon_prism,
     cut_prism,
     family_isomorphism_oracle,
     flip_certificate_oracle,
@@ -892,13 +893,91 @@ def geodesic(freq):
 
 
 def test_prismatic_path_cap_admits_exactly_the_walk(monkeypatch):
-    # the dodecahedron's 4-circuit walk takes 72 paths off its stack
-    found = prismatic_circuits(dodecahedron(), 4)
-    monkeypatch.setattr(moves, "_PATH_CAP", 72)
-    assert prismatic_circuits(dodecahedron(), 4) == found
-    monkeypatch.setattr(moves, "_PATH_CAP", 71)
-    with pytest.raises(GuardExceeded):
-        prismatic_circuits(dodecahedron(), 4)
+    # the walk lists k >= 5: the dodecahedron's twelve 5-belts take 141
+    # paths off its stack
+    found = prismatic_circuits(dodecahedron(), 5)
+    assert len(found) == 12
+    monkeypatch.setattr(moves, "_PATH_CAP", 141)
+    assert prismatic_circuits(dodecahedron(), 5) == found
+    monkeypatch.setattr(moves, "_PATH_CAP", 140)
+    with pytest.raises(GuardExceeded, match="prismatic circuit paths"):
+        prismatic_circuits(dodecahedron(), 5)
+
+
+@pytest.mark.parametrize("p,k,work", [
+    # 3 * 2E = 252 scan steps (m = 16, E = 42) and 12 triangles at 4 steps each
+    (random_vertexcuts(12, 0), 3, 252 + 4 * 12),
+    # 378 scan steps (m = 23, E = 63) and C(20, 2) - 20 = 170 belts through both caps
+    (cut_gon_prism(20), 4, 378 + 4 * 170),
+], ids=["rvc12-0", "cut-20-gon-prism"])
+def test_prismatic_cycle_cap_admits_exactly_the_count(p, k, work, monkeypatch):
+    found = prismatic_circuits(p, k)
+    assert found == prismatic_walk_oracle(p, k)
+    monkeypatch.setattr(moves, "_CYCLE_CAP", work)
+    assert prismatic_circuits(p, k) == found
+    monkeypatch.setattr(moves, "_CYCLE_CAP", work - 1)
+    with pytest.raises(GuardExceeded, match=f"prismatic {k}-circuit work"):
+        prismatic_circuits(p, k)
+    # the scan steps alone are checked before the scan
+    steps = 3 * sum(map(len, p._pairs))
+    monkeypatch.setattr(moves, "_CYCLE_CAP", steps - 1)
+    with pytest.raises(GuardExceeded, match=f"prismatic {k}-circuit scan steps"):
+        prismatic_circuits(p, k)
+
+
+def gon_prism_relabelling(k):
+    """The facet map from ``cut_gon_prism(k)`` onto its caps-last copy."""
+    return [k, k + 1] + list(range(k)) + [k + 2]
+
+
+@pytest.mark.parametrize("k", [20, 200, 400])
+def test_prismatic_circuits_ignore_the_facet_labels(k):
+    # the copies differ in their labels only, so their circuits, and the
+    # cap's verdict, must correspond under the relabelling
+    first, last = cut_gon_prism(k), cut_gon_prism(k, caps_last=True)
+    relabel = gon_prism_relabelling(k)
+    for size in (3, 4):
+        on_first, on_last = prismatic_circuits(first, size), prismatic_circuits(last, size)
+        assert sorted(frozenset(relabel[f] for f in c.facets) for c in on_first) == \
+            sorted(frozenset(c.facets) for c in on_last)
+        assert len(on_first) == (1 if size == 3 else k * (k - 1) // 2 - k)
+    assert len(on_last) == {20: 170, 200: 19_700, 400: 79_400}[k]
+
+
+@pytest.mark.parametrize("caps_last", [False, True])
+def test_prismatic_cap_refuses_the_cut_1600_gon_prism_on_either_labelling(caps_last):
+    # 1,277,600 4-circuits on either labelling: refused from the count,
+    # before any is formed
+    p = cut_gon_prism(1600, caps_last)
+    p._pairs
+    started = time.perf_counter()
+    with pytest.raises(GuardExceeded, match="prismatic 4-circuit work"):
+        prismatic_circuits(p, 4)
+    assert time.perf_counter() - started < 1.0
+    assert len(prismatic_circuits(p, 3)) == 1
+
+
+def relabelled_cuts():
+    out = []
+    for k in (12, 40, 200, 1000):
+        for s in (0, 1):
+            p = random_vertexcuts(k, s)
+            perm = list(range(p.facet_count))
+            random.Random(k + s).shuffle(perm)
+            out.append((f"rvc{k}-{s}", validate_polytope(3, [[perm[f] for f in v] for v in p.vertices])))
+    return out
+
+
+def test_short_circuits_match_the_walk():
+    # whole ordered outputs, facets and edges, on both prism labellings
+    # and on relabelled cut tetrahedra
+    inputs = [(f"cut-{k}-gon-prism-{last}", cut_gon_prism(k, last))
+              for k in (20, 200) for last in (False, True)] + relabelled_cuts()
+    for name, p in inputs:
+        for k in (3, 4):
+            found = prismatic_circuits(p, k)
+            want = prismatic_walk_oracle(p, k)
+            assert [(c.facets, c.edges) for c in found] == [(c.facets, c.edges) for c in want], (name, k)
 
 
 def test_prismatic_large_k_stops_at_the_cap():

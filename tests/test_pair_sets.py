@@ -33,14 +33,18 @@ from momang.polytope import (
     _family,
     _family_isomorphism,
     _pair_sets,
+    _refine,
 )
 from momang.zcomplex import _facet_stars
 from conftest import (
     corpus_3d,
+    cut_gon_prism,
     family_isomorphism_oracle,
     flip_certificate_oracle,
     flip_outcomes_agree,
     joint_refinement_oracle,
+    refine_oracle,
+    search_isomorphism_oracle,
 )
 
 
@@ -265,6 +269,73 @@ def test_isomorphism_matches_oracle_on_corpus_and_spheres(spheres):
             family_isomorphism_oracle(*fam, *fam)
 
 
+def isomorphism_inputs():
+    """Cut prisms in both labellings, whose reflection leaves colour classes
+    of two, and relabelled cut tetrahedra, whose colours end discrete."""
+    out = [(f"cut-{k}-gon-prism-{last}", cut_gon_prism(k, last))
+           for k in (20, 200) for last in (False, True)]
+    out += [(f"rvc{k}-{s}", relabelled(random_vertexcuts(k, s), k + s))
+            for k in (12, 40, 200, 1000) for s in (0, 1)]
+    return out
+
+
+def oracle_record(p):
+    """The ``_family`` record of ``p``'s vertex family with the colours of
+    :func:`refine_oracle`, which runs until a round splits nothing."""
+    num, sets = vertex_family(p)
+    return num, sets, p._pairs, refine_oracle(p._pairs)[0]
+
+
+@pytest.mark.parametrize("name,p", isomorphism_inputs(), ids=[n for n, _ in isomorphism_inputs()])
+def test_isomorphism_matches_the_search_oracle(name, p):
+    # the same bijection, as a dict in the same key order, whether the
+    # colours end discrete and fix it or the search runs
+    q = relabelled(p, 3)
+    new = _family_isomorphism(family_record(*vertex_family(p)), family_record(*vertex_family(q)))
+    old = search_isomorphism_oracle(oracle_record(p), oracle_record(q))
+    assert new is not None
+    assert list(new.items()) == list(old.items())
+    # one more cut, at different vertices of the two copies: no map, by
+    # either route
+    r = vertex_cut(q, q.vertex_count - 1)
+    s = vertex_cut(p, 0)
+    assert _family_isomorphism(family_record(*vertex_family(r)), family_record(*vertex_family(s))) \
+        is None is search_isomorphism_oracle(oracle_record(r), oracle_record(s))
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_refinement_stops_a_round_early_once_discrete(s):
+    # the oracle spends one more round confirming that a discrete colouring
+    # splits no further; _refine returns the colours of the round before
+    pairs = relabelled(random_vertexcuts(40, s), s)._pairs
+    old, rounds = refine_oracle(pairs)
+    before, _ = refine_oracle(pairs, rounds - 1)
+    assert len(set(before)) == len(pairs) == len(set(old))
+    assert _refine(pairs) == before
+    assert partition(_refine(pairs)) == partition(old)
+
+
+@pytest.mark.parametrize("k", [12, 40, 200])
+def test_discrete_pair_builds_no_candidate_iterator(k):
+    # the search's candidate iterators read the pair rows; unread rows
+    # refuse to be read, so the forced map must come from the colours alone
+    p = random_vertexcuts(k, 1)
+    q = relabelled(p, k)
+    rec_p, rec_q = family_record(*vertex_family(p)), family_record(*vertex_family(q))
+    assert len(set(rec_p[3])) == p.facet_count
+    unread = [None] * p.facet_count
+    blind = _family_isomorphism(rec_p[:2] + (unread, rec_p[3]), rec_q[:2] + (unread, rec_q[3]))
+    assert blind == _family_isomorphism(rec_p, rec_q) is not None
+    # a family that is not the image fails the one check that remains
+    r = relabelled(random_vertexcuts(k, 2), k)
+    rec_r = family_record(*vertex_family(r))
+    if sorted(rec_r[3]) == sorted(rec_p[3]):
+        assert _family_isomorphism(rec_p[:2] + (unread, rec_p[3]),
+                                   rec_r[:2] + (unread, rec_r[3])) is None
+
+
+OCTAHEDRON_PAIRS = [(0, 1)] * 3 + [(1, 2)] * 2 + [(3, 4)]
+
 # the triangular prism's graph and K3,3 are 3-regular on 6 labels with unit
 # pair weights, so refinement splits neither and the search runs dry; one
 # triangle and its three edges give every label pair weight 2 in both
@@ -273,6 +344,12 @@ EQUAL_COLOURS_NOT_ISOMORPHIC = [
      (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]),
      (6, [(a, b) for a in range(3) for b in range(3, 6)])),
     ("triangle-vs-its-edges", (3, [(0, 1, 2)]), (3, [(0, 1), (1, 2), (0, 2)])),
+    # the octahedron's two classes of four faces each hold every edge once;
+    # with extra pairs that make every colour a single label, the colours
+    # force the identity, which carries one class onto itself, not the other
+    ("octahedron-face-classes",
+     (6, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)] + OCTAHEDRON_PAIRS),
+     (6, [(1, 2, 5), (0, 2, 4), (0, 1, 3), (3, 4, 5)] + OCTAHEDRON_PAIRS)),
 ]
 
 

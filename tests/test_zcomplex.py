@@ -272,6 +272,40 @@ def test_counts_cap_from_closed_forms(monkeypatch):
             call(p)
 
 
+def test_face_masks_are_walked_once_per_polytope(monkeypatch):
+    # the chamber job builds the complex and then the filtration of one
+    # polytope: one submask walk over its vertices serves both
+    p = cube(5)
+    walked = []
+    submasks = polytope._submasks
+    monkeypatch.setattr(polytope, "_submasks", lambda fs: walked.append(fs) or submasks(fs))
+    z = build_chamber_complex(p)
+    stages = doubling_filtration(p)
+    assert len(walked) == p.vertex_count
+    assert face_lattice(p).masks is z.lattice.masks is p._face_masks
+    counts = [(st.chamber_count, st.cell_count, st.boundary_components) for st in stages]
+    assert counts == [(st.chamber_count, st.cell_count, st.boundary_components)
+                      for st in doubling_filtration(cube(5))]
+    # the polytope keeps the masks, a tuple of ints, and no lattice, which
+    # would point back at it
+    assert all(type(mask) is int for mask in p._face_masks)
+    assert not any(isinstance(value, polytope.FaceLattice) for value in vars(p).values())
+
+
+def test_face_lattice_guard_runs_before_and_after_the_cached_walk(monkeypatch):
+    p = cube(4)  # 16 vertices times 2^4 subsets
+    monkeypatch.setattr(polytope, "_WORK_CAP", 255)
+    monkeypatch.setattr(polytope, "_submasks", None)  # the walk must not start
+    with pytest.raises(GuardExceeded, match="face-lattice subset words"):
+        face_lattice(p)
+    assert "_face_masks" not in vars(p)
+    monkeypatch.undo()
+    face_lattice(p)
+    monkeypatch.setattr(polytope, "_WORK_CAP", 255)
+    with pytest.raises(GuardExceeded, match="face-lattice subset words"):
+        face_lattice(p)
+
+
 def test_counts_cap_refuses_before_the_face_lattice(monkeypatch):
     # the codimension-two faces come from the facet stars, so a cut
     # tetrahedron over the row cap is refused without a lattice
