@@ -194,17 +194,12 @@ def dispatch(args, sources: list) -> tuple[dict, int]:
                    **certificate_to_json(moves)}
 
     elif cmd == "andreev":
-        from .moves import prismatic_circuits
+        from .moves import _circuit_rings  # the facets alone, no records
 
-        c3 = prismatic_circuits(p, 3)
-        c4 = prismatic_circuits(p, 4)
+        c3, c4 = _circuit_rings(p, 3), _circuit_rings(p, 4)
         ok = not c3 and not c4
-        payload = {
-            "prismatic_3": len(c3), "prismatic_4": len(c4),
-            "circuits_3": [list(c.facets) for c in c3],
-            "circuits_4": [list(c.facets) for c in c4],
-            "no_prismatic_circuits": ok,
-        }
+        payload = {"prismatic_3": len(c3), "prismatic_4": len(c4), "circuits_3": c3,
+                   "circuits_4": c4, "no_prismatic_circuits": ok}
         if args.strict and not ok:
             code = EXIT_VERDICT_NO
 

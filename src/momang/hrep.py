@@ -431,6 +431,7 @@ def enumerate_vertices(h: HRep):
     :class:`NotSimplePresentation` when some point lies on more than n
     hyperplanes within tolerance.
     """
+    _check_type("presentation", h, HRep)
     return h._vertices
 
 
@@ -574,6 +575,7 @@ def lift_point(h: HRep, x, signs) -> EmbeddedPoint:
     or, through :meth:`HRep.values`, a point other than a finite vector of
     length n, and :class:`OutsidePolytope` for a point outside the region.
     """
+    _check_type("presentation", h, HRep)
     try:
         signs = tuple(signs)
         ok = len(signs) == h.m and all(s == 1 or s == -1 for s in signs)
@@ -602,6 +604,7 @@ def quadric_gradient_rank(q: QuadricSystem, point) -> int:
     A point other than a finite vector of length m raises
     :class:`BadParameters`, through :meth:`QuadricSystem.residual`.
     """
+    _check_type("quadric system", q, QuadricSystem)
     y = point.y if isinstance(point, EmbeddedPoint) else point
     res = np.abs(q.residual(y))
     y = np.asarray(y, dtype=float)
@@ -830,5 +833,6 @@ def _sample_points(h: HRep, polytope, coords: np.ndarray, count: int, rng, gram)
 
 
 def quadrics_to_json(q: QuadricSystem) -> dict:
+    _check_type("quadric system", q, QuadricSystem)
     return {"m": q.m, "gamma": [[float(v) for v in row] for row in q.gamma],
             "rhs": [float(v) for v in q.rhs]}

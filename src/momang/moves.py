@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from collections.abc import Iterable
 
 from .errors import (
     BadParameters,
@@ -46,8 +47,8 @@ from .polytope import (
 _STATE_CAP = 100_000
 # Paths the prismatic-circuit walk (k >= 5) may take off its stack: ~4 s at the cap.
 _PATH_CAP = 1_000_000
-# The 3- and 4-circuit listing's predicted work in scan steps, ~3.5 s and
-# ~430 MB at the cap, and the steps that forming one circuit costs.
+# The 3- and 4-circuit listing's predicted work in scan steps, ~2.6-3.4 s and
+# ~280-310 MB at the cap, and the steps that forming one circuit costs.
 _CYCLE_CAP = 4_000_000
 _CYCLE_COST = 4
 
@@ -129,6 +130,7 @@ def _collapse_error(p: CombPolytope, facet_index: int):
 
 def collapse_admissible(p: CombPolytope, facet_index: int) -> bool:
     """Whether :func:`simplex_facet_collapse` accepts this facet."""
+    _check_type("polytope", p, CombPolytope)
     try:
         return _collapse_error(p, facet_index) is None
     except (BadParameters, NoSuchFacet):
@@ -146,6 +148,7 @@ def simplex_facet_collapse(p: CombPolytope, facet_index: int) -> CombPolytope:
     sphere the collapse swaps a vertex star, the cone over the boundary of
     the simplex on its n neighbours, for that simplex, not yet a face.
     """
+    _check_type("polytope", p, CombPolytope)
     err = _collapse_error(p, facet_index)
     if err is not None:
         raise err
@@ -214,14 +217,16 @@ def rebuild_by_cuts(trace: ReductionTrace) -> CombPolytope:
     ``trace.start``.  The result is not re-validated, since every cut is a
     vertex cut of a valid polytope.  A forged trace is refused instead:
     :class:`NotSimple` for an ``end`` of another dimension than ``start``,
-    :class:`BadParameters` for a step that is not an ``int`` or is a
-    ``bool``, :class:`NoSuchFacet`, :class:`NotSimplexFacet` or
-    :class:`IsSimplex` for a step that names no collapsible facet, and
-    :class:`NoSuchVertex` when ``end`` lacks a vertex to cut.
+    :class:`BadParameters` for steps that are not iterable or a step that
+    is not an ``int`` or is a ``bool``, :class:`NoSuchFacet`,
+    :class:`NotSimplexFacet` or :class:`IsSimplex` for a step that names no
+    collapsible facet, and :class:`NoSuchVertex` when ``end`` lacks a
+    vertex to cut.
     """
     _check_type("trace", trace, ReductionTrace)
     _check_type("trace start", trace.start, CombPolytope)
     _check_type("trace end", trace.end, CombPolytope)
+    _check_type("trace steps", trace.steps, Iterable)
     n = trace.start.dim
     if trace.end.dim != n:
         raise NotSimple(f"trace end has dim {trace.end.dim}, its start dim {n}")
@@ -254,6 +259,7 @@ def rebuild_by_cuts(trace: ReductionTrace) -> CombPolytope:
 
 
 def trace_to_json(trace: ReductionTrace) -> dict:
+    _check_type("trace", trace, ReductionTrace)
     return {
         "verdict": "yes" if trace.reducible else "no",
         "steps": list(trace.steps),
@@ -329,121 +335,109 @@ def prismatic_circuits(p: CombPolytope, k: int) -> list[PrismaticCircuit]:
     its first two edges decide it.  Raises :class:`BadParameters` for a
     ``k`` that is not an ``int`` >= 3 or is a ``bool``.
 
-    k = 3 and 4 are listed by :func:`_short_circuits`, with its own cap.
-    Larger k walk the chordless paths from ``s``, on ``p``'s cached pair
-    table: each step adds a facet above ``s`` that meets the path's end and
-    no earlier interior facet, and meets ``s`` exactly when it closes the
-    cycle.  The walk raises :class:`GuardExceeded` once more than
-    ``_PATH_CAP`` paths have been walked.
+    k = 3 and 4 are listed by :func:`_short_circuits` (Σ min-degree <= 6E
+    steps on E facet pairs that meet), with its own cap.  Larger k walk the
+    chordless paths from ``s``, on ``p``'s cached pair table: each step adds
+    a facet above ``s`` that meets the path's end and no earlier interior
+    facet, and meets ``s`` exactly when it closes the cycle.  The walk raises
+    :class:`GuardExceeded` once more than ``_PATH_CAP`` paths have been
+    walked.  Circuits through one facet pair share its edge tuple.
     """
+    shared, out = {}, []
+    for ring in _circuit_rings(p, k):
+        edges = []
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            key = (a, b) if a < b else (b, a)
+            edges.append(shared.get(key) or shared.setdefault(key, tuple(p._pairs[a][b])))
+        out.append(PrismaticCircuit(ring, tuple(edges)))
+    return out
+
+
+def _circuit_rings(p: CombPolytope, k: int) -> list[tuple[int, ...]]:
+    """The facets of :func:`prismatic_circuits`, in its order and checks."""
     _check_type("polytope", p, CombPolytope)
     if p.dim != 3:
         raise DimensionUnsupported(f"prismatic circuits need dim 3, got {p.dim}")
     _check_int("circuit length", k, 3)
     if k <= 4:
-        return _short_circuits(p, k)
-    pairs = p._pairs
-    nbrs = [set(row) for row in pairs]
-
-    out = []
-    walked = 0
-    for s in range(p.facet_count):
-        stack = [((s, x), set()) for x in nbrs[s] if x > s]
-        while stack:
-            path, blocked = stack.pop()
-            walked += 1
-            _check_work("prismatic circuit paths", walked, _PATH_CAP)
-            end = path[-1]
-            last = len(path) == k - 1
-            grown = None if last else blocked | nbrs[end] | {end}  # the closing step reads none
-            for x in nbrs[end]:
-                if x <= s or x in blocked or (x in nbrs[s]) != last:
-                    continue
-                if not last:
-                    stack.append((path + (x,), grown))
-                elif path[1] < x:
-                    cycle = path + (x,)
-                    edges = tuple(tuple(pairs[a][b])
-                                  for a, b in zip(cycle, cycle[1:] + cycle[:1]))
-                    out.append(PrismaticCircuit(facets=cycle, edges=edges))
-    out.sort(key=lambda c: sorted(c.facets))
-    return out
+        rings = _short_circuits(p, k)
+    else:
+        nbrs = [set(row) for row in p._pairs]
+        rings = []
+        walked = 0
+        for s in range(p.facet_count):
+            stack = [((s, x), set()) for x in nbrs[s] if x > s]
+            while stack:
+                path, blocked = stack.pop()
+                walked += 1
+                _check_work("prismatic circuit paths", walked, _PATH_CAP)
+                end = path[-1]
+                last = len(path) == k - 1
+                grown = None if last else blocked | nbrs[end] | {end}  # the closing step reads none
+                for x in nbrs[end]:
+                    if x <= s or x in blocked or (x in nbrs[s]) != last:
+                        continue
+                    if not last:
+                        stack.append((path + (x,), grown))
+                    elif path[1] < x:
+                        rings.append(path + (x,))
+    # no keys tie (a chordless cycle is alone on its facets); gc untracks tuple keys, not lists
+    rings.sort(key=None if k == 3 else lambda ring: tuple(sorted(ring)))
+    return rings
 
 
-def _short_circuits(p: CombPolytope, k: int) -> list[PrismaticCircuit]:
-    """The prismatic 3- or 4-circuits of :func:`prismatic_circuits`, by Chiba
-    and Nishizeki's listing (*SIAM J. Comput.* 14, 1985).
+def _short_circuits(p: CombPolytope, k: int) -> list[tuple[int, ...]]:
+    """The facets of the prismatic 3- or 4-circuits, unsorted.
 
-    Facets are visited by falling degree and deleted once visited.  A visit
-    to ``u`` scans the live neighbours of its live neighbours.  A scanned
-    ``w`` adjacent to ``u`` closes a triangle; one that is not, reached
-    through two middles or more, closes a 4-cycle through ``u`` and ``w``
-    with each pair of its middles that are not adjacent.  So each cycle is
-    met once, from the first of its facets to be visited.
+    Each adjacent pair a < b lists the triangles on its common neighbours
+    c > b whose edges with a and b share no vertex.  4-cycles follow Chiba
+    and Nishizeki (*SIAM J. Comput.* 14, 1985): facets are visited by
+    falling degree and deleted once visited; a visit to ``u`` counts the
+    live neighbours of its live neighbours, and each ``w`` not adjacent to
+    ``u`` and counted twice or more closes a 4-cycle with each pair of its
+    middles that are not adjacent, so each 4-cycle is met once.
 
-    Two counts that relabelling cannot change cap the work.  The scan reads
-    each edge from its end visited first, in at most as many steps as the
-    smaller end degree, so in at most 2aE = 6E steps on a facet graph of
-    arboricity a <= 3 (it is planar); that is checked before the scan.
-    After it, the steps and ``_CYCLE_COST`` steps per circuit, triangles
-    found or 4-cycles counted from their middles, must stay within
-    ``_CYCLE_CAP`` before any 4-cycle is formed or any record built.
-    Either check raises :class:`GuardExceeded`.
+    Two counts that relabelling cannot change cap the work.  A pair's
+    common neighbours take its smaller end degree in steps, and so does
+    the scan, reading each edge from its end visited first: Σ min-degree
+    <= 2aE = 6E on the E edges of a facet graph of arboricity a <= 3 (it
+    is planar), checked before the listing.  After it, the steps and
+    ``_CYCLE_COST`` per circuit, triangles found or 4-cycles counted from
+    their middles, must stay within ``_CYCLE_CAP`` before any 4-cycle is
+    formed.  Either check raises :class:`GuardExceeded`.
     """
     pairs = p._pairs
-    degree = [len(row) for row in pairs]
-    steps = 3 * sum(degree)
+    steps = 3 * sum(map(len, pairs))
     _check_work(f"prismatic {k}-circuit scan steps", steps, _CYCLE_CAP)
     live = [set(row) for row in pairs]
+    if k == 3:
+        rings = [(a, b, c) for a, row in enumerate(pairs) for b in row if a < b
+                 for c in live[a] & live[b] if c > b and set(row[b]).isdisjoint(row[c])]
+        _check_work("prismatic 3-circuit work", steps + _CYCLE_COST * len(rings), _CYCLE_CAP)
+        return rings
     found = []
     circuits = 0
-    for u in sorted(range(p.facet_count), key=degree.__getitem__, reverse=True):
+    for u in sorted(range(p.facet_count), key=lambda f: len(pairs[f]), reverse=True):
         near = live[u]
-        if k == 3:
-            row = pairs[u]
-            found += [tuple(sorted((u, v, w))) for v in near for w in live[v] & near
-                      if v < w and set(row[v]).isdisjoint(row[w])]
-        else:
-            shut = near | {u}
-            twice = {}
-            for v in near:
-                for w in live[v] - shut:
-                    twice[w] = w in twice
-            for w, met in twice.items():
-                if met:
-                    mids = near & live[w]
-                    # the pairs of middles less the adjacent ones
-                    chordless = len(mids) * (len(mids) - 1) // 2 - sum(
-                        len(live[x] & mids) for x in mids) // 2
-                    if chordless:
-                        found.append((u, w, mids))
-                        circuits += chordless
+        shut = near | {u}
+        twice = {}
+        for v in near:
+            for w in live[v] - shut:
+                twice[w] = w in twice
+        for w, met in twice.items():
+            if met:
+                mids = near & live[w]
+                # the pairs of middles less the adjacent ones
+                chordless = len(mids) * (len(mids) - 1) // 2 - sum(
+                    len(live[x] & mids) for x in mids) // 2
+                if chordless:
+                    found.append((min(u, w), max(u, w), mids))
+                    circuits += chordless
         for v in near:
             live[v].discard(u)
-    if k == 3:
-        circuits = len(found)
-    _check_work(f"prismatic {k}-circuit work", steps + _CYCLE_COST * circuits, _CYCLE_CAP)
-
-    if k == 3:
-        found.sort()
-        return [PrismaticCircuit(c, (tuple(pairs[c[0]][c[1]]), tuple(pairs[c[1]][c[2]]),
-                                     tuple(pairs[c[2]][c[0]]))) for c in found]
-    cycles = []
-    for u, w, mids in found:
-        # the ring u, x, w, y and its edges, each from the facet before it
-        side = {x: (tuple(pairs[u][x]), tuple(pairs[x][w])) for x in mids}
-        for x in mids:
-            for y in mids - pairs[x].keys():
-                if x < y:
-                    ring = (u, x, w, y)
-                    edges = side[x] + side[y][::-1]
-                    s = ring.index(min(ring))
-                    ring, edges = ring[s:] + ring[:s], edges[s:] + edges[:s]
-                    if ring[1] > ring[3]:
-                        ring, edges = (ring[0], ring[3], ring[2], ring[1]), edges[::-1]
-                    cycles.append((sorted(ring), ring, edges))
-    cycles.sort()
-    return [PrismaticCircuit(ring, edges) for _, ring, edges in cycles]
+    _check_work("prismatic 4-circuit work", steps + _CYCLE_COST * circuits, _CYCLE_CAP)
+    return [(lo, x, hi, y) if lo < x else (x, lo, y, hi)
+            for lo, hi, mids in found for x in mids for y in mids - pairs[x].keys() if x < y]
 
 
 # ---------------------------------------------------------------------------
@@ -613,24 +607,27 @@ def _candidate_faces(k: SimplicialSphere, n: int):
     return sorted(faces)
 
 
+def _certificate_moves(moves):
+    """A certificate's moves; a move list that is not iterable, or a move
+    that is not a :class:`FlipMove`, raises :class:`BadParameters`."""
+    _check_type("certificate", moves, Iterable)
+    for mv in moves:
+        if not isinstance(mv, FlipMove):
+            raise BadParameters(f"a certificate move must be a FlipMove, got {mv!r}")
+        yield mv
+
+
 def certificate_to_json(moves) -> dict:
     if moves is None:
         return {"moves": None}
     return {"moves": [{"kind": mv.kind, "face": list(mv.target),
-                       "codim": mv.codim} for mv in moves]}
+                       "codim": mv.codim} for mv in _certificate_moves(moves)]}
 
 
 def replay_flip_certificate(n: int, moves) -> SimplicialSphere:
-    """Apply a certificate to the n-simplex boundary and return the result.
-    A move list that is not iterable, or a move that is not a
-    :class:`FlipMove`, raises :class:`BadParameters`."""
+    """Apply a certificate to the n-simplex boundary and return the result;
+    moves are refused as :func:`_certificate_moves` refuses them."""
     state = simplex_boundary_sphere(n)
-    try:
-        moves = iter(moves)
-    except TypeError as e:
-        raise BadParameters(f"a certificate must be a list of moves, got {moves!r}") from e
-    for mv in moves:
-        if not isinstance(mv, FlipMove):
-            raise BadParameters(f"a certificate move must be a FlipMove, got {mv!r}")
+    for mv in _certificate_moves(moves):
         state = bistellar_flip(state, mv.target)
     return state

@@ -363,6 +363,7 @@ def dual_sphere(p: CombPolytope) -> SimplicialSphere:
     One sphere vertex per facet of ``p``; one top simplex per vertex of ``p``
     (its containing facets), already in sorted order as ``p.vertices`` is.
     """
+    _check_type("polytope", p, CombPolytope)
     return SimplicialSphere._trusted(p.dim - 1, tuple(map(frozenset, p.vertices)))
 
 
@@ -415,6 +416,7 @@ def is_simplex(p: CombPolytope) -> bool:
     """True when ``p`` is the n-simplex.  Its n + 1 facets decide it: a
     validated polytope's ridge graph is connected, and with n + 1 facets
     that forces every n-subset of them to be a vertex."""
+    _check_type("polytope", p, CombPolytope)
     return p.facet_count == p.dim + 1
 
 
@@ -541,6 +543,7 @@ def combinatorial_isomorphic(p: CombPolytope, q: CombPolytope):
 
 
 def polytope_to_json(p: CombPolytope) -> dict:
+    _check_type("polytope", p, CombPolytope)
     obj = {"dim": p.dim, "facets": p.facet_count,
            "vertices": [list(v) for v in p.vertices]}
     if p.facet_labels is not None:

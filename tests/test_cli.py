@@ -208,6 +208,24 @@ def test_andreev_counts(tmp_path, capsys):
     assert report["payload"]["no_prismatic_circuits"] is True
 
 
+def test_andreev_builds_no_circuit_record(tmp_path, monkeypatch, capsys):
+    # the command prints facets only, so it lists them without records
+    import momang.moves as moves
+    from conftest import cut_gon_prism
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("andreev built a PrismaticCircuit")
+
+    monkeypatch.setattr(moves.PrismaticCircuit, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        moves.prismatic_circuits(cube(3), 4)
+    for p, counts in [(cube(3), (0, 3)), (prism(), (1, 0)), (cut_gon_prism(20), (1, 170))]:
+        code, report, _ = run(capsys, "andreev", write_polytope(tmp_path, "p.json", p))
+        payload = report["payload"]
+        assert (code, payload["prismatic_3"], payload["prismatic_4"]) == (0, *counts)
+        assert len(payload["circuits_4"]) == counts[1]
+
+
 def test_flip_cert_command(tmp_path, monkeypatch, capsys):
     path = write_polytope(tmp_path, "prism.json", prism())
     code, report, _ = run(capsys, "flip-cert", path, "--depth", "2")

@@ -17,29 +17,37 @@ from momang import (
     ReductionTrace,
     bistellar_flip,
     build_chamber_complex,
+    certificate_to_json,
     classify_edge_types,
+    collapse_admissible,
     combinatorial_isomorphic,
     complex_summary,
     connected_components,
     cube,
     doubling_filtration,
+    dual_sphere,
     enumerate_vertices,
     euler_characteristic,
     face_lattice,
     fixed_point_components,
+    is_simplex,
     lift_point,
     make_hrep,
     orientability,
     parse_hrep,
+    polytope_to_json,
     prismatic_circuits,
     psc_flip_certificate,
     quadric_gradient_rank,
+    quadrics_to_json,
     random_vertexcuts,
     rebuild_by_cuts,
     recognize_vertexcut_reducible,
     relation_matrix,
     replay_flip_certificate,
     simplex_boundary_sphere,
+    simplex_facet_collapse,
+    trace_to_json,
     verify_nondegeneracy,
     vertex_cut,
 )
@@ -110,6 +118,26 @@ REFUSED = [
     ("relations-polytope", lambda: relation_matrix(cube(3)), BadParameters),
     ("nondegeneracy-none", lambda: verify_nondegeneracy(None), BadParameters),
     ("nondegeneracy-polytope", lambda: verify_nondegeneracy(cube(3)), BadParameters),
+    ("dual-sphere-none", lambda: dual_sphere(None), BadParameters),
+    ("is-simplex-none", lambda: is_simplex(None), BadParameters),
+    ("polytope-json-none", lambda: polytope_to_json(None), BadParameters),
+    ("admissible-none", lambda: collapse_admissible(None, 0), BadParameters),
+    ("admissible-sphere", lambda: collapse_admissible(TETRAHEDRON, 0), BadParameters),
+    ("collapse-none", lambda: simplex_facet_collapse(None, 0), BadParameters),
+    ("trace-json-none", lambda: trace_to_json(None), BadParameters),
+    ("quadrics-json-none", lambda: quadrics_to_json(None), BadParameters),
+    ("quadrics-json-presentation", lambda: quadrics_to_json(CUBE_H), BadParameters),
+    ("lift-none", lambda: lift_point(None, CENTRE, [1] * 6), BadParameters),
+    ("gradient-rank-none", lambda: quadric_gradient_rank(None, [1.0] * 6), BadParameters),
+    ("vertices-none", lambda: enumerate_vertices(None), BadParameters),
+    ("vertices-polytope", lambda: enumerate_vertices(cube(3)), BadParameters),
+    # moves: fields and move lists that are not iterable
+    ("rebuild-none-steps", lambda: rebuild_by_cuts(ReductionTrace(True, None, (), cube(3), cube(3))),
+     BadParameters),
+    ("rebuild-int-steps", lambda: rebuild_by_cuts(ReductionTrace(True, 1, (), cube(3), cube(3))),
+     BadParameters),
+    ("certificate-json-int", lambda: certificate_to_json(5), BadParameters),
+    ("certificate-json-int-move", lambda: certificate_to_json([1]), BadParameters),
     # moves: the simplex dimension, certificate moves and flipped faces
     ("simplex-float", lambda: simplex_boundary_sphere(2.5), BadParameters),
     ("simplex-negative", lambda: simplex_boundary_sphere(-1), BadParameters),

@@ -980,6 +980,22 @@ def test_short_circuits_match_the_walk():
             assert [(c.facets, c.edges) for c in found] == [(c.facets, c.edges) for c in want], (name, k)
 
 
+def test_circuit_rings_are_the_circuits_facets():
+    # the facets-only listing behind andreev, on the inputs above, and the
+    # one edge tuple that all circuits through a facet pair share
+    inputs = [(f"cut-{k}-gon-prism-{last}", cut_gon_prism(k, last))
+              for k in (20, 200) for last in (False, True)] + relabelled_cuts()
+    inputs.append(("dodecahedron", dodecahedron()))
+    for name, p in inputs:
+        for k in (3, 4, 5) if name == "dodecahedron" else (3, 4):
+            found = prismatic_circuits(p, k)
+            assert moves._circuit_rings(p, k) == [c.facets for c in found], (name, k)
+            shared = {}
+            for c in found:
+                for a, b, edge in zip(c.facets, c.facets[1:] + c.facets[:1], c.edges):
+                    assert shared.setdefault(frozenset((a, b)), edge) is edge, (name, k)
+
+
 def test_prismatic_large_k_stops_at_the_cap():
     p = geodesic(3)
     assert (p.facet_count, p.vertex_count) == (92, 180)
